@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 
 #include "svc/client.hpp"
 #include "svc/wire.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -68,40 +70,36 @@ struct Totals {
   std::size_t lost = 0;  // accepted but never observed terminal
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
+    std::optional<std::uint64_t> n;
     if (a.rfind("--socket=", 0) == 0) {
       opt.socket_path = value("--socket=");
-    } else if (a.rfind("--jobs=", 0) == 0 && parse_u64(value("--jobs="), v)) {
-      opt.jobs = static_cast<std::size_t>(v);
+    } else if (a.rfind("--jobs=", 0) == 0 &&
+               (n = scanc::util::parse_uint(value("--jobs=")))) {
+      opt.jobs = static_cast<std::size_t>(*n);
     } else if (a.rfind("--clients=", 0) == 0 &&
-               parse_u64(value("--clients="), v)) {
-      opt.clients = std::max<std::size_t>(1, v);
+               (n = scanc::util::parse_uint(value("--clients=")))) {
+      opt.clients = std::max<std::size_t>(1, *n);
     } else if (a.rfind("--hostile-pct=", 0) == 0 &&
-               parse_u64(value("--hostile-pct="), v)) {
-      opt.hostile_pct = std::min<std::size_t>(100, v);
+               (n = scanc::util::parse_uint(value("--hostile-pct=")))) {
+      opt.hostile_pct = std::min<std::size_t>(100, *n);
     } else if (a.rfind("--deadline-pct=", 0) == 0 &&
-               parse_u64(value("--deadline-pct="), v)) {
-      opt.deadline_pct = std::min<std::size_t>(100, v);
-    } else if (a.rfind("--seed=", 0) == 0 && parse_u64(value("--seed="), v)) {
-      opt.seed = v;
+               (n = scanc::util::parse_uint(value("--deadline-pct=")))) {
+      opt.deadline_pct = std::min<std::size_t>(100, *n);
+    } else if (a.rfind("--seed=", 0) == 0 &&
+               (n = scanc::util::parse_uint(value("--seed=")))) {
+      opt.seed = *n;
     } else if (a.rfind("--json-out=", 0) == 0) {
       opt.json_out = value("--json-out=");
     } else if (a == "--quiet") {
       opt.quiet = true;
     } else {
-      std::cerr << "load_gen: unknown argument: " << a << "\n";
+      std::cerr << "load_gen: unknown or malformed argument: " << a << "\n";
       return false;
     }
   }

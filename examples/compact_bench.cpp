@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "atpg/comb_tset.hpp"
@@ -33,6 +34,7 @@
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
 #include "util/event_bus.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
 int main(int argc, char** argv) {
@@ -51,12 +53,16 @@ int main(int argc, char** argv) {
   double heartbeat_seconds = 0.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::optional<std::uint64_t> n;
+    std::optional<double> d;
     if (arg.rfind("--t0=", 0) == 0) {
       t0_source = arg.substr(5);
-    } else if (arg.rfind("--t0-length=", 0) == 0) {
-      t0_length = std::strtoull(arg.c_str() + 12, nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+    } else if (arg.rfind("--t0-length=", 0) == 0 &&
+               (n = util::parse_uint(arg.c_str() + 12))) {
+      t0_length = static_cast<std::size_t>(*n);
+    } else if (arg.rfind("--seed=", 0) == 0 &&
+               (n = util::parse_uint(arg.c_str() + 7))) {
+      seed = *n;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg == "--baseline") {
@@ -69,10 +75,11 @@ int main(int argc, char** argv) {
       event_log_path = arg.substr(12);
     } else if (arg == "--verbose-metrics") {
       verbose_metrics = true;
-    } else if (arg.rfind("--heartbeat=", 0) == 0) {
-      heartbeat_seconds = std::strtod(arg.c_str() + 12, nullptr);
+    } else if (arg.rfind("--heartbeat=", 0) == 0 &&
+               (d = util::parse_finite(arg.c_str() + 12))) {
+      heartbeat_seconds = *d;
     } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown or malformed option %s\n", arg.c_str());
       return 1;
     } else {
       file = arg;

@@ -16,11 +16,13 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "svc/client.hpp"
 #include "svc/wire.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -143,16 +145,20 @@ int main(int argc, char** argv) {
   bool plain = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    std::optional<double> d;
     if (a.rfind("--socket=", 0) == 0) {
       socket_path = a.substr(9);
-    } else if (a.rfind("--interval=", 0) == 0) {
-      interval = std::strtod(a.c_str() + 11, nullptr);
-    } else if (a.rfind("--duration=", 0) == 0) {
-      duration = std::strtod(a.c_str() + 11, nullptr);
+    } else if (a.rfind("--interval=", 0) == 0 &&
+               (d = scanc::util::parse_finite(a.c_str() + 11))) {
+      interval = *d;
+    } else if (a.rfind("--duration=", 0) == 0 &&
+               (d = scanc::util::parse_finite(a.c_str() + 11))) {
+      duration = *d;
     } else if (a == "--plain") {
       plain = true;
     } else {
-      std::fprintf(stderr, "scanc-top: unknown argument: %s\n", a.c_str());
+      std::fprintf(stderr, "scanc-top: unknown or malformed argument: %s\n",
+                   a.c_str());
       return 2;
     }
   }

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "check/differ.hpp"
@@ -31,6 +32,7 @@
 #include "fault/model.hpp"
 #include "sim/simd.hpp"
 #include "util/rng.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -49,32 +51,30 @@ struct Options {
   std::string repro_out;
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
-    if (a.rfind("--seed=", 0) == 0 && parse_u64(value("--seed="), v)) {
-      opt.seed = v;
+    std::optional<std::uint64_t> n;
+    std::optional<double> d;
+    if (a.rfind("--seed=", 0) == 0 &&
+        (n = scanc::util::parse_uint(value("--seed=")))) {
+      opt.seed = *n;
     } else if (a.rfind("--iters=", 0) == 0 &&
-               parse_u64(value("--iters="), v)) {
-      opt.iters = v;
-    } else if (a.rfind("--time-budget=", 0) == 0) {
-      opt.time_budget = std::strtod(value("--time-budget="), nullptr);
-    } else if (a.rfind("--max-case-seconds=", 0) == 0) {
-      opt.max_case_seconds =
-          std::strtod(value("--max-case-seconds="), nullptr);
+               (n = scanc::util::parse_uint(value("--iters=")))) {
+      opt.iters = *n;
+    } else if (a.rfind("--time-budget=", 0) == 0 &&
+               (d = scanc::util::parse_finite(value("--time-budget=")))) {
+      opt.time_budget = *d;
+    } else if (a.rfind("--max-case-seconds=", 0) == 0 &&
+               (d = scanc::util::parse_finite(
+                    value("--max-case-seconds=")))) {
+      opt.max_case_seconds = *d;
     } else if (a.rfind("--threads=", 0) == 0 &&
-               parse_u64(value("--threads="), v)) {
-      opt.threads = static_cast<std::size_t>(v);
+               (n = scanc::util::parse_uint(value("--threads=")))) {
+      opt.threads = static_cast<std::size_t>(*n);
     } else if (a.rfind("--fault-model=", 0) == 0) {
       const std::string m = value("--fault-model=");
       if (m == "stuck") {
@@ -112,7 +112,7 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a.rfind("--repro-out=", 0) == 0) {
       opt.repro_out = value("--repro-out=");
     } else {
-      std::cerr << "fuzz_check: unknown argument: " << a << "\n";
+      std::cerr << "fuzz_check: unknown or malformed argument: " << a << "\n";
       return false;
     }
   }

@@ -1,7 +1,7 @@
 #include "expt/options.hpp"
 
-#include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include <iostream>
@@ -9,6 +9,7 @@
 #include "gen/suite.hpp"
 #include "util/cancel.hpp"
 #include "util/event_bus.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::expt {
@@ -67,14 +68,22 @@ atpg::AtpgBackend parse_atpg(const std::string& flag, const char* value) {
 /// Parses a time budget in (fractional) seconds; throws on garbage so a
 /// typo does not silently run without a deadline.
 double parse_seconds(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  errno = 0;
-  const double s = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(s > 0.0)) {
+  const std::optional<double> s = util::parse_finite(value);
+  if (!s || !(*s > 0.0)) {
     throw std::invalid_argument("bad time budget for " + flag + ": " +
                                 value);
   }
-  return s;
+  return *s;
+}
+
+/// Parses an unsigned count (seed, threads, chains); throws so a typo
+/// does not silently become 0 — seed 0, or "all cores" for threads.
+std::uint64_t parse_count(const std::string& flag, const char* value) {
+  if (const std::optional<std::uint64_t> n = util::parse_uint(value)) {
+    return *n;
+  }
+  throw std::invalid_argument("bad value for " + flag + ": " + value +
+                              " (expected an unsigned integer)");
 }
 
 }  // namespace
@@ -88,10 +97,10 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
   cfg.runner.force_fresh = env_flag("SCANC_FRESH");
   cfg.runner.verbose = env_flag("SCANC_VERBOSE");
   if (const char* v = std::getenv("SCANC_SEED")) {
-    cfg.runner.seed = std::strtoull(v, nullptr, 10);
+    cfg.runner.seed = parse_count("SCANC_SEED", v);
   }
   if (const char* v = std::getenv("SCANC_THREADS")) {
-    cfg.runner.num_threads = std::strtoull(v, nullptr, 10);
+    cfg.runner.num_threads = parse_count("SCANC_THREADS", v);
   }
   if (const char* v = std::getenv("SCANC_KERNEL")) {
     cfg.runner.kernel = parse_kernel("SCANC_KERNEL", v);
@@ -103,7 +112,7 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
     cfg.runner.atpg = parse_atpg("SCANC_ATPG", v);
   }
   if (const char* v = std::getenv("SCANC_CHAINS")) {
-    cfg.runner.num_chains = std::strtoull(v, nullptr, 10);
+    cfg.runner.num_chains = parse_count("SCANC_CHAINS", v);
   }
   if (const char* v = std::getenv("SCANC_CACHE")) {
     cfg.runner.cache_path = v;
@@ -131,9 +140,9 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
     } else if (arg == "--fresh") {
       cfg.runner.force_fresh = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.runner.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      cfg.runner.seed = parse_count("--seed", arg.c_str() + 7);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      cfg.runner.num_threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+      cfg.runner.num_threads = parse_count("--threads", arg.c_str() + 10);
     } else if (arg.rfind("--kernel=", 0) == 0) {
       cfg.runner.kernel = parse_kernel("--kernel", arg.c_str() + 9);
     } else if (arg.rfind("--fault-model=", 0) == 0) {
@@ -142,8 +151,7 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
     } else if (arg.rfind("--atpg=", 0) == 0) {
       cfg.runner.atpg = parse_atpg("--atpg", arg.c_str() + 7);
     } else if (arg.rfind("--chains=", 0) == 0) {
-      cfg.runner.num_chains =
-          std::strtoull(arg.c_str() + 9, nullptr, 10);
+      cfg.runner.num_chains = parse_count("--chains", arg.c_str() + 9);
     } else if (arg.rfind("--cache=", 0) == 0) {
       cfg.runner.cache_path = arg.substr(8);
     } else if (arg.rfind("--time-budget=", 0) == 0) {

@@ -2,19 +2,23 @@
 // by the per-ISA translation units (batch_engine.cpp and the
 // -mavx2/-mavx512f TUs).  Include this header only from those TUs.
 //
-// Bit-identity discipline: every pass below replicates the control flow
-// of the corresponding GroupWorker full-kernel pass lane by lane.
-// Observations (PO detections, scan-out detections, detection-time
-// records) are always masked with the set of lanes the per-test pass
-// would observe *this frame*:
+// The PPSFP passes (detect_batch, times_batch) run one lane-masked frame
+// loop, run_batch, on the same Activation idea as GroupWorker's frame
+// loop (group_worker.cpp):
 //
-//   stuck-at   lanes whose test is still running (t < length)
-//   TDF        lanes with an active launch this frame — inactive lanes
-//              carry stale diverged values (their state is only reloaded
-//              on active frames) and must never be observed
+//   stuck-at   splat injections built once, per-lane scan-in, and every
+//              lane whose test is still running (t < length) is active
+//   TDF        per-lane launch masks from each test's fault-free trace:
+//              injections rebuilt and state reloaded per frame, latching
+//              only where the observer needs it
 //
-// Dead / inactive lanes keep evolving on all-X inputs; that is garbage
-// by design and harmless because the masks above keep it unobserved.
+// and a lane observer (detection masks or detection times).  Bit
+// identity: lane l replicates the control flow of the GroupWorker
+// full-kernel pass on test l, because every observation is masked with
+// the lanes the per-test pass would observe *this frame* — inactive
+// lanes carry stale diverged values (their state is only reloaded on
+// active frames) and dead lanes keep evolving on all-X inputs; that is
+// garbage by design and harmless because the masks keep it unobserved.
 #pragma once
 
 #include <algorithm>
@@ -24,35 +28,13 @@
 #include <cstdint>
 
 #include "fault/batch_engine.hpp"
+#include "fault/frame_common.hpp"
 #include "fault/group_exec.hpp"
 #include "fault/group_worker.hpp"
 #include "sim/wide_sim.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
-
-namespace batch_detail {
-
-/// Mirror of group_worker.cpp's FrameTally: batches kernel counters into
-/// locals and publishes once per pass.  Wide passes count *lane-frames*
-/// (one unit per observed lane per frame) so FramesSimulated stays
-/// comparable with the per-test kernels.
-struct WideFrameTally {
-  std::uint64_t simulated = 0;
-  std::uint64_t tdf_activations = 0;
-  std::uint64_t tdf_skipped = 0;
-  ~WideFrameTally() {
-    if (simulated != 0) obs::add(obs::Counter::FramesSimulated, simulated);
-    if (tdf_activations != 0) {
-      obs::add(obs::Counter::TdfActivations, tdf_activations);
-    }
-    if (tdf_skipped != 0) {
-      obs::add(obs::Counter::TdfFramesSkipped, tdf_skipped);
-    }
-  }
-};
-
-}  // namespace batch_detail
 
 template <class W>
 class BatchEngineImpl final : public BatchEngine {
@@ -82,11 +64,12 @@ class BatchEngineImpl final : public BatchEngine {
     assert(det.size() == tests.size());
     obs::add(obs::Counter::PpsfpBatches);
     obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
-    if (faults_->model().frame_gated()) {
-      detect_batch_tdf(tests, group, observe_scan_out, det);
-    } else {
-      detect_batch_stuck(tests, group, observe_scan_out, det);
-    }
+    // The stuck-at pass stops once every lane is saturated; the TDF pass
+    // always runs to the longest test.
+    DetectLanes rec{W::splat(group_slot_mask(group.size())), observe_scan_out,
+                    !faults_->model().frame_gated()};
+    run_batch(tests, group, rec);
+    for (std::size_t l = 0; l < tests.size(); ++l) det[l] = rec.det.lane(l);
   }
 
   void times_batch(std::span<const BatchTestRef> tests,
@@ -99,11 +82,8 @@ class BatchEngineImpl final : public BatchEngine {
     assert(state_diff.size() >= (tests.size() - 1) * stride + group.size());
     obs::add(obs::Counter::PpsfpBatches);
     obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
-    if (faults_->model().frame_gated()) {
-      times_batch_tdf(tests, group, stride, first_po, state_diff);
-    } else {
-      times_batch_stuck(tests, group, stride, first_po, state_diff);
-    }
+    TimesLanes rec{tests.size(), stride, first_po, state_diff};
+    run_batch(tests, group, rec);
   }
 
   void detect_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
@@ -167,301 +147,175 @@ class BatchEngineImpl final : public BatchEngine {
     }
   }
 
-  /// Records fresh per-lane PO/state bits into the lane-major spans.
-  static void record_lane_bits(std::uint64_t bits, std::size_t base,
-                               std::size_t t,
-                               std::span<std::int64_t> first_po) {
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      first_po[base + static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-  }
-  static void record_lane_bits(std::uint64_t bits, std::size_t base,
-                               std::size_t t,
-                               std::span<util::Bitset> state_diff) {
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[base + static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-
-  // --- stuck-at PPSFP passes -------------------------------------------
-
-  void detect_batch_stuck(std::span<const BatchTestRef> tests,
-                          std::span<const FaultClassId> group,
-                          bool observe_scan_out,
-                          std::span<std::uint64_t> det_out) {
-    const std::size_t n = tests.size();
-    build_splat_injections(group);
-    obs::add(obs::Counter::FullPasses, n);
-    sim_.reset(&inj_);
-    std::array<const sim::Vector3*, kLanes> ptr{};
-    bool any_state = false;
-    for (std::size_t l = 0; l < n; ++l) {
-      if (tests[l].scan_in != nullptr) {
-        state_scratch_[l] = masked_state(*tests[l].scan_in);
-        ptr[l] = &state_scratch_[l];
-        any_state = true;
-      } else {
-        ptr[l] = nullptr;
-      }
-    }
-    if (any_state) sim_.load_state({ptr.data(), n}, &inj_);
-
-    const W full = W::splat(group_slot_mask(group.size()));
-    const std::size_t max_len = max_length(tests);
-    W det = W::zero();
-    batch_detail::WideFrameTally tally;
-    for (std::size_t t = 0; t < max_len; ++t) {
-      std::size_t live_count = 0;
-      for (std::size_t l = 0; l < n; ++l) {
-        const bool live = t < tests[l].seq->length();
-        ptr[l] = live ? &tests[l].seq->frames[t] : nullptr;
-        live_count += live ? 1 : 0;
-      }
-      const W live = lane_mask(n, [&](std::size_t l) {
-        return t < tests[l].seq->length();
-      });
-      tally.simulated += live_count;
-      sim_.apply_frame({ptr.data(), n}, &inj_);
-      det = det | (wide_po_detections() & live);
-      sim_.latch(&inj_);
-      if (observe_scan_out) {
-        const W finals = lane_mask(n, [&](std::size_t l) {
-          return tests[l].seq->length() == t + 1;
-        });
-        if (finals.any()) {
-          det = det | (wide_state_detections() & finals);
-        }
-      }
-      // All lanes saturated: later frames cannot add detections (per-lane
-      // det is capped at `full`, matching run_detect's early exit).
-      if (all_lanes_full(det, full)) break;
-    }
-    for (std::size_t l = 0; l < n; ++l) det_out[l] = det.lane(l);
-  }
-
-  void times_batch_stuck(std::span<const BatchTestRef> tests,
-                         std::span<const FaultClassId> group,
-                         std::size_t stride,
-                         std::span<std::int64_t> first_po,
-                         std::span<util::Bitset> state_diff) {
-    const std::size_t n = tests.size();
-    build_splat_injections(group);
-    obs::add(obs::Counter::FullPasses, n);
-    sim_.reset(&inj_);
-    std::array<const sim::Vector3*, kLanes> ptr{};
-    for (std::size_t l = 0; l < n; ++l) {
-      assert(tests[l].scan_in != nullptr);
-      state_scratch_[l] = masked_state(*tests[l].scan_in);
-      ptr[l] = &state_scratch_[l];
-    }
-    sim_.load_state({ptr.data(), n}, &inj_);
-
-    const std::size_t max_len = max_length(tests);
-    W det = W::zero();
-    batch_detail::WideFrameTally tally;
-    for (std::size_t t = 0; t < max_len; ++t) {
-      for (std::size_t l = 0; l < n; ++l) {
-        const bool live = t < tests[l].seq->length();
-        ptr[l] = live ? &tests[l].seq->frames[t] : nullptr;
-        tally.simulated += live ? 1 : 0;
-      }
-      const W live = lane_mask(n, [&](std::size_t l) {
-        return t < tests[l].seq->length();
-      });
-      sim_.apply_frame({ptr.data(), n}, &inj_);
-      const W fresh = wide_po_detections() & live & ~det;
-      det = det | fresh;
-      sim_.latch(&inj_);
-      const W state = wide_state_detections() & live;
-      for (std::size_t l = 0; l < n; ++l) {
-        record_lane_bits(fresh.lane(l), l * stride, t, first_po);
-        record_lane_bits(state.lane(l), l * stride, t, state_diff);
-      }
-    }
-  }
-
-  // --- transition-delay (frame-gated) PPSFP passes ---------------------
-
-  /// Caches the group's (node, stale) sites — build_tdf_sites mirror.
-  void build_tdf_sites(std::span<const FaultClassId> group) {
-    tdf_sites_.clear();
-    tdf_sites_.reserve(group.size());
-    for (const FaultClassId id : group) {
-      const Fault& f = faults_->representative(id);
-      assert(f.pin == sim::kStemPin);
-      tdf_sites_.push_back(TdfSite{f.node, f.value});
-    }
-  }
-
-  [[nodiscard]] std::uint64_t tdf_activation(const sim::NodeTrace& trace,
-                                             std::size_t t) const {
-    assert(t >= 1);
-    std::uint64_t act = 0;
-    for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
-      const TdfSite& s = tdf_sites_[j];
-      const sim::V3 stale = s.stale ? sim::V3::One : sim::V3::Zero;
-      const sim::V3 fresh = s.stale ? sim::V3::Zero : sim::V3::One;
-      if (trace.value(t - 1, s.node) == stale &&
-          trace.value(t, s.node) == fresh) {
-        act |= 1ULL << (j + 1);
-      }
-    }
-    return act;
-  }
-
-  /// Rebuilds inj_ from per-lane activation masks: site j gets one wide
-  /// injection whose lane l mask is slot j+1 iff lane l launches it.
-  void build_tdf_injections(std::span<const std::uint64_t> act,
-                            std::size_t n) {
+  /// Rebuilds inj_ from the per-lane activation masks act_: site j gets
+  /// one wide injection whose lane l mask is slot j+1 iff lane l launches
+  /// it.
+  void build_tdf_injections(std::size_t n) {
     inj_.clear();
     for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
       const std::uint64_t slot = 1ULL << (j + 1);
       W m = W::zero();
       bool used = false;
       for (std::size_t l = 0; l < n; ++l) {
-        if ((act[l] & slot) != 0) {
+        if ((act_[l] & slot) != 0) {
           m.set_lane(l, slot);
           used = true;
         }
       }
       if (used) {
-        const TdfSite& s = tdf_sites_[j];
-        inj_.add(s.node, sim::kStemPin, s.stale, m);
+        inj_.add(tdf_sites_[j].node, sim::kStemPin, tdf_sites_[j].stale, m);
       }
     }
   }
 
-  void detect_batch_tdf(std::span<const BatchTestRef> tests,
-                        std::span<const FaultClassId> group,
-                        bool observe_scan_out,
-                        std::span<std::uint64_t> det_out) {
-    const std::size_t n = tests.size();
-    build_tdf_sites(group);
-    obs::add(obs::Counter::FullPasses, n);
-    sim_.reset(nullptr);
-    const std::size_t max_len = max_length(tests);
-    std::array<const sim::Vector3*, kLanes> state_ptr{};
-    std::array<const sim::Vector3*, kLanes> pi_ptr{};
-    std::array<std::uint64_t, kLanes> act{};
+  // --- lane observers ----------------------------------------------------
+  //
+  // frame() sees each frame's PO detections with the active lanes;
+  // wants_state(finals) asks the TDF activation to latch (finals: active
+  // lanes on their test's last frame); state() sees every latch; done()
+  // ends the pass early.
+
+  /// Per-lane detection masks (detect_batch).
+  struct DetectLanes {
+    W full;
+    bool observe_scan_out;
+    bool early_exit;
     W det = W::zero();
-    batch_detail::WideFrameTally tally;
-    // Frame 0 has no launch frame and is never active in any lane.
-    for (std::size_t t = 1; t < max_len; ++t) {
-      bool any_act = false;
-      for (std::size_t l = 0; l < n; ++l) {
-        const bool live = t < tests[l].seq->length();
-        act[l] = live ? tdf_activation(*tests[l].trace, t) : 0;
-        if (live && act[l] == 0) ++tally.tdf_skipped;
-        any_act |= act[l] != 0;
-      }
-      if (!any_act) continue;
-      build_tdf_injections({act.data(), n}, n);
-      for (std::size_t l = 0; l < n; ++l) {
-        if (act[l] != 0) {
-          tally.tdf_activations +=
-              static_cast<std::uint64_t>(std::popcount(act[l]));
-          ++tally.simulated;
-          state_scratch_[l] = tests[l].trace->state_at_start(t);
-          state_ptr[l] = &state_scratch_[l];
-          pi_ptr[l] = &tests[l].seq->frames[t];
-        } else {
-          state_ptr[l] = nullptr;
-          pi_ptr[l] = nullptr;
-        }
-      }
-      sim_.load_state({state_ptr.data(), n}, &inj_);
-      sim_.apply_frame({pi_ptr.data(), n}, &inj_);
-      const W active = lane_mask(n, [&](std::size_t l) {
-        return act[l] != 0;
-      });
-      det = det | (wide_po_detections() & active);
-      if (observe_scan_out) {
-        const W finals = lane_mask(n, [&](std::size_t l) {
-          return act[l] != 0 && tests[l].seq->length() == t + 1;
-        });
-        if (finals.any()) {
-          sim_.latch(&inj_);
-          det = det | (wide_state_detections() & finals);
-        }
+
+    void frame(std::size_t /*t*/, const W& active, const W& po) {
+      det = det | (po & active);
+    }
+    [[nodiscard]] bool wants_state(const W& finals) const {
+      return observe_scan_out && finals.any();
+    }
+    void state(std::size_t /*t*/, const W& /*active*/, const W& finals,
+               const BatchEngineImpl& eng) {
+      if (wants_state(finals)) {
+        det = det | (eng.wide_state_detections() & finals);
       }
     }
-    for (std::size_t l = 0; l < n; ++l) det_out[l] = det.lane(l);
-  }
-
-  void times_batch_tdf(std::span<const BatchTestRef> tests,
-                       std::span<const FaultClassId> group,
-                       std::size_t stride,
-                       std::span<std::int64_t> first_po,
-                       std::span<util::Bitset> state_diff) {
-    const std::size_t n = tests.size();
-    build_tdf_sites(group);
-    obs::add(obs::Counter::FullPasses, n);
-    sim_.reset(nullptr);
-    const std::size_t max_len = max_length(tests);
-    std::array<const sim::Vector3*, kLanes> state_ptr{};
-    std::array<const sim::Vector3*, kLanes> pi_ptr{};
-    std::array<std::uint64_t, kLanes> act{};
-    W det = W::zero();
-    batch_detail::WideFrameTally tally;
-    for (std::size_t t = 1; t < max_len; ++t) {
-      bool any_act = false;
-      for (std::size_t l = 0; l < n; ++l) {
-        const bool live = t < tests[l].seq->length();
-        act[l] = live ? tdf_activation(*tests[l].trace, t) : 0;
-        if (live && act[l] == 0) ++tally.tdf_skipped;
-        any_act |= act[l] != 0;
-      }
-      if (!any_act) continue;
-      build_tdf_injections({act.data(), n}, n);
-      for (std::size_t l = 0; l < n; ++l) {
-        if (act[l] != 0) {
-          tally.tdf_activations +=
-              static_cast<std::uint64_t>(std::popcount(act[l]));
-          ++tally.simulated;
-          state_scratch_[l] = tests[l].trace->state_at_start(t);
-          state_ptr[l] = &state_scratch_[l];
-          pi_ptr[l] = &tests[l].seq->frames[t];
-        } else {
-          state_ptr[l] = nullptr;
-          pi_ptr[l] = nullptr;
-        }
-      }
-      sim_.load_state({state_ptr.data(), n}, &inj_);
-      sim_.apply_frame({pi_ptr.data(), n}, &inj_);
-      const W active = lane_mask(n, [&](std::size_t l) {
-        return act[l] != 0;
-      });
-      const W fresh = wide_po_detections() & active & ~det;
-      det = det | fresh;
-      sim_.latch(&inj_);
-      const W state = wide_state_detections() & active;
-      for (std::size_t l = 0; l < n; ++l) {
-        record_lane_bits(fresh.lane(l), l * stride, t, first_po);
-        record_lane_bits(state.lane(l), l * stride, t, state_diff);
-      }
+    // All lanes saturated: later frames cannot add detections (per-lane
+    // det is capped at `full`, matching run_detect's early exit).
+    [[nodiscard]] bool done() const {
+      return early_exit && all_lanes_full(det, full);
     }
-  }
-
-  /// masked_state mirror: unscanned positions forced to X.
-  [[nodiscard]] sim::Vector3 masked_state(
-      const sim::Vector3& scan_in) const {
-    if (scan_mask_.all()) return scan_in;
-    sim::Vector3 masked = scan_in;
-    for (std::size_t i = 0; i < masked.size(); ++i) {
-      if (!scan_mask_.test(i)) masked[i] = sim::V3::X;
-    }
-    return masked;
-  }
-
-  struct TdfSite {
-    netlist::NodeId node;
-    bool stale;
   };
+
+  /// Strided lane-major detection-time records (times_batch).
+  struct TimesLanes {
+    std::size_t n;
+    std::size_t stride;
+    std::span<std::int64_t> first_po;
+    std::span<util::Bitset> state_diff;
+    W det = W::zero();
+
+    void frame(std::size_t t, const W& active, const W& po) {
+      const W fresh = po & active & ~det;
+      det = det | fresh;
+      for (std::size_t l = 0; l < n; ++l) {
+        for_each_slot(fresh.lane(l), [&](std::size_t j) {
+          first_po[l * stride + j] = static_cast<std::int64_t>(t);
+        });
+      }
+    }
+    [[nodiscard]] bool wants_state(const W& /*finals*/) const { return true; }
+    void state(std::size_t t, const W& active, const W& /*finals*/,
+               const BatchEngineImpl& eng) {
+      const W bits = eng.wide_state_detections() & active;
+      for (std::size_t l = 0; l < n; ++l) {
+        for_each_slot(bits.lane(l), [&](std::size_t j) {
+          state_diff[l * stride + j].set(t);
+        });
+      }
+    }
+    [[nodiscard]] bool done() const { return false; }
+  };
+
+  // --- the PPSFP frame loop ----------------------------------------------
+
+  /// Activation for frame t: fills pi_ with each lane's stimulus (nullptr
+  /// = idle lane) and returns the lanes observed this frame.  Stuck-at:
+  /// every lane whose test is still running.  Frame-gated: the lanes
+  /// that launch a transition, with inj_ rebuilt and their state
+  /// reloaded from their fault-free traces.
+  W launch(std::span<const BatchTestRef> tests, std::size_t t, bool gated,
+           FrameTally& tally) {
+    const std::size_t n = tests.size();
+    if (!gated) {
+      for (std::size_t l = 0; l < n; ++l) {
+        const bool live = t < tests[l].seq->length();
+        pi_[l] = live ? &tests[l].seq->frames[t] : nullptr;
+        tally.simulated += live ? 1 : 0;
+      }
+      return lane_mask(n, [&](std::size_t l) { return pi_[l] != nullptr; });
+    }
+    bool any_act = false;
+    for (std::size_t l = 0; l < n; ++l) {
+      const bool live = t < tests[l].seq->length();
+      act_[l] = live ? tdf_sites_.activation(*tests[l].trace, t) : 0;
+      if (live && act_[l] == 0) ++tally.tdf_skipped;
+      any_act |= act_[l] != 0;
+    }
+    if (!any_act) return W::zero();
+    build_tdf_injections(n);
+    std::array<const sim::Vector3*, kLanes> state{};
+    for (std::size_t l = 0; l < n; ++l) {
+      pi_[l] = nullptr;
+      if (act_[l] == 0) continue;
+      tally.tdf_activations +=
+          static_cast<std::uint64_t>(std::popcount(act_[l]));
+      ++tally.simulated;
+      state_scratch_[l] = tests[l].trace->state_at_start(t);
+      state[l] = &state_scratch_[l];
+      pi_[l] = &tests[l].seq->frames[t];
+    }
+    sim_.load_state({state.data(), n}, &inj_);
+    return lane_mask(n, [&](std::size_t l) { return act_[l] != 0; });
+  }
+
+  /// One PPSFP pass of `group` over `tests` (lane l = tests[l]).
+  template <class Rec>
+  void run_batch(std::span<const BatchTestRef> tests,
+                 std::span<const FaultClassId> group, Rec& rec) {
+    const std::size_t n = tests.size();
+    const bool gated = faults_->model().frame_gated();
+    obs::add(obs::Counter::FullPasses, n);
+    if (gated) {
+      tdf_sites_.build(*faults_, group);
+      sim_.reset(nullptr);
+    } else {
+      build_splat_injections(group);
+      sim_.reset(&inj_);
+      std::array<const sim::Vector3*, kLanes> state{};
+      bool any_state = false;
+      for (std::size_t l = 0; l < n; ++l) {
+        if (tests[l].scan_in == nullptr) continue;
+        state_scratch_[l] = mask_scan_in(*tests[l].scan_in, scan_mask_);
+        state[l] = &state_scratch_[l];
+        any_state = true;
+      }
+      if (any_state) sim_.load_state({state.data(), n}, &inj_);
+    }
+
+    const std::size_t max_len = max_length(tests);
+    FrameTally tally;
+    // Frame 0 has no launch frame and is never active under TDF.
+    for (std::size_t t = gated ? 1 : 0; t < max_len; ++t) {
+      const W active = launch(tests, t, gated, tally);
+      if (!active.any()) continue;
+      sim_.apply_frame({pi_.data(), n}, &inj_);
+      rec.frame(t, active, wide_po_detections());
+      const W finals = active & lane_mask(n, [&](std::size_t l) {
+                         return tests[l].seq->length() == t + 1;
+                       });
+      if (!gated || rec.wants_state(finals)) {
+        sim_.latch(&inj_);
+        rec.state(t, active, finals, *this);
+      }
+      if (rec.done()) break;
+    }
+  }
+
 
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
@@ -469,7 +323,9 @@ class BatchEngineImpl final : public BatchEngine {
   sim::WideSeqSim<W> sim_;
   sim::WideInjectionMap<W> inj_;
   std::vector<sim::Vector3> state_scratch_;
-  std::vector<TdfSite> tdf_sites_;
+  TdfSites tdf_sites_;
+  std::array<const sim::Vector3*, kLanes> pi_{};
+  std::array<std::uint64_t, kLanes> act_{};
 };
 
 // --- wide fault-parallel pass ------------------------------------------
@@ -504,14 +360,14 @@ void BatchEngineImpl<W>::detect_groups(
   sim_.reset(&inj_);
   std::array<const sim::Vector3*, kLanes> ptr{};
   if (scan_in != nullptr) {
-    state_scratch_[0] = masked_state(*scan_in);
+    state_scratch_[0] = mask_scan_in(*scan_in, scan_mask_);
     for (std::size_t l = 0; l < ngroups; ++l) ptr[l] = &state_scratch_[0];
     sim_.load_state({ptr.data(), ngroups}, &inj_);
   }
 
   W det = W::zero();
   bool aborted = false;
-  batch_detail::WideFrameTally tally;
+  FrameTally tally;
   for (std::size_t t = 0; t < seq.length(); ++t) {
     if ((keep_going != nullptr &&
          !keep_going->load(std::memory_order_relaxed)) ||

@@ -121,10 +121,7 @@ std::shared_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
   }
   // Partial scan: the trace must start from the masked state the
   // workers load (unscanned positions unknown).
-  sim::Vector3 masked = *scan_in;
-  for (std::size_t i = 0; i < masked.size(); ++i) {
-    if (!scan_mask_.test(i)) masked[i] = sim::V3::X;
-  }
+  const sim::Vector3 masked = mask_scan_in(*scan_in, scan_mask_);
   return trace_cache_.get(&masked, seq);
 }
 
@@ -377,11 +374,7 @@ FaultSimulator::acquire_traces(std::span<const BatchTest> tests) {
       reqs[i].scan_in = tests[i].scan_in;
       continue;
     }
-    sim::Vector3 m = *tests[i].scan_in;
-    for (std::size_t k = 0; k < m.size(); ++k) {
-      if (!scan_mask_.test(k)) m[k] = sim::V3::X;
-    }
-    masked.push_back(std::move(m));
+    masked.push_back(mask_scan_in(*tests[i].scan_in, scan_mask_));
     reqs[i].scan_in = &masked.back();
   }
   return trace_cache_.get_batch(reqs);
@@ -571,22 +564,26 @@ std::size_t FaultSimulator::Session::step(const sim::Vector3& pi) {
     worker_->sim().set_ff_values(
         std::span<const sim::PackedV3>(ff_values_.data() + g * nff, nff));
     worker_->sim().apply_frame(pi, &group_injections_[g]);
-    std::uint64_t det = worker_->po_detections();
+    const std::uint64_t det = worker_->po_detections();
     worker_->sim().latch(&group_injections_[g]);
     worker_->sim().get_ff_values(
         std::span<sim::PackedV3>(ff_values_.data() + g * nff, nff));
-    while (det != 0) {
-      const int bit = std::countr_zero(det);
-      det &= det - 1;
-      const FaultClassId id =
-          targets_[g * kGroupSize + static_cast<std::size_t>(bit) - 1];
-      if (!detected_.test(id)) {
-        detected_.set(id);
-        --group_remaining_[g];
-        ++newly;
-      }
-    }
+    newly += credit(g, det);
   }
+  return newly;
+}
+
+std::size_t FaultSimulator::Session::credit(std::size_t g,
+                                            std::uint64_t det) {
+  std::size_t newly = 0;
+  for_each_slot(det, [&](std::size_t j) {
+    const FaultClassId id = targets_[g * kGroupSize + j];
+    if (!detected_.test(id)) {
+      detected_.set(id);
+      --group_remaining_[g];
+      ++newly;
+    }
+  });
   return newly;
 }
 
@@ -621,9 +618,7 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
     std::uint64_t act = 0;
     for (std::size_t j = 0; j < n; ++j) {
       const Fault& f = faults.representative(targets_[base + j]);
-      const sim::V3 stale = f.value ? sim::V3::One : sim::V3::Zero;
-      const sim::V3 fresh = f.value ? sim::V3::Zero : sim::V3::One;
-      if (prev_site_[base + j] == stale && cur_site[base + j] == fresh) {
+      if (tdf_launched(prev_site_[base + j], cur_site[base + j], f.value)) {
         act |= 1ULL << (j + 1);
       }
     }
@@ -632,37 +627,20 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
              static_cast<std::uint64_t>(std::popcount(act)));
     sim::InjectionMap& inj = worker_->injections();
     inj.clear();
-    std::uint64_t bits = act;
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      const Fault& f =
-          faults.representative(targets_[base + static_cast<std::size_t>(bit) - 1]);
-      inj.add(f.node, sim::kStemPin, f.value, 1ULL << bit);
-    }
+    for_each_slot(act, [&](std::size_t j) {
+      const Fault& f = faults.representative(targets_[base + j]);
+      inj.add(f.node, sim::kStemPin, f.value, 1ULL << (j + 1));
+    });
     sim.reset(&inj);
     sim.load_state(free_state_, &inj);
     sim.apply_frame(pi, &inj);
-    std::uint64_t det = worker_->po_detections();
+    const std::uint64_t det = worker_->po_detections();
     sim.latch(&inj);
     for (std::size_t i = 0; i < nff; ++i) {
-      const sim::PackedV3 w = sim.captured(i);
-      const bool ref0 = (w.is0 & 1) != 0;
-      const bool ref1 = (w.is1 & 1) != 0;
-      if (ref0 == ref1) continue;
       tdf_latched_ += static_cast<std::size_t>(
-          std::popcount(sim::differs_from_reference(w, ref1) & ~1ULL));
+          std::popcount(detected_slots(sim.captured(i))));
     }
-    while (det != 0) {
-      const int bit = std::countr_zero(det);
-      det &= det - 1;
-      const FaultClassId id = targets_[base + static_cast<std::size_t>(bit) - 1];
-      if (!detected_.test(id)) {
-        detected_.set(id);
-        --group_remaining_[g];
-        ++newly;
-      }
-    }
+    newly += credit(g, det);
   }
   free_state_.swap(free_next);
   prev_site_.swap(cur_site);
@@ -675,12 +653,8 @@ std::size_t FaultSimulator::Session::latched_effects() const {
   std::size_t effects = 0;
   for (std::size_t g = 0; g < num_groups_; ++g) {
     for (std::size_t i = 0; i < nff; ++i) {
-      const sim::PackedV3 w = ff_values_[g * nff + i];
-      const bool ref0 = (w.is0 & 1) != 0;
-      const bool ref1 = (w.is1 & 1) != 0;
-      if (ref0 == ref1) continue;
       effects += static_cast<std::size_t>(
-          std::popcount(sim::differs_from_reference(w, ref1) & ~1ULL));
+          std::popcount(detected_slots(ff_values_[g * nff + i])));
     }
   }
   return effects;

@@ -54,17 +54,6 @@ namespace scanc::fault {
 /// A set of collapsed fault classes.
 using FaultSet = util::Bitset;
 
-/// Which simulation kernel the queries run on.  All modes produce
-/// bit-identical results:
-///   Auto — per fault group, use the cone-restricted kernel when the
-///          group's union fanout cone is small enough to pay off, else
-///          the full kernel (the default);
-///   Full — always evaluate the whole circuit (no fault-free trace is
-///          computed under stuck-at; frame-gated models still build one
-///          as their activation oracle);
-///   Cone — always use the cone-restricted kernel (testing/benchmarks).
-enum class KernelMode { Auto, Full, Cone };
-
 class FaultSimulator {
  public:
   FaultSimulator(const netlist::Circuit& circuit, const FaultList& faults);
@@ -321,6 +310,10 @@ class FaultSimulator {
     /// Advances a frame-gated session (see step()).
     std::size_t step_tdf(const sim::Vector3& pi);
 
+    /// Marks group g's PO-detected slots `det` detected; returns how many
+    /// were new.
+    std::size_t credit(std::size_t g, std::uint64_t det);
+
     FaultSimulator* parent_;
     GroupWorker* worker_;  // the parent's serial engine
     std::vector<FaultClassId> targets_;
@@ -412,8 +405,7 @@ class FaultSimulator {
   /// The per-group kernel choice handed to every worker pass.
   [[nodiscard]] KernelChoice kernel_choice(
       const sim::NodeTrace* trace) const noexcept {
-    return KernelChoice{trace, kernel_ == KernelMode::Cone,
-                        kernel_ != KernelMode::Full};
+    return KernelChoice{trace, kernel_};
   }
 
   const netlist::Circuit* circuit_;

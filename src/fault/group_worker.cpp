@@ -13,31 +13,6 @@ using sim::PackedV3;
 using sim::Sequence;
 using sim::Vector3;
 
-namespace {
-
-/// Batches per-frame kernel counters into locals and publishes once per
-/// group pass, keeping the frame loops free of telemetry calls.
-struct FrameTally {
-  std::uint64_t simulated = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t tdf_activations = 0;
-  std::uint64_t tdf_skipped = 0;
-  ~FrameTally() {
-    if (simulated != 0) {
-      obs::add(obs::Counter::FramesSimulated, simulated);
-    }
-    if (skipped != 0) obs::add(obs::Counter::FramesSkipped, skipped);
-    if (tdf_activations != 0) {
-      obs::add(obs::Counter::TdfActivations, tdf_activations);
-    }
-    if (tdf_skipped != 0) {
-      obs::add(obs::Counter::TdfFramesSkipped, tdf_skipped);
-    }
-  }
-};
-
-}  // namespace
-
 void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
                             sim::InjectionMap& out) {
@@ -67,32 +42,15 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
   return *batch_engine_;
 }
 
-Vector3 GroupWorker::masked_state(const Vector3& scan_in) const {
-  if (scan_mask_.all()) return scan_in;
-  Vector3 masked = scan_in;
-  for (std::size_t i = 0; i < masked.size(); ++i) {
-    if (!scan_mask_.test(i)) masked[i] = sim::V3::X;
-  }
-  return masked;
-}
-
 void GroupWorker::build_injections(std::span<const FaultClassId> group) {
   build_group_injections(*faults_, group, injections_);
-}
-
-void GroupWorker::start_test(const Vector3* scan_in,
-                             std::span<const FaultClassId> group) {
-  build_injections(group);
-  sim_.reset(&injections_);
-  if (scan_in != nullptr) {
-    sim_.load_state(masked_state(*scan_in), &injections_);
-  }
 }
 
 bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
                                 const KernelChoice& kernel) {
   bool use_cone = false;
-  if (kernel.trace != nullptr && kernel.allow_cone) {
+  if (kernel.mode != KernelMode::Full) {
+    assert(kernel.trace != nullptr);
     sites_.clear();
     sites_.reserve(group.size());
     for (const FaultClassId id : group) {
@@ -103,7 +61,7 @@ bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
     // Auto: the cone pays only when the compacted schedule drops at
     // least a quarter of the full evaluation work (boundary seeding and
     // plan construction eat the rest of the margin).
-    use_cone = kernel.force_cone ||
+    use_cone = kernel.mode == KernelMode::Cone ||
                plan_.eval().size() * 4 <= circuit_->num_gates() * 3;
   }
   // cone_selected runs exactly once per group pass, so the kernel-choice
@@ -124,54 +82,423 @@ bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
 std::uint64_t GroupWorker::po_detections() const {
   std::uint64_t det = 0;
   for (const NodeId po : circuit_->primary_outputs()) {
-    const PackedV3 w = sim_.value(po);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;  // fault-free X: no detection here
-    det |= sim::differs_from_reference(w, ref1);
+    det |= detected_slots(sim_.value(po));
   }
-  return det & ~1ULL;
+  return det;
 }
 
 std::uint64_t GroupWorker::state_detections() const {
   std::uint64_t det = 0;
   for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-    if (!scan_mask_.test(i)) continue;  // not on the scan chain
-    // Scan-out observes the captured latch contents (PPO convention).
-    const PackedV3 w = sim_.captured(i);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
+    // Scan-out observes the captured latch contents (PPO convention) of
+    // the flip-flops on the scan chain.
+    if (scan_mask_.test(i)) det |= detected_slots(sim_.captured(i));
   }
-  return det & ~1ULL;
+  return det;
 }
 
-std::uint64_t GroupWorker::po_detections_cone() const {
-  std::uint64_t det = 0;
-  for (const NodeId po : plan_.cone_pos()) {
-    const PackedV3 w = cone_.value(po);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
-  }
-  return det & ~1ULL;
+namespace {
+
+/// Mismatch bits of one observation point: predicted binary, observed
+/// binary, values differ.
+std::uint64_t mismatches(PackedV3 w, sim::V3 observed) {
+  if (!sim::is_binary(observed)) return 0;
+  return sim::differs_from_reference(w, observed == sim::V3::One);
 }
 
-std::uint64_t GroupWorker::state_detections_cone() const {
-  if (cone_.clean()) return 0;  // every latch holds the fault-free value
-  std::uint64_t det = 0;
-  const auto pos = plan_.cone_ff_pos();
-  for (const std::uint32_t i : pos) {
-    if (!scan_mask_.test(i)) continue;
-    const PackedV3 w = cone_.captured(i);
-    const bool ref0 = (w.is0 & 1) != 0;
-    const bool ref1 = (w.is1 & 1) != 0;
-    if (ref0 == ref1) continue;
-    det |= sim::differs_from_reference(w, ref1);
+/// Mismatch word of a slot-uniform observation point at fault-free value
+/// `v`: a binary/binary difference mismatches all slots at once — the
+/// word `mismatches` yields on a uniform packed value.
+std::uint64_t uniform_mismatch(sim::V3 v, sim::V3 observed) {
+  return (sim::is_binary(observed) && sim::is_binary(v) && v != observed)
+             ? ~0ULL
+             : 0;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------
+// Evaluators.  An Evaluator steps one group through a test's frames —
+// eval(t) simulates frame t (false: skipped, every slot provably follows
+// the fault-free trace), latch() captures the next state, reload(t)
+// restarts frame t from the fault-free state entering it — and answers
+// the observers' questions about the current frame: PO and scan-out
+// detection masks and mismatch words against an observed response.
+
+/// The full CSR schedule on the worker's PackedSeqSim.
+class GroupWorker::FullEval {
+ public:
+  FullEval(GroupWorker& w, const Sequence& seq, const sim::NodeTrace* trace,
+           const Vector3* scan_in)
+      : w_(w), seq_(seq), trace_(trace) {
+    w_.sim_.reset(&w_.injections_);
+    if (scan_in != nullptr) {
+      w_.sim_.load_state(mask_scan_in(*scan_in, w_.scan_mask_),
+                         &w_.injections_);
+    }
   }
-  return det & ~1ULL;
+
+  bool eval(std::size_t t) {
+    w_.sim_.apply_frame(seq_.frames[t], &w_.injections_);
+    return true;
+  }
+  void latch() { w_.sim_.latch(&w_.injections_); }
+  void reload(std::size_t t) {
+    w_.sim_.load_state(trace_->state_at_start(t), &w_.injections_);
+  }
+
+  [[nodiscard]] std::uint64_t po_detections() const {
+    return w_.po_detections();
+  }
+  [[nodiscard]] std::uint64_t state_detections() const {
+    return w_.state_detections();
+  }
+  [[nodiscard]] std::uint64_t po_mismatches(std::size_t /*t*/,
+                                            const Vector3& observed) const {
+    const auto pos = w_.circuit_->primary_outputs();
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      m |= mismatches(w_.sim_.value(pos[i]), observed[i]);
+    }
+    return m;
+  }
+  [[nodiscard]] std::uint64_t state_mismatches(const Vector3& observed) const {
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < observed.size(); ++i) {
+      if (w_.scan_mask_.test(i)) {
+        m |= mismatches(w_.sim_.captured(i), observed[i]);
+      }
+    }
+    return m;
+  }
+
+ private:
+  GroupWorker& w_;
+  const Sequence& seq_;
+  const sim::NodeTrace* trace_;
+};
+
+/// The group's cone on the worker's ConeSim (sim/cone_kernel.hpp):
+/// boundary seeded from the fault-free trace, clean frames skipped.
+/// Out-of-cone observation points (and every point while the cone is
+/// clean) are slot-uniform at the fault-free value: they never detect,
+/// and they mismatch uniformly.
+class GroupWorker::ConeEval {
+ public:
+  ConeEval(GroupWorker& w, const sim::NodeTrace& trace, std::size_t len)
+      : w_(w), trace_(trace), len_(len) {
+    w_.cone_.begin(w_.plan_, w_.injections_, trace_);
+  }
+
+  bool eval(std::size_t t) { return w_.cone_.eval_frame(t); }
+  void latch() { w_.cone_.latch(); }
+  /// Re-arms the clean path after a dirty latch, so the frame re-seeds
+  /// the cone from the trace instead of resuming the latched effects.
+  void reload(std::size_t /*t*/) {
+    if (!w_.cone_.clean()) w_.cone_.begin(w_.plan_, w_.injections_, trace_);
+  }
+
+  [[nodiscard]] std::uint64_t po_detections() const {
+    std::uint64_t det = 0;
+    for (const NodeId po : w_.plan_.cone_pos()) {
+      det |= detected_slots(w_.cone_.value(po));
+    }
+    return det;
+  }
+  [[nodiscard]] std::uint64_t state_detections() const {
+    if (w_.cone_.clean()) return 0;  // every latch holds the fault-free value
+    std::uint64_t det = 0;
+    for (const std::uint32_t i : w_.plan_.cone_ff_pos()) {
+      if (w_.scan_mask_.test(i)) det |= detected_slots(w_.cone_.captured(i));
+    }
+    return det;
+  }
+  [[nodiscard]] std::uint64_t po_mismatches(std::size_t t,
+                                            const Vector3& observed) const {
+    const auto pos = w_.circuit_->primary_outputs();
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      m |= w_.plan_.in_cone(pos[i])
+               ? mismatches(w_.cone_.value(pos[i]), observed[i])
+               : uniform_mismatch(trace_.value(t, pos[i]), observed[i]);
+    }
+    return m;
+  }
+  [[nodiscard]] std::uint64_t state_mismatches(const Vector3& observed) const {
+    const Vector3 ff_free = trace_.state_at_start(len_);
+    const auto ffs = w_.circuit_->flip_flops();
+    const bool dirty = !w_.cone_.clean();
+    std::uint64_t m = 0;
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      if (!w_.scan_mask_.test(i)) continue;
+      m |= dirty && w_.plan_.in_cone(ffs[i])
+               ? mismatches(w_.cone_.captured(i), observed[i])
+               : uniform_mismatch(ff_free[i], observed[i]);
+    }
+    return m;
+  }
+
+ private:
+  GroupWorker& w_;
+  const sim::NodeTrace& trace_;
+  std::size_t len_;
+};
+
+namespace {
+
+// ---------------------------------------------------------------------
+// Activation policies.  launch(t, ev, tally) decides whether frame t has
+// any active fault and prepares the evaluator for it; kPersistent says
+// whether faulty state carries across frames (then every simulated frame
+// latches and scan-out reads the evaluator's final state).
+
+/// Stuck-at: every fault is active in every frame.  The injections are
+/// built once per pass and the faulty machines run from the scan-in.
+struct AlwaysActive {
+  static constexpr bool kPersistent = true;
+  template <class Eval>
+  bool launch(std::size_t /*t*/, Eval& /*ev*/, FrameTally& /*tally*/) {
+    return true;
+  }
+};
+
+/// Transition delay (frame-gated): fault j is active in frame t >= 1 iff
+/// its site launches the delayed transition across frames t-1 -> t of
+/// the fault-free trace.  An active frame is simulated one-frame from the
+/// fault-free state entering it with the active sites stuck at their
+/// stale values; effects never persist, so scan-out observes a fault
+/// only through an active final frame.  Frames without any active fault
+/// are skipped whole (Counter::TdfFramesSkipped).
+class TdfLaunch {
+ public:
+  static constexpr bool kPersistent = false;
+
+  TdfLaunch(const TdfSites& sites, sim::InjectionMap& inj,
+            const sim::NodeTrace& trace)
+      : sites_(sites), inj_(inj), trace_(trace) {}
+
+  template <class Eval>
+  bool launch(std::size_t t, Eval& ev, FrameTally& tally) {
+    const std::uint64_t act = t == 0 ? 0 : sites_.activation(trace_, t);
+    if (act == 0) {
+      ++tally.tdf_skipped;
+      return false;  // no launch: every machine follows the trace
+    }
+    tally.tdf_activations += static_cast<std::uint64_t>(std::popcount(act));
+    inj_.clear();
+    for_each_slot(act, [&](std::size_t j) {
+      inj_.add(sites_[j].node, sim::kStemPin, sites_[j].stale, 1ULL << (j + 1));
+    });
+    ev.reload(t);
+    return true;
+  }
+
+ private:
+  const TdfSites& sites_;
+  sim::InjectionMap& inj_;
+  const sim::NodeTrace& trace_;
+};
+
+// ---------------------------------------------------------------------
+// Observers: what a pass records.  interrupted() is polled before every
+// frame; frame() sees each simulated frame's POs; quiet() sees frames
+// where every slot follows the fault-free trace and returns whether it
+// observed anything; wants_state(last) asks a non-persistent activation
+// to latch this frame; state() sees each latch; done(last) ends the pass
+// early; scan_out(ev, valid) observes the final state (valid: the
+// evaluator holds it, else every machine scans out the fault-free state).
+
+/// Cooperative stop signals, polled once per frame, and the quiet-frame
+/// and latch hooks most observers ignore.
+struct ObserverBase {
+  const std::atomic<bool>* keep_going = nullptr;
+  const util::CancelToken* cancel = nullptr;
+
+  [[nodiscard]] bool interrupted() const {
+    return (keep_going != nullptr &&
+            !keep_going->load(std::memory_order_relaxed)) ||
+           (cancel != nullptr && cancel->stop_requested());
+  }
+  [[nodiscard]] bool quiet(std::size_t /*t*/) { return false; }
+  template <class Eval>
+  void state(std::size_t /*t*/, const Eval& /*ev*/) {}
+};
+
+/// Detection mask, with an optional early exit once every group fault is
+/// PO-detected before the last frame.
+struct DetectObs : ObserverBase {
+  std::uint64_t full;
+  bool observe_scan_out;
+  bool early_exit;
+  std::uint64_t det = 0;
+
+  template <class Eval>
+  void frame(std::size_t /*t*/, const Eval& ev) {
+    det |= ev.po_detections();
+  }
+  [[nodiscard]] bool wants_state(bool last) const {
+    return observe_scan_out && last;
+  }
+  [[nodiscard]] bool done(bool last) const {
+    return early_exit && det == full && !last;
+  }
+  template <class Eval>
+  void scan_out(const Eval& ev, bool valid) {
+    if (observe_scan_out && valid) det |= ev.state_detections();
+  }
+};
+
+/// First PO detection time per fault, and every time unit whose scan-out
+/// (the state latched at its end) would detect it.
+struct TimesObs : ObserverBase {
+  std::span<std::int64_t> first_po;
+  std::span<util::Bitset> state_diff;
+  std::uint64_t det = 0;
+
+  template <class Eval>
+  void frame(std::size_t t, const Eval& ev) {
+    const std::uint64_t fresh = ev.po_detections() & ~det;
+    det |= fresh;
+    for_each_slot(fresh, [&](std::size_t j) {
+      first_po[j] = static_cast<std::int64_t>(t);
+    });
+  }
+  [[nodiscard]] bool wants_state(bool /*last*/) const { return true; }
+  template <class Eval>
+  void state(std::size_t t, const Eval& ev) {
+    for_each_slot(ev.state_detections(),
+                  [&](std::size_t j) { state_diff[j].set(t); });
+  }
+  [[nodiscard]] bool done(bool /*last*/) const { return false; }
+  template <class Eval>
+  void scan_out(const Eval& /*ev*/, bool /*valid*/) {}
+};
+
+/// First PO detection times plus the whole test's detection mask
+/// (final scan-out included); stops once everything is PO-detected.
+struct PrefixObs : ObserverBase {
+  std::uint64_t full;
+  std::span<std::int64_t> first_po;
+  std::uint64_t det = 0;
+
+  template <class Eval>
+  void frame(std::size_t t, const Eval& ev) {
+    const std::uint64_t fresh = ev.po_detections() & ~det;
+    det |= fresh;
+    for_each_slot(fresh, [&](std::size_t j) {
+      first_po[j] = static_cast<std::int64_t>(t);
+    });
+  }
+  [[nodiscard]] bool wants_state(bool last) const { return last; }
+  [[nodiscard]] bool done(bool /*last*/) const { return det == full; }
+  template <class Eval>
+  void scan_out(const Eval& ev, bool valid) {
+    if (valid) det |= ev.state_detections();
+  }
+};
+
+/// Mismatch mask against an observed response.  Quiet frames and an
+/// invalid scan-out compare the fault-free values, which mismatch all
+/// slots uniformly; stops once every group slot mismatches.
+struct ConsistencyObs : ObserverBase {
+  std::uint64_t full;
+  std::span<const Vector3> observed_pos;
+  const Vector3& observed_scan_out;
+  const sim::NodeTrace* trace;
+  const netlist::Circuit& circuit;
+  const util::Bitset& scan_mask;
+  std::size_t len;
+  std::uint64_t mismatch = 0;
+
+  [[nodiscard]] bool quiet(std::size_t t) {
+    const auto pos = circuit.primary_outputs();
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+      mismatch |= uniform_mismatch(trace->value(t, pos[i]), observed_pos[t][i]);
+    }
+    return true;
+  }
+  template <class Eval>
+  void frame(std::size_t t, const Eval& ev) {
+    mismatch |= ev.po_mismatches(t, observed_pos[t]);
+  }
+  [[nodiscard]] bool wants_state(bool last) const { return last; }
+  [[nodiscard]] bool done(bool /*last*/) const {
+    return (mismatch & full) == full;
+  }
+  template <class Eval>
+  void scan_out(const Eval& ev, bool valid) {
+    if (valid) {
+      mismatch |= ev.state_mismatches(observed_scan_out);
+      return;
+    }
+    const Vector3 ff_free = trace->state_at_start(len);
+    for (std::size_t i = 0; i < ff_free.size(); ++i) {
+      if (scan_mask.test(i)) {
+        mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
+      }
+    }
+  }
+};
+
+/// The one frame loop every pass runs.  Scan-out reads the evaluator's
+/// state when the activation is persistent, else only after a latch on
+/// the final frame (otherwise every machine scans out fault-free).
+template <class Eval, class Act, class Obs>
+void frame_loop(Eval& ev, Act& act, Obs& obs, std::size_t len) {
+  FrameTally tally;
+  bool scan_valid = Act::kPersistent;
+  for (std::size_t t = 0; t < len; ++t) {
+    if (obs.interrupted()) return;  // partial result
+    const bool last = t + 1 == len;
+    bool simulated = act.launch(t, ev, tally);
+    if (simulated && !ev.eval(t)) {
+      ++tally.skipped;
+      simulated = false;
+    }
+    if (!simulated) {
+      if (obs.quiet(t) && obs.done(last)) return;
+      continue;
+    }
+    ++tally.simulated;
+    obs.frame(t, ev);
+    if (Act::kPersistent || obs.wants_state(last)) {
+      ev.latch();
+      obs.state(t, ev);
+      scan_valid = scan_valid || last;
+    }
+    if (obs.done(last)) return;
+  }
+  obs.scan_out(ev, scan_valid);
+}
+
+}  // namespace
+
+template <class Obs>
+void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
+                      std::span<const FaultClassId> group,
+                      const KernelChoice& kernel, Obs& obs) {
+  const auto with_evaluator = [&](auto& act, const Vector3* start) {
+    if (cone_selected(group, kernel)) {
+      ConeEval ev(*this, *kernel.trace, seq.length());
+      frame_loop(ev, act, obs, seq.length());
+    } else {
+      FullEval ev(*this, seq, kernel.trace, start);
+      frame_loop(ev, act, obs, seq.length());
+    }
+  };
+  if (faults_->model().frame_gated()) {
+    // The trace is the activation oracle in every kernel mode, and each
+    // active frame reloads its state from it (no scan-in load).
+    assert(kernel.trace != nullptr);
+    tdf_sites_.build(*faults_, group);
+    injections_.clear();
+    TdfLaunch act(tdf_sites_, injections_, *kernel.trace);
+    with_evaluator(act, nullptr);
+  } else {
+    build_injections(group);
+    AlwaysActive act;
+    with_evaluator(act, scan_in);
+  }
 }
 
 std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
@@ -181,72 +508,12 @@ std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
                                       const std::atomic<bool>* keep_going,
                                       const util::CancelToken* cancel,
                                       const KernelChoice& kernel) {
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_detect_tdf_cone(*kernel.trace, seq, group, observe_scan_out,
-                                 early_exit, keep_going, cancel);
-    }
-    return run_detect_tdf(*kernel.trace, seq, group, observe_scan_out,
-                          early_exit, keep_going, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_detect_cone(*kernel.trace, seq, group, observe_scan_out,
-                           early_exit, keep_going, cancel);
-  }
-  start_test(scan_in, group);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;  // another group already decided the answer
-    }
-    if (cancel != nullptr && cancel->stop_requested()) {
-      return det;  // cooperative cancellation: partial mask
-    }
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    det |= po_detections();
-    sim_.latch(&injections_);
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  if (observe_scan_out) det |= state_detections();
-  return det;
-}
-
-std::uint64_t GroupWorker::run_detect_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
-    }
-    if (cancel != nullptr && cancel->stop_requested()) {
-      return det;
-    }
-    if (cone_.eval_frame(t)) {
-      ++tally.simulated;
-      det |= po_detections_cone();
-      cone_.latch();
-    } else {
-      ++tally.skipped;
-    }
-    // Skipped frames change nothing: all slots stay fault-free.
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  if (observe_scan_out) det |= state_detections_cone();
-  return det;
+  DetectObs obs{{keep_going, cancel},
+                group_slot_mask(group.size()),
+                observe_scan_out,
+                early_exit};
+  run(scan_in, seq, group, kernel, obs);
+  return obs.det;
 }
 
 void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
@@ -257,80 +524,8 @@ void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
                             const KernelChoice& kernel) {
   assert(first_po.size() == group.size());
   assert(state_diff.size() == group.size());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      run_times_tdf_cone(*kernel.trace, seq, first_po, state_diff, cancel);
-    } else {
-      run_times_tdf(*kernel.trace, seq, first_po, state_diff, cancel);
-    }
-    return;
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    run_times_cone(*kernel.trace, seq, group, first_po, state_diff, cancel);
-    return;
-  }
-  start_test(&scan_in, group);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    sim_.latch(&injections_);
-    // Scan-out after time unit t would observe the just-latched state.
-    std::uint64_t bits = state_detections();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-}
-
-void GroupWorker::run_times_cone(const sim::NodeTrace& trace,
-                                 const Sequence& seq,
-                                 std::span<const FaultClassId> group,
-                                 std::span<std::int64_t> first_po,
-                                 std::span<util::Bitset> state_diff,
-                                 const util::CancelToken* cancel) {
-  (void)group;
-  cone_.begin(plan_, injections_, trace);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;  // no detections on a clean frame
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    cone_.latch();
-    std::uint64_t bits = state_detections_cone();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
+  TimesObs obs{{nullptr, cancel}, first_po, state_diff};
+  run(&scan_in, seq, group, kernel, obs);
 }
 
 std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
@@ -340,68 +535,9 @@ std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
                                       const util::CancelToken* cancel,
                                       const KernelChoice& kernel) {
   assert(first_po.size() == group.size());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_prefix_tdf_cone(*kernel.trace, seq, group, first_po, cancel);
-    }
-    return run_prefix_tdf(*kernel.trace, seq, group, first_po, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_prefix_cone(*kernel.trace, seq, group, first_po, cancel);
-  }
-  start_test(&scan_in, group);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;  // everything PO-detected: skip the rest
-    sim_.latch(&injections_);
-  }
-  return det | state_detections();  // final scan-out
-}
-
-std::uint64_t GroupWorker::run_prefix_cone(const sim::NodeTrace& trace,
-                                           const Sequence& seq,
-                                           std::span<const FaultClassId> group,
-                                           std::span<std::int64_t> first_po,
-                                           const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;  // det < full here: no change
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;
-    cone_.latch();
-  }
-  return det | state_detections_cone();  // final scan-out
+  PrefixObs obs{{nullptr, cancel}, group_slot_mask(group.size()), first_po};
+  run(&scan_in, seq, group, kernel, obs);
+  return obs.det;
 }
 
 std::uint64_t GroupWorker::run_consistency(
@@ -411,544 +547,16 @@ std::uint64_t GroupWorker::run_consistency(
     const util::CancelToken* cancel, const KernelChoice& kernel) {
   assert(observed_pos.size() == seq.length());
   assert(observed_scan_out.size() == circuit_->num_flip_flops());
-  if (faults_->model().frame_gated()) {
-    assert(kernel.trace != nullptr);
-    build_tdf_sites(group);
-    if (cone_selected(group, kernel)) {
-      return run_consistency_tdf_cone(*kernel.trace, seq, observed_pos,
-                                      observed_scan_out, group, cancel);
-    }
-    return run_consistency_tdf(*kernel.trace, seq, observed_pos,
-                               observed_scan_out, group, cancel);
-  }
-  if (cone_selected(group, kernel)) {
-    build_injections(group);
-    return run_consistency_cone(*kernel.trace, seq, observed_pos,
-                                observed_scan_out, group, cancel);
-  }
-  start_test(&scan_in, group);
-
-  // Mismatch bits for one observation point: predicted binary, observed
-  // binary, values differ.
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t mismatch = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    ++tally.simulated;
-    sim_.apply_frame(seq.frames[t], &injections_);
-    const auto pos = circuit_->primary_outputs();
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      mismatch |= mismatches(sim_.value(pos[i]), observed_pos[t][i]);
-    }
-    sim_.latch(&injections_);
-    if ((mismatch & full) == full) break;
-  }
-  for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    mismatch |= mismatches(sim_.captured(i), observed_scan_out[i]);
-  }
-  return mismatch;
-}
-
-std::uint64_t GroupWorker::run_consistency_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  cone_.begin(plan_, injections_, trace);
-
-  // Out-of-cone (or clean) observation points are slot-uniform at the
-  // fault-free value, so a binary/binary difference against the
-  // observation mismatches *all* slots at once — exactly what the full
-  // kernel's differs_from_reference yields on a uniform word.
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool broke = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const bool simulated = cone_.eval_frame(t);
-    if (simulated) {
-      ++tally.simulated;
-    } else {
-      ++tally.skipped;
-    }
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      if (simulated && plan_.in_cone(pos[i])) {
-        mismatch |= mismatches(cone_.value(pos[i]), observed_pos[t][i]);
-      } else {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    }
-    if (simulated) cone_.latch();
-    if ((mismatch & full) == full) {
-      broke = true;
-      break;
-    }
-  }
-  if (broke) return mismatch;  // every group slot already mismatches
-  const Vector3 ff_free = trace.state_at_start(seq.length());
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    if (!cone_.clean() && plan_.in_cone(ffs[i])) {
-      mismatch |= mismatches(cone_.captured(i), observed_scan_out[i]);
-    } else {
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-    }
-  }
-  return mismatch;
-}
-
-// ---------------------------------------------------------------------
-// Frame-gated (transition-delay) passes.
-//
-// Semantics shared by all eight passes (and the check/ TDF oracle):
-// fault j is *active* in frame t >= 1 iff the fault-free value of its
-// stem was the stale value in frame t-1 and the opposite (binary) value
-// in frame t — the delayed transition is launched.  An active frame is
-// simulated one-frame from the fault-free state entering it with the
-// stem stuck at the stale value; POs are observed in that frame, and the
-// state captured at its end carries the effect to scan-out only when it
-// is the test's final frame.  Effects never persist: every frame starts
-// from the fault-free trace, which also makes prefix-coverage records
-// per-frame independent exactly as under stuck-at.
-
-void GroupWorker::build_tdf_sites(std::span<const FaultClassId> group) {
-  tdf_sites_.clear();
-  tdf_sites_.reserve(group.size());
-  for (const FaultClassId id : group) {
-    const Fault& f = faults_->representative(id);
-    assert(f.pin == sim::kStemPin);
-    tdf_sites_.push_back(TdfSite{f.node, f.value});
-  }
-}
-
-std::uint64_t GroupWorker::tdf_activation(const sim::NodeTrace& trace,
-                                          std::size_t t) const {
-  assert(t >= 1);
-  std::uint64_t act = 0;
-  for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
-    const TdfSite& s = tdf_sites_[j];
-    const sim::V3 stale = s.stale ? sim::V3::One : sim::V3::Zero;
-    const sim::V3 fresh = s.stale ? sim::V3::Zero : sim::V3::One;
-    if (trace.value(t - 1, s.node) == stale &&
-        trace.value(t, s.node) == fresh) {
-      act |= 1ULL << (j + 1);
-    }
-  }
-  return act;
-}
-
-void GroupWorker::build_tdf_injections(std::uint64_t act) {
-  injections_.clear();
-  while (act != 0) {
-    const int bit = std::countr_zero(act);
-    act &= act - 1;
-    const TdfSite& s = tdf_sites_[static_cast<std::size_t>(bit) - 1];
-    injections_.add(s.node, sim::kStemPin, s.stale, 1ULL << bit);
-  }
-}
-
-std::uint64_t GroupWorker::run_detect_tdf(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
-    }
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;  // no launch: every machine follows the fault-free trace
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    det |= po_detections();
-    if (observe_scan_out && t + 1 == seq.length()) {
-      sim_.latch(&injections_);
-      det |= state_detections();
-    }
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_detect_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, bool observe_scan_out,
-    bool early_exit, const std::atomic<bool>* keep_going,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (keep_going != nullptr &&
-        !keep_going->load(std::memory_order_relaxed)) {
-      return det;
-    }
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    det |= po_detections_cone();
-    if (observe_scan_out && t + 1 == seq.length()) {
-      cone_.latch();
-      det |= state_detections_cone();
-    }
-    if (early_exit && det == full && t + 1 < seq.length()) return det;
-  }
-  return det;
-}
-
-void GroupWorker::run_times_tdf(const sim::NodeTrace& trace,
-                                const Sequence& seq,
-                                std::span<std::int64_t> first_po,
-                                std::span<util::Bitset> state_diff,
-                                const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;  // inactive frames latch the fault-free state: no records
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    sim_.latch(&injections_);
-    // Scan-out after time unit t observes the state captured at the end
-    // of the (active) frame t; effects decay again from t+1 on.
-    std::uint64_t bits = state_detections();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-  }
-}
-
-void GroupWorker::run_times_tdf_cone(const sim::NodeTrace& trace,
-                                     const Sequence& seq,
-                                     std::span<std::int64_t> first_po,
-                                     std::span<util::Bitset> state_diff,
-                                     const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    cone_.latch();
-    std::uint64_t bits = state_detections_cone();
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      state_diff[static_cast<std::size_t>(bit) - 1].set(t);
-    }
-    // The latch dirtied the cone state; re-arm the clean path so the
-    // next active frame re-seeds from the fault-free trace (per-frame
-    // effect independence).
-    if (!cone_.clean()) cone_.begin(plan_, injections_, trace);
-  }
-}
-
-std::uint64_t GroupWorker::run_prefix_tdf(const sim::NodeTrace& trace,
-                                          const Sequence& seq,
-                                          std::span<const FaultClassId> group,
-                                          std::span<std::int64_t> first_po,
-                                          const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    ++tally.simulated;
-    build_tdf_injections(act);
-    sim_.load_state(trace.state_at_start(t), &injections_);
-    sim_.apply_frame(seq.frames[t], &injections_);
-    std::uint64_t fresh = po_detections() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;  // everything PO-detected: skip the rest
-    if (t + 1 == seq.length()) {
-      sim_.latch(&injections_);
-      det |= state_detections();  // final scan-out (final frame active)
-    }
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_prefix_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const FaultClassId> group, std::span<std::int64_t> first_po,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-  const std::uint64_t full = group_slot_mask(group.size());
-  std::uint64_t det = 0;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return det;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      continue;
-    }
-    tally.tdf_activations +=
-        static_cast<std::uint64_t>(std::popcount(act));
-    build_tdf_injections(act);
-    if (!cone_.eval_frame(t)) {
-      ++tally.skipped;
-      continue;
-    }
-    ++tally.simulated;
-    std::uint64_t fresh = po_detections_cone() & ~det;
-    det |= fresh;
-    while (fresh != 0) {
-      const int bit = std::countr_zero(fresh);
-      fresh &= fresh - 1;
-      first_po[static_cast<std::size_t>(bit) - 1] =
-          static_cast<std::int64_t>(t);
-    }
-    if (det == full) return det;
-    if (t + 1 == seq.length()) {
-      cone_.latch();
-      det |= state_detections_cone();
-    }
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::run_consistency_tdf(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  sim_.reset(nullptr);
-
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-  // In an inactive frame every machine predicts the fault-free value, so
-  // a binary/binary difference against the observation mismatches all
-  // slots at once (the same word the full stuck-at kernel would yield on
-  // a slot-uniform value).
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool final_active = false;
-  bool broke = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    } else {
-      tally.tdf_activations +=
-          static_cast<std::uint64_t>(std::popcount(act));
-      ++tally.simulated;
-      build_tdf_injections(act);
-      sim_.load_state(trace.state_at_start(t), &injections_);
-      sim_.apply_frame(seq.frames[t], &injections_);
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |= mismatches(sim_.value(pos[i]), observed_pos[t][i]);
-      }
-      if (t + 1 == seq.length()) {
-        final_active = true;
-        sim_.latch(&injections_);
-      }
-    }
-    if ((mismatch & full) == full) {
-      broke = true;
-      break;
-    }
-  }
-  if (broke) return mismatch;  // every group slot already mismatches
-  if (final_active) {
-    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-      if (!scan_mask_.test(i)) continue;
-      mismatch |= mismatches(sim_.captured(i), observed_scan_out[i]);
-    }
-  } else {
-    // Final frame inactive (or empty test): scan-out observes the
-    // fault-free state on every machine.
-    const Vector3 ff_free = trace.state_at_start(seq.length());
-    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-      if (!scan_mask_.test(i)) continue;
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-    }
-  }
-  return mismatch;
-}
-
-std::uint64_t GroupWorker::run_consistency_tdf_cone(
-    const sim::NodeTrace& trace, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel) {
-  injections_.clear();
-  cone_.begin(plan_, injections_, trace);
-
-  const auto mismatches = [](const PackedV3 w, sim::V3 obs) -> std::uint64_t {
-    if (!sim::is_binary(obs)) return 0;
-    return sim::differs_from_reference(w, obs == sim::V3::One);
-  };
-  const auto uniform_mismatch = [](sim::V3 v, sim::V3 obs) -> std::uint64_t {
-    return (sim::is_binary(obs) && sim::is_binary(v) && v != obs) ? ~0ULL
-                                                                  : 0;
-  };
-
-  const std::uint64_t full = group_slot_mask(group.size());
-  const auto pos = circuit_->primary_outputs();
-  std::uint64_t mismatch = 0;
-  bool final_active = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if (cancel != nullptr && cancel->stop_requested()) return mismatch;
-    const std::uint64_t act = t == 0 ? 0 : tdf_activation(trace, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        mismatch |=
-            uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-      }
-    } else {
-      tally.tdf_activations +=
-          static_cast<std::uint64_t>(std::popcount(act));
-      build_tdf_injections(act);
-      const bool simulated = cone_.eval_frame(t);
-      if (simulated) {
-        ++tally.simulated;
-      } else {
-        ++tally.skipped;
-      }
-      for (std::size_t i = 0; i < pos.size(); ++i) {
-        if (simulated && plan_.in_cone(pos[i])) {
-          mismatch |= mismatches(cone_.value(pos[i]), observed_pos[t][i]);
-        } else {
-          mismatch |=
-              uniform_mismatch(trace.value(t, pos[i]), observed_pos[t][i]);
-        }
-      }
-      if (simulated && t + 1 == seq.length()) {
-        cone_.latch();
-        final_active = true;
-      }
-    }
-    if ((mismatch & full) == full) return mismatch;
-  }
-  const Vector3 ff_free = trace.state_at_start(seq.length());
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (!scan_mask_.test(i)) continue;
-    if (final_active && !cone_.clean() && plan_.in_cone(ffs[i])) {
-      mismatch |= mismatches(cone_.captured(i), observed_scan_out[i]);
-    } else {
-      mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-    }
-  }
-  return mismatch;
+  ConsistencyObs obs{{nullptr, cancel},
+                     group_slot_mask(group.size()),
+                     observed_pos,
+                     observed_scan_out,
+                     kernel.trace,
+                     *circuit_,
+                     scan_mask_,
+                     seq.length()};
+  run(&scan_in, seq, group, kernel, obs);
+  return obs.mismatch;
 }
 
 }  // namespace scanc::fault

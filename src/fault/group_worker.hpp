@@ -1,19 +1,30 @@
 // Worker-local parallel-fault simulation engine.
 //
 // A GroupWorker owns everything one pass over a group of <= 63 collapsed
-// fault classes mutates — the PackedSeqSim, the InjectionMap, and the
-// scan-mask scratch — and borrows only const circuit/fault data.  Any
-// number of workers can therefore simulate disjoint fault groups
-// concurrently over the same circuit; the execution layer
-// (fault/group_exec.hpp) hands each executing thread its own worker.
+// fault classes mutates — the PackedSeqSim, the ConeSim, the injection
+// map and the activation-site scratch — and borrows only const
+// circuit/fault data.  Any number of workers can therefore simulate
+// disjoint fault groups concurrently over the same circuit; the
+// execution layer (fault/group_exec.hpp) hands each executing thread its
+// own worker.
 //
-// The per-group primitives map one-to-one onto the FaultSimulator
-// queries built on top of them:
+// The four public passes map one-to-one onto the FaultSimulator queries
+// built on top of them:
 //   run_detect      -> detect_no_scan / detect_scan_test / detects_all
 //   run_times       -> detection_times
 //   run_prefix      -> prefix_detection
 //   run_consistency -> consistent_faults
-// Each primitive is a pure function of (const inputs, group): it fully
+// Each is a thin dispatcher over one frame loop (group_worker.cpp)
+// templated on three policies (docs/execution.md, "Simulation kernels"):
+//   Evaluator   the full CSR schedule (PackedSeqSim) or the group's cone
+//               (ConeSim: trace-seeded boundary, frame skipping);
+//   Activation  always active (stuck-at: injections built once, state
+//               persists) or the transition launch mask (injections per
+//               frame, state reloaded from the fault-free trace, latch
+//               only where the observer needs it);
+//   Observer    what a frame records: detection mask with early exit,
+//               detection times, prefix coverage, or response mismatch.
+// Each pass is a pure function of (const inputs, group): it fully
 // re-initialises the owned state, so results never depend on what the
 // worker ran before.
 #pragma once
@@ -24,6 +35,7 @@
 
 #include "fault/batch_engine.hpp"
 #include "fault/fault_list.hpp"
+#include "fault/frame_common.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/cone_kernel.hpp"
 #include "sim/node_trace.hpp"
@@ -47,19 +59,26 @@ void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
                             sim::InjectionMap& out);
 
-/// Kernel selection for one pass, resolved by the FaultSimulator.
-/// With `trace == nullptr` the worker always runs the full kernel.
-/// Otherwise it may run the cone-restricted kernel (sim/cone_kernel.hpp)
-/// seeded from the shared fault-free trace — always when `force_cone`,
-/// else only when the group's union cone is small enough to pay off —
-/// unless `allow_cone` is cleared (KernelMode::Full under a frame-gated
-/// fault model, where the trace is required for activation gating but
-/// the cone kernel must stay off).  Either choice produces bit-identical
-/// results.
+/// Which simulation kernel the queries run on.  All modes produce
+/// bit-identical results:
+///   Auto — per fault group, use the cone-restricted kernel when the
+///          group's union fanout cone is small enough to pay off, else
+///          the full kernel (the default);
+///   Full — always evaluate the whole circuit (no fault-free trace is
+///          computed under stuck-at; frame-gated models still build one
+///          as their activation oracle);
+///   Cone — always use the cone-restricted kernel (testing/benchmarks).
+enum class KernelMode { Auto, Full, Cone };
+
+/// Kernel selection for one pass, resolved by the FaultSimulator: the
+/// query's kernel mode plus the shared fault-free trace.  Auto and Cone
+/// need the trace (it seeds the cone kernel, sim/cone_kernel.hpp);
+/// under Full the worker never takes the cone, and the trace is present
+/// only when a frame-gated fault model needs it as activation oracle.
+/// Either kernel produces bit-identical results.
 struct KernelChoice {
   const sim::NodeTrace* trace = nullptr;
-  bool force_cone = false;
-  bool allow_cone = true;
+  KernelMode mode = KernelMode::Full;
 };
 
 class GroupWorker {
@@ -134,9 +153,6 @@ class GroupWorker {
   [[nodiscard]] std::uint64_t po_detections() const;
   [[nodiscard]] std::uint64_t state_detections() const;
 
-  /// Copies `scan_in` with unscanned positions forced to X.
-  [[nodiscard]] sim::Vector3 masked_state(const sim::Vector3& scan_in) const;
-
   /// Worker-local wide batch engine for `cfg` (PPSFP and wide
   /// fault-parallel passes), created on first use and rebuilt when the
   /// resolved config changes.  Callers only pass configs with
@@ -147,124 +163,23 @@ class GroupWorker {
   [[nodiscard]] sim::InjectionMap& injections() noexcept {
     return injections_;
   }
-  [[nodiscard]] const util::Bitset& scan_mask() const noexcept {
-    return scan_mask_;
-  }
 
  private:
-  /// Resets the engine and loads the (masked) scan-in state, if any.
-  void start_test(const sim::Vector3* scan_in,
-                  std::span<const FaultClassId> group);
+  class FullEval;
+  class ConeEval;
+
+  /// The one frame loop's dispatcher: picks the Activation policy from
+  /// the fault model and the Evaluator from `kernel`, then runs `obs`
+  /// (group_worker.cpp) over the test.
+  template <class Obs>
+  void run(const sim::Vector3* scan_in, const sim::Sequence& seq,
+           std::span<const FaultClassId> group, const KernelChoice& kernel,
+           Obs& obs);
 
   /// Decides full vs cone kernel for `group` under `kernel`; when the
   /// cone is taken, plan_ holds the group's cone on return.
   [[nodiscard]] bool cone_selected(std::span<const FaultClassId> group,
                                    const KernelChoice& kernel);
-
-  // Cone-kernel counterparts of the public passes (same contracts).
-  std::uint64_t run_detect_cone(const sim::NodeTrace& trace,
-                                const sim::Sequence& seq,
-                                std::span<const FaultClassId> group,
-                                bool observe_scan_out, bool early_exit,
-                                const std::atomic<bool>* keep_going,
-                                const util::CancelToken* cancel);
-  void run_times_cone(const sim::NodeTrace& trace, const sim::Sequence& seq,
-                      std::span<const FaultClassId> group,
-                      std::span<std::int64_t> first_po,
-                      std::span<util::Bitset> state_diff,
-                      const util::CancelToken* cancel);
-  std::uint64_t run_prefix_cone(const sim::NodeTrace& trace,
-                                const sim::Sequence& seq,
-                                std::span<const FaultClassId> group,
-                                std::span<std::int64_t> first_po,
-                                const util::CancelToken* cancel);
-  std::uint64_t run_consistency_cone(const sim::NodeTrace& trace,
-                                     const sim::Sequence& seq,
-                                     std::span<const sim::Vector3> observed_pos,
-                                     const sim::Vector3& observed_scan_out,
-                                     std::span<const FaultClassId> group,
-                                     const util::CancelToken* cancel);
-
-  /// PO / scan-out detection masks over the cone only (bit-identical to
-  /// the full-kernel masks: out-of-cone observation points are
-  /// slot-uniform and can never contribute).
-  [[nodiscard]] std::uint64_t po_detections_cone() const;
-  [[nodiscard]] std::uint64_t state_detections_cone() const;
-
-  // --- frame-gated (transition-delay) pass counterparts ---------------
-  //
-  // Under a frame-gated model (FaultModel::frame_gated()) every pass
-  // needs the fault-free trace regardless of kernel: a fault is injected
-  // only in frames whose fault-free site value launches the delayed
-  // transition (previous frame at the stale value, current frame at the
-  // opposite value, both binary).  An active frame is simulated
-  // one-frame from the fault-free state entering it — effects never
-  // persist across frames — and frames with no active fault are skipped
-  // whole (activation-aware skipping, Counter::TdfFramesSkipped).
-  // Scan-out can only observe a fault whose *final* frame is active.
-
-  /// Caches the group's (node, stale value) sites for activation checks.
-  void build_tdf_sites(std::span<const FaultClassId> group);
-
-  /// Slot mask of faults active in frame `t` (launch condition met
-  /// across frames t-1 -> t of the fault-free trace).  Requires t >= 1;
-  /// frame 0 has no launch frame and is never active.
-  [[nodiscard]] std::uint64_t tdf_activation(const sim::NodeTrace& trace,
-                                             std::size_t t) const;
-
-  /// Rebuilds injections_ with only the slots in `act` (stuck at the
-  /// stale value for one frame).
-  void build_tdf_injections(std::uint64_t act);
-
-  std::uint64_t run_detect_tdf(const sim::NodeTrace& trace,
-                               const sim::Sequence& seq,
-                               std::span<const FaultClassId> group,
-                               bool observe_scan_out, bool early_exit,
-                               const std::atomic<bool>* keep_going,
-                               const util::CancelToken* cancel);
-  std::uint64_t run_detect_tdf_cone(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const FaultClassId> group,
-                                    bool observe_scan_out, bool early_exit,
-                                    const std::atomic<bool>* keep_going,
-                                    const util::CancelToken* cancel);
-  void run_times_tdf(const sim::NodeTrace& trace, const sim::Sequence& seq,
-                     std::span<std::int64_t> first_po,
-                     std::span<util::Bitset> state_diff,
-                     const util::CancelToken* cancel);
-  void run_times_tdf_cone(const sim::NodeTrace& trace,
-                          const sim::Sequence& seq,
-                          std::span<std::int64_t> first_po,
-                          std::span<util::Bitset> state_diff,
-                          const util::CancelToken* cancel);
-  std::uint64_t run_prefix_tdf(const sim::NodeTrace& trace,
-                               const sim::Sequence& seq,
-                               std::span<const FaultClassId> group,
-                               std::span<std::int64_t> first_po,
-                               const util::CancelToken* cancel);
-  std::uint64_t run_prefix_tdf_cone(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const FaultClassId> group,
-                                    std::span<std::int64_t> first_po,
-                                    const util::CancelToken* cancel);
-  std::uint64_t run_consistency_tdf(const sim::NodeTrace& trace,
-                                    const sim::Sequence& seq,
-                                    std::span<const sim::Vector3> observed_pos,
-                                    const sim::Vector3& observed_scan_out,
-                                    std::span<const FaultClassId> group,
-                                    const util::CancelToken* cancel);
-  std::uint64_t run_consistency_tdf_cone(
-      const sim::NodeTrace& trace, const sim::Sequence& seq,
-      std::span<const sim::Vector3> observed_pos,
-      const sim::Vector3& observed_scan_out,
-      std::span<const FaultClassId> group, const util::CancelToken* cancel);
-
-  /// One activation site: a stem plus the stale value the delayed
-  /// transition leaves behind.
-  struct TdfSite {
-    netlist::NodeId node;
-    bool stale;
-  };
 
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
@@ -274,7 +189,7 @@ class GroupWorker {
   sim::ConePlan plan_;
   sim::ConeSim cone_;
   std::vector<sim::ConeSite> sites_;
-  std::vector<TdfSite> tdf_sites_;
+  TdfSites tdf_sites_;
   std::unique_ptr<BatchEngine> batch_engine_;
   sim::SimdConfig batch_cfg_;
 };

@@ -47,6 +47,17 @@
 
 namespace scanc::svc {
 
+/// Watchdog stall test for one running job: true when its last progress
+/// stamp is more than `stall_ns` older than `now_ns`.  Executors store
+/// stamps without the daemon lock, so a stamp may be newer than a `now_ns`
+/// read just before; such a job is making progress and never stalled
+/// (the difference saturates at zero instead of wrapping).
+[[nodiscard]] constexpr bool progress_stalled(std::uint64_t now_ns,
+                                              std::uint64_t stamp_ns,
+                                              std::uint64_t stall_ns) noexcept {
+  return now_ns > stamp_ns && now_ns - stamp_ns > stall_ns;
+}
+
 struct DaemonOptions {
   std::string socket_path;
   /// Per-job checkpoint journals and the drain resume snapshot live

@@ -15,11 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "svc/daemon.hpp"
 #include "util/cancel.hpp"
 #include "util/event_bus.hpp"
+#include "util/parse.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
 
@@ -35,38 +38,36 @@ struct Options {
   bool quiet = false;
 };
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     const auto value = [&](const char* prefix) -> const char* {
       return a.c_str() + std::strlen(prefix);
     };
-    std::uint64_t v = 0;
+    std::optional<std::uint64_t> n;
+    std::optional<double> d;
     if (a.rfind("--socket=", 0) == 0) {
       opt.daemon.socket_path = value("--socket=");
     } else if (a.rfind("--state-dir=", 0) == 0) {
       opt.daemon.state_dir = value("--state-dir=");
     } else if (a.rfind("--executors=", 0) == 0 &&
-               parse_u64(value("--executors="), v)) {
-      opt.daemon.executors = static_cast<std::size_t>(v);
+               (n = scanc::util::parse_uint(value("--executors=")))) {
+      opt.daemon.executors = static_cast<std::size_t>(*n);
     } else if (a.rfind("--max-queue=", 0) == 0 &&
-               parse_u64(value("--max-queue="), v)) {
-      opt.daemon.max_queue = static_cast<std::size_t>(v);
+               (n = scanc::util::parse_uint(value("--max-queue=")))) {
+      opt.daemon.max_queue = static_cast<std::size_t>(*n);
     } else if (a.rfind("--max-retries=", 0) == 0 &&
-               parse_u64(value("--max-retries="), v)) {
-      opt.daemon.max_retries = static_cast<int>(v);
-    } else if (a.rfind("--stall-seconds=", 0) == 0) {
-      opt.daemon.stall_seconds =
-          std::strtod(value("--stall-seconds="), nullptr);
-    } else if (a.rfind("--deadline-check-seconds=", 0) == 0) {
-      opt.daemon.watchdog_interval_seconds =
-          std::strtod(value("--deadline-check-seconds="), nullptr);
+               (n = scanc::util::parse_uint(value("--max-retries="))) &&
+               *n <= static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+      opt.daemon.max_retries = static_cast<int>(*n);
+    } else if (a.rfind("--stall-seconds=", 0) == 0 &&
+               (d = scanc::util::parse_finite(value("--stall-seconds=")))) {
+      opt.daemon.stall_seconds = *d;
+    } else if (a.rfind("--deadline-check-seconds=", 0) == 0 &&
+               (d = scanc::util::parse_finite(
+                    value("--deadline-check-seconds=")))) {
+      opt.daemon.watchdog_interval_seconds = *d;
     } else if (a.rfind("--metrics-out=", 0) == 0) {
       opt.metrics_out = value("--metrics-out=");
     } else if (a.rfind("--trace-out=", 0) == 0) {
@@ -74,14 +75,15 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (a.rfind("--event-log=", 0) == 0) {
       opt.event_log = value("--event-log=");
     } else if (a.rfind("--event-log-max-bytes=", 0) == 0 &&
-               parse_u64(value("--event-log-max-bytes="), v)) {
-      opt.event_log_max_bytes = v;
-    } else if (a.rfind("--heartbeat=", 0) == 0) {
-      opt.heartbeat = std::strtod(value("--heartbeat="), nullptr);
+               (n = scanc::util::parse_uint(value("--event-log-max-bytes=")))) {
+      opt.event_log_max_bytes = *n;
+    } else if (a.rfind("--heartbeat=", 0) == 0 &&
+               (d = scanc::util::parse_finite(value("--heartbeat=")))) {
+      opt.heartbeat = *d;
     } else if (a == "--quiet") {
       opt.quiet = true;
     } else {
-      std::cerr << "scanc-serve: unknown argument: " << a << "\n";
+      std::cerr << "scanc-serve: unknown or malformed argument: " << a << "\n";
       return false;
     }
   }

@@ -388,7 +388,7 @@ TEST(ConeKernel, WorkerDetectMasksMatchFullKernel) {
   }
   const std::uint64_t full_mask = full_w.run_detect(
       &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false);
-  const fault::KernelChoice kc{&trace, /*force_cone=*/true};
+  const fault::KernelChoice kc{&trace, fault::KernelMode::Cone};
   const std::uint64_t cone_mask = cone_w.run_detect(
       &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false,
       nullptr, nullptr, kc);

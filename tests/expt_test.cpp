@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -126,6 +127,44 @@ TEST(Options, AtpgBackendGetsOwnCacheEntry) {
   EXPECT_NE(sat, aut);
   EXPECT_EQ(sat, base + ".sat");
   EXPECT_EQ(aut, base + ".auto");
+}
+
+// Numeric flags are strict: a malformed value throws instead of
+// silently becoming 0 (seed 0, or "all cores" for --threads).
+TEST(Options, RejectsMalformedNumbers) {
+  for (const char* flag : {"--seed=", "--threads=", "--chains="}) {
+    for (const char* value : {"", "x", "-1", "+1", "12x", " 1", "1 ",
+                              "99999999999999999999999"}) {
+      const std::string arg = std::string(flag) + value;
+      const char* argv[] = {"bin", arg.c_str()};
+      EXPECT_THROW((void)parse_bench_args(2, argv), std::invalid_argument)
+          << arg;
+    }
+  }
+  const char* ok[] = {"bin", "--seed=18446744073709551615", "--threads=0",
+                      "--chains=4"};
+  const BenchConfig cfg = parse_bench_args(4, ok);
+  EXPECT_EQ(cfg.runner.seed, 18446744073709551615ULL);
+  EXPECT_EQ(cfg.runner.num_threads, 0u);
+  EXPECT_EQ(cfg.runner.num_chains, 4u);
+  for (const char* value : {"", "1e999", "inf", "nan", "5s"}) {
+    const std::string arg = std::string("--time-budget=") + value;
+    const char* argv[] = {"bin", arg.c_str()};
+    EXPECT_THROW((void)parse_bench_args(2, argv), std::invalid_argument)
+        << arg;
+  }
+}
+
+TEST(Options, RejectsMalformedNumericEnvVars) {
+  ::setenv("SCANC_SEED", "x", 1);
+  const char* argv[] = {"bin"};
+  EXPECT_THROW((void)parse_bench_args(1, argv), std::invalid_argument);
+  ::setenv("SCANC_SEED", "7", 1);
+  EXPECT_EQ(parse_bench_args(1, argv).runner.seed, 7u);
+  ::unsetenv("SCANC_SEED");
+  ::setenv("SCANC_THREADS", "", 1);
+  EXPECT_THROW((void)parse_bench_args(1, argv), std::invalid_argument);
+  ::unsetenv("SCANC_THREADS");
 }
 
 TEST(Options, RejectsUnknownFlagAndCircuit) {

@@ -281,6 +281,19 @@ std::string wait_state(Client& client, const std::string& id,
 // ---------------------------------------------------------------------
 // Daemon behavior.
 
+// The watchdog reads its clock before taking the lock while executors
+// stamp progress without it, so a stamp can be newer than `now`.  That
+// job is alive: the stall test must saturate, not wrap around.
+TEST(SvcWatchdog, StampLaterThanNowIsNeverStalled) {
+  constexpr std::uint64_t kStall = 5'000'000'000ULL;
+  EXPECT_FALSE(progress_stalled(1'000, 1'001, kStall));
+  EXPECT_FALSE(progress_stalled(0, ~0ULL, kStall));
+  EXPECT_FALSE(progress_stalled(1'000, 1'000, 0));
+  EXPECT_FALSE(progress_stalled(kStall + 10, 10, kStall));  // exactly at bound
+  EXPECT_TRUE(progress_stalled(kStall + 11, 10, kStall));
+  EXPECT_TRUE(progress_stalled(~0ULL, 0, kStall));
+}
+
 TEST(SvcDaemon, SubmitWaitDoneAndIdempotentResubmit) {
   TempDir dir;
   DaemonOptions opt = fast_options(dir);

@@ -1,16 +1,57 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "util/bitset.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scanc::util {
 namespace {
+
+TEST(Parse, UintAcceptsPlainDecimal) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("42"), 42u);
+  EXPECT_EQ(parse_uint("007"), 7u);
+  EXPECT_EQ(parse_uint("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(Parse, UintRejectsEveryMalformedShape) {
+  for (const char* bad :
+       {"",      // empty: `--executors=` must not mean zero
+        "-1",    // sign: must not wrap to 2^64-1
+        "+1",    // sign
+        " 1",    // leading whitespace
+        "1 ",    // trailing whitespace
+        "12x",   // trailing garbage
+        "x",     // no digits
+        "0x10",  // not decimal
+        "1.5",   // not an integer
+        "18446744073709551616"}) {  // overflow
+    EXPECT_FALSE(parse_uint(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
+TEST(Parse, FiniteAcceptsDecimalAndScientific) {
+  EXPECT_EQ(parse_finite("0"), 0.0);
+  EXPECT_EQ(parse_finite("2.5"), 2.5);
+  EXPECT_EQ(parse_finite("-0.25"), -0.25);
+  EXPECT_EQ(parse_finite("1e3"), 1000.0);
+  EXPECT_EQ(parse_finite(".5"), 0.5);
+}
+
+TEST(Parse, FiniteRejectsEveryMalformedShape) {
+  for (const char* bad : {"",      "x",     " 1",   "1 ",  "1.5s", "1e",
+                          "inf",   "-inf",  "nan",  "1e999", "--1"}) {
+    EXPECT_FALSE(parse_finite(bad).has_value()) << '"' << bad << '"';
+  }
+}
 
 class BitsetSizes : public ::testing::TestWithParam<std::size_t> {};
 
