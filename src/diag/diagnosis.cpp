@@ -17,7 +17,7 @@ ObservedResponses simulate_defect(const netlist::Circuit& circuit,
                                   const tcomp::ScanTestSet& set) {
   const fault::Fault& f = faults.representative(defect);
   sim::PackedSeqSim sim(circuit);
-  sim::InjectionMap inj(circuit.num_nodes());
+  sim::PackedInjectionMap inj(circuit.num_nodes());
   inj.add(f.node, f.pin, f.value, 1ULL << 1);  // slot 1 = the defect
 
   ObservedResponses out;

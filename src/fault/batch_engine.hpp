@@ -1,10 +1,11 @@
 // Wide batch simulation engine: pattern-parallel (PPSFP) and wide
 // fault-parallel passes.
 //
-// A BatchEngine owns one WideSeqSim<W> (sim/wide_sim.hpp) for a concrete
-// word type W — portable WideWord<NW>, Avx2Word, or Avx512Word — behind
-// a virtual interface so the dispatch on lane width/ISA happens once per
-// engine construction, never on the per-gate path.  Two pass shapes:
+// A BatchEngine owns one SeqSim<W> (sim/seq_sim.hpp — the simulator the
+// one-lane GroupWorker passes run, instantiated on a multi-lane word W:
+// portable WideWord<NW>, Avx2Word, or Avx512Word) behind a virtual
+// interface, so the dispatch on lane width/ISA happens once per engine
+// construction, never on the per-gate path.  Two pass shapes:
 //
 //   detect_batch / times_batch  (PPSFP)
 //     lanes() scan tests in the bit-lanes of one pass, one fault group
@@ -14,8 +15,9 @@
 //
 //   detect_groups  (wide fault-parallel)
 //     one scan test broadcast to every lane, lanes() consecutive fault
-//     groups with per-lane injection masks.  Lane l's mask is
-//     bit-identical to run_detect over group first_group + l.
+//     groups with per-lane injection masks, run on GroupWorker's frame
+//     loop (fault/frame_loop.hpp).  Lane l's mask is bit-identical to
+//     run_detect over group first_group + l.
 //
 // Engines are created per worker thread (GroupWorker::batch_engine) and
 // reused across passes; construction is cheap (two node-indexed arrays).

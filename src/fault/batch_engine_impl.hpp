@@ -19,6 +19,11 @@
 // lanes carry stale diverged values (their state is only reloaded on
 // active frames) and dead lanes keep evolving on all-X inputs; that is
 // garbage by design and harmless because the masks keep it unobserved.
+//
+// The wide fault-parallel pass (detect_groups) has no loop of its own:
+// it runs GroupWorker's frame_loop (fault/frame_loop.hpp) with
+// FullEval<W>, AlwaysActive and DetectObs<W>, lane l carrying fault
+// group first_group + l under the broadcast test.
 #pragma once
 
 #include <algorithm>
@@ -29,9 +34,9 @@
 
 #include "fault/batch_engine.hpp"
 #include "fault/frame_common.hpp"
+#include "fault/frame_loop.hpp"
 #include "fault/group_exec.hpp"
 #include "fault/group_worker.hpp"
-#include "sim/wide_sim.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
@@ -39,7 +44,7 @@ namespace scanc::fault {
 template <class W>
 class BatchEngineImpl final : public BatchEngine {
  public:
-  static constexpr std::size_t kLanes = W::kLanes;
+  static constexpr std::size_t kLanes = sim::kWordLanes<W>;
 
   BatchEngineImpl(const netlist::Circuit& circuit, const FaultList& faults,
                   util::Bitset scan_mask)
@@ -66,10 +71,13 @@ class BatchEngineImpl final : public BatchEngine {
     obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
     // The stuck-at pass stops once every lane is saturated; the TDF pass
     // always runs to the longest test.
-    DetectLanes rec{W::splat(group_slot_mask(group.size())), observe_scan_out,
+    DetectLanes rec{sim::splat<W>(group_slot_mask(group.size())),
+                    observe_scan_out,
                     !faults_->model().frame_gated()};
     run_batch(tests, group, rec);
-    for (std::size_t l = 0; l < tests.size(); ++l) det[l] = rec.det.lane(l);
+    for (std::size_t l = 0; l < tests.size(); ++l) {
+      det[l] = sim::lane(rec.det, l);
+    }
   }
 
   void times_batch(std::span<const BatchTestRef> tests,
@@ -100,9 +108,9 @@ class BatchEngineImpl final : public BatchEngine {
   /// Word with lane l all-ones iff pred(l); lanes >= n are zero.
   template <class Pred>
   [[nodiscard]] static W lane_mask(std::size_t n, Pred pred) {
-    W m = W::zero();
+    W m = sim::zero<W>();
     for (std::size_t l = 0; l < n; ++l) {
-      if (pred(l)) m.set_lane(l, ~0ULL);
+      if (pred(l)) sim::set_lane(m, l, ~0ULL);
     }
     return m;
   }
@@ -116,35 +124,8 @@ class BatchEngineImpl final : public BatchEngine {
     return n;
   }
 
-  [[nodiscard]] static bool all_lanes_full(const W& det, const W& full) {
-    return !((det & full) ^ full).any();
-  }
-
-  [[nodiscard]] W wide_po_detections() const {
-    W d = W::zero();
-    for (const netlist::NodeId po : circuit_->primary_outputs()) {
-      d = d | sim::wide_detections(sim_.value(po));
-    }
-    return d;
-  }
-
-  [[nodiscard]] W wide_state_detections() const {
-    W d = W::zero();
-    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-      if (!scan_mask_.test(i)) continue;
-      d = d | sim::wide_detections(sim_.captured(i));
-    }
-    return d;
-  }
-
-  /// Splat injections: the same group in every lane (slot j+1 =
-  /// group[j]), the wide mirror of build_group_injections.
-  void build_splat_injections(std::span<const FaultClassId> group) {
-    inj_.clear();
-    for (std::size_t j = 0; j < group.size(); ++j) {
-      const Fault& f = faults_->representative(group[j]);
-      inj_.add(f.node, f.pin, f.value, W::splat(1ULL << (j + 1)));
-    }
+  [[nodiscard]] W state_detections() const {
+    return fault::state_detections(sim_, scan_mask_);
   }
 
   /// Rebuilds inj_ from the per-lane activation masks act_: site j gets
@@ -154,11 +135,11 @@ class BatchEngineImpl final : public BatchEngine {
     inj_.clear();
     for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
       const std::uint64_t slot = 1ULL << (j + 1);
-      W m = W::zero();
+      W m = sim::zero<W>();
       bool used = false;
       for (std::size_t l = 0; l < n; ++l) {
         if ((act_[l] & slot) != 0) {
-          m.set_lane(l, slot);
+          sim::set_lane(m, l, slot);
           used = true;
         }
       }
@@ -180,24 +161,24 @@ class BatchEngineImpl final : public BatchEngine {
     W full;
     bool observe_scan_out;
     bool early_exit;
-    W det = W::zero();
+    W det = sim::zero<W>();
 
     void frame(std::size_t /*t*/, const W& active, const W& po) {
       det = det | (po & active);
     }
     [[nodiscard]] bool wants_state(const W& finals) const {
-      return observe_scan_out && finals.any();
+      return observe_scan_out && sim::any(finals);
     }
     void state(std::size_t /*t*/, const W& /*active*/, const W& finals,
                const BatchEngineImpl& eng) {
       if (wants_state(finals)) {
-        det = det | (eng.wide_state_detections() & finals);
+        det = det | (eng.state_detections() & finals);
       }
     }
     // All lanes saturated: later frames cannot add detections (per-lane
     // det is capped at `full`, matching run_detect's early exit).
     [[nodiscard]] bool done() const {
-      return early_exit && all_lanes_full(det, full);
+      return early_exit && !sim::any(det ^ full);
     }
   };
 
@@ -207,13 +188,13 @@ class BatchEngineImpl final : public BatchEngine {
     std::size_t stride;
     std::span<std::int64_t> first_po;
     std::span<util::Bitset> state_diff;
-    W det = W::zero();
+    W det = sim::zero<W>();
 
     void frame(std::size_t t, const W& active, const W& po) {
       const W fresh = po & active & ~det;
       det = det | fresh;
       for (std::size_t l = 0; l < n; ++l) {
-        for_each_slot(fresh.lane(l), [&](std::size_t j) {
+        for_each_slot(sim::lane(fresh, l), [&](std::size_t j) {
           first_po[l * stride + j] = static_cast<std::int64_t>(t);
         });
       }
@@ -221,9 +202,9 @@ class BatchEngineImpl final : public BatchEngine {
     [[nodiscard]] bool wants_state(const W& /*finals*/) const { return true; }
     void state(std::size_t t, const W& active, const W& /*finals*/,
                const BatchEngineImpl& eng) {
-      const W bits = eng.wide_state_detections() & active;
+      const W bits = eng.state_detections() & active;
       for (std::size_t l = 0; l < n; ++l) {
-        for_each_slot(bits.lane(l), [&](std::size_t j) {
+        for_each_slot(sim::lane(bits, l), [&](std::size_t j) {
           state_diff[l * stride + j].set(t);
         });
       }
@@ -256,7 +237,7 @@ class BatchEngineImpl final : public BatchEngine {
       if (live && act_[l] == 0) ++tally.tdf_skipped;
       any_act |= act_[l] != 0;
     }
-    if (!any_act) return W::zero();
+    if (!any_act) return sim::zero<W>();
     build_tdf_injections(n);
     std::array<const sim::Vector3*, kLanes> state{};
     for (std::size_t l = 0; l < n; ++l) {
@@ -284,7 +265,7 @@ class BatchEngineImpl final : public BatchEngine {
       tdf_sites_.build(*faults_, group);
       sim_.reset(nullptr);
     } else {
-      build_splat_injections(group);
+      build_group_injections(*faults_, group, inj_);
       sim_.reset(&inj_);
       std::array<const sim::Vector3*, kLanes> state{};
       bool any_state = false;
@@ -302,9 +283,9 @@ class BatchEngineImpl final : public BatchEngine {
     // Frame 0 has no launch frame and is never active under TDF.
     for (std::size_t t = gated ? 1 : 0; t < max_len; ++t) {
       const W active = launch(tests, t, gated, tally);
-      if (!active.any()) continue;
+      if (!sim::any(active)) continue;
       sim_.apply_frame({pi_.data(), n}, &inj_);
-      rec.frame(t, active, wide_po_detections());
+      rec.frame(t, active, po_detections(sim_));
       const W finals = active & lane_mask(n, [&](std::size_t l) {
                          return tests[l].seq->length() == t + 1;
                        });
@@ -320,8 +301,8 @@ class BatchEngineImpl final : public BatchEngine {
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
   util::Bitset scan_mask_;
-  sim::WideSeqSim<W> sim_;
-  sim::WideInjectionMap<W> inj_;
+  sim::SeqSim<W> sim_;
+  sim::InjectionMap<W> inj_;
   std::vector<sim::Vector3> state_scratch_;
   TdfSites tdf_sites_;
   std::array<const sim::Vector3*, kLanes> pi_{};
@@ -343,51 +324,29 @@ void BatchEngineImpl<W>::detect_groups(
   obs::add(obs::Counter::WideFpPasses);
   obs::add(obs::Counter::FullPasses, ngroups);
 
-  // Per-lane injections: lane l carries group first_group + l.
+  // Per-lane injections: lane l carries group first_group + l; every
+  // lane runs the same broadcast test on the shared frame loop.
   inj_.clear();
-  W full = W::zero();
+  W full = sim::zero<W>();
   for (std::size_t l = 0; l < ngroups; ++l) {
     const std::size_t base = (first_group + l) * kGroupSize;
     const std::size_t gn = std::min(kGroupSize, list.size() - base);
-    full.set_lane(l, group_slot_mask(gn));
+    sim::set_lane(full, l, group_slot_mask(gn));
     for (std::size_t j = 0; j < gn; ++j) {
       const Fault& f = faults_->representative(list[base + j]);
-      W m = W::zero();
-      m.set_lane(l, 1ULL << (j + 1));
+      W m = sim::zero<W>();
+      sim::set_lane(m, l, 1ULL << (j + 1));
       inj_.add(f.node, f.pin, f.value, m);
     }
   }
-  sim_.reset(&inj_);
-  std::array<const sim::Vector3*, kLanes> ptr{};
-  if (scan_in != nullptr) {
-    state_scratch_[0] = mask_scan_in(*scan_in, scan_mask_);
-    for (std::size_t l = 0; l < ngroups; ++l) ptr[l] = &state_scratch_[0];
-    sim_.load_state({ptr.data(), ngroups}, &inj_);
-  }
-
-  W det = W::zero();
-  bool aborted = false;
-  FrameTally tally;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    if ((keep_going != nullptr &&
-         !keep_going->load(std::memory_order_relaxed)) ||
-        (cancel != nullptr && cancel->stop_requested())) {
-      aborted = true;  // partial masks, same contract as run_detect
-      break;
-    }
-    tally.simulated += ngroups;
-    for (std::size_t l = 0; l < ngroups; ++l) ptr[l] = &seq.frames[t];
-    sim_.apply_frame({ptr.data(), ngroups}, &inj_);
-    det = det | wide_po_detections();
-    sim_.latch(&inj_);
-    if (early_exit && t + 1 < seq.length() && all_lanes_full(det, full)) {
-      break;
-    }
-  }
-  if (observe_scan_out && !aborted && !all_lanes_full(det, full)) {
-    det = det | wide_state_detections();
-  }
-  for (std::size_t l = 0; l < ngroups; ++l) det_out[l] = det.lane(l);
+  FullEval<W> ev(sim_, inj_, scan_mask_, seq, /*trace=*/nullptr, scan_in);
+  AlwaysActive act;
+  DetectObs<W> obs{{keep_going, cancel, ngroups},
+                   full,
+                   observe_scan_out,
+                   early_exit};
+  frame_loop(ev, act, obs, seq.length());
+  for (std::size_t l = 0; l < ngroups; ++l) det_out[l] = sim::lane(obs.det, l);
 }
 
 template <class W>

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "fault/batch_engine.hpp"
+#include "fault/frame_loop.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
@@ -129,7 +130,7 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
                                     const Sequence& seq,
                                     std::span<const FaultClassId> list,
                                     bool observe_scan_out,
-                                    const std::atomic<bool>* keep_going,
+                                    std::atomic<bool>* all_ok,
                                     std::span<std::uint64_t> det) {
   const sim::SimdConfig cfg = simd_config();
   const std::size_t ng = det.size();
@@ -143,17 +144,31 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
   const std::size_t nchunks = (ng + lanes - 1) / lanes;
   exec_.for_each_chunk(
       nchunks, policy(), [&](GroupWorker& w, std::size_t c) {
-        if (cancel_.stop_requested()) return;  // skip chunk
-        if (keep_going != nullptr &&
-            !keep_going->load(std::memory_order_relaxed)) {
+        if (all_ok != nullptr && !all_ok->load(std::memory_order_relaxed)) {
+          return;
+        }
+        if (cancel_.stop_requested()) {  // skip chunk
+          // detects_all: cancelled means conservatively false.
+          if (all_ok != nullptr) {
+            all_ok->store(false, std::memory_order_relaxed);
+          }
           return;
         }
         const std::size_t first = c * lanes;
         const std::size_t n = std::min(lanes, ng - first);
         w.batch_engine(cfg).detect_groups(scan_in, seq, list, first, n,
                                           observe_scan_out,
-                                          /*early_exit=*/true, keep_going,
+                                          /*early_exit=*/true, all_ok,
                                           &cancel_, det.subspan(first, n));
+        if (all_ok == nullptr) return;
+        // Each chunk checks its lanes so later chunks still exit early.
+        for (std::size_t g = first; g < first + n; ++g) {
+          const std::size_t gn =
+              std::min(kGroupSize, list.size() - g * kGroupSize);
+          if (det[g] != group_slot_mask(gn)) {
+            all_ok->store(false, std::memory_order_relaxed);
+          }
+        }
       });
   return true;
 }
@@ -164,7 +179,7 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(nullptr, seq, list, /*observe_scan_out=*/false,
-                      /*keep_going=*/nullptr, det)) {
+                      /*all_ok=*/nullptr, det)) {
     const auto trace = acquire_trace(nullptr, seq);
     const KernelChoice kc = kernel_choice(trace.get());
     for_each_group(exec_, list, policy(),
@@ -191,7 +206,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true,
-                      /*keep_going=*/nullptr, det)) {
+                      /*all_ok=*/nullptr, det)) {
     const auto trace = acquire_trace(&scan_in, seq);
     const KernelChoice kc = kernel_choice(trace.get());
     for_each_group(exec_, list, policy(),
@@ -272,38 +287,9 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
   // the flag only ever moves true -> false, and it moves iff some group
   // genuinely fails.
   std::atomic<bool> all_ok{true};
-  const sim::SimdConfig cfg = simd_config();
-  const std::size_t ng = num_groups(list.size());
-  if (cfg.lanes() > 1 && ng >= 2 && kernel_ == KernelMode::Full &&
-      !faults_->model().frame_gated()) {
-    // Wide fault-parallel plan: lanes() groups per pass, each chunk
-    // checking its lanes' masks so later chunks still exit early.
-    obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-    obs::add(obs::Counter::GroupsExecuted, ng);
-    const std::size_t lanes = cfg.lanes();
-    const std::size_t nchunks = (ng + lanes - 1) / lanes;
-    std::vector<std::uint64_t> det(ng, 0);
-    exec_.for_each_chunk(
-        nchunks, policy(), [&](GroupWorker& w, std::size_t c) {
-          if (!all_ok.load(std::memory_order_relaxed)) return;
-          if (cancel_.stop_requested()) {
-            all_ok.store(false, std::memory_order_relaxed);
-            return;
-          }
-          const std::size_t first = c * lanes;
-          const std::size_t n = std::min(lanes, ng - first);
-          w.batch_engine(cfg).detect_groups(
-              &scan_in, seq, list, first, n,
-              /*observe_scan_out=*/true, /*early_exit=*/true, &all_ok,
-              &cancel_, std::span<std::uint64_t>(det).subspan(first, n));
-          for (std::size_t l = 0; l < n; ++l) {
-            const std::size_t base = (first + l) * kGroupSize;
-            const std::size_t gn = std::min(kGroupSize, list.size() - base);
-            if (det[first + l] != group_slot_mask(gn)) {
-              all_ok.store(false, std::memory_order_relaxed);
-            }
-          }
-        });
+  std::vector<std::uint64_t> det(num_groups(list.size()), 0);
+  if (wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true, &all_ok,
+                     det)) {
     return all_ok.load(std::memory_order_relaxed);
   }
   const auto trace = acquire_trace(&scan_in, seq);
@@ -564,7 +550,7 @@ std::size_t FaultSimulator::Session::step(const sim::Vector3& pi) {
     worker_->sim().set_ff_values(
         std::span<const sim::PackedV3>(ff_values_.data() + g * nff, nff));
     worker_->sim().apply_frame(pi, &group_injections_[g]);
-    const std::uint64_t det = worker_->po_detections();
+    const std::uint64_t det = po_detections(worker_->sim());
     worker_->sim().latch(&group_injections_[g]);
     worker_->sim().get_ff_values(
         std::span<sim::PackedV3>(ff_values_.data() + g * nff, nff));
@@ -625,7 +611,7 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
     if (act == 0 || group_remaining_[g] == 0) continue;
     obs::add(obs::Counter::TdfActivations,
              static_cast<std::uint64_t>(std::popcount(act)));
-    sim::InjectionMap& inj = worker_->injections();
+    sim::PackedInjectionMap& inj = worker_->injections();
     inj.clear();
     for_each_slot(act, [&](std::size_t j) {
       const Fault& f = faults.representative(targets_[base + j]);
@@ -634,11 +620,11 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
     sim.reset(&inj);
     sim.load_state(free_state_, &inj);
     sim.apply_frame(pi, &inj);
-    const std::uint64_t det = worker_->po_detections();
+    const std::uint64_t det = po_detections(sim);
     sim.latch(&inj);
     for (std::size_t i = 0; i < nff; ++i) {
       tdf_latched_ += static_cast<std::size_t>(
-          std::popcount(detected_slots(sim.captured(i))));
+          std::popcount(sim::wide_detections(sim.captured(i))));
     }
     newly += credit(g, det);
   }
@@ -654,7 +640,7 @@ std::size_t FaultSimulator::Session::latched_effects() const {
   for (std::size_t g = 0; g < num_groups_; ++g) {
     for (std::size_t i = 0; i < nff; ++i) {
       effects += static_cast<std::size_t>(
-          std::popcount(detected_slots(ff_values_[g * nff + i])));
+          std::popcount(sim::wide_detections(ff_values_[g * nff + i])));
     }
   }
   return effects;

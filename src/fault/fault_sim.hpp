@@ -323,7 +323,7 @@ class FaultSimulator {
     /// re-installs simulation state per group every frame, but the
     /// injections never change for a fixed target set.  Unused (empty)
     /// under a frame-gated model, where injections depend on the frame.
-    std::vector<sim::InjectionMap> group_injections_;
+    std::vector<sim::PackedInjectionMap> group_injections_;
     FaultSet detected_;
     /// Undetected faults left per group; fully-detected groups are
     /// skipped by step().
@@ -395,11 +395,12 @@ class FaultSimulator {
   /// groups per pass) when it applies — Full kernel, frame-less model,
   /// >= 2 groups, wide lanes — filling det (one mask per group) and
   /// returning true.  Returns false untouched when the per-group 64-bit
-  /// plan should run instead.
+  /// plan should run instead.  With `all_ok` (detects_all) the plan
+  /// stops early: a chunk that misses a fault or sees the cancel token
+  /// clears it, and pending chunks and in-flight passes then stop.
   bool wide_fp_detect(const sim::Vector3* scan_in, const sim::Sequence& seq,
                       std::span<const FaultClassId> list,
-                      bool observe_scan_out,
-                      const std::atomic<bool>* keep_going,
+                      bool observe_scan_out, std::atomic<bool>* all_ok,
                       std::span<std::uint64_t> det);
 
   /// The per-group kernel choice handed to every worker pass.

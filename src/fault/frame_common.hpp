@@ -1,9 +1,9 @@
-// Primitives every fault-simulation frame loop shares: the per-word
-// detection test, partial-scan masking of scan-in states, the transition
-// launch test over cached fault sites, and the per-pass frame counters.
-// GroupWorker, the wide BatchEngine passes and FaultSimulator (trace
-// acquisition, incremental sessions) all use these single definitions;
-// only the independent scalar oracle (src/check) keeps its own copies.
+// Primitives every fault-simulation frame loop shares: partial-scan
+// masking of scan-in states, the transition launch test over cached
+// fault sites, and the per-pass frame counters.  GroupWorker, the wide
+// BatchEngine passes and FaultSimulator (trace acquisition, incremental
+// sessions) all use these single definitions; only the independent
+// scalar oracle (src/check) keeps its own copies.
 #pragma once
 
 #include <bit>
@@ -13,22 +13,12 @@
 #include <vector>
 
 #include "fault/fault_list.hpp"
+#include "sim/injection.hpp"
 #include "sim/node_trace.hpp"
-#include "sim/packed.hpp"
 #include "util/bitset.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
-
-/// Faulty slots of one observation word that detect their fault: binary
-/// and different from the binary fault-free reference in slot 0 (an X
-/// reference detects nothing).  Bit 0 is always clear.
-[[nodiscard]] constexpr std::uint64_t detected_slots(sim::PackedV3 w) noexcept {
-  const bool ref0 = (w.is0 & 1) != 0;
-  const bool ref1 = (w.is1 & 1) != 0;
-  if (ref0 == ref1) return 0;
-  return sim::differs_from_reference(w, ref1) & ~1ULL;
-}
 
 /// Calls fn(j) for every group member j whose slot bit j+1 is set in
 /// `bits` (bit 0, the reference slot, must be clear).

@@ -4,24 +4,14 @@
 #include <cassert>
 #include <utility>
 
+#include "fault/frame_loop.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
 
 using netlist::NodeId;
-using sim::PackedV3;
 using sim::Sequence;
 using sim::Vector3;
-
-void build_group_injections(const FaultList& faults,
-                            std::span<const FaultClassId> group,
-                            sim::InjectionMap& out) {
-  out.clear();
-  for (std::size_t j = 0; j < group.size(); ++j) {
-    const Fault& f = faults.representative(group[j]);
-    out.add(f.node, f.pin, f.value, 1ULL << (j + 1));
-  }
-}
 
 GroupWorker::GroupWorker(const netlist::Circuit& circuit,
                          const FaultList& faults, util::Bitset scan_mask)
@@ -40,10 +30,6 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
     batch_cfg_ = cfg;
   }
   return *batch_engine_;
-}
-
-void GroupWorker::build_injections(std::span<const FaultClassId> group) {
-  build_group_injections(*faults_, group, injections_);
 }
 
 bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
@@ -79,32 +65,12 @@ bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
   return use_cone;
 }
 
-std::uint64_t GroupWorker::po_detections() const {
-  std::uint64_t det = 0;
-  for (const NodeId po : circuit_->primary_outputs()) {
-    det |= detected_slots(sim_.value(po));
-  }
-  return det;
-}
-
-std::uint64_t GroupWorker::state_detections() const {
-  std::uint64_t det = 0;
-  for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
-    // Scan-out observes the captured latch contents (PPO convention) of
-    // the flip-flops on the scan chain.
-    if (scan_mask_.test(i)) det |= detected_slots(sim_.captured(i));
-  }
-  return det;
-}
+// ---------------------------------------------------------------------
+// The one-lane policies of the frame loop (fault/frame_loop.hpp): the
+// cone evaluator, the transition activation and the detection-time,
+// prefix and consistency observers.
 
 namespace {
-
-/// Mismatch bits of one observation point: predicted binary, observed
-/// binary, values differ.
-std::uint64_t mismatches(PackedV3 w, sim::V3 observed) {
-  if (!sim::is_binary(observed)) return 0;
-  return sim::differs_from_reference(w, observed == sim::V3::One);
-}
 
 /// Mismatch word of a slot-uniform observation point at fault-free value
 /// `v`: a binary/binary difference mismatches all slots at once — the
@@ -116,67 +82,6 @@ std::uint64_t uniform_mismatch(sim::V3 v, sim::V3 observed) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------
-// Evaluators.  An Evaluator steps one group through a test's frames —
-// eval(t) simulates frame t (false: skipped, every slot provably follows
-// the fault-free trace), latch() captures the next state, reload(t)
-// restarts frame t from the fault-free state entering it — and answers
-// the observers' questions about the current frame: PO and scan-out
-// detection masks and mismatch words against an observed response.
-
-/// The full CSR schedule on the worker's PackedSeqSim.
-class GroupWorker::FullEval {
- public:
-  FullEval(GroupWorker& w, const Sequence& seq, const sim::NodeTrace* trace,
-           const Vector3* scan_in)
-      : w_(w), seq_(seq), trace_(trace) {
-    w_.sim_.reset(&w_.injections_);
-    if (scan_in != nullptr) {
-      w_.sim_.load_state(mask_scan_in(*scan_in, w_.scan_mask_),
-                         &w_.injections_);
-    }
-  }
-
-  bool eval(std::size_t t) {
-    w_.sim_.apply_frame(seq_.frames[t], &w_.injections_);
-    return true;
-  }
-  void latch() { w_.sim_.latch(&w_.injections_); }
-  void reload(std::size_t t) {
-    w_.sim_.load_state(trace_->state_at_start(t), &w_.injections_);
-  }
-
-  [[nodiscard]] std::uint64_t po_detections() const {
-    return w_.po_detections();
-  }
-  [[nodiscard]] std::uint64_t state_detections() const {
-    return w_.state_detections();
-  }
-  [[nodiscard]] std::uint64_t po_mismatches(std::size_t /*t*/,
-                                            const Vector3& observed) const {
-    const auto pos = w_.circuit_->primary_outputs();
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      m |= mismatches(w_.sim_.value(pos[i]), observed[i]);
-    }
-    return m;
-  }
-  [[nodiscard]] std::uint64_t state_mismatches(const Vector3& observed) const {
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-      if (w_.scan_mask_.test(i)) {
-        m |= mismatches(w_.sim_.captured(i), observed[i]);
-      }
-    }
-    return m;
-  }
-
- private:
-  GroupWorker& w_;
-  const Sequence& seq_;
-  const sim::NodeTrace* trace_;
-};
 
 /// The group's cone on the worker's ConeSim (sim/cone_kernel.hpp):
 /// boundary seeded from the fault-free trace, clean frames skipped.
@@ -201,7 +106,7 @@ class GroupWorker::ConeEval {
   [[nodiscard]] std::uint64_t po_detections() const {
     std::uint64_t det = 0;
     for (const NodeId po : w_.plan_.cone_pos()) {
-      det |= detected_slots(w_.cone_.value(po));
+      det |= sim::wide_detections(w_.cone_.value(po));
     }
     return det;
   }
@@ -209,7 +114,9 @@ class GroupWorker::ConeEval {
     if (w_.cone_.clean()) return 0;  // every latch holds the fault-free value
     std::uint64_t det = 0;
     for (const std::uint32_t i : w_.plan_.cone_ff_pos()) {
-      if (w_.scan_mask_.test(i)) det |= detected_slots(w_.cone_.captured(i));
+      if (w_.scan_mask_.test(i)) {
+        det |= sim::wide_detections(w_.cone_.captured(i));
+      }
     }
     return det;
   }
@@ -246,22 +153,6 @@ class GroupWorker::ConeEval {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Activation policies.  launch(t, ev, tally) decides whether frame t has
-// any active fault and prepares the evaluator for it; kPersistent says
-// whether faulty state carries across frames (then every simulated frame
-// latches and scan-out reads the evaluator's final state).
-
-/// Stuck-at: every fault is active in every frame.  The injections are
-/// built once per pass and the faulty machines run from the scan-in.
-struct AlwaysActive {
-  static constexpr bool kPersistent = true;
-  template <class Eval>
-  bool launch(std::size_t /*t*/, Eval& /*ev*/, FrameTally& /*tally*/) {
-    return true;
-  }
-};
-
 /// Transition delay (frame-gated): fault j is active in frame t >= 1 iff
 /// its site launches the delayed transition across frames t-1 -> t of
 /// the fault-free trace.  An active frame is simulated one-frame from the
@@ -273,7 +164,7 @@ class TdfLaunch {
  public:
   static constexpr bool kPersistent = false;
 
-  TdfLaunch(const TdfSites& sites, sim::InjectionMap& inj,
+  TdfLaunch(const TdfSites& sites, sim::PackedInjectionMap& inj,
             const sim::NodeTrace& trace)
       : sites_(sites), inj_(inj), trace_(trace) {}
 
@@ -295,57 +186,8 @@ class TdfLaunch {
 
  private:
   const TdfSites& sites_;
-  sim::InjectionMap& inj_;
+  sim::PackedInjectionMap& inj_;
   const sim::NodeTrace& trace_;
-};
-
-// ---------------------------------------------------------------------
-// Observers: what a pass records.  interrupted() is polled before every
-// frame; frame() sees each simulated frame's POs; quiet() sees frames
-// where every slot follows the fault-free trace and returns whether it
-// observed anything; wants_state(last) asks a non-persistent activation
-// to latch this frame; state() sees each latch; done(last) ends the pass
-// early; scan_out(ev, valid) observes the final state (valid: the
-// evaluator holds it, else every machine scans out the fault-free state).
-
-/// Cooperative stop signals, polled once per frame, and the quiet-frame
-/// and latch hooks most observers ignore.
-struct ObserverBase {
-  const std::atomic<bool>* keep_going = nullptr;
-  const util::CancelToken* cancel = nullptr;
-
-  [[nodiscard]] bool interrupted() const {
-    return (keep_going != nullptr &&
-            !keep_going->load(std::memory_order_relaxed)) ||
-           (cancel != nullptr && cancel->stop_requested());
-  }
-  [[nodiscard]] bool quiet(std::size_t /*t*/) { return false; }
-  template <class Eval>
-  void state(std::size_t /*t*/, const Eval& /*ev*/) {}
-};
-
-/// Detection mask, with an optional early exit once every group fault is
-/// PO-detected before the last frame.
-struct DetectObs : ObserverBase {
-  std::uint64_t full;
-  bool observe_scan_out;
-  bool early_exit;
-  std::uint64_t det = 0;
-
-  template <class Eval>
-  void frame(std::size_t /*t*/, const Eval& ev) {
-    det |= ev.po_detections();
-  }
-  [[nodiscard]] bool wants_state(bool last) const {
-    return observe_scan_out && last;
-  }
-  [[nodiscard]] bool done(bool last) const {
-    return early_exit && det == full && !last;
-  }
-  template <class Eval>
-  void scan_out(const Eval& ev, bool valid) {
-    if (observe_scan_out && valid) det |= ev.state_detections();
-  }
 };
 
 /// First PO detection time per fault, and every time unit whose scan-out
@@ -440,37 +282,6 @@ struct ConsistencyObs : ObserverBase {
   }
 };
 
-/// The one frame loop every pass runs.  Scan-out reads the evaluator's
-/// state when the activation is persistent, else only after a latch on
-/// the final frame (otherwise every machine scans out fault-free).
-template <class Eval, class Act, class Obs>
-void frame_loop(Eval& ev, Act& act, Obs& obs, std::size_t len) {
-  FrameTally tally;
-  bool scan_valid = Act::kPersistent;
-  for (std::size_t t = 0; t < len; ++t) {
-    if (obs.interrupted()) return;  // partial result
-    const bool last = t + 1 == len;
-    bool simulated = act.launch(t, ev, tally);
-    if (simulated && !ev.eval(t)) {
-      ++tally.skipped;
-      simulated = false;
-    }
-    if (!simulated) {
-      if (obs.quiet(t) && obs.done(last)) return;
-      continue;
-    }
-    ++tally.simulated;
-    obs.frame(t, ev);
-    if (Act::kPersistent || obs.wants_state(last)) {
-      ev.latch();
-      obs.state(t, ev);
-      scan_valid = scan_valid || last;
-    }
-    if (obs.done(last)) return;
-  }
-  obs.scan_out(ev, scan_valid);
-}
-
 }  // namespace
 
 template <class Obs>
@@ -482,7 +293,8 @@ void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
       ConeEval ev(*this, *kernel.trace, seq.length());
       frame_loop(ev, act, obs, seq.length());
     } else {
-      FullEval ev(*this, seq, kernel.trace, start);
+      FullEval<std::uint64_t> ev(sim_, injections_, scan_mask_, seq,
+                                 kernel.trace, start);
       frame_loop(ev, act, obs, seq.length());
     }
   };
@@ -495,7 +307,7 @@ void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
     TdfLaunch act(tdf_sites_, injections_, *kernel.trace);
     with_evaluator(act, nullptr);
   } else {
-    build_injections(group);
+    build_group_injections(*faults_, group, injections_);
     AlwaysActive act;
     with_evaluator(act, scan_in);
   }
@@ -508,10 +320,10 @@ std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
                                       const std::atomic<bool>* keep_going,
                                       const util::CancelToken* cancel,
                                       const KernelChoice& kernel) {
-  DetectObs obs{{keep_going, cancel},
-                group_slot_mask(group.size()),
-                observe_scan_out,
-                early_exit};
+  DetectObs<std::uint64_t> obs{{keep_going, cancel},
+                               group_slot_mask(group.size()),
+                               observe_scan_out,
+                               early_exit};
   run(scan_in, seq, group, kernel, obs);
   return obs.det;
 }

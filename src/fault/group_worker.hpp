@@ -1,8 +1,9 @@
 // Worker-local parallel-fault simulation engine.
 //
 // A GroupWorker owns everything one pass over a group of <= 63 collapsed
-// fault classes mutates — the PackedSeqSim, the ConeSim, the injection
-// map and the activation-site scratch — and borrows only const
+// fault classes mutates — the one-lane SeqSim (PackedSeqSim), the
+// ConeSim, the injection map, the activation-site scratch and, on
+// demand, a wide BatchEngine — and borrows only const
 // circuit/fault data.  Any number of workers can therefore simulate
 // disjoint fault groups concurrently over the same circuit; the
 // execution layer (fault/group_exec.hpp) hands each executing thread its
@@ -14,9 +15,10 @@
 //   run_times       -> detection_times
 //   run_prefix      -> prefix_detection
 //   run_consistency -> consistent_faults
-// Each is a thin dispatcher over one frame loop (group_worker.cpp)
-// templated on three policies (docs/execution.md, "Simulation kernels"):
-//   Evaluator   the full CSR schedule (PackedSeqSim) or the group's cone
+// Each is a thin dispatcher over one frame loop (fault/frame_loop.hpp,
+// shared with the wide fault-parallel pass) templated on three policies
+// (docs/execution.md, "Simulation kernels"):
+//   Evaluator   the full CSR schedule (SeqSim) or the group's cone
 //               (ConeSim: trace-seeded boundary, frame skipping);
 //   Activation  always active (stuck-at: injections built once, state
 //               persists) or the transition launch mask (injections per
@@ -53,11 +55,19 @@ namespace scanc::fault {
 }
 
 /// Registers `group`'s stuck-line injections into `out` (slot j+1 =
-/// group[j]).  Shared by GroupWorker passes and the incremental Session,
-/// which caches one map per group.
+/// group[j], the same group in every lane).  Shared by GroupWorker
+/// passes, the incremental Session (which caches one map per group) and
+/// the PPSFP batch passes.
+template <class W>
 void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
-                            sim::InjectionMap& out);
+                            sim::InjectionMap<W>& out) {
+  out.clear();
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    const Fault& f = faults.representative(group[j]);
+    out.add(f.node, f.pin, f.value, sim::splat<W>(1ULL << (j + 1)));
+  }
+}
 
 /// Which simulation kernel the queries run on.  All modes produce
 /// bit-identical results:
@@ -144,28 +154,20 @@ class GroupWorker {
                                 const util::CancelToken* cancel = nullptr,
                                 const KernelChoice& kernel = {});
 
-  // --- incremental primitives (FaultSimulator::Session) ---------------
-
-  /// Registers the group's stuck-line injections (slot j+1 = group[j]).
-  void build_injections(std::span<const FaultClassId> group);
-
-  /// PO / scan-out detection masks for the current simulation state.
-  [[nodiscard]] std::uint64_t po_detections() const;
-  [[nodiscard]] std::uint64_t state_detections() const;
-
   /// Worker-local wide batch engine for `cfg` (PPSFP and wide
   /// fault-parallel passes), created on first use and rebuilt when the
   /// resolved config changes.  Callers only pass configs with
-  /// cfg.lanes() > 1 — single-lane work stays on the scalar passes.
+  /// cfg.lanes() > 1 — single-lane work stays on the one-lane passes.
   [[nodiscard]] BatchEngine& batch_engine(const sim::SimdConfig& cfg);
 
+  // --- incremental primitives (FaultSimulator::Session) ---------------
+
   [[nodiscard]] sim::PackedSeqSim& sim() noexcept { return sim_; }
-  [[nodiscard]] sim::InjectionMap& injections() noexcept {
+  [[nodiscard]] sim::PackedInjectionMap& injections() noexcept {
     return injections_;
   }
 
  private:
-  class FullEval;
   class ConeEval;
 
   /// The one frame loop's dispatcher: picks the Activation policy from
@@ -185,7 +187,7 @@ class GroupWorker {
   const FaultList* faults_;
   util::Bitset scan_mask_;
   sim::PackedSeqSim sim_;
-  sim::InjectionMap injections_;
+  sim::PackedInjectionMap injections_;
   sim::ConePlan plan_;
   sim::ConeSim cone_;
   std::vector<sim::ConeSite> sites_;

@@ -91,10 +91,10 @@ void ConePlan::build(const netlist::Circuit& c,
 
 ConeSim::ConeSim(const netlist::Circuit& c)
     : circuit_(&c),
-      values_(c.num_nodes(), packed_x()),
-      captured_(c.num_flip_flops(), packed_x()) {}
+      values_(c.num_nodes(), broadcast(V3::X)),
+      captured_(c.num_flip_flops(), broadcast(V3::X)) {}
 
-void ConeSim::begin(const ConePlan& plan, const InjectionMap& inj,
+void ConeSim::begin(const ConePlan& plan, const PackedInjectionMap& inj,
                     const NodeTrace& trace) {
   plan_ = &plan;
   inj_ = &inj;
@@ -139,25 +139,8 @@ bool ConeSim::eval_frame(std::size_t t) {
     values_[b] = v;
   }
 
-  // Evaluate the compacted schedule (same fast/slow split as the full
-  // kernel's apply_frame).
-  const netlist::CsrSchedule& csr = circuit_->csr();
-  const PackedV3* vals = values_.data();
-  for (const NodeId id : plan_->eval()) {
-    const std::span<const NodeId> fi = csr.fanins(id);
-    PackedV3 out;
-    if (!inj_->any(id)) {
-      out = eval_gate_at(csr.types[id], fi.size(),
-                         [&](std::size_t i) { return vals[fi[i]]; });
-    } else {
-      const std::span<const Injection> injs = inj_->at(id);
-      out = eval_gate_at(csr.types[id], fi.size(), [&](std::size_t i) {
-        return apply_pin(vals[fi[i]], static_cast<int>(i), injs);
-      });
-      out = apply_stem(out, injs);
-    }
-    values_[id] = out;
-  }
+  // Evaluate the compacted schedule with the full kernel's gate loop.
+  eval_schedule(circuit_->csr(), plan_->eval(), values_.data(), inj_);
   return true;
 }
 

@@ -38,6 +38,7 @@
 #include "sim/injection.hpp"
 #include "sim/node_trace.hpp"
 #include "sim/packed.hpp"
+#include "sim/seq_sim.hpp"
 
 namespace scanc::sim {
 
@@ -118,7 +119,7 @@ class ConeSim {
 
   /// Binds the engine to one test run.  `plan`, `inj` and `trace` must
   /// outlive the run; `trace` must cover every frame stepped.
-  void begin(const ConePlan& plan, const InjectionMap& inj,
+  void begin(const ConePlan& plan, const PackedInjectionMap& inj,
              const NodeTrace& trace);
 
   /// Evaluates frame `t`.  Returns false when the frame was skipped
@@ -151,7 +152,7 @@ class ConeSim {
  private:
   const netlist::Circuit* circuit_;
   const ConePlan* plan_ = nullptr;
-  const InjectionMap* inj_ = nullptr;
+  const PackedInjectionMap* inj_ = nullptr;
   const NodeTrace* trace_ = nullptr;
   std::vector<PackedV3> values_;
   std::vector<PackedV3> captured_;

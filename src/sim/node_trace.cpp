@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "sim/packed.hpp"
+#include "sim/seq_sim.hpp"
 
 namespace scanc::sim {
 
@@ -43,39 +44,8 @@ Vector3 NodeTrace::state_at_start(std::size_t k) const {
 }
 
 void NodeTrace::extend(std::span<const Vector3> pi_frames) {
-  const netlist::CsrSchedule& csr = circuit_->csr();
-  const auto pis = circuit_->primary_inputs();
-  const auto ffs = circuit_->flip_flops();
-
-  // Working values: constants, then the state the prefix ends in.
-  std::vector<V3> work(stride_, V3::X);
-  for (NodeId id = 0; id < stride_; ++id) {
-    if (csr.types[id] == GateType::Const0) work[id] = V3::Zero;
-    if (csr.types[id] == GateType::Const1) work[id] = V3::One;
-  }
-  const Vector3 st = state_at_start(length_);
-  for (std::size_t i = 0; i < ffs.size(); ++i) work[ffs[i]] = st[i];
-
-  vals_.reserve(vals_.size() + pi_frames.size() * stride_);
-  std::vector<V3> scratch;
-  std::vector<V3> next_state(ffs.size());
-  for (const Vector3& pi : pi_frames) {
-    assert(pi.size() == pis.size());
-    for (std::size_t i = 0; i < pis.size(); ++i) work[pis[i]] = pi[i];
-    for (const NodeId id : csr.order) {
-      scratch.clear();
-      for (const NodeId f : csr.fanins(id)) scratch.push_back(work[f]);
-      work[id] = eval_gate_scalar(csr.types[id], scratch);
-    }
-    // Record the frame *before* latching so FF ids hold the state read
-    // during this frame.
-    vals_.insert(vals_.end(), work.begin(), work.end());
-    ++length_;
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      next_state[i] = work[csr.fanins(ffs[i])[0]];
-    }
-    for (std::size_t i = 0; i < ffs.size(); ++i) work[ffs[i]] = next_state[i];
-  }
+  NodeTrace* const self = this;
+  extend_batch({&self, 1}, {&pi_frames, 1});
 }
 
 void NodeTrace::extend_batch(
@@ -84,10 +54,6 @@ void NodeTrace::extend_batch(
   assert(traces.size() == pi_frames.size());
   assert(traces.size() <= 64);
   if (traces.empty()) return;
-  if (traces.size() == 1) {
-    traces[0]->extend(pi_frames[0]);
-    return;
-  }
   const netlist::Circuit& c = *traces[0]->circuit_;
   const netlist::CsrSchedule& csr = c.csr();
   const auto pis = c.primary_inputs();
@@ -126,11 +92,7 @@ void NodeTrace::extend_batch(
       }
       work[pis[i]] = v;
     }
-    for (const NodeId id : csr.order) {
-      const std::span<const NodeId> fi = csr.fanins(id);
-      work[id] = eval_gate_at(csr.types[id], fi.size(),
-                              [&](std::size_t i) { return work[fi[i]]; });
-    }
+    eval_schedule<std::uint64_t>(csr, csr.order, work.data(), nullptr);
     // Record the frame *before* latching, one slot extraction per trace
     // still inside its own sequence.
     for (std::size_t k = 0; k < n; ++k) {

@@ -2,11 +2,11 @@
 //
 // A NodeTrace records the three-valued fault-free value of *every* node
 // at *every* time unit of a test (scan_in, seq), computed once with the
-// scalar CSR kernel and then shared read-only across fault groups and
-// worker threads.  The cone-restricted kernel (sim/cone_kernel.hpp)
-// seeds cone-boundary fanins from it instead of re-simulating the
-// out-of-cone logic 63 slots wide, and skips whole frames when no fault
-// effect is live.
+// packed CSR kernel (one trace per bit-slot, extend_batch) and then
+// shared read-only across fault groups and worker threads.  The
+// cone-restricted kernel (sim/cone_kernel.hpp) seeds cone-boundary
+// fanins from it instead of re-simulating the out-of-cone logic 63 slots
+// wide, and skips whole frames when no fault effect is live.
 //
 // Layout: value(t, id) is the value of node `id` after evaluating frame
 // t.  Flip-flop ids hold the state *read during* frame t (before the
@@ -68,8 +68,8 @@ class NodeTrace {
     return initial_state_;
   }
 
-  /// Simulates the given PI frames fault-free with the scalar CSR
-  /// kernel, appending one recorded frame each.
+  /// Simulates the given PI frames fault-free, appending one recorded
+  /// frame each (extend_batch over this trace alone).
   void extend(std::span<const Vector3> pi_frames);
 
   /// Extends up to 64 traces in one pattern-packed pass: trace k rides

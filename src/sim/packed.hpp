@@ -1,10 +1,11 @@
-// Bit-parallel three-valued logic: 64 independent simulation slots per
-// value.  Slot semantics are defined by the caller (the fault simulator
-// uses slot 0 as the fault-free machine and slots 1..63 as faulty
-// machines; the pattern-parallel combinational simulator uses slots as
-// independent input patterns).
-//
-// Encoding per slot mirrors sim/logic.hpp: (is0, is1) with X = (1,1).
+// The one-lane word's slot view: PackedV3 is WideV3<std::uint64_t>
+// (sim/wide.hpp), 64 independent three-valued simulation slots per value.
+// Slot semantics are defined by the caller (the fault simulator uses
+// slot 0 as the fault-free machine and slots 1..63 as faulty machines;
+// the fault-free trace builder uses slots as independent tests).  The
+// gate evaluator, injection primitive and detection word are the
+// word-generic ones of sim/wide.hpp; this header adds per-slot access
+// and the scalar reference evaluator.
 #pragma once
 
 #include <cstdint>
@@ -12,26 +13,21 @@
 
 #include "netlist/gate.hpp"
 #include "sim/logic.hpp"
+#include "sim/wide.hpp"
 
 namespace scanc::sim {
 
 /// 64 three-valued values, one per bit position.
-struct PackedV3 {
-  std::uint64_t is0 = 0;
-  std::uint64_t is1 = 0;
+using PackedV3 = WideV3<std::uint64_t>;
 
-  friend bool operator==(const PackedV3&, const PackedV3&) = default;
-};
-
-/// All slots = 0 / 1 / X.
-[[nodiscard]] constexpr PackedV3 packed_zero() noexcept { return {~0ULL, 0}; }
-[[nodiscard]] constexpr PackedV3 packed_one() noexcept { return {0, ~0ULL}; }
-[[nodiscard]] constexpr PackedV3 packed_x() noexcept { return {~0ULL, ~0ULL}; }
+[[nodiscard]] constexpr bool operator==(const PackedV3& a,
+                                        const PackedV3& b) noexcept {
+  return a.is0 == b.is0 && a.is1 == b.is1;
+}
 
 /// Broadcasts one scalar value to all 64 slots.
-[[nodiscard]] constexpr PackedV3 broadcast(V3 v) noexcept {
-  const auto bits = static_cast<std::uint8_t>(v);
-  return {(bits & 1) ? ~0ULL : 0ULL, (bits & 2) ? ~0ULL : 0ULL};
+[[nodiscard]] inline PackedV3 broadcast(V3 v) noexcept {
+  return wide_broadcast<std::uint64_t>(v);
 }
 
 /// Extracts the scalar value of one slot.
@@ -49,38 +45,6 @@ constexpr void set_slot(PackedV3& v, unsigned bit, V3 value) noexcept {
   v.is1 = (bits & 2) ? (v.is1 | mask) : (v.is1 & ~mask);
 }
 
-[[nodiscard]] constexpr PackedV3 p_not(PackedV3 a) noexcept {
-  return {a.is1, a.is0};
-}
-
-[[nodiscard]] constexpr PackedV3 p_and(PackedV3 a, PackedV3 b) noexcept {
-  return {a.is0 | b.is0, a.is1 & b.is1};
-}
-
-[[nodiscard]] constexpr PackedV3 p_or(PackedV3 a, PackedV3 b) noexcept {
-  return {a.is0 & b.is0, a.is1 | b.is1};
-}
-
-[[nodiscard]] constexpr PackedV3 p_xor(PackedV3 a, PackedV3 b) noexcept {
-  return {(a.is0 & b.is0) | (a.is1 & b.is1),
-          (a.is0 & b.is1) | (a.is1 & b.is0)};
-}
-
-/// Forces the slots selected by `mask` to the given stuck value, leaving
-/// other slots untouched.  This is the fault-injection primitive.
-[[nodiscard]] constexpr PackedV3 inject(PackedV3 v, std::uint64_t mask,
-                                        bool stuck_one) noexcept {
-  if (stuck_one) {
-    return {v.is0 & ~mask, v.is1 | mask};
-  }
-  return {v.is0 | mask, v.is1 & ~mask};
-}
-
-/// Slots whose value is binary (not X).
-[[nodiscard]] constexpr std::uint64_t binary_slots(PackedV3 v) noexcept {
-  return v.is0 ^ v.is1;
-}
-
 /// Slots whose three-valued code differs from slot 0's (slot 0 is the
 /// fault-free reference in the parallel-fault simulator).  Zero iff the
 /// word is slot-uniform.
@@ -96,81 +60,7 @@ constexpr void set_slot(PackedV3& v, unsigned bit, V3 value) noexcept {
 [[nodiscard]] constexpr std::uint64_t differs_from_reference(
     PackedV3 v, bool ref_one) noexcept {
   // Value is binary-0 while reference is 1, or binary-1 while ref is 0.
-  const std::uint64_t bin = binary_slots(v);
-  return bin & (ref_one ? v.is0 : v.is1);
-}
-
-/// Evaluates an n-ary gate over packed fanin values.
-/// `type` must be combinational; fanins must respect the gate's arity.
-[[nodiscard]] inline PackedV3 eval_gate(netlist::GateType type,
-                                        std::span<const PackedV3> in) noexcept {
-  using netlist::GateType;
-  switch (type) {
-    case GateType::Buf:
-      return in[0];
-    case GateType::Not:
-      return p_not(in[0]);
-    case GateType::And:
-    case GateType::Nand: {
-      PackedV3 acc = in[0];
-      for (std::size_t i = 1; i < in.size(); ++i) acc = p_and(acc, in[i]);
-      return type == GateType::Nand ? p_not(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      PackedV3 acc = in[0];
-      for (std::size_t i = 1; i < in.size(); ++i) acc = p_or(acc, in[i]);
-      return type == GateType::Nor ? p_not(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      PackedV3 acc = in[0];
-      for (std::size_t i = 1; i < in.size(); ++i) acc = p_xor(acc, in[i]);
-      return type == GateType::Xnor ? p_not(acc) : acc;
-    }
-    default:
-      // Sources are never evaluated from fanins.
-      return packed_x();
-  }
-}
-
-/// Evaluates an n-ary gate with fanin values produced by a callable
-/// (`at(i)` returns the PackedV3 read through fanin pin i).  This is the
-/// single gate-evaluation loop shared by the full and cone-restricted
-/// kernels: the callable absorbs the difference between plain array
-/// reads and reads with branch injections applied.
-template <class FaninAt>
-[[nodiscard]] inline PackedV3 eval_gate_at(netlist::GateType type,
-                                           std::size_t arity,
-                                           FaninAt&& at) noexcept {
-  using netlist::GateType;
-  switch (type) {
-    case GateType::Buf:
-      return at(0);
-    case GateType::Not:
-      return p_not(at(0));
-    case GateType::And:
-    case GateType::Nand: {
-      PackedV3 acc = at(0);
-      for (std::size_t i = 1; i < arity; ++i) acc = p_and(acc, at(i));
-      return type == GateType::Nand ? p_not(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      PackedV3 acc = at(0);
-      for (std::size_t i = 1; i < arity; ++i) acc = p_or(acc, at(i));
-      return type == GateType::Nor ? p_not(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      PackedV3 acc = at(0);
-      for (std::size_t i = 1; i < arity; ++i) acc = p_xor(acc, at(i));
-      return type == GateType::Xnor ? p_not(acc) : acc;
-    }
-    default:
-      // Sources are never evaluated from fanins.
-      return packed_x();
-  }
+  return (v.is0 ^ v.is1) & (ref_one ? v.is0 : v.is1);
 }
 
 /// Scalar gate evaluation over V3 fanins (reference model for tests).

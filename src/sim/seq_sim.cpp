@@ -9,121 +9,8 @@ using netlist::GateType;
 using netlist::Node;
 using netlist::NodeId;
 
-PackedSeqSim::PackedSeqSim(const Circuit& circuit)
-    : circuit_(&circuit),
-      values_(circuit.num_nodes(), packed_x()),
-      captured_(circuit.num_flip_flops(), packed_x()),
-      next_state_(circuit.num_flip_flops()) {}
-
-void PackedSeqSim::reset(const InjectionMap* inj) {
-  for (NodeId id = 0; id < values_.size(); ++id) {
-    const GateType t = circuit_->node(id).type;
-    PackedV3 v = packed_x();
-    if (t == GateType::Const0) v = packed_zero();
-    if (t == GateType::Const1) v = packed_one();
-    if (inj && inj->any(id) && netlist::is_source(t)) {
-      v = apply_stem(v, inj->at(id));
-    }
-    values_[id] = v;
-  }
-  for (auto& cap : captured_) cap = packed_x();
-}
-
-void PackedSeqSim::load_state(const Vector3& state, const InjectionMap* inj) {
-  const auto ffs = circuit_->flip_flops();
-  assert(state.size() == ffs.size());
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    PackedV3 v = broadcast(state[i]);
-    captured_[i] = v;  // scan-in stores the clean value
-    if (inj && inj->any(ffs[i])) v = apply_stem(v, inj->at(ffs[i]));
-    values_[ffs[i]] = v;  // the logic reads through the (possibly stuck) Q
-  }
-}
-
-void PackedSeqSim::apply_frame(const Vector3& pi, const InjectionMap* inj) {
-  const auto pis = circuit_->primary_inputs();
-  assert(pi.size() == pis.size());
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    PackedV3 v = broadcast(pi[i]);
-    if (inj && inj->any(pis[i])) v = apply_stem(v, inj->at(pis[i]));
-    values_[pis[i]] = v;
-  }
-
-  // Level-major CSR schedule: flat offset/id arrays, no per-Node vector
-  // chasing on the inner loop.
-  const netlist::CsrSchedule& csr = circuit_->csr();
-  const PackedV3* vals = values_.data();
-  for (const NodeId id : csr.order) {
-    const std::span<const NodeId> fi = csr.fanins(id);
-    PackedV3 out;
-    if (inj == nullptr || !inj->any(id)) {
-      // Fast path: no injections touch this gate.
-      out = eval_gate_at(csr.types[id], fi.size(),
-                         [&](std::size_t i) { return vals[fi[i]]; });
-    } else {
-      // Slow path: gather fanins with branch injections, then apply the
-      // stem injections to the computed output.
-      const std::span<const Injection> injs = inj->at(id);
-      out = eval_gate_at(csr.types[id], fi.size(), [&](std::size_t i) {
-        return apply_pin(vals[fi[i]], static_cast<int>(i), injs);
-      });
-      out = apply_stem(out, injs);
-    }
-    values_[id] = out;
-  }
-}
-
-void PackedSeqSim::latch(const InjectionMap* inj) {
-  const netlist::CsrSchedule& csr = circuit_->csr();
-  const auto ffs = circuit_->flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    PackedV3 v = values_[csr.fanins(ffs[i])[0]];
-    if (inj && inj->any(ffs[i])) {
-      // Branch fault on the D input corrupts the captured value itself.
-      v = apply_pin(v, 0, inj->at(ffs[i]));
-    }
-    next_state_[i] = v;
-  }
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    captured_[i] = next_state_[i];
-    PackedV3 v = next_state_[i];
-    if (inj && inj->any(ffs[i])) {
-      // Stem fault on Q corrupts only what the logic reads next frame.
-      v = apply_stem(v, inj->at(ffs[i]));
-    }
-    values_[ffs[i]] = v;
-  }
-}
-
-void PackedSeqSim::get_ff_values(std::span<PackedV3> out) const {
-  const auto ffs = circuit_->flip_flops();
-  assert(out.size() == ffs.size());
-  for (std::size_t i = 0; i < ffs.size(); ++i) out[i] = values_[ffs[i]];
-}
-
-void PackedSeqSim::set_ff_values(std::span<const PackedV3> vals) {
-  const auto ffs = circuit_->flip_flops();
-  assert(vals.size() == ffs.size());
-  for (std::size_t i = 0; i < ffs.size(); ++i) values_[ffs[i]] = vals[i];
-}
-
-Vector3 PackedSeqSim::state_slot(unsigned slot_bit) const {
-  const auto ffs = circuit_->flip_flops();
-  Vector3 s(ffs.size(), V3::X);
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    s[i] = slot(values_[ffs[i]], slot_bit);
-  }
-  return s;
-}
-
-Vector3 PackedSeqSim::outputs_slot(unsigned slot_bit) const {
-  const auto pos = circuit_->primary_outputs();
-  Vector3 s(pos.size(), V3::X);
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    s[i] = slot(values_[pos[i]], slot_bit);
-  }
-  return s;
-}
+// The one-lane simulator, compiled once at the baseline target flags.
+template class SeqSim<std::uint64_t>;
 
 Trace simulate_fault_free(const Circuit& c, const Vector3* scan_in,
                           const Sequence& seq) {

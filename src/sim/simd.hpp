@@ -15,8 +15,9 @@
 
 namespace scanc::sim {
 
-/// User-facing lane-width request.  W64 = the classic single-word
-/// kernels (no wide engine at all); Auto = widest profitable lane.
+/// User-facing lane-width request.  W64 = the one-lane word alone
+/// (SeqSim<std::uint64_t>, no batch engine); Auto = widest profitable
+/// lane.
 enum class LaneWidth { Auto, W64, W256, W512 };
 
 /// Which implementation executes a wide pass.

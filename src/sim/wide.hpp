@@ -1,9 +1,15 @@
-// SIMD-widened bit-parallel three-valued logic.
+// Bit-parallel three-valued logic over words of independent 64-bit lanes.
 //
-// A wide word is NW independent 64-bit lanes.  Each lane keeps the
-// packed.hpp slot convention (the fault simulator's slot 0 = lane-local
-// fault-free reference, slots 1..63 = faulty machines), so one wide pass
-// simulates NW *independent* 64-slot simulations at once.  The two uses:
+// A word W is kWordLanes<W> independent 64-bit lanes of 64 simulation
+// slots each; a WideV3<W> holds one three-valued value per slot with the
+// (is0, is1) encoding of sim/logic.hpp (X = (1,1)).  Slot semantics are
+// the caller's: the fault simulator uses slot 0 of every lane as that
+// lane's fault-free reference and slots 1..63 as faulty machines.
+//
+// The plain std::uint64_t is the one-lane word (PackedV3 =
+// WideV3<std::uint64_t>, sim/packed.hpp): the 64-slot simulator every
+// scalar pass runs on.  The wider words let one pass simulate NW
+// independent 64-slot simulations at once:
 //
 //   pattern-parallel (PPSFP)  — lanes carry different scan tests with
 //                               the same fault group replicated per lane
@@ -12,12 +18,14 @@
 //                               the same test (broadcast stimulus,
 //                               per-lane injection masks).
 //
-// Because every operation here is lane-wise (no bit ever crosses a
-// 64-bit lane boundary), each lane evolves exactly as a PackedV3 pass
-// over the same inputs would — the bit-identity contract the check/
-// differ enforces.
+// Every operation here is lane-wise (no bit ever crosses a 64-bit lane
+// boundary), so each lane evolves exactly as the one-lane word would over
+// the same inputs — the bit-identity contract the check/ differ enforces.
 //
-// Word types:
+// Word types and their primitive set — zero<W>(), splat<W>(x),
+// lane(w, i), set_lane(w, i, x), any(w), bcast_bit0(w) and the bitwise
+// operators:
+//   std::uint64_t — one lane, the baseline word;
 //   WideWord<NW>  — portable uint64_t[NW]; plain loops the compiler
 //                   autovectorizes (and the SCANC_FORCE_SCALAR_WIDE
 //                   fallback proves bit-identical on any hardware);
@@ -25,11 +33,10 @@
 //                   with -mavx2;
 //   Avx512Word    — one __m512i (8 lanes), compiled only in TUs built
 //                   with -mavx512f.
-// Runtime dispatch between them lives in sim/simd.hpp.
+// Runtime dispatch between the multi-lane words lives in sim/simd.hpp.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 
 #include "netlist/gate.hpp"
 #include "sim/logic.hpp"
@@ -40,33 +47,59 @@
 
 namespace scanc::sim {
 
-/// Portable wide word: NW independent 64-bit lanes.
+// --- word primitives; the one-lane word is std::uint64_t -------------------
+
+/// Number of 64-bit lanes of word type W.
+template <class W>
+inline constexpr std::size_t kWordLanes = W::kLanes;
+template <>
+inline constexpr std::size_t kWordLanes<std::uint64_t> = 1;
+
+/// Every lane = x.  The primary template serves the portable
+/// WideWord<NW>; every other word specializes it.
+template <class W>
+[[nodiscard]] inline W splat(std::uint64_t x) noexcept {
+  W r;
+  for (std::uint64_t& v : r.w) v = x;
+  return r;
+}
+template <>
+[[nodiscard]] inline std::uint64_t splat<std::uint64_t>(
+    std::uint64_t x) noexcept {
+  return x;
+}
+
+/// All lanes zero.
+template <class W>
+[[nodiscard]] inline W zero() noexcept {
+  return splat<W>(0);
+}
+
+/// Lane i's 64 bits.
+[[nodiscard]] constexpr std::uint64_t lane(std::uint64_t w,
+                                           std::size_t /*i*/) noexcept {
+  return w;
+}
+constexpr void set_lane(std::uint64_t& w, std::size_t /*i*/,
+                        std::uint64_t x) noexcept {
+  w = x;
+}
+/// True when any bit of any lane is set.
+[[nodiscard]] constexpr bool any(std::uint64_t w) noexcept { return w != 0; }
+/// Per lane: all-ones when the lane's bit 0 is set, else all-zeros
+/// (broadcasts each lane's reference-slot bit across the lane).
+[[nodiscard]] constexpr std::uint64_t bcast_bit0(std::uint64_t w) noexcept {
+  return 0 - (w & 1);
+}
+
+// --- portable wide word ----------------------------------------------------
+
+/// NW independent 64-bit lanes in plain arrays.
 template <std::size_t NW>
 struct WideWord {
   static constexpr std::size_t kLanes = NW;
 
   std::uint64_t w[NW];
-
-  [[nodiscard]] static WideWord zero() noexcept {
-    WideWord r;
-    for (std::size_t i = 0; i < NW; ++i) r.w[i] = 0;
-    return r;
-  }
-  [[nodiscard]] static WideWord splat(std::uint64_t v) noexcept {
-    WideWord r;
-    for (std::size_t i = 0; i < NW; ++i) r.w[i] = v;
-    return r;
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const noexcept {
-    return w[i];
-  }
-  void set_lane(std::size_t i, std::uint64_t v) noexcept { w[i] = v; }
-
-  [[nodiscard]] bool any() const noexcept {
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < NW; ++i) acc |= w[i];
-    return acc != 0;
-  }
 
   friend WideWord operator&(WideWord a, WideWord b) noexcept {
     for (std::size_t i = 0; i < NW; ++i) a.w[i] &= b.w[i];
@@ -84,45 +117,38 @@ struct WideWord {
     for (std::size_t i = 0; i < NW; ++i) a.w[i] = ~a.w[i];
     return a;
   }
-
-  /// Per lane: all-ones when the lane's bit 0 is set, else all-zeros
-  /// (broadcasts each lane's reference-slot bit across the lane).
-  [[nodiscard]] static WideWord bcast_bit0(WideWord a) noexcept {
-    for (std::size_t i = 0; i < NW; ++i) {
-      a.w[i] = static_cast<std::uint64_t>(
-          -static_cast<std::int64_t>(a.w[i] & 1));
-    }
-    return a;
-  }
 };
 
+template <std::size_t NW>
+[[nodiscard]] inline std::uint64_t lane(const WideWord<NW>& a,
+                                        std::size_t i) noexcept {
+  return a.w[i];
+}
+template <std::size_t NW>
+inline void set_lane(WideWord<NW>& a, std::size_t i,
+                     std::uint64_t x) noexcept {
+  a.w[i] = x;
+}
+template <std::size_t NW>
+[[nodiscard]] inline bool any(const WideWord<NW>& a) noexcept {
+  std::uint64_t acc = 0;
+  for (const std::uint64_t v : a.w) acc |= v;
+  return acc != 0;
+}
+template <std::size_t NW>
+[[nodiscard]] inline WideWord<NW> bcast_bit0(WideWord<NW> a) noexcept {
+  for (std::uint64_t& v : a.w) v = bcast_bit0(v);
+  return a;
+}
+
 #if defined(__AVX2__)
-/// 4 lanes in one __m256i.  Only visible to TUs compiled with -mavx2.
+// --- AVX2 word (only visible to TUs compiled with -mavx2) ------------------
+
+/// 4 lanes in one __m256i.
 struct Avx2Word {
   static constexpr std::size_t kLanes = 4;
 
   __m256i v;
-
-  [[nodiscard]] static Avx2Word zero() noexcept {
-    return {_mm256_setzero_si256()};
-  }
-  [[nodiscard]] static Avx2Word splat(std::uint64_t x) noexcept {
-    return {_mm256_set1_epi64x(static_cast<long long>(x))};
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const noexcept {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    return tmp[i];
-  }
-  void set_lane(std::size_t i, std::uint64_t x) noexcept {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    tmp[i] = x;
-    v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-  }
-  [[nodiscard]] bool any() const noexcept {
-    return _mm256_testz_si256(v, v) == 0;
-  }
 
   friend Avx2Word operator&(Avx2Word a, Avx2Word b) noexcept {
     return {_mm256_and_si256(a.v, b.v)};
@@ -136,41 +162,42 @@ struct Avx2Word {
   friend Avx2Word operator~(Avx2Word a) noexcept {
     return {_mm256_xor_si256(a.v, _mm256_set1_epi64x(-1))};
   }
-  [[nodiscard]] static Avx2Word bcast_bit0(Avx2Word a) noexcept {
-    // -(x & 1) per 64-bit lane: all-ones iff the lane's bit 0 is set.
-    const __m256i low = _mm256_and_si256(a.v, _mm256_set1_epi64x(1));
-    return {_mm256_sub_epi64(_mm256_setzero_si256(), low)};
-  }
 };
+
+template <>
+[[nodiscard]] inline Avx2Word splat<Avx2Word>(std::uint64_t x) noexcept {
+  return {_mm256_set1_epi64x(static_cast<long long>(x))};
+}
+[[nodiscard]] inline std::uint64_t lane(const Avx2Word& a,
+                                        std::size_t i) noexcept {
+  alignas(32) std::uint64_t tmp[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), a.v);
+  return tmp[i];
+}
+inline void set_lane(Avx2Word& a, std::size_t i, std::uint64_t x) noexcept {
+  alignas(32) std::uint64_t tmp[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), a.v);
+  tmp[i] = x;
+  a.v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
+}
+[[nodiscard]] inline bool any(const Avx2Word& a) noexcept {
+  return _mm256_testz_si256(a.v, a.v) == 0;
+}
+[[nodiscard]] inline Avx2Word bcast_bit0(Avx2Word a) noexcept {
+  // -(x & 1) per 64-bit lane: all-ones iff the lane's bit 0 is set.
+  const __m256i low = _mm256_and_si256(a.v, _mm256_set1_epi64x(1));
+  return {_mm256_sub_epi64(_mm256_setzero_si256(), low)};
+}
 #endif  // __AVX2__
 
 #if defined(__AVX512F__)
-/// 8 lanes in one __m512i.  Only visible to TUs compiled with -mavx512f.
+// --- AVX-512 word (only visible to TUs compiled with -mavx512f) ------------
+
+/// 8 lanes in one __m512i.
 struct Avx512Word {
   static constexpr std::size_t kLanes = 8;
 
   __m512i v;
-
-  [[nodiscard]] static Avx512Word zero() noexcept {
-    return {_mm512_setzero_si512()};
-  }
-  [[nodiscard]] static Avx512Word splat(std::uint64_t x) noexcept {
-    return {_mm512_set1_epi64(static_cast<long long>(x))};
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const noexcept {
-    alignas(64) std::uint64_t tmp[8];
-    _mm512_store_si512(tmp, v);
-    return tmp[i];
-  }
-  void set_lane(std::size_t i, std::uint64_t x) noexcept {
-    alignas(64) std::uint64_t tmp[8];
-    _mm512_store_si512(tmp, v);
-    tmp[i] = x;
-    v = _mm512_load_si512(tmp);
-  }
-  [[nodiscard]] bool any() const noexcept {
-    return _mm512_test_epi64_mask(v, v) != 0;
-  }
 
   friend Avx512Word operator&(Avx512Word a, Avx512Word b) noexcept {
     return {_mm512_and_si512(a.v, b.v)};
@@ -184,30 +211,57 @@ struct Avx512Word {
   friend Avx512Word operator~(Avx512Word a) noexcept {
     return {_mm512_xor_si512(a.v, _mm512_set1_epi64(-1))};
   }
-  [[nodiscard]] static Avx512Word bcast_bit0(Avx512Word a) noexcept {
-    const __m512i low = _mm512_and_si512(a.v, _mm512_set1_epi64(1));
-    return {_mm512_sub_epi64(_mm512_setzero_si512(), low)};
-  }
 };
+
+template <>
+[[nodiscard]] inline Avx512Word splat<Avx512Word>(std::uint64_t x) noexcept {
+  return {_mm512_set1_epi64(static_cast<long long>(x))};
+}
+[[nodiscard]] inline std::uint64_t lane(const Avx512Word& a,
+                                        std::size_t i) noexcept {
+  alignas(64) std::uint64_t tmp[8];
+  _mm512_store_si512(tmp, a.v);
+  return tmp[i];
+}
+inline void set_lane(Avx512Word& a, std::size_t i, std::uint64_t x) noexcept {
+  alignas(64) std::uint64_t tmp[8];
+  _mm512_store_si512(tmp, a.v);
+  tmp[i] = x;
+  a.v = _mm512_load_si512(tmp);
+}
+[[nodiscard]] inline bool any(const Avx512Word& a) noexcept {
+  return _mm512_test_epi64_mask(a.v, a.v) != 0;
+}
+[[nodiscard]] inline Avx512Word bcast_bit0(Avx512Word a) noexcept {
+  const __m512i low = _mm512_and_si512(a.v, _mm512_set1_epi64(1));
+  return {_mm512_sub_epi64(_mm512_setzero_si512(), low)};
+}
 #endif  // __AVX512F__
 
-/// NW lanes of 64 three-valued slots each; the wide mirror of PackedV3.
+// --- three-valued words ----------------------------------------------------
+
+/// One three-valued value per slot of every lane of W.
 template <class W>
 struct WideV3 {
-  W is0, is1;
+  W is0{};
+  W is1{};
 };
 
+/// Every slot of every lane = v.
 template <class W>
-[[nodiscard]] inline WideV3<W> wide_zero() noexcept {
-  return {~W::zero(), W::zero()};
+[[nodiscard]] inline WideV3<W> wide_broadcast(V3 v) noexcept {
+  const auto bits = static_cast<std::uint8_t>(v);
+  return {splat<W>((bits & 1) ? ~0ULL : 0ULL),
+          splat<W>((bits & 2) ? ~0ULL : 0ULL)};
 }
+
+/// Writes the 64-slot broadcast of a scalar value into one lane.
 template <class W>
-[[nodiscard]] inline WideV3<W> wide_one() noexcept {
-  return {W::zero(), ~W::zero()};
-}
-template <class W>
-[[nodiscard]] inline WideV3<W> wide_x() noexcept {
-  return {~W::zero(), ~W::zero()};
+inline void set_lane_broadcast(WideV3<W>& v, std::size_t l,
+                               V3 value) noexcept {
+  const auto bits = static_cast<std::uint8_t>(value);
+  set_lane(v.is0, l, (bits & 1) ? ~0ULL : 0ULL);
+  set_lane(v.is1, l, (bits & 2) ? ~0ULL : 0ULL);
 }
 
 template <class W>
@@ -229,7 +283,8 @@ template <class W>
 }
 
 /// Forces the slots selected by `mask` (per-lane 64-bit masks) to the
-/// stuck value — the wide fault-injection primitive.
+/// stuck value, leaving other slots untouched — the fault-injection
+/// primitive.
 template <class W>
 [[nodiscard]] inline WideV3<W> w_inject(WideV3<W> v, W mask,
                                         bool stuck_one) noexcept {
@@ -237,31 +292,24 @@ template <class W>
   return {v.is0 | mask, v.is1 & ~mask};
 }
 
-/// Writes the 64-slot broadcast of a scalar value into one lane.
-template <class W>
-inline void set_lane_broadcast(WideV3<W>& v, std::size_t lane,
-                               V3 value) noexcept {
-  const auto bits = static_cast<std::uint8_t>(value);
-  v.is0.set_lane(lane, (bits & 1) ? ~0ULL : 0ULL);
-  v.is1.set_lane(lane, (bits & 2) ? ~0ULL : 0ULL);
-}
-
 /// Per-lane detection mask: slots holding a binary value that differs
 /// from the lane's binary slot-0 reference, slot 0 cleared.  Lanes whose
 /// reference slot is X contribute nothing (conservative 3-valued
-/// detection, exactly as differs_from_reference per lane).
+/// detection: an X never counts as a detection).
 template <class W>
 [[nodiscard]] inline W wide_detections(const WideV3<W>& v) noexcept {
-  const W bin = v.is0 ^ v.is1;           // slots with a binary value
-  const W r0 = W::bcast_bit0(v.is0);     // lane reference can be 0
-  const W r1 = W::bcast_bit0(v.is1);     // lane reference can be 1
-  const W refbin = r0 ^ r1;              // lane reference is binary
-  return bin & refbin & ((r1 & v.is0) | (r0 & v.is1)) & W::splat(~1ULL);
+  const W bin = v.is0 ^ v.is1;         // slots with a binary value
+  const W r0 = bcast_bit0(v.is0);      // lane reference can be 0
+  const W r1 = bcast_bit0(v.is1);      // lane reference can be 1
+  const W refbin = r0 ^ r1;            // lane reference is binary
+  return bin & refbin & ((r1 & v.is0) | (r0 & v.is1)) & splat<W>(~1ULL);
 }
 
-/// Evaluates an n-ary gate over wide fanin values produced by a callable
-/// (`at(i)` returns the WideV3 read through fanin pin i) — the wide
-/// mirror of eval_gate_at.
+/// Evaluates an n-ary gate over fanin values produced by a callable
+/// (`at(i)` returns the WideV3 read through fanin pin i).  This is the
+/// single gate-evaluation loop of every kernel and width: the callable
+/// absorbs the difference between plain array reads and reads with
+/// branch injections applied.  `type` must be combinational.
 template <class W, class FaninAt>
 [[nodiscard]] inline WideV3<W> wide_eval_gate_at(netlist::GateType type,
                                                  std::size_t arity,
@@ -292,7 +340,7 @@ template <class W, class FaninAt>
     }
     default:
       // Sources are never evaluated from fanins.
-      return wide_x<W>();
+      return wide_broadcast<W>(V3::X);
   }
 }
 

@@ -281,6 +281,80 @@ TEST(CancelSim, MidQueryConsistencyCancellationIsConservative) {
   }
 }
 
+// The wide fault-parallel plan (Full kernel, wide lanes, >= 2 fault
+// groups) honours the same token: pending chunks are skipped and
+// in-flight passes stop at their next frame.  s27 has a single group, so
+// these cases run on s298.
+
+struct WideSimFixture {
+  explicit WideSimFixture(sim::LaneWidth width)
+      : circuit(gen::build_suite_circuit(*gen::find_suite_entry("s298"))),
+        faults(fault::FaultList::build(circuit)),
+        fsim(circuit, faults) {
+    fsim.set_kernel(fault::KernelMode::Full);
+    fsim.set_lane_width(width);
+  }
+  netlist::Circuit circuit;
+  fault::FaultList faults;
+  fault::FaultSimulator fsim;
+};
+
+void check_wide_raised_token(sim::LaneWidth width) {
+  WideSimFixture fx(width);
+  ASSERT_GE(fault::num_groups(fx.fsim.num_classes()), 2u);
+  const sim::Sequence seq =
+      tgen::random_test_sequence(fx.circuit, 64, /*seed=*/7);
+  const sim::Vector3 si(fx.circuit.num_flip_flops());
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
+  const fault::FaultSet det = fx.fsim.detect_scan_test(si, seq);
+  ASSERT_GT(obs::value(obs::Counter::WideFpPasses), passes);  // wide plan
+  ASSERT_GT(det.count(), 0u);
+  ASSERT_TRUE(fx.fsim.detects_all(si, seq, det));
+  const auto token = util::CancelToken::make();
+  token.request_stop();
+  fx.fsim.set_cancel(token);
+  EXPECT_FALSE(fx.fsim.detects_all(si, seq, det));
+  EXPECT_EQ(fx.fsim.detect_scan_test(si, seq).count(), 0u);
+  fx.fsim.set_cancel({});
+}
+
+void check_wide_mid_query_cancel(sim::LaneWidth width) {
+  WideSimFixture fx(width);
+  fx.fsim.set_num_threads(2);
+  ASSERT_GE(fault::num_groups(fx.fsim.num_classes()), 2u);
+  const sim::Sequence seq =
+      tgen::random_test_sequence(fx.circuit, 512, /*seed=*/11);
+  const sim::Vector3 si(fx.circuit.num_flip_flops());
+  const fault::FaultSet full = fx.fsim.detect_scan_test(si, seq);
+  for (int round = 0; round < 8; ++round) {
+    const auto token = util::CancelToken::make();
+    fx.fsim.set_cancel(token);
+    std::thread raiser([&token] { token.request_stop(); });
+    const fault::FaultSet det = fx.fsim.detect_scan_test(si, seq);
+    raiser.join();
+    fault::FaultSet extra = det;
+    extra -= full;
+    EXPECT_TRUE(extra.none()) << "round " << round;
+  }
+  fx.fsim.set_cancel({});
+}
+
+TEST(CancelSimWide, RaisedTokenMakesDetectsAllFalseW256) {
+  check_wide_raised_token(sim::LaneWidth::W256);
+}
+
+TEST(CancelSimWide, RaisedTokenMakesDetectsAllFalseW512) {
+  check_wide_raised_token(sim::LaneWidth::W512);
+}
+
+TEST(CancelSimWide, MidQueryCancellationKeepsSubsetW256) {
+  check_wide_mid_query_cancel(sim::LaneWidth::W256);
+}
+
+TEST(CancelSimWide, MidQueryCancellationKeepsSubsetW512) {
+  check_wide_mid_query_cancel(sim::LaneWidth::W512);
+}
+
 TEST(CancelSim, PipelineStopsAtIterateWithValidEmptyResult) {
   SimFixture fx;
   atpg::CombTestSetOptions copt;

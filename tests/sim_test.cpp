@@ -99,10 +99,10 @@ TEST(Packed, SlotwiseAgreementWithScalarOps) {
       ++s;
     }
   }
-  const PackedV3 pand = p_and(pa, pb);
-  const PackedV3 por = p_or(pa, pb);
-  const PackedV3 pxor = p_xor(pa, pb);
-  const PackedV3 pnot = p_not(pa);
+  const PackedV3 pand = w_and(pa, pb);
+  const PackedV3 por = w_or(pa, pb);
+  const PackedV3 pxor = w_xor(pa, pb);
+  const PackedV3 pnot = w_not(pa);
   for (int i = 0; i < 9; ++i) {
     EXPECT_EQ(slot(pand, i), v3_and(a_vals[i], b_vals[i])) << i;
     EXPECT_EQ(slot(por, i), v3_or(a_vals[i], b_vals[i])) << i;
@@ -122,14 +122,14 @@ TEST(Packed, BroadcastFillsAllSlots) {
 
 TEST(Packed, InjectForcesOnlyMaskedSlots) {
   PackedV3 v = broadcast(V3::Zero);
-  v = inject(v, 0b1010, /*stuck_one=*/true);
+  v = w_inject(v, std::uint64_t{0b1010}, /*stuck_one=*/true);
   EXPECT_EQ(slot(v, 0), V3::Zero);
   EXPECT_EQ(slot(v, 1), V3::One);
   EXPECT_EQ(slot(v, 2), V3::Zero);
   EXPECT_EQ(slot(v, 3), V3::One);
 
   PackedV3 x = broadcast(V3::X);
-  x = inject(x, 0b1, /*stuck_one=*/false);
+  x = w_inject(x, std::uint64_t{0b1}, /*stuck_one=*/false);
   EXPECT_EQ(slot(x, 0), V3::Zero);
   EXPECT_EQ(slot(x, 1), V3::X);
 }
@@ -295,16 +295,16 @@ TEST(Sequence, RandomVectorIsFullySpecified) {
 using W4 = WideWord<4>;
 
 WideV3<W4> wide_from_lanes(const std::array<PackedV3, 4>& lanes) {
-  WideV3<W4> v{W4::zero(), W4::zero()};
+  WideV3<W4> v{zero<W4>(), zero<W4>()};
   for (std::size_t i = 0; i < 4; ++i) {
-    v.is0.set_lane(i, lanes[i].is0);
-    v.is1.set_lane(i, lanes[i].is1);
+    set_lane(v.is0, i, lanes[i].is0);
+    set_lane(v.is1, i, lanes[i].is1);
   }
   return v;
 }
 
 PackedV3 lane_of(const WideV3<W4>& v, std::size_t i) {
-  return {v.is0.lane(i), v.is1.lane(i)};
+  return {lane(v.is0, i), lane(v.is1, i)};
 }
 
 std::array<PackedV3, 4> random_lanes(util::Rng& rng) {
@@ -331,10 +331,10 @@ TEST(WideWord, LanewiseOpsMatchPacked) {
     const WideV3<W4> w_xor_v = w_xor(a, b);
     const WideV3<W4> w_not_v = w_not(a);
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(lane_of(w_and_v, i), p_and(la[i], lb[i])) << "lane " << i;
-      EXPECT_EQ(lane_of(w_or_v, i), p_or(la[i], lb[i])) << "lane " << i;
-      EXPECT_EQ(lane_of(w_xor_v, i), p_xor(la[i], lb[i])) << "lane " << i;
-      EXPECT_EQ(lane_of(w_not_v, i), p_not(la[i])) << "lane " << i;
+      EXPECT_EQ(lane_of(w_and_v, i), w_and(la[i], lb[i])) << "lane " << i;
+      EXPECT_EQ(lane_of(w_or_v, i), w_or(la[i], lb[i])) << "lane " << i;
+      EXPECT_EQ(lane_of(w_xor_v, i), w_xor(la[i], lb[i])) << "lane " << i;
+      EXPECT_EQ(lane_of(w_not_v, i), w_not(la[i])) << "lane " << i;
     }
   }
 }
@@ -344,16 +344,16 @@ TEST(WideWord, InjectMatchesPackedPerLane) {
   for (int round = 0; round < 50; ++round) {
     const auto la = random_lanes(rng);
     const WideV3<W4> a = wide_from_lanes(la);
-    W4 mask = W4::zero();
+    W4 mask = zero<W4>();
     std::array<std::uint64_t, 4> masks;
     for (std::size_t i = 0; i < 4; ++i) {
       masks[i] = rng.next();
-      mask.set_lane(i, masks[i]);
+      set_lane(mask, i, masks[i]);
     }
     for (const bool stuck_one : {false, true}) {
       const WideV3<W4> got = w_inject(a, mask, stuck_one);
       for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(lane_of(got, i), inject(la[i], masks[i], stuck_one))
+        EXPECT_EQ(lane_of(got, i), w_inject(la[i], masks[i], stuck_one))
             << "lane " << i << " stuck_one=" << stuck_one;
       }
     }
@@ -377,7 +377,7 @@ TEST(WideWord, DetectionsMatchScalarRule) {
           is_binary(ref)
               ? (differs_from_reference(la[i], ref == V3::One) & ~1ULL)
               : 0ULL;
-      EXPECT_EQ(got.lane(i), want) << "lane " << i << " round " << round;
+      EXPECT_EQ(lane(got, i), want) << "lane " << i << " round " << round;
     }
   }
 }
@@ -400,7 +400,7 @@ TEST(WideWord, EvalGateMatchesPackedPerLane) {
       const WideV3<W4> got = wide_eval_gate_at<W4>(
           type, arity, [&](std::size_t k) { return fanin_wide[k]; });
       for (std::size_t i = 0; i < 4; ++i) {
-        const PackedV3 want = eval_gate_at(
+        const PackedV3 want = wide_eval_gate_at<std::uint64_t>(
             type, arity, [&](std::size_t k) { return fanin_lanes[k][i]; });
         EXPECT_EQ(lane_of(got, i), want)
             << "gate " << static_cast<int>(type) << " lane " << i;
@@ -410,17 +410,17 @@ TEST(WideWord, EvalGateMatchesPackedPerLane) {
 }
 
 TEST(WideWord, Bcast0AndAny) {
-  W4 v = W4::zero();
-  EXPECT_FALSE(v.any());
-  v.set_lane(2, 0x8000000000000001ULL);
-  EXPECT_TRUE(v.any());
-  const W4 b = W4::bcast_bit0(v);
-  EXPECT_EQ(b.lane(0), 0ULL);
-  EXPECT_EQ(b.lane(1), 0ULL);
-  EXPECT_EQ(b.lane(2), ~0ULL);  // bit 0 set -> lane saturates
-  EXPECT_EQ(b.lane(3), 0ULL);
-  const W4 s = W4::splat(0xdeadbeefULL);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(s.lane(i), 0xdeadbeefULL);
+  W4 v = zero<W4>();
+  EXPECT_FALSE(any(v));
+  set_lane(v, 2, 0x8000000000000001ULL);
+  EXPECT_TRUE(any(v));
+  const W4 b = bcast_bit0(v);
+  EXPECT_EQ(lane(b, 0), 0ULL);
+  EXPECT_EQ(lane(b, 1), 0ULL);
+  EXPECT_EQ(lane(b, 2), ~0ULL);  // bit 0 set -> lane saturates
+  EXPECT_EQ(lane(b, 3), 0ULL);
+  const W4 s = splat<W4>(0xdeadbeefULL);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(lane(s, i), 0xdeadbeefULL);
 }
 
 }  // namespace
