@@ -7,19 +7,22 @@
 // ISCAS-89 and from random-pattern selection for ITC-99; this module
 // provides both sources:
 //
-//   generate_comb_test_set        — deterministic PODEM with fault
-//                                   dropping, then reverse-order static
-//                                   compaction (the [9] substitute), and
+//   generate_comb_test_set        — deterministic PODEM (or the SAT
+//                                   backend, docs/atpg.md) with fault
+//                                   dropping, then static compaction
+//                                   (the [9] substitute), and
 //   generate_random_comb_test_set — greedy selection out of a large
 //                                   random-pattern pool, then the same
-//                                   reverse-order compaction.
+//                                   static compaction.
+//
+// Static compaction is a greedy set cover over the tests' detection
+// sets followed by a reverse-order redundancy drop.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "atpg/dalg.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/sat_backend.hpp"
 #include "fault/fault_sim.hpp"
@@ -46,55 +49,26 @@ struct CombTestSet {
   std::size_t proven_untestable = 0;  ///< search exhausted: no test exists
   std::size_t aborted = 0;        ///< ATPG hit its backtrack/conflict limit
 
-  /// Classes detectable as far as this generation run could prove:
-  /// detected plus aborted (unresolved) classes, i.e. everything not
-  /// proven untestable.
+  /// Number of tests in the set (|C|).
   [[nodiscard]] std::size_t num_tests() const noexcept {
     return tests.size();
   }
 };
 
-/// Static compaction applied to the generated set.
-enum class TestSetCompaction : std::uint8_t {
-  None,
-  ReverseOrder,  ///< classic reverse-order redundancy drop
-  GreedyCover,   ///< greedy set cover over per-test detection sets, then
-                 ///< a reverse-order polish (default; smallest sets)
-};
-
-/// Which ATPG engine generates the test cubes.
-enum class AtpgEngine : std::uint8_t { Podem, Dalg };
-
 /// Options for test-set generation.
 struct CombTestSetOptions {
   std::uint64_t seed = 1;           ///< random fill / pattern pool seed
-  AtpgEngine engine = AtpgEngine::Podem;
   PodemOptions podem;               ///< PODEM search bounds
-  DalgOptions dalg;                 ///< D-algorithm search bounds
-  /// Backend selection (docs/atpg.md): Podem runs `engine` alone; Sat
-  /// sends every target straight to the SAT backend; Auto runs `engine`
+  /// Backend selection (docs/atpg.md): Podem runs PODEM alone; Sat
+  /// sends every target straight to the SAT backend; Auto runs PODEM
   /// first and falls back to SAT only for targets it aborts on, so
   /// every fault ends the run Detected or proven Untestable (up to the
   /// SAT conflict limit).
   AtpgBackend backend = AtpgBackend::Podem;
   /// SAT backend bounds.  `sat.scan_mask` and `sat.cancel` are
-  /// overridden with `podem.scan_mask` and `cancel` below so all
-  /// engines see one scan configuration and one cancellation signal.
+  /// overridden with `podem.scan_mask` and `cancel` below so both
+  /// backends see one scan configuration and one cancellation signal.
   SatBackendOptions sat;
-  TestSetCompaction compaction = TestSetCompaction::GreedyCover;
-  std::size_t random_pool = 4096;   ///< pool size for the random source
-  /// N-detect: drop a fault from the target list only after this many
-  /// distinct tests detect it.  N > 1 yields larger sets that catch more
-  /// unmodeled defects (compaction then preserves N detections per
-  /// fault).  Standard value 1.
-  std::size_t n_detect = 1;
-  /// Generate targets only at checkpoint faults (primary inputs and
-  /// fanout branches).  By the checkpoint theorem a combinational test
-  /// set detecting all checkpoint faults detects all stuck-at faults;
-  /// coverage is still *measured* on every fault, so the reported
-  /// `detected` set is exact.  Cuts PODEM calls substantially on wide
-  /// circuits.
-  bool checkpoints_only = false;
   /// Cooperative cancellation, polled between per-fault targets.  A
   /// cancelled run returns the tests generated so far — callers that
   /// observe the raised token must discard the truncated set (the
@@ -102,14 +76,15 @@ struct CombTestSetOptions {
   util::CancelToken cancel;
 };
 
-/// Deterministic ATPG test set: one PODEM call per still-undetected
-/// collapsed fault class, fault dropping after every generated test.
+/// Deterministic ATPG test set: one PODEM (or SAT) call per
+/// still-undetected collapsed fault class, fault dropping after every
+/// generated test, then static compaction.
 [[nodiscard]] CombTestSet generate_comb_test_set(
     const netlist::Circuit& circuit, const fault::FaultList& faults,
     const CombTestSetOptions& options = {});
 
-/// Random-selection test set: draws `options.random_pool` random
-/// (state, input) patterns and keeps those that detect new faults.
+/// Random-selection test set: draws up to 4096 random (state, input)
+/// patterns, keeps those that detect new faults, then compacts them.
 /// Coverage is whatever the pool achieves (no untestability proofs).
 [[nodiscard]] CombTestSet generate_random_comb_test_set(
     const netlist::Circuit& circuit, const fault::FaultList& faults,

@@ -1,6 +1,8 @@
 #include "diag/diagnosis.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sim/injection.hpp"
 #include "sim/seq_sim.hpp"
@@ -48,6 +50,15 @@ ObservedResponses simulate_defect(const netlist::Circuit& circuit,
 DiagnosisResult diagnose(FaultSimulator& fsim,
                          const tcomp::ScanTestSet& set,
                          const ObservedResponses& observed) {
+  if (observed.size() != set.size()) {
+    throw std::invalid_argument(
+        "diagnose: " + std::to_string(observed.size()) +
+        " observed responses for " + std::to_string(set.size()) + " tests");
+  }
+  for (std::size_t t = 0; t < set.size(); ++t) {
+    fsim.check_response(observed[t].outputs, observed[t].scan_out,
+                        set.tests[t].seq);
+  }
   DiagnosisResult result;
   const netlist::Circuit& circuit = fsim.circuit();
 

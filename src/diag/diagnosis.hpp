@@ -48,7 +48,9 @@ struct DiagnosisResult {
   std::size_t failing_tests = 0;
 };
 
-/// Runs single-fault effect-cause diagnosis.
+/// Runs single-fault effect-cause diagnosis.  Throws
+/// std::invalid_argument unless `observed` holds one response per test,
+/// each shaped as FaultSimulator::check_response requires.
 [[nodiscard]] DiagnosisResult diagnose(fault::FaultSimulator& fsim,
                                        const tcomp::ScanTestSet& set,
                                        const ObservedResponses& observed);

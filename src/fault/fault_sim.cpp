@@ -73,6 +73,30 @@ void FaultSimulator::check_scan_in(const Vector3& scan_in) const {
   }
 }
 
+void FaultSimulator::check_response(std::span<const Vector3> observed_pos,
+                                    const Vector3& observed_scan_out,
+                                    const Sequence& seq) const {
+  if (observed_pos.size() != seq.length()) {
+    throw std::invalid_argument(
+        "observed response has " + std::to_string(observed_pos.size()) +
+        " PO vectors for a " + std::to_string(seq.length()) +
+        "-frame test");
+  }
+  for (const Vector3& po : observed_pos) {
+    if (po.size() != circuit_->num_outputs()) {
+      throw std::invalid_argument(
+          "observed PO width " + std::to_string(po.size()) +
+          " != output count " + std::to_string(circuit_->num_outputs()));
+    }
+  }
+  if (observed_scan_out.size() != circuit_->num_flip_flops()) {
+    throw std::invalid_argument(
+        "observed scan_out width " +
+        std::to_string(observed_scan_out.size()) + " != flip-flop count " +
+        std::to_string(circuit_->num_flip_flops()));
+  }
+}
+
 std::vector<FaultClassId> FaultSimulator::collect(
     const FaultSet* targets) const {
   std::vector<FaultClassId> out;
@@ -321,8 +345,7 @@ FaultSet FaultSimulator::consistent_faults(
     std::span<const sim::Vector3> observed_pos,
     const Vector3& observed_scan_out, const FaultSet& targets) {
   check_scan_in(scan_in);
-  assert(observed_pos.size() == seq.length());
-  assert(observed_scan_out.size() == circuit_->num_flip_flops());
+  check_response(observed_pos, observed_scan_out, seq);
   const QueryScope scope("consistent_faults");
   const std::vector<FaultClassId> list = collect(&targets);
   const auto trace = acquire_trace(&scan_in, seq);

@@ -267,6 +267,15 @@ class FaultSimulator {
       std::span<const sim::Vector3> observed_pos,
       const sim::Vector3& observed_scan_out, const FaultSet& targets);
 
+  /// Throws std::invalid_argument unless an observed response fits the
+  /// scan test with sequence `seq`: one PO vector of primary_outputs()
+  /// width per frame, and a scan-out vector of flip_flops() width.
+  /// consistent_faults checks its arguments with it; a short response
+  /// from a tester would otherwise be read out of bounds.
+  void check_response(std::span<const sim::Vector3> observed_pos,
+                      const sim::Vector3& observed_scan_out,
+                      const sim::Sequence& seq) const;
+
   /// Incremental no-scan simulation over a fixed target set: all machines
   /// start in the all-X state and advance one frame per step() with PO
   /// observation.  snapshot()/restore() allow speculative extension —

@@ -23,6 +23,15 @@ using netlist::GateType;
 using sim::V3;
 using sim::Vector3;
 
+// Class of a specific fault.
+FaultClassId class_of_fault(const FaultList& fl, const Fault& f) {
+  for (std::size_t i = 0; i < fl.num_faults(); ++i) {
+    if (fl.faults()[i] == f) return fl.class_of(i);
+  }
+  ADD_FAILURE() << "fault not in list";
+  return 0;
+}
+
 // Applies a cube (with X randomly filled) as a length-1 scan test and
 // checks whether it detects `fault`.
 bool cube_detects(const Circuit& c, const FaultList& fl, const Fault& f,
@@ -35,15 +44,17 @@ bool cube_detects(const Circuit& c, const FaultList& fl, const Fault& f,
   FaultSimulator fsim(c, fl);
   sim::Sequence seq;
   seq.frames.push_back(inputs);
-  // Locate the class of this fault.
-  for (std::size_t i = 0; i < fl.num_faults(); ++i) {
-    if (fl.faults()[i] == f) {
-      const FaultSet det = fsim.detect_scan_test(state, seq);
-      return det.test(fl.class_of(i));
-    }
-  }
-  ADD_FAILURE() << "fault not in list";
-  return false;
+  return fsim.detect_scan_test(state, seq).test(class_of_fault(fl, f));
+}
+
+// o = OR(a, NOT(a)) is constant 1: o stuck-at-1 is untestable.
+Circuit tautology() {
+  netlist::CircuitBuilder b("taut");
+  b.add_input("a");
+  b.add_gate(GateType::Not, "na", {"a"});
+  b.add_gate(GateType::Or, "o", {"a", "na"});
+  b.mark_output("o");
+  return b.build();
 }
 
 TEST(Podem, FindsTestForSimpleAndGate) {
@@ -63,13 +74,7 @@ TEST(Podem, FindsTestForSimpleAndGate) {
 }
 
 TEST(Podem, ProvesRedundantFaultUntestable) {
-  // o = OR(a, NOT(a)) is constant 1: o stuck-at-1 is untestable.
-  netlist::CircuitBuilder b("taut");
-  b.add_input("a");
-  b.add_gate(GateType::Not, "na", {"a"});
-  b.add_gate(GateType::Or, "o", {"a", "na"});
-  b.mark_output("o");
-  const Circuit c = b.build();
+  const Circuit c = tautology();
   Podem podem(c);
   const PodemResult r =
       podem.generate(Fault{c.find("o"), sim::kStemPin, true});
@@ -78,6 +83,18 @@ TEST(Podem, ProvesRedundantFaultUntestable) {
   const PodemResult r2 =
       podem.generate(Fault{c.find("o"), sim::kStemPin, false});
   EXPECT_EQ(r2.status, PodemStatus::Detected);
+}
+
+// A search cut by the backtrack limit ends Aborted, never Untestable.
+// An aborted class stays in the compaction universe (later tests may
+// still catch it, or the SAT backend resolves it under --atpg=auto); a
+// false Untestable would silently drop a detectable fault from every
+// downstream phase.
+TEST(Podem, BacktrackLimitAbortsInsteadOfClaimingUntestable) {
+  const Circuit c = tautology();
+  Podem podem(c, PodemOptions{.backtrack_limit = 0, .scan_mask = {}});
+  EXPECT_EQ(podem.generate(Fault{c.find("o"), sim::kStemPin, true}).status,
+            PodemStatus::Aborted);
 }
 
 TEST(Podem, UsesStateInputsForFaultsBehindFlipFlops) {
@@ -193,30 +210,24 @@ TEST(CombTestSet, ReverseCompactionPreservesCoverage) {
   p.num_inputs = 6;
   p.num_outputs = 4;
   p.num_flip_flops = 8;
-  p.num_gates = 120;
+  // 200 gates: the greedy cover alone leaves a redundant test here, so
+  // the check below sees the reverse-order pass at work.
+  p.num_gates = 200;
   const Circuit c = gen::generate_circuit(p);
   const FaultList fl = FaultList::build(c);
-  CombTestSetOptions opt;
-  opt.compaction = TestSetCompaction::None;
-  const CombTestSet raw = generate_comb_test_set(c, fl, opt);
-  opt.compaction = TestSetCompaction::ReverseOrder;
-  const CombTestSet reverse = generate_comb_test_set(c, fl, opt);
-  opt.compaction = TestSetCompaction::GreedyCover;
-  const CombTestSet compacted = generate_comb_test_set(c, fl, opt);
-  EXPECT_EQ(reverse.detected, raw.detected);
-  EXPECT_LE(reverse.tests.size(), raw.tests.size());
-  EXPECT_LE(compacted.tests.size(), reverse.tests.size());
-  EXPECT_EQ(compacted.detected, raw.detected);
-  EXPECT_LE(compacted.tests.size(), raw.tests.size());
+  const CombTestSet compacted = generate_comb_test_set(c, fl, {});
 
   // Re-simulating the compacted set reproduces exactly its claimed
-  // coverage.
+  // coverage, and the reverse-order pass left no redundant test: each
+  // test detects a fault that no later test detects.
   FaultSimulator fsim(c, fl);
+  const std::vector<FaultSet> det = detect_comb_tests(fsim, compacted.tests);
   FaultSet redetected(fl.num_classes());
-  for (const CombTest& t : compacted.tests) {
-    redetected |= detect_comb_test(fsim, t);
+  for (std::size_t j = det.size(); j-- > 0;) {
+    EXPECT_FALSE(redetected.contains(det[j])) << "redundant test " << j;
+    redetected |= det[j];
   }
-  EXPECT_TRUE(redetected.contains(compacted.detected));
+  EXPECT_EQ(redetected, compacted.detected);
 }
 
 TEST(CombTestSet, RandomSourceCoversMostFaults) {
@@ -235,65 +246,27 @@ TEST(CombTestSet, RandomSourceCoversMostFaults) {
   EXPECT_EQ(ts.proven_untestable, 0u);
 }
 
-TEST(CombTestSet, NDetectProvidesRepeatedDetections) {
-  gen::GenParams p;
-  p.name = "nd";
-  p.seed = 55;
-  p.num_inputs = 6;
-  p.num_outputs = 4;
-  p.num_flip_flops = 6;
-  p.num_gates = 80;
-  const Circuit c = gen::generate_circuit(p);
+// End to end: the PODEM backend counts an aborted class in `aborted`
+// only, and the Auto backend resolves every abort with a SAT verdict.
+TEST(CombTestSet, AutoBackendResolvesEveryAbort) {
+  const Circuit c = tautology();
   const FaultList fl = FaultList::build(c);
+  const FaultClassId o_sa1 =
+      class_of_fault(fl, Fault{c.find("o"), sim::kStemPin, true});
+  CombTestSetOptions opt;
+  opt.podem.backtrack_limit = 0;
+  const CombTestSet podem = generate_comb_test_set(c, fl, opt);
+  EXPECT_GE(podem.aborted, 1u);
+  EXPECT_FALSE(podem.detected.test(o_sa1));
+  EXPECT_FALSE(podem.untestable.test(o_sa1));
 
-  CombTestSetOptions one;
-  const CombTestSet t1 = generate_comb_test_set(c, fl, one);
-  CombTestSetOptions three = one;
-  three.n_detect = 3;
-  const CombTestSet t3 = generate_comb_test_set(c, fl, three);
-
-  // Same single-detection coverage, more tests overall.
-  EXPECT_EQ(t3.detected, t1.detected);
-  EXPECT_GE(t3.tests.size(), t1.tests.size());
-
-  // Every detected fault is caught by min(3, achievable-by-set) distinct
-  // tests; verify >= 2 detections for most (a strict per-fault bound of
-  // "achievable" would need an exhaustive test enumeration).
-  FaultSimulator fsim(c, fl);
-  std::vector<int> hits(fl.num_classes(), 0);
-  for (const CombTest& t : t3.tests) {
-    detect_comb_test(fsim, t).for_each([&](std::size_t f) { ++hits[f]; });
-  }
-  std::size_t multi = 0;
-  std::size_t detected = 0;
-  t3.detected.for_each([&](std::size_t f) {
-    ++detected;
-    if (hits[f] >= 2) ++multi;
-  });
-  EXPECT_GE(multi * 10, detected * 7) << "most faults multiply detected";
-}
-
-TEST(CombTestSet, CheckpointTargetingKeepsExactCoverage) {
-  gen::GenParams p;
-  p.name = "cp";
-  p.seed = 66;
-  p.num_inputs = 6;
-  p.num_outputs = 4;
-  p.num_flip_flops = 8;
-  p.num_gates = 110;
-  const Circuit c = gen::generate_circuit(p);
-  const FaultList fl = FaultList::build(c);
-
-  CombTestSetOptions full;
-  const CombTestSet a = generate_comb_test_set(c, fl, full);
-  CombTestSetOptions cps = full;
-  cps.checkpoints_only = true;
-  const CombTestSet b = generate_comb_test_set(c, fl, cps);
-
-  // The fallback pass makes checkpoint targeting coverage-exact.
-  EXPECT_EQ(b.detected.count(), a.detected.count());
-  EXPECT_EQ(b.proven_untestable + b.aborted,
-            a.proven_untestable + a.aborted);
+  opt.backend = AtpgBackend::Auto;
+  const CombTestSet resolved = generate_comb_test_set(c, fl, opt);
+  EXPECT_EQ(resolved.aborted, 0u);
+  EXPECT_EQ(resolved.detected.count() + resolved.proven_untestable,
+            fl.num_classes());
+  EXPECT_EQ(resolved.untestable.count(), resolved.proven_untestable);
+  EXPECT_TRUE(resolved.untestable.test(o_sa1));
 }
 
 TEST(CombTestSet, AtpgCoverageAtLeastRandomCoverage) {

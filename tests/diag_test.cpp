@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "atpg/comb_tset.hpp"
 #include "diag/diagnosis.hpp"
 #include "fault/fault_list.hpp"
@@ -49,6 +51,37 @@ TEST(Diagnosis, FaultFreeDeviceYieldsNoFailures) {
     EXPECT_FALSE(det.test(c.fault));
     EXPECT_EQ(c.explained_failures, 0u);
   }
+}
+
+// A response set that does not fit the test set is rejected before any
+// position is read: too few responses, a short PO vector, or a short
+// scan-out vector.
+TEST(Diagnosis, RejectsMisshapenObservedResponses) {
+  DiagRig rig(gen::make_s27());
+  ObservedResponses obs;
+  for (const tcomp::ScanTest& t : rig.tests.tests) {
+    obs.push_back(tcomp::expected_response(rig.circuit, t));
+  }
+  ASSERT_GE(obs.size(), 2u);
+
+  ObservedResponses truncated(obs.begin(), obs.end() - 1);
+  EXPECT_THROW((void)diagnose(*rig.fsim, rig.tests, truncated),
+               std::invalid_argument);
+
+  ObservedResponses short_po = obs;
+  short_po.back().outputs.back().pop_back();
+  EXPECT_THROW((void)diagnose(*rig.fsim, rig.tests, short_po),
+               std::invalid_argument);
+  const tcomp::ScanTest& last = rig.tests.tests.back();
+  EXPECT_THROW((void)rig.fsim->consistent_faults(
+                   last.scan_in, last.seq, short_po.back().outputs,
+                   short_po.back().scan_out, rig.fsim->all_faults()),
+               std::invalid_argument);
+
+  ObservedResponses short_so = obs;
+  short_so.front().scan_out.pop_back();
+  EXPECT_THROW((void)diagnose(*rig.fsim, rig.tests, short_so),
+               std::invalid_argument);
 }
 
 // Property: injecting each detectable fault and diagnosing with the same

@@ -1,9 +1,11 @@
-// SAT ATPG backend: solver unit tests, encoding agreement with the
-// structural engines, untestability-proof soundness against the
-// simulation kernels, and two-frame transition-delay generation.
+// SAT ATPG backend: solver unit tests, encoding agreement with PODEM,
+// untestability-proof soundness against the simulation kernels, and
+// two-frame transition-delay generation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "atpg/podem.hpp"
 #include "atpg/sat_backend.hpp"
@@ -266,6 +268,62 @@ TEST(SatBackendStuck, UnscannedFlipFlopBlocksExcitation) {
     if (ps == PodemStatus::Aborted || ss == PodemStatus::Aborted) continue;
     EXPECT_EQ(ps, ss) << "fault class " << i;
   }
+}
+
+std::vector<std::string_view> views(const std::vector<std::string>& v) {
+  return {v.begin(), v.end()};
+}
+
+// Applies a SAT cube (fully specified under full scan) as a length-one
+// scan test and checks that it detects `f`.
+bool sat_cube_detects(const Circuit& c, const Fault& f, const TestCube& cube) {
+  const FaultList fl = FaultList::build(c);
+  FaultSimulator fsim(c, fl);
+  sim::Sequence seq;
+  seq.frames.push_back(cube.inputs);
+  const FaultSet det = fsim.detect_scan_test(cube.state, seq);
+  for (std::size_t i = 0; i < fl.num_faults(); ++i) {
+    if (fl.faults()[i] == f) return det.test(fl.class_of(i));
+  }
+  ADD_FAILURE() << "fault not in list";
+  return false;
+}
+
+// A wide justification: o stuck-at-1 needs all ten AND inputs at 1.
+TEST(SatBackendStuck, DetectsWideAndJustification) {
+  netlist::CircuitBuilder b("wide_and");
+  std::vector<std::string> ins;
+  for (int i = 0; i < 10; ++i) {
+    ins.push_back("a" + std::to_string(i));
+    b.add_input(ins.back());
+  }
+  b.add_gate(GateType::And, "o", views(ins));
+  b.mark_output("o");
+  const Circuit c = b.build();
+  const Fault f{c.find("o"), sim::kStemPin, true};
+  SatBackend sat(c);
+  const PodemResult r = sat.generate(f);
+  ASSERT_EQ(r.status, PodemStatus::Detected);
+  EXPECT_TRUE(sat_cube_detects(c, f, r.cube));
+}
+
+// A wide propagation: a's error crosses an XOR with ten side inputs.
+TEST(SatBackendStuck, DetectsWideXorPropagation) {
+  netlist::CircuitBuilder b("wide_xor");
+  b.add_input("a");
+  std::vector<std::string> ins = {"a"};
+  for (int i = 0; i < 10; ++i) {
+    ins.push_back("s" + std::to_string(i));
+    b.add_input(ins.back());
+  }
+  b.add_gate(GateType::Xor, "x", views(ins));
+  b.mark_output("x");
+  const Circuit c = b.build();
+  const Fault f{c.find("a"), sim::kStemPin, false};
+  SatBackend sat(c);
+  const PodemResult r = sat.generate(f);
+  ASSERT_EQ(r.status, PodemStatus::Detected);
+  EXPECT_TRUE(sat_cube_detects(c, f, r.cube));
 }
 
 // ---------------------------------------------------------------------
