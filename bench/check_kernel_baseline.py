@@ -1,29 +1,24 @@
 #!/usr/bin/env python3
-"""Gate on cone-kernel speedup (and efficiency) regressions.
+"""Gate on simulation-kernel regressions.
 
-Reads a google-benchmark JSON file containing the BM_KernelFull/N and
-BM_KernelCone/N timings (the BENCH_kernel.json CI artifact) and compares
-the full/cone speedup per block count against the checked-in baseline
-(bench/BENCH_kernel_baseline.json).  A measured speedup below
-``tolerance * baseline`` fails; the default tolerance of 0.5 only trips
-on a >2x relative regression, which absolute-time noise on shared CI
-runners cannot produce.
+Reads a google-benchmark JSON file with the BM_Kernel*/N benchmarks
+(the BENCH_kernel.json CI artifact) and checks it against the
+checked-in baseline (bench/BENCH_kernel_baseline.json).  A measured
+value below ``tolerance * baseline`` fails; the default tolerance of
+0.5 only trips on a >2x relative regression.
 
-When the baseline has an ``efficiency`` section, the same tolerance is
-applied to the kernel efficiency counters (frames_skipped_ratio,
-cache_hit_ratio) that perf_microbench attaches to each benchmark — so a
-change that keeps wall time but destroys frame skipping or cache reuse
-still fails.  A ``transition`` section has the same shape and gates the
-frame-gated transition kernel (BM_KernelTDF): tdf_skip_ratio pins the
-activation-aware whole-frame skipping, cache_hit_ratio the shared
-fault-free trace reuse.
+A ``simd`` section gates the wide-kernel speedups: ``simd.wide`` holds
+per-tile-count floors for BM_KernelFull/N over BM_KernelWide/N (the
+SIMD fault-parallel widening gain) and ``simd.ppsfp`` for
+BM_KernelPerTest/N over BM_KernelPPSFP/N (the pattern-parallel batch
+gain).  These ratios compare two measurements from the same run, so
+absolute-time noise on shared CI runners largely cancels.
 
-A ``simd`` section gates the wide-kernel speedups the same way:
-``simd.wide`` holds per-tile-count floors for BM_KernelFull/N over
-BM_KernelWide/N (the SIMD fault-parallel widening gain) and
-``simd.ppsfp`` for BM_KernelPerTest/N over BM_KernelPPSFP/N (the
-pattern-parallel batch gain).  These ratios compare two measurements
-from the same run, so they are noise-robust like the cone speedups.
+A ``transition`` section gates the counters perf_microbench attaches to
+the frame-gated transition kernel (BM_KernelTDF): tdf_skip_ratio pins
+the activation-aware whole-frame skipping, cache_hit_ratio the shared
+fault-free trace reuse — so a change that keeps wall time but destroys
+either still fails.
 
 Every missing benchmark, field, or baseline key is reported by name
 instead of surfacing as a traceback.
@@ -74,21 +69,6 @@ def real_time(benchmarks, name, path):
     return float(bench["real_time"])
 
 
-def speedups(benchmarks, path):
-    out = {}
-    for name in benchmarks:
-        kind, arg = name.split("/", 1)
-        if kind != "BM_KernelFull":
-            continue
-        full = real_time(benchmarks, name, path)
-        cone = real_time(benchmarks, f"BM_KernelCone/{arg}", path)
-        if cone <= 0.0:
-            fail(f"benchmark 'BM_KernelCone/{arg}' in {path} has "
-                 "non-positive real_time")
-        out[arg] = full / cone
-    return out
-
-
 def ratio_speedups(benchmarks, path, slow_name, fast_name):
     """{arg: slow_time / fast_time} for args where both exist."""
     out = {}
@@ -103,7 +83,7 @@ def ratio_speedups(benchmarks, path, slow_name, fast_name):
     return out
 
 
-def check_speedups(measured, baseline, tolerance, label="cone"):
+def check_speedups(measured, baseline, tolerance, label):
     ok = True
     for arg, base in sorted(baseline.items(), key=lambda kv: int(kv[0])):
         got = measured.get(arg)
@@ -121,12 +101,12 @@ def check_speedups(measured, baseline, tolerance, label="cone"):
     return ok
 
 
-def check_efficiency(benchmarks, baseline, tolerance, path):
+def check_counters(benchmarks, baseline, tolerance, path):
     """baseline: {benchmark name: {counter: baseline value}}."""
     ok = True
     for name, counters in sorted(baseline.items()):
         if name not in benchmarks:
-            print(f"{name}: MISSING benchmark for efficiency check")
+            print(f"{name}: MISSING benchmark for counter check")
             ok = False
             continue
         for counter, base in sorted(counters.items()):
@@ -165,17 +145,15 @@ def main():
 
     benchmarks = kernel_benchmarks(args.measured)
     baseline = load_json(args.baseline)
-    if "speedup" not in baseline:
-        fail(f"{args.baseline} has no 'speedup' section")
+    if "simd" not in baseline and "transition" not in baseline:
+        fail(f"{args.baseline} has neither a 'simd' nor a 'transition' "
+             "section")
 
-    ok = check_speedups(
-        speedups(benchmarks, args.measured), baseline["speedup"],
-        args.tolerance)
-    for section in ("efficiency", "transition"):
-        if section in baseline:
-            ok = check_efficiency(
-                benchmarks, baseline[section], args.tolerance,
-                args.measured) and ok
+    ok = True
+    if "transition" in baseline:
+        ok = check_counters(
+            benchmarks, baseline["transition"], args.tolerance,
+            args.measured)
     simd = baseline.get("simd", {})
     if "wide" in simd:
         ok = check_speedups(

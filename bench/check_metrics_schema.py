@@ -19,7 +19,7 @@ import sys
 
 EXPECTED_COUNTERS = [
     "frames_simulated", "frames_skipped", "cone_passes", "full_passes",
-    "cone_gates_scheduled", "cone_gates_dropped", "tdf_activations",
+    "tdf_activations",
     "tdf_frames_skipped", "ppsfp_batches", "ppsfp_tests_packed",
     "wide_fp_passes", "trace_cache_hits",
     "trace_cache_misses", "trace_cache_extensions",
@@ -44,8 +44,7 @@ EXPECTED_GAUGES = [
     "ppsfp_tests_per_pass", "svc_queue_depth", "svc_jobs_running",
 ]
 EXPECTED_DERIVED = [
-    "frame_skip_ratio", "trace_cache_hit_ratio", "cone_pass_ratio",
-    "cone_gates_dropped_ratio", "pool_mean_queue_wait_ns",
+    "trace_cache_hit_ratio", "pool_mean_queue_wait_ns",
 ]
 EXPECTED_HISTOGRAMS = [
     "queue_wait_ns", "task_run_ns", "query_ns", "job_queue_ns",

@@ -12,8 +12,8 @@ are printed so a trend shows up in the CI log itself.
     record_history.py --kind service load.json
     record_history.py --kind atpg    BENCH_atpg.json
 
-Kernel entries record the full/cone speedup per block count plus the
-SIMD-wide and PPSFP same-run ratios (noise-robust, like the gates).
+Kernel entries record the SIMD-wide and PPSFP same-run ratios per block
+count (noise-robust, like the gates).
 Service entries record throughput and latency percentiles.  ATPG
 entries record the SAT-backend-vs-PODEM per-fault cost ratio and the
 transition-vs-stuck-at SAT encoding ratio per circuit size (the price
@@ -74,14 +74,10 @@ def kernel_metrics(path):
         fail(f"{path} has no 'benchmarks' array - not google-benchmark "
              "JSON output?")
     full = real_times(data, "BM_KernelFull")
-    cone = real_times(data, "BM_KernelCone")
     wide = real_times(data, "BM_KernelWide")
     per_test = real_times(data, "BM_KernelPerTest")
     ppsfp = real_times(data, "BM_KernelPPSFP")
     metrics = {}
-    for arg in sorted(set(full) & set(cone), key=int):
-        if cone[arg] > 0:
-            metrics[f"cone_speedup/{arg}"] = round(full[arg] / cone[arg], 3)
     for arg in sorted(set(full) & set(wide), key=int):
         if wide[arg] > 0:
             metrics[f"simd_wide/{arg}"] = round(full[arg] / wide[arg], 3)

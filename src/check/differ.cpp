@@ -20,7 +20,6 @@ namespace scanc::check {
 using fault::FaultClassId;
 using fault::FaultSet;
 using fault::FaultSimulator;
-using fault::KernelMode;
 using sim::Sequence;
 using sim::V3;
 using sim::Vector3;
@@ -29,7 +28,6 @@ namespace {
 
 struct Config {
   const char* name;
-  KernelMode kernel;
   std::size_t threads;
   bool fresh_per_query;  ///< new simulator per query: every trace misses
   sim::LaneWidth lanes = sim::LaneWidth::W64;
@@ -58,19 +56,14 @@ class CaseChecker {
                       ? util::CancelToken::make(
                             util::Deadline::after(cfg.max_case_seconds))
                       : util::CancelToken{}) {
-    ref_.set_kernel(KernelMode::Full);
-    // The reference stays on the scalar 64-bit kernels: every wide or
+    // The reference stays on 64-bit lanes: every wide or
     // pattern-parallel result is judged against it.
     ref_.set_lane_width(sim::LaneWidth::W64);
     configs_ = {
-        Config{"full/N", KernelMode::Full, cfg.threads, false},
-        Config{"cone/cold", KernelMode::Cone, 1, true},
-        Config{"cone/warm", KernelMode::Cone, 1, false},
-        Config{"cone/N", KernelMode::Cone, cfg.threads, false},
-        Config{"auto/warm", KernelMode::Auto, 1, false},
-        Config{"full/wide", KernelMode::Full, 1, false, cfg.lane_width},
-        Config{"full/wide/N", KernelMode::Full, cfg.threads, false,
-               cfg.lane_width},
+        Config{"w64/N", cfg.threads, false},
+        Config{"default/cold", 1, true, sim::LaneWidth::Auto},
+        Config{"wide", 1, false, cfg.lane_width},
+        Config{"wide/N", cfg.threads, false, cfg.lane_width},
     };
     for (const Config& c : configs_) {
       shared_.push_back(c.fresh_per_query ? nullptr : make_sim(c));
@@ -104,7 +97,6 @@ class CaseChecker {
   std::unique_ptr<FaultSimulator> make_sim(const Config& c) const {
     auto s = std::make_unique<FaultSimulator>(w_->circuit, w_->faults,
                                               w_->scan_mask);
-    s->set_kernel(c.kernel);
     s->set_num_threads(c.threads);
     s->set_lane_width(c.lanes);
     return s;
@@ -328,13 +320,14 @@ class CaseChecker {
                 "omission length accounting broken");
     expect_true(tag + " omission coverage(ref)",
                 ref_.detects_all(r.test.scan_in, r.test.seq, base),
-                "omission lost a required fault (full kernel)");
-    // Cross-kernel: the omission was accepted by the reference; the cone
-    // kernel must agree the compacted test still covers F_SO.
+                "omission lost a required fault (reference)");
+    // Cross-config: the omission was accepted by the reference; every
+    // other configuration must agree the compacted test still covers
+    // F_SO.
     for_each_config([&](const char* name, FaultSimulator& s) {
       expect_true(tag + " cfg=" + std::string(name) + " omission coverage",
                   s.detects_all(r.test.scan_in, r.test.seq, base),
-                  "omitted test coverage disagrees across kernels");
+                  "omitted test coverage disagrees across configs");
     });
   }
 

@@ -3,18 +3,17 @@
 // Every FaultSimulator query is executed under a matrix of
 // configurations that must be bit-identical by contract:
 //
-//   reference   KernelMode::Full, 1 thread, 64-bit lanes, fresh simulator
-//   full/N      KernelMode::Full, N threads, shared simulator
-//   cone/cold   KernelMode::Cone, 1 thread, fresh simulator per query
-//               (every trace is a cache miss)
-//   cone/warm   KernelMode::Cone, 1 thread, one simulator for the whole
-//               case (exercises cache hits, in-place extension,
-//               copy-on-write, partial prefix reuse)
-//   cone/N      KernelMode::Cone, N threads, shared simulator
-//   auto/warm   KernelMode::Auto, 1 thread, shared simulator
-//   full/wide   KernelMode::Full, 1 thread, CheckConfig::lane_width lanes
-//               (the SIMD-or-portable wide fault-parallel engine)
-//   full/wide/N KernelMode::Full, N threads, wide lanes
+//   reference     1 thread, 64-bit lanes, one simulator for the whole
+//                 case (under the transition model its traces exercise
+//                 cache hits, in-place extension, copy-on-write and
+//                 partial prefix reuse)
+//   w64/N         N threads, 64-bit lanes, shared simulator
+//   default/cold  1 thread, default lanes, fresh simulator per query
+//                 (every trace is a cache miss: cold vs the warm
+//                 reference)
+//   wide          1 thread, CheckConfig::lane_width lanes (the
+//                 SIMD-or-portable wide fault-parallel engine)
+//   wide/N        N threads, wide lanes
 //
 // and the pattern-parallel batch queries (check_batch): detect_batch /
 // times_batch over all of the workload's scan tests plus a ragged
@@ -34,8 +33,9 @@
 //     detections;
 //   - detects_all is true on the detected set and false once any
 //     undetected fault is added;
-//   - omit_vectors preserves every required fault (checked on a
-//     different kernel than the one that accepted the omission);
+//   - omit_vectors preserves every required fault (checked on every
+//     configuration, not just the reference that accepted the
+//     omission);
 //   - N_cyc = (k+1)*ceil(N_SV/chains) + sum L(T_j), recomputed here
 //     from first principles, matches tcomp::clock_cycles;
 //   - a snapshot/restore'd Session re-detects exactly what the
@@ -74,7 +74,7 @@ struct CheckConfig {
   std::size_t oracle_fault_cap = 128;
   bool run_oracle = true;
   bool run_metamorphic = true;
-  /// Lane width for the wide configurations (full/wide, full/wide/N)
+  /// Lane width for the wide configurations (wide, wide/N)
   /// and the batch checks.  The reference always runs 64-bit scalar
   /// lanes; Auto picks the widest implementation this build + CPU has
   /// (portable wide words where intrinsics are missing, so the matrix

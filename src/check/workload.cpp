@@ -18,7 +18,7 @@ namespace {
 
 /// A shift-register chain: one PI feeding ff0 -> ff1 -> ... -> ff{n-1},
 /// each stage observed through an XOR tree onto the single PO.  Scan-path
-/// faults on this shape exercise exactly the cone-kernel interaction the
+/// faults on this shape exercise exactly the state-path interaction the
 /// fuzzer hunts: every injection site lies on the state path and every
 /// flip-flop can start X.
 Circuit make_chain_circuit(std::size_t stages, bool invert_stages) {
@@ -232,7 +232,7 @@ Workload make_workload(std::uint64_t case_seed,
              {}, {}, {}, case_seed};
 
   // Target subset: usually every class, sometimes a random subset or a
-  // single class (tight cones stress the cone kernel's skip logic).
+  // single class (small groups and partial wide chunks).
   const std::size_t classes = w.faults.num_classes();
   const std::uint64_t subset = rng.below(4);
   if (subset == 1 && classes > 0) {

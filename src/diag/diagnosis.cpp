@@ -55,7 +55,10 @@ DiagnosisResult diagnose(FaultSimulator& fsim,
         "diagnose: " + std::to_string(observed.size()) +
         " observed responses for " + std::to_string(set.size()) + " tests");
   }
+  // The test set may come from outside the program too: every test and
+  // response is checked before anything is simulated.
   for (std::size_t t = 0; t < set.size(); ++t) {
+    fsim.check_test(&set.tests[t].scan_in, set.tests[t].seq);
     fsim.check_response(observed[t].outputs, observed[t].scan_out,
                         set.tests[t].seq);
   }

@@ -49,8 +49,10 @@ struct DiagnosisResult {
 };
 
 /// Runs single-fault effect-cause diagnosis.  Throws
-/// std::invalid_argument unless `observed` holds one response per test,
-/// each shaped as FaultSimulator::check_response requires.
+/// std::invalid_argument, before simulating anything, unless every test
+/// of `set` fits the circuit (FaultSimulator::check_test) and
+/// `observed` holds one response per test, each shaped as
+/// FaultSimulator::check_response requires.
 [[nodiscard]] DiagnosisResult diagnose(fault::FaultSimulator& fsim,
                                        const tcomp::ScanTestSet& set,
                                        const ObservedResponses& observed);

@@ -32,17 +32,6 @@ std::vector<std::string> split_names(const std::string& arg) {
   return out;
 }
 
-/// Parses a kernel-mode name; throws so a typo does not silently fall
-/// back to the default.
-fault::KernelMode parse_kernel(const std::string& flag, const char* value) {
-  const std::string v = value;
-  if (v == "auto") return fault::KernelMode::Auto;
-  if (v == "full") return fault::KernelMode::Full;
-  if (v == "cone") return fault::KernelMode::Cone;
-  throw std::invalid_argument("bad kernel for " + flag + ": " + v +
-                              " (expected auto|full|cone)");
-}
-
 /// Parses a fault-model name; throws so a typo does not silently measure
 /// the default model.
 fault::FaultModelKind parse_model(const std::string& flag,
@@ -102,9 +91,6 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
   if (const char* v = std::getenv("SCANC_THREADS")) {
     cfg.runner.num_threads = parse_count("SCANC_THREADS", v);
   }
-  if (const char* v = std::getenv("SCANC_KERNEL")) {
-    cfg.runner.kernel = parse_kernel("SCANC_KERNEL", v);
-  }
   if (const char* v = std::getenv("SCANC_FAULT_MODEL")) {
     cfg.runner.fault_model = parse_model("SCANC_FAULT_MODEL", v);
   }
@@ -143,8 +129,6 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
       cfg.runner.seed = parse_count("--seed", arg.c_str() + 7);
     } else if (arg.rfind("--threads=", 0) == 0) {
       cfg.runner.num_threads = parse_count("--threads", arg.c_str() + 10);
-    } else if (arg.rfind("--kernel=", 0) == 0) {
-      cfg.runner.kernel = parse_kernel("--kernel", arg.c_str() + 9);
     } else if (arg.rfind("--fault-model=", 0) == 0) {
       cfg.runner.fault_model =
           parse_model("--fault-model", arg.c_str() + 14);

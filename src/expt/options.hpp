@@ -8,10 +8,6 @@
 //   --threads=N        SCANC_THREADS    fault-sim worker threads
 //                                       (default 1; 0 = all hardware
 //                                       threads; results are identical)
-//   --kernel=M         SCANC_KERNEL     fault-sim kernel: auto (default,
-//                                       per-group cone/full selection),
-//                                       full, or cone; results are
-//                                       identical, only speed changes
 //   --fault-model=M    SCANC_FAULT_MODEL
 //                                       fault model: stuck (default) or
 //                                       transition; changes the fault

@@ -478,7 +478,6 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     ~CancelDetach() { fsim.set_cancel({}); }
   } cancel_detach{fsim};
   fsim.set_num_threads(options.num_threads);
-  fsim.set_kernel(options.kernel);
   fsim.set_cancel(options.cancel);
   const std::size_t nsv = circuit.num_flip_flops();
   const std::size_t chains = std::max<std::size_t>(1, options.num_chains);

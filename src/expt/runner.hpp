@@ -105,10 +105,6 @@ struct RunnerOptions {
   /// Measured numbers are identical for every setting; only wall-clock
   /// time changes, so cached results stay valid across thread counts.
   std::size_t num_threads = 1;
-  /// Fault-simulation kernel (full, cone, or per-group auto selection).
-  /// Like num_threads this only changes wall-clock time — every mode
-  /// produces bit-identical results — so cached entries stay valid.
-  fault::KernelMode kernel = fault::KernelMode::Auto;
   /// ATPG backend for the combinational test set C and the fault
   /// universe (docs/atpg.md).  Podem (default) reproduces the
   /// structural-only measurement bit-for-bit.  Sat and Auto resolve
@@ -144,7 +140,7 @@ struct RunnerOptions {
   /// keeps ownership and must guarantee exclusive use for the duration
   /// of the call; it must have been constructed on exactly the circuit
   /// and fault list `shared_inputs` returns.  run_circuit installs its
-  /// own threads/kernel/cancel settings and detaches the cancel token
+  /// own threads/cancel settings and detaches the cancel token
   /// on every exit path, so a pooled simulator — whose warmed trace
   /// cache is the point of reuse — comes back clean for the next job.
   fault::FaultSimulator* simulator = nullptr;

@@ -46,10 +46,11 @@ FaultSimulator::FaultSimulator(const Circuit& circuit,
       exec_(circuit, faults, scan_mask_),
       trace_cache_(circuit) {
   assert(scan_mask_.size() == circuit.num_flip_flops());
-  // Cone-locality rank per class: the representative's position in the
+  // Packing rank per class: the representative's position in the
   // level-major CSR order (for source nodes, the earliest position among
-  // their fanouts).  Sorting targets by this rank clusters faults whose
-  // fanout cones overlap into the same simulation group.
+  // their fanouts).  collect() sorts targets by it, so it fixes which
+  // faults share a group and the order of every per-target record; the
+  // golden results pin it.
   const netlist::CsrSchedule& csr = circuit.csr();
   pack_rank_.resize(faults.num_classes());
   for (FaultClassId id = 0; id < pack_rank_.size(); ++id) {
@@ -64,12 +65,22 @@ FaultSimulator::FaultSimulator(const Circuit& circuit,
   }
 }
 
-void FaultSimulator::check_scan_in(const Vector3& scan_in) const {
-  if (scan_in.size() != circuit_->num_flip_flops()) {
+void FaultSimulator::check_test(const Vector3* scan_in,
+                                const Sequence& seq) const {
+  if (scan_in != nullptr && scan_in->size() != circuit_->num_flip_flops()) {
     throw std::invalid_argument(
-        "scan_in width " + std::to_string(scan_in.size()) +
+        "scan_in width " + std::to_string(scan_in->size()) +
         " != flip-flop count " +
         std::to_string(circuit_->num_flip_flops()));
+  }
+  for (const Vector3& pi : seq.frames) check_pi(pi);
+}
+
+void FaultSimulator::check_pi(const Vector3& pi) const {
+  if (pi.size() != circuit_->num_inputs()) {
+    throw std::invalid_argument(
+        "PI width " + std::to_string(pi.size()) + " != input count " +
+        std::to_string(circuit_->num_inputs()));
   }
 }
 
@@ -136,11 +147,7 @@ void FaultSimulator::reduce_masks(std::span<const FaultClassId> list,
 
 std::shared_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
     const sim::Vector3* scan_in, const sim::Sequence& seq) {
-  // Frame-gated models need the fault-free trace in every mode: it is
-  // the activation oracle, not just the cone kernel's seed.
-  if (kernel_ == KernelMode::Full && !faults_->model().frame_gated()) {
-    return nullptr;
-  }
+  if (!faults_->model().frame_gated()) return nullptr;
   if (scan_in == nullptr || scan_mask_.all()) {
     return trace_cache_.get(scan_in, seq);
   }
@@ -158,8 +165,7 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
                                     std::span<std::uint64_t> det) {
   const sim::SimdConfig cfg = simd_config();
   const std::size_t ng = det.size();
-  if (cfg.lanes() <= 1 || ng < 2 || kernel_ != KernelMode::Full ||
-      faults_->model().frame_gated()) {
+  if (cfg.lanes() <= 1 || ng < 2 || faults_->model().frame_gated()) {
     return false;
   }
   obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
@@ -199,13 +205,13 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
 
 FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
                                         const FaultSet* targets) {
+  check_test(nullptr, seq);
   const QueryScope scope("detect_no_scan");
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(nullptr, seq, list, /*observe_scan_out=*/false,
                       /*all_ok=*/nullptr, det)) {
     const auto trace = acquire_trace(nullptr, seq);
-    const KernelChoice kc = kernel_choice(trace.get());
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -214,7 +220,7 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
                                            /*observe_scan_out=*/false,
                                            /*early_exit=*/true,
                                            /*keep_going=*/nullptr, &cancel_,
-                                           kc);
+                                           trace.get());
                    });
   }
   FaultSet detected(num_classes());
@@ -225,14 +231,13 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
 FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
                                           const Sequence& seq,
                                           const FaultSet* targets) {
-  check_scan_in(scan_in);
+  check_test(&scan_in, seq);
   const QueryScope scope("detect_scan_test");
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true,
                       /*all_ok=*/nullptr, det)) {
     const auto trace = acquire_trace(&scan_in, seq);
-    const KernelChoice kc = kernel_choice(trace.get());
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -241,7 +246,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
                                            /*observe_scan_out=*/true,
                                            /*early_exit=*/true,
                                            /*keep_going=*/nullptr, &cancel_,
-                                           kc);
+                                           trace.get());
                    });
   }
   FaultSet detected(num_classes());
@@ -251,7 +256,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
 
 FaultSimulator::DetectionTimes FaultSimulator::detection_times(
     const Vector3& scan_in, const Sequence& seq, const FaultSet& targets) {
-  check_scan_in(scan_in);
+  check_test(&scan_in, seq);
   const QueryScope scope("detection_times");
   DetectionTimes times;
   times.targets = collect(&targets);
@@ -260,7 +265,6 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   const std::span<std::int64_t> first_po(times.first_po);
   const std::span<util::Bitset> state_diff(times.state_diff);
   const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
   for_each_group(exec_, times.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -269,14 +273,14 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
                    w.run_times(scan_in, seq, group,
                                first_po.subspan(base, group.size()),
                                state_diff.subspan(base, group.size()),
-                               &cancel_, kc);
+                               &cancel_, trace.get());
                  });
   return times;
 }
 
 FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
     const Vector3& scan_in, const Sequence& seq, const FaultSet& targets) {
-  check_scan_in(scan_in);
+  check_test(&scan_in, seq);
   const QueryScope scope("prefix_detection");
   PrefixDetection out;
   out.targets = collect(&targets);
@@ -284,7 +288,6 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   out.detected = util::Bitset(num_classes());
   const std::span<std::int64_t> first_po(out.first_po);
   const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
   std::vector<std::uint64_t> det(num_groups(out.targets.size()), 0);
   for_each_group(exec_, out.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -294,7 +297,7 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
                    det[g] = w.run_prefix(scan_in, seq, group,
                                          first_po.subspan(base,
                                                           group.size()),
-                                         &cancel_, kc);
+                                         &cancel_, trace.get());
                  });
   reduce_masks(out.targets, det, out.detected);
   return out;
@@ -302,7 +305,7 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
 
 bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                                  const FaultSet& required) {
-  check_scan_in(scan_in);
+  check_test(&scan_in, seq);
   const QueryScope scope("detects_all");
   const std::vector<FaultClassId> list = collect(&required);
   // Cooperative early exit: the first group that misses a fault flips
@@ -317,7 +320,6 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
     return all_ok.load(std::memory_order_relaxed);
   }
   const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
   for_each_group(exec_, list, policy(),
                  [&](GroupWorker& w, std::size_t /*g*/,
                      std::span<const FaultClassId> group) {
@@ -332,7 +334,7 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                        w.run_detect(&scan_in, seq, group,
                                     /*observe_scan_out=*/true,
                                     /*early_exit=*/true, &all_ok, &cancel_,
-                                    kc);
+                                    trace.get());
                    if (det != group_slot_mask(group.size())) {
                      all_ok.store(false, std::memory_order_relaxed);
                    }
@@ -344,12 +346,11 @@ FaultSet FaultSimulator::consistent_faults(
     const Vector3& scan_in, const Sequence& seq,
     std::span<const sim::Vector3> observed_pos,
     const Vector3& observed_scan_out, const FaultSet& targets) {
-  check_scan_in(scan_in);
+  check_test(&scan_in, seq);
   check_response(observed_pos, observed_scan_out, seq);
   const QueryScope scope("consistent_faults");
   const std::vector<FaultClassId> list = collect(&targets);
   const auto trace = acquire_trace(&scan_in, seq);
-  const KernelChoice kc = kernel_choice(trace.get());
   std::vector<std::uint64_t> mismatch(num_groups(list.size()), 0);
   for_each_group(exec_, list, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -360,7 +361,7 @@ FaultSet FaultSimulator::consistent_faults(
                    mismatch[g] = w.run_consistency(scan_in, seq,
                                                    observed_pos,
                                                    observed_scan_out, group,
-                                                   &cancel_, kc);
+                                                   &cancel_, trace.get());
                  });
   FaultSet consistent(num_classes());
   reduce_masks(list, mismatch, consistent, /*complement=*/true);
@@ -402,7 +403,7 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
       throw std::invalid_argument(
           "detect_batch: batch mixes scan and no-scan tests");
     }
-    if (with_scan) check_scan_in(*t.scan_in);
+    check_test(t.scan_in, *t.seq);
   }
   const sim::SimdConfig cfg = simd_config();
   if (!use_batch(num_tests, cfg)) {
@@ -461,7 +462,7 @@ std::vector<FaultSimulator::DetectionTimes> FaultSimulator::times_batch(
     if (t.scan_in == nullptr) {
       throw std::invalid_argument("times_batch: every test needs scan-in");
     }
-    check_scan_in(*t.scan_in);
+    check_test(t.scan_in, *t.seq);
   }
   const sim::SimdConfig cfg = simd_config();
   if (!use_batch(num_tests, cfg)) {
@@ -565,6 +566,7 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
 }
 
 std::size_t FaultSimulator::Session::step(const sim::Vector3& pi) {
+  parent_->check_pi(pi);
   if (tdf_) return step_tdf(pi);
   const std::size_t nff = parent_->circuit_->num_flip_flops();
   std::size_t newly = 0;

@@ -13,12 +13,12 @@
 // parallelises all of them while keeping results bit-identical to a
 // serial run (see group_exec.hpp for the determinism argument).
 //
-// Kernels: each group pass runs either the full CSR-levelized kernel
-// (whole circuit, 64 slots wide) or the cone-restricted kernel
-// (sim/cone_kernel.hpp), which evaluates only the group's union fanout
-// cone and seeds its boundary from a shared fault-free trace
-// (sim/node_trace.hpp, memoized across queries by sim/trace_cache.hpp).
-// set_kernel() selects the mode; results are bit-identical either way.
+// Kernel: every group pass evaluates the whole circuit on the
+// CSR-levelized schedule.  Stuck-at detect queries with >= 2 groups pack
+// lanes() groups into one wide fault-parallel pass; batch queries pack
+// lanes() tests into one PPSFP pass.  Under a frame-gated fault model
+// the passes read a shared fault-free trace (sim/node_trace.hpp,
+// memoized across queries by sim/trace_cache.hpp) as activation oracle.
 //
 // Detection is conservative (standard for 3-valued simulation): a fault
 // is detected at an observation point only when both the fault-free and
@@ -89,14 +89,9 @@ class FaultSimulator {
     return cancel_;
   }
 
-  /// Kernel selection for every query (see KernelMode).  Results are
-  /// bit-identical across modes; only the work per group changes.
-  void set_kernel(KernelMode m) noexcept { kernel_ = m; }
-  [[nodiscard]] KernelMode kernel() const noexcept { return kernel_; }
-
   /// SIMD lane width for the wide passes (sim/simd.hpp): batch queries
-  /// pack lanes() tests per pass (PPSFP), and Full-kernel stuck-at
-  /// queries pack lanes() fault groups per pass.  Auto (default) picks
+  /// pack lanes() tests per pass (PPSFP), and stuck-at detect queries
+  /// pack lanes() fault groups per pass.  Auto (default) picks
   /// the widest ISA the CPU supports; W64 disables both wide paths.
   /// Results are bit-identical across widths.
   void set_lane_width(sim::LaneWidth w) noexcept { lane_width_ = w; }
@@ -174,8 +169,7 @@ class FaultSimulator {
   /// without.  Packs simd_config().lanes() tests into the bit-lanes of
   /// one wide pass per fault group, sharing the per-group setup and
   /// every gate evaluation across the batch; falls back to the per-test
-  /// query when the batch or the lane width is 1, or under Cone kernel
-  /// mode (the cone kernel is per-test by construction).
+  /// query when the batch or the lane width is 1.
   [[nodiscard]] std::vector<FaultSet> detect_batch(
       std::span<const BatchTest> tests, const FaultSet* targets = nullptr);
 
@@ -276,6 +270,15 @@ class FaultSimulator {
                       const sim::Vector3& observed_scan_out,
                       const sim::Sequence& seq) const;
 
+  /// Throws std::invalid_argument unless the circuit can run the test
+  /// (scan_in, seq): a scan-in vector (when given) of flip_flops()
+  /// width, and one PI vector of primary_inputs() width per frame.  The
+  /// simulators index both by position, so every query checks its tests
+  /// with it before simulating; a short vector would be read out of
+  /// bounds.
+  void check_test(const sim::Vector3* scan_in,
+                  const sim::Sequence& seq) const;
+
   /// Incremental no-scan simulation over a fixed target set: all machines
   /// start in the all-X state and advance one frame per step() with PO
   /// observation.  snapshot()/restore() allow speculative extension —
@@ -357,18 +360,14 @@ class FaultSimulator {
     return ExecPolicy{num_threads_};
   }
 
-  /// Rejects a scan-in vector whose width is not flip_flops().size().
-  /// Scan-in states are indexed in flip_flops() order by every kernel;
-  /// a short vector would read out of bounds (and the two kernels would
-  /// read *different* garbage), so the width is validated once at the
-  /// query boundary.
-  void check_scan_in(const sim::Vector3& scan_in) const;
+  /// The per-frame half of check_test (Session::step checks each
+  /// frame with it): throws unless `pi` has primary_inputs() width.
+  void check_pi(const sim::Vector3& pi) const;
 
   /// Targets to simulate: every class, or the members of `targets`,
-  /// ordered by cone locality (pack_rank_) so that faults whose fanout
-  /// cones overlap land in the same group — the smaller the union cone,
-  /// the more the cone kernel saves.  The order is a fixed total order
-  /// (rank, then class id), identical for every query and every subset.
+  /// ordered by pack_rank_.  The order is a fixed total order (rank,
+  /// then class id), identical for every query and every subset; it
+  /// fixes each group's members and so every per-target result order.
   [[nodiscard]] std::vector<FaultClassId> collect(
       const FaultSet* targets) const;
 
@@ -379,30 +378,28 @@ class FaultSimulator {
                     std::span<const std::uint64_t> group_masks,
                     FaultSet& out, bool complement = false) const;
 
-  /// Fault-free trace for the kernel choice: nullptr in Full mode under
-  /// a frame-less model, else the cached (masked scan_in, seq) trace
-  /// shared across groups (frame-gated models always need it for the
-  /// activation predicate).
+  /// The cached fault-free trace of (masked scan_in, seq), shared across
+  /// groups, when the fault model is frame-gated (the trace is its
+  /// activation oracle); nullptr under a frame-less model.
   [[nodiscard]] std::shared_ptr<const sim::NodeTrace> acquire_trace(
       const sim::Vector3* scan_in, const sim::Sequence& seq);
 
   /// Fault-free traces for a batch query: one per test under a
   /// frame-gated model (the batch passes' activation oracle), empty
-  /// under stuck-at (the wide passes run the full kernel and need no
-  /// trace).  Acquired before the group fan-out — TraceCache is not
-  /// thread-safe.
+  /// under stuck-at (no stuck-at pass reads a trace).  Acquired before
+  /// the group fan-out — TraceCache is not thread-safe.
   [[nodiscard]] std::vector<std::shared_ptr<const sim::NodeTrace>>
   acquire_traces(std::span<const BatchTest> tests);
 
   /// True when a (sub)query should take the wide PPSFP path.
-  [[nodiscard]] bool use_batch(std::size_t num_tests,
-                               const sim::SimdConfig& cfg) const noexcept {
-    return num_tests > 1 && cfg.lanes() > 1 && kernel_ != KernelMode::Cone;
+  [[nodiscard]] static bool use_batch(std::size_t num_tests,
+                                      const sim::SimdConfig& cfg) noexcept {
+    return num_tests > 1 && cfg.lanes() > 1;
   }
 
   /// Runs a detect-shaped plan on the wide fault-parallel path (lanes()
-  /// groups per pass) when it applies — Full kernel, frame-less model,
-  /// >= 2 groups, wide lanes — filling det (one mask per group) and
+  /// groups per pass) when it applies — frame-less model, >= 2 groups,
+  /// wide lanes — filling det (one mask per group) and
   /// returning true.  Returns false untouched when the per-group 64-bit
   /// plan should run instead.  With `all_ok` (detects_all) the plan
   /// stops early: a chunk that misses a fault or sees the cancel token
@@ -412,22 +409,15 @@ class FaultSimulator {
                       bool observe_scan_out, std::atomic<bool>* all_ok,
                       std::span<std::uint64_t> det);
 
-  /// The per-group kernel choice handed to every worker pass.
-  [[nodiscard]] KernelChoice kernel_choice(
-      const sim::NodeTrace* trace) const noexcept {
-    return KernelChoice{trace, kernel_};
-  }
-
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
   util::Bitset scan_mask_;
   std::size_t num_threads_ = 1;
-  KernelMode kernel_ = KernelMode::Auto;
   sim::LaneWidth lane_width_ = sim::LaneWidth::Auto;
   util::CancelToken cancel_;
   GroupExecutor exec_;
   sim::TraceCache trace_cache_;
-  std::vector<std::uint32_t> pack_rank_;  ///< per class: cone-locality rank
+  std::vector<std::uint32_t> pack_rank_;  ///< per class: packing rank
 };
 
 }  // namespace scanc::fault

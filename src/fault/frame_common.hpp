@@ -103,12 +103,10 @@ class TdfSites {
 /// so FramesSimulated stays comparable with the per-test passes.
 struct FrameTally {
   std::uint64_t simulated = 0;
-  std::uint64_t skipped = 0;
   std::uint64_t tdf_activations = 0;
   std::uint64_t tdf_skipped = 0;
   ~FrameTally() {
     if (simulated != 0) obs::add(obs::Counter::FramesSimulated, simulated);
-    if (skipped != 0) obs::add(obs::Counter::FramesSkipped, skipped);
     if (tdf_activations != 0) {
       obs::add(obs::Counter::TdfActivations, tdf_activations);
     }

@@ -5,10 +5,9 @@
 // templated on three policies (docs/execution.md, "Simulation kernels"):
 //
 //   Evaluator   steps the machines through the frames — eval(t)
-//               simulates frame t (false: skipped, every slot provably
-//               follows the fault-free trace), latch() captures the next
-//               state, reload(t) restarts frame t from the fault-free
-//               state entering it — and answers the observers' questions
+//               simulates frame t, latch() captures the next state,
+//               reload(t) restarts frame t from the fault-free state
+//               entering it — and answers the observers' questions
 //               about the current frame (PO and scan-out detection words,
 //               mismatch words against an observed response);
 //   Activation  launch(t, ev, tally) decides whether frame t has any
@@ -29,8 +28,8 @@
 // This header holds the policies both GroupWorker (one-lane word, all
 // four passes) and the wide fault-parallel BatchEngine pass (W lanes of
 // fault groups) run: FullEval<W> over SeqSim<W>, AlwaysActive and
-// DetectObs<W>.  The cone evaluator, the transition activation and the
-// remaining observers are one-lane only and live in group_worker.cpp.
+// DetectObs<W>.  The transition activation and the remaining observers
+// are one-lane only and live in group_worker.cpp.
 #pragma once
 
 #include <atomic>
@@ -90,10 +89,7 @@ class FullEval {
     }
   }
 
-  bool eval(std::size_t t) {
-    sim_.apply_frame(seq_.frames[t], &inj_);
-    return true;
-  }
+  void eval(std::size_t t) { sim_.apply_frame(seq_.frames[t], &inj_); }
   void latch() { sim_.latch(&inj_); }
   void reload(std::size_t t) {
     sim_.load_state(trace_->state_at_start(t), &inj_);
@@ -193,15 +189,11 @@ void frame_loop(Eval& ev, Act& act, Obs& obs, std::size_t len) {
   for (std::size_t t = 0; t < len; ++t) {
     if (obs.interrupted()) return;  // partial result
     const bool last = t + 1 == len;
-    bool simulated = act.launch(t, ev, tally);
-    if (simulated && !ev.eval(t)) {
-      ++tally.skipped;
-      simulated = false;
-    }
-    if (!simulated) {
+    if (!act.launch(t, ev, tally)) {
       if (obs.quiet(t) && obs.done(last)) return;
       continue;
     }
+    ev.eval(t);
     tally.simulated += obs.lanes;
     obs.frame(t, ev);
     if (Act::kPersistent || obs.wants_state(last)) {

@@ -9,7 +9,6 @@
 
 namespace scanc::fault {
 
-using netlist::NodeId;
 using sim::Sequence;
 using sim::Vector3;
 
@@ -19,8 +18,7 @@ GroupWorker::GroupWorker(const netlist::Circuit& circuit,
       faults_(&faults),
       scan_mask_(std::move(scan_mask)),
       sim_(circuit),
-      injections_(circuit.num_nodes()),
-      cone_(circuit) {
+      injections_(circuit.num_nodes()) {
   assert(scan_mask_.size() == circuit.num_flip_flops());
 }
 
@@ -32,43 +30,10 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
   return *batch_engine_;
 }
 
-bool GroupWorker::cone_selected(std::span<const FaultClassId> group,
-                                const KernelChoice& kernel) {
-  bool use_cone = false;
-  if (kernel.mode != KernelMode::Full) {
-    assert(kernel.trace != nullptr);
-    sites_.clear();
-    sites_.reserve(group.size());
-    for (const FaultClassId id : group) {
-      const Fault& f = faults_->representative(id);
-      sites_.push_back(sim::ConeSite{f.node, f.pin, f.value});
-    }
-    plan_.build(*circuit_, sites_);
-    // Auto: the cone pays only when the compacted schedule drops at
-    // least a quarter of the full evaluation work (boundary seeding and
-    // plan construction eat the rest of the margin).
-    use_cone = kernel.mode == KernelMode::Cone ||
-               plan_.eval().size() * 4 <= circuit_->num_gates() * 3;
-  }
-  // cone_selected runs exactly once per group pass, so the kernel-choice
-  // counters live here rather than in every query method.
-  if (use_cone) {
-    const std::uint64_t eval = plan_.eval().size();
-    const std::uint64_t gates = circuit_->num_gates();
-    obs::add(obs::Counter::ConePasses);
-    obs::add(obs::Counter::ConeGatesScheduled, eval);
-    obs::add(obs::Counter::ConeGatesDropped,
-             gates >= eval ? gates - eval : 0);
-  } else {
-    obs::add(obs::Counter::FullPasses);
-  }
-  return use_cone;
-}
-
 // ---------------------------------------------------------------------
 // The one-lane policies of the frame loop (fault/frame_loop.hpp): the
-// cone evaluator, the transition activation and the detection-time,
-// prefix and consistency observers.
+// transition activation and the detection-time, prefix and consistency
+// observers.
 
 namespace {
 
@@ -80,78 +45,6 @@ std::uint64_t uniform_mismatch(sim::V3 v, sim::V3 observed) {
              ? ~0ULL
              : 0;
 }
-
-}  // namespace
-
-/// The group's cone on the worker's ConeSim (sim/cone_kernel.hpp):
-/// boundary seeded from the fault-free trace, clean frames skipped.
-/// Out-of-cone observation points (and every point while the cone is
-/// clean) are slot-uniform at the fault-free value: they never detect,
-/// and they mismatch uniformly.
-class GroupWorker::ConeEval {
- public:
-  ConeEval(GroupWorker& w, const sim::NodeTrace& trace, std::size_t len)
-      : w_(w), trace_(trace), len_(len) {
-    w_.cone_.begin(w_.plan_, w_.injections_, trace_);
-  }
-
-  bool eval(std::size_t t) { return w_.cone_.eval_frame(t); }
-  void latch() { w_.cone_.latch(); }
-  /// Re-arms the clean path after a dirty latch, so the frame re-seeds
-  /// the cone from the trace instead of resuming the latched effects.
-  void reload(std::size_t /*t*/) {
-    if (!w_.cone_.clean()) w_.cone_.begin(w_.plan_, w_.injections_, trace_);
-  }
-
-  [[nodiscard]] std::uint64_t po_detections() const {
-    std::uint64_t det = 0;
-    for (const NodeId po : w_.plan_.cone_pos()) {
-      det |= sim::wide_detections(w_.cone_.value(po));
-    }
-    return det;
-  }
-  [[nodiscard]] std::uint64_t state_detections() const {
-    if (w_.cone_.clean()) return 0;  // every latch holds the fault-free value
-    std::uint64_t det = 0;
-    for (const std::uint32_t i : w_.plan_.cone_ff_pos()) {
-      if (w_.scan_mask_.test(i)) {
-        det |= sim::wide_detections(w_.cone_.captured(i));
-      }
-    }
-    return det;
-  }
-  [[nodiscard]] std::uint64_t po_mismatches(std::size_t t,
-                                            const Vector3& observed) const {
-    const auto pos = w_.circuit_->primary_outputs();
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      m |= w_.plan_.in_cone(pos[i])
-               ? mismatches(w_.cone_.value(pos[i]), observed[i])
-               : uniform_mismatch(trace_.value(t, pos[i]), observed[i]);
-    }
-    return m;
-  }
-  [[nodiscard]] std::uint64_t state_mismatches(const Vector3& observed) const {
-    const Vector3 ff_free = trace_.state_at_start(len_);
-    const auto ffs = w_.circuit_->flip_flops();
-    const bool dirty = !w_.cone_.clean();
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      if (!w_.scan_mask_.test(i)) continue;
-      m |= dirty && w_.plan_.in_cone(ffs[i])
-               ? mismatches(w_.cone_.captured(i), observed[i])
-               : uniform_mismatch(ff_free[i], observed[i]);
-    }
-    return m;
-  }
-
- private:
-  GroupWorker& w_;
-  const sim::NodeTrace& trace_;
-  std::size_t len_;
-};
-
-namespace {
 
 /// Transition delay (frame-gated): fault j is active in frame t >= 1 iff
 /// its site launches the delayed transition across frames t-1 -> t of
@@ -287,29 +180,24 @@ struct ConsistencyObs : ObserverBase {
 template <class Obs>
 void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
                       std::span<const FaultClassId> group,
-                      const KernelChoice& kernel, Obs& obs) {
-  const auto with_evaluator = [&](auto& act, const Vector3* start) {
-    if (cone_selected(group, kernel)) {
-      ConeEval ev(*this, *kernel.trace, seq.length());
-      frame_loop(ev, act, obs, seq.length());
-    } else {
-      FullEval<std::uint64_t> ev(sim_, injections_, scan_mask_, seq,
-                                 kernel.trace, start);
-      frame_loop(ev, act, obs, seq.length());
-    }
-  };
+                      const sim::NodeTrace* trace, Obs& obs) {
+  obs::add(obs::Counter::FullPasses);
   if (faults_->model().frame_gated()) {
-    // The trace is the activation oracle in every kernel mode, and each
-    // active frame reloads its state from it (no scan-in load).
-    assert(kernel.trace != nullptr);
+    // The trace is the activation oracle, and each active frame reloads
+    // its state from it (no scan-in load).
+    assert(trace != nullptr);
     tdf_sites_.build(*faults_, group);
     injections_.clear();
-    TdfLaunch act(tdf_sites_, injections_, *kernel.trace);
-    with_evaluator(act, nullptr);
+    TdfLaunch act(tdf_sites_, injections_, *trace);
+    FullEval<std::uint64_t> ev(sim_, injections_, scan_mask_, seq, trace,
+                               nullptr);
+    frame_loop(ev, act, obs, seq.length());
   } else {
     build_group_injections(*faults_, group, injections_);
     AlwaysActive act;
-    with_evaluator(act, scan_in);
+    FullEval<std::uint64_t> ev(sim_, injections_, scan_mask_, seq, trace,
+                               scan_in);
+    frame_loop(ev, act, obs, seq.length());
   }
 }
 
@@ -319,12 +207,12 @@ std::uint64_t GroupWorker::run_detect(const Vector3* scan_in,
                                       bool observe_scan_out, bool early_exit,
                                       const std::atomic<bool>* keep_going,
                                       const util::CancelToken* cancel,
-                                      const KernelChoice& kernel) {
+                                      const sim::NodeTrace* trace) {
   DetectObs<std::uint64_t> obs{{keep_going, cancel},
                                group_slot_mask(group.size()),
                                observe_scan_out,
                                early_exit};
-  run(scan_in, seq, group, kernel, obs);
+  run(scan_in, seq, group, trace, obs);
   return obs.det;
 }
 
@@ -333,11 +221,11 @@ void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
                             std::span<std::int64_t> first_po,
                             std::span<util::Bitset> state_diff,
                             const util::CancelToken* cancel,
-                            const KernelChoice& kernel) {
+                            const sim::NodeTrace* trace) {
   assert(first_po.size() == group.size());
   assert(state_diff.size() == group.size());
   TimesObs obs{{nullptr, cancel}, first_po, state_diff};
-  run(&scan_in, seq, group, kernel, obs);
+  run(&scan_in, seq, group, trace, obs);
 }
 
 std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
@@ -345,10 +233,10 @@ std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
                                       std::span<const FaultClassId> group,
                                       std::span<std::int64_t> first_po,
                                       const util::CancelToken* cancel,
-                                      const KernelChoice& kernel) {
+                                      const sim::NodeTrace* trace) {
   assert(first_po.size() == group.size());
   PrefixObs obs{{nullptr, cancel}, group_slot_mask(group.size()), first_po};
-  run(&scan_in, seq, group, kernel, obs);
+  run(&scan_in, seq, group, trace, obs);
   return obs.det;
 }
 
@@ -356,18 +244,18 @@ std::uint64_t GroupWorker::run_consistency(
     const Vector3& scan_in, const Sequence& seq,
     std::span<const sim::Vector3> observed_pos,
     const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel, const KernelChoice& kernel) {
+    const util::CancelToken* cancel, const sim::NodeTrace* trace) {
   assert(observed_pos.size() == seq.length());
   assert(observed_scan_out.size() == circuit_->num_flip_flops());
   ConsistencyObs obs{{nullptr, cancel},
                      group_slot_mask(group.size()),
                      observed_pos,
                      observed_scan_out,
-                     kernel.trace,
+                     trace,
                      *circuit_,
                      scan_mask_,
                      seq.length()};
-  run(&scan_in, seq, group, kernel, obs);
+  run(&scan_in, seq, group, trace, obs);
   return obs.mismatch;
 }
 

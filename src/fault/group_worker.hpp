@@ -2,8 +2,8 @@
 //
 // A GroupWorker owns everything one pass over a group of <= 63 collapsed
 // fault classes mutates — the one-lane SeqSim (PackedSeqSim), the
-// ConeSim, the injection map, the activation-site scratch and, on
-// demand, a wide BatchEngine — and borrows only const
+// injection map, the activation-site scratch and, on demand, a wide
+// BatchEngine — and borrows only const
 // circuit/fault data.  Any number of workers can therefore simulate
 // disjoint fault groups concurrently over the same circuit; the
 // execution layer (fault/group_exec.hpp) hands each executing thread its
@@ -18,8 +18,7 @@
 // Each is a thin dispatcher over one frame loop (fault/frame_loop.hpp,
 // shared with the wide fault-parallel pass) templated on three policies
 // (docs/execution.md, "Simulation kernels"):
-//   Evaluator   the full CSR schedule (SeqSim) or the group's cone
-//               (ConeSim: trace-seeded boundary, frame skipping);
+//   Evaluator   the full CSR schedule on SeqSim;
 //   Activation  always active (stuck-at: injections built once, state
 //               persists) or the transition launch mask (injections per
 //               frame, state reloaded from the fault-free trace, latch
@@ -39,7 +38,6 @@
 #include "fault/fault_list.hpp"
 #include "fault/frame_common.hpp"
 #include "netlist/circuit.hpp"
-#include "sim/cone_kernel.hpp"
 #include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/simd.hpp"
@@ -69,28 +67,6 @@ void build_group_injections(const FaultList& faults,
   }
 }
 
-/// Which simulation kernel the queries run on.  All modes produce
-/// bit-identical results:
-///   Auto — per fault group, use the cone-restricted kernel when the
-///          group's union fanout cone is small enough to pay off, else
-///          the full kernel (the default);
-///   Full — always evaluate the whole circuit (no fault-free trace is
-///          computed under stuck-at; frame-gated models still build one
-///          as their activation oracle);
-///   Cone — always use the cone-restricted kernel (testing/benchmarks).
-enum class KernelMode { Auto, Full, Cone };
-
-/// Kernel selection for one pass, resolved by the FaultSimulator: the
-/// query's kernel mode plus the shared fault-free trace.  Auto and Cone
-/// need the trace (it seeds the cone kernel, sim/cone_kernel.hpp);
-/// under Full the worker never takes the cone, and the trace is present
-/// only when a frame-gated fault model needs it as activation oracle.
-/// Either kernel produces bit-identical results.
-struct KernelChoice {
-  const sim::NodeTrace* trace = nullptr;
-  KernelMode mode = KernelMode::Full;
-};
-
 class GroupWorker {
  public:
   /// Borrows `circuit` and `faults`; copies `scan_mask` so the worker
@@ -108,13 +84,16 @@ class GroupWorker {
   /// when given, is likewise polled every frame; a raised token aborts
   /// the pass with a partial mask — callers that observe
   /// cancel->stop_requested() must treat the result as incomplete.
+  /// `trace`, in every pass, is the fault-free trace of (masked scan_in,
+  /// seq): required under a frame-gated fault model, where it is the
+  /// activation oracle, and ignored otherwise.
   std::uint64_t run_detect(const sim::Vector3* scan_in,
                            const sim::Sequence& seq,
                            std::span<const FaultClassId> group,
                            bool observe_scan_out, bool early_exit,
                            const std::atomic<bool>* keep_going = nullptr,
                            const util::CancelToken* cancel = nullptr,
-                           const KernelChoice& kernel = {});
+                           const sim::NodeTrace* trace = nullptr);
 
   /// Full detection-time recording for one group.  `first_po[j]` (init
   /// to -1 by the caller) receives the earliest PO detection time of
@@ -127,7 +106,7 @@ class GroupWorker {
                  std::span<std::int64_t> first_po,
                  std::span<util::Bitset> state_diff,
                  const util::CancelToken* cancel = nullptr,
-                 const KernelChoice& kernel = {});
+                 const sim::NodeTrace* trace = nullptr);
 
   /// Lighter prefix-coverage pass: records first PO detection times into
   /// `first_po` (group-local, init to -1) and returns the detection mask
@@ -139,7 +118,7 @@ class GroupWorker {
                            std::span<const FaultClassId> group,
                            std::span<std::int64_t> first_po,
                            const util::CancelToken* cancel = nullptr,
-                           const KernelChoice& kernel = {});
+                           const sim::NodeTrace* trace = nullptr);
 
   /// Response-comparison pass for diagnosis: returns the mask of group
   /// faults whose predicted response *mismatches* the observation
@@ -152,7 +131,7 @@ class GroupWorker {
                                 const sim::Vector3& observed_scan_out,
                                 std::span<const FaultClassId> group,
                                 const util::CancelToken* cancel = nullptr,
-                                const KernelChoice& kernel = {});
+                                const sim::NodeTrace* trace = nullptr);
 
   /// Worker-local wide batch engine for `cfg` (PPSFP and wide
   /// fault-parallel passes), created on first use and rebuilt when the
@@ -168,29 +147,20 @@ class GroupWorker {
   }
 
  private:
-  class ConeEval;
-
   /// The one frame loop's dispatcher: picks the Activation policy from
-  /// the fault model and the Evaluator from `kernel`, then runs `obs`
-  /// (group_worker.cpp) over the test.
+  /// the fault model, then runs `obs` (group_worker.cpp) over the test.
+  /// `trace` is the query's fault-free trace: the transition model's
+  /// activation oracle, nullptr under stuck-at.
   template <class Obs>
   void run(const sim::Vector3* scan_in, const sim::Sequence& seq,
-           std::span<const FaultClassId> group, const KernelChoice& kernel,
+           std::span<const FaultClassId> group, const sim::NodeTrace* trace,
            Obs& obs);
-
-  /// Decides full vs cone kernel for `group` under `kernel`; when the
-  /// cone is taken, plan_ holds the group's cone on return.
-  [[nodiscard]] bool cone_selected(std::span<const FaultClassId> group,
-                                   const KernelChoice& kernel);
 
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
   util::Bitset scan_mask_;
   sim::PackedSeqSim sim_;
   sim::PackedInjectionMap injections_;
-  sim::ConePlan plan_;
-  sim::ConeSim cone_;
-  std::vector<sim::ConeSite> sites_;
   TdfSites tdf_sites_;
   std::unique_ptr<BatchEngine> batch_engine_;
   sim::SimdConfig batch_cfg_;

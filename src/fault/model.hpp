@@ -68,9 +68,8 @@ class FaultModel {
 
   /// True when a fault of this model is only active in frames whose
   /// fault-free site value satisfies an activation predicate (transition
-  /// launch).  Frame-gated models require the fault-free node trace in
-  /// every kernel mode, and whole-frame skipping becomes
-  /// activation-aware.
+  /// launch).  Frame-gated models require the fault-free node trace as
+  /// activation oracle, and whole frames without a launch are skipped.
   [[nodiscard]] virtual bool frame_gated() const noexcept = 0;
 
   /// Enumerates the model's fault universe of `c` into `out`, in a

@@ -6,8 +6,7 @@
 // vector.  A CsrSchedule flattens the whole connectivity into four
 // arrays (offsets + ids, fanin and fanout side) plus a level-major
 // evaluation order, so the hot loops index contiguous memory only.
-// Circuit precomputes one at build() time; every simulation kernel
-// (full and cone-restricted) runs off it.
+// Circuit precomputes one at build() time; every simulator runs off it.
 #pragma once
 
 #include <cstdint>

@@ -92,7 +92,7 @@ void NodeTrace::extend_batch(
       }
       work[pis[i]] = v;
     }
-    eval_schedule<std::uint64_t>(csr, csr.order, work.data(), nullptr);
+    eval_schedule<std::uint64_t>(csr, work.data(), nullptr);
     // Record the frame *before* latching, one slot extraction per trace
     // still inside its own sequence.
     for (std::size_t k = 0; k < n; ++k) {

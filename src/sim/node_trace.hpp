@@ -3,10 +3,9 @@
 // A NodeTrace records the three-valued fault-free value of *every* node
 // at *every* time unit of a test (scan_in, seq), computed once with the
 // packed CSR kernel (one trace per bit-slot, extend_batch) and then
-// shared read-only across fault groups and worker threads.  The
-// cone-restricted kernel (sim/cone_kernel.hpp) seeds cone-boundary
-// fanins from it instead of re-simulating the out-of-cone logic 63 slots
-// wide, and skips whole frames when no fault effect is live.
+// shared read-only across fault groups and worker threads.  Frame-gated
+// fault models (the transition model) read it as their activation
+// oracle and reload each active frame's state from it.
 //
 // Layout: value(t, id) is the value of node `id` after evaluating frame
 // t.  Flip-flop ids hold the state *read during* frame t (before the

@@ -44,14 +44,13 @@
 
 namespace scanc::sim {
 
-/// Evaluates the combinational gates `order` (a topological order of the
-/// CSR schedule) into `values`, with branch and stem injections — the
-/// one gate loop of the full (SeqSim) and cone (ConeSim) kernels.
+/// Evaluates the combinational gates in the CSR schedule's level-major
+/// order into `values`, with branch and stem injections — the one gate
+/// loop of SeqSim and of the fault-free trace builder.
 template <class W>
-void eval_schedule(const netlist::CsrSchedule& csr,
-                   std::span<const netlist::NodeId> order, WideV3<W>* values,
+void eval_schedule(const netlist::CsrSchedule& csr, WideV3<W>* values,
                    const InjectionMap<W>* inj) {
-  for (const netlist::NodeId id : order) {
+  for (const netlist::NodeId id : csr.order) {
     const std::span<const netlist::NodeId> fi = csr.fanins(id);
     WideV3<W> out;
     if (inj == nullptr || !inj->any(id)) {
@@ -159,7 +158,7 @@ class SeqSim {
   /// (level-major CSR schedule: flat arrays on the inner loop).
   void eval_gates(const Injections* inj) {
     const netlist::CsrSchedule& csr = circuit_->csr();
-    eval_schedule(csr, csr.order, values_.data(), inj);
+    eval_schedule(csr, values_.data(), inj);
   }
 
   const netlist::Circuit* circuit_;

@@ -150,8 +150,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::FramesSkipped: return "frames_skipped";
     case Counter::ConePasses: return "cone_passes";
     case Counter::FullPasses: return "full_passes";
-    case Counter::ConeGatesScheduled: return "cone_gates_scheduled";
-    case Counter::ConeGatesDropped: return "cone_gates_dropped";
     case Counter::TdfActivations: return "tdf_activations";
     case Counter::TdfFramesSkipped: return "tdf_frames_skipped";
     case Counter::PpsfpBatches: return "ppsfp_batches";
@@ -351,10 +349,7 @@ double ratio(std::uint64_t num, std::uint64_t den) {
 }
 
 struct Derived {
-  double frame_skip_ratio;
   double trace_cache_hit_ratio;
-  double cone_pass_ratio;
-  double cone_gates_dropped_ratio;
   double pool_mean_queue_wait_ns;
 };
 
@@ -363,21 +358,11 @@ Derived derive(const CounterSnapshot& s) {
     return s[static_cast<std::size_t>(c)];
   };
   Derived d{};
-  d.frame_skip_ratio =
-      ratio(at(Counter::FramesSkipped),
-            at(Counter::FramesSimulated) + at(Counter::FramesSkipped));
   const std::uint64_t reuse = at(Counter::TraceCacheHits) +
                               at(Counter::TraceCacheExtensions) +
                               at(Counter::TraceCachePartialReuses);
   d.trace_cache_hit_ratio =
       ratio(reuse, reuse + at(Counter::TraceCacheMisses));
-  d.cone_pass_ratio =
-      ratio(at(Counter::ConePasses),
-            at(Counter::ConePasses) + at(Counter::FullPasses));
-  d.cone_gates_dropped_ratio =
-      ratio(at(Counter::ConeGatesDropped),
-            at(Counter::ConeGatesScheduled) +
-                at(Counter::ConeGatesDropped));
   d.pool_mean_queue_wait_ns =
       ratio(at(Counter::PoolQueueWaitNanos), at(Counter::PoolTasksRun));
   return d;
@@ -421,11 +406,7 @@ void write_metrics_json(std::ostream& out) {
   }
   out << "\n  },\n  \"derived\": {\n";
   const auto old_precision = out.precision(6);
-  out << "    \"frame_skip_ratio\": " << d.frame_skip_ratio << ",\n"
-      << "    \"trace_cache_hit_ratio\": " << d.trace_cache_hit_ratio
-      << ",\n"
-      << "    \"cone_pass_ratio\": " << d.cone_pass_ratio << ",\n"
-      << "    \"cone_gates_dropped_ratio\": " << d.cone_gates_dropped_ratio
+  out << "    \"trace_cache_hit_ratio\": " << d.trace_cache_hit_ratio
       << ",\n"
       << "    \"pool_mean_queue_wait_ns\": " << d.pool_mean_queue_wait_ns
       << "\n  },\n  \"histograms\": {";
@@ -477,11 +458,8 @@ void print_summary(std::ostream& out) {
   out << "[obs] run metrics\n";
   out << " kernels\n";
   row("frames simulated", at(Counter::FramesSimulated));
-  row("frames skipped", at(Counter::FramesSkipped));
-  row("cone passes", at(Counter::ConePasses));
   row("full passes", at(Counter::FullPasses));
-  row("cone gates scheduled", at(Counter::ConeGatesScheduled));
-  row("cone gates dropped", at(Counter::ConeGatesDropped));
+  row("wide fault-parallel passes", at(Counter::WideFpPasses));
   out << " trace cache\n";
   row("hits", at(Counter::TraceCacheHits));
   row("misses", at(Counter::TraceCacheMisses));
@@ -504,10 +482,7 @@ void print_summary(std::ostream& out) {
         << "%\n";
     out.unsetf(std::ios::fixed);
   };
-  pct("frame skip ratio", d.frame_skip_ratio);
   pct("trace cache hit ratio", d.trace_cache_hit_ratio);
-  pct("cone pass ratio", d.cone_pass_ratio);
-  pct("cone gates dropped ratio", d.cone_gates_dropped_ratio);
   const std::vector<PhaseRecord> phases = phase_records();
   if (!phases.empty()) {
     out << " phases (name, seconds, faults)\n";

@@ -45,13 +45,11 @@ namespace scanc::obs {
 // Counters.
 
 enum class Counter : std::uint16_t {
-  // Simulation kernels (fault/group_worker.cpp).
-  FramesSimulated,      ///< frames evaluated by either kernel
-  FramesSkipped,        ///< frames the cone kernel proved no-ops
-  ConePasses,           ///< group passes run on the cone kernel
-  FullPasses,           ///< group passes run on the full kernel
-  ConeGatesScheduled,   ///< gates in compacted cone schedules
-  ConeGatesDropped,     ///< gates cone passes did not schedule
+  // Simulation kernel (fault/group_worker.cpp, fault/frame_loop.hpp).
+  FramesSimulated,      ///< frames evaluated (lane-frames on wide passes)
+  FramesSkipped,        ///< retired: always 0 (the cone kernel is gone)
+  ConePasses,           ///< retired: always 0 (the cone kernel is gone)
+  FullPasses,           ///< one-lane group passes (wide: one per lane)
   TdfActivations,       ///< transition-fault launch frames injected
   TdfFramesSkipped,     ///< frames skipped activation-aware (no launch)
   // Wide batch engine (fault/batch_engine.cpp).
@@ -268,7 +266,7 @@ class PhaseSpan {
 // Run-level reporting.
 
 /// Machine-readable snapshot: counters, gauges, histograms, derived
-/// ratios (frame skip rate, cache hit ratio, cone pass share), and phase
+/// ratios (trace-cache hit ratio, mean pool queue wait), and phase
 /// records.  Schema "scanc-metrics-v1" (bench/check_metrics_schema.py).
 void write_metrics_json(std::ostream& out);
 

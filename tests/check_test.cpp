@@ -1,6 +1,6 @@
 // Tests for the differential fuzzing subsystem (src/check/): workload
 // determinism, oracle agreement on hand-built circuits, the seeded
-// regression corpus, the targeted cone-kernel audit cases, and the
+// regression corpus, the targeted X-state audit cases, and the
 // TraceCache copy-on-write contract the fuzzer's warm configurations
 // lean on.  The open-ended hunt lives in the fuzz_check binary; these
 // tests pin fixed seeds so a regression fails deterministically in CI.
@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "check/differ.hpp"
 #include "check/oracle_sim.hpp"
@@ -19,6 +20,7 @@
 #include "netlist/circuit.hpp"
 #include "sim/trace_cache.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc {
 namespace {
@@ -33,16 +35,29 @@ using netlist::GateType;
 using sim::Sequence;
 using sim::Vector3;
 
-// Names the classes present in exactly one of the two sets.
-std::string set_delta(const FaultSet& full, const FaultSet& cone,
-                      const FaultList& fl, const Circuit& c) {
-  std::string out;
-  for (fault::FaultClassId id = 0; id < full.size(); ++id) {
-    if (full.test(id) == cone.test(id)) continue;
-    out += full.test(id) ? " full-only:" : " cone-only:";
-    out += fault::fault_name(fl.representative(id), c);
+// Judges `det`, the simulator's detected set for the test (scan_in,
+// seq) — no scan when scan_in is null — fault by fault against the
+// scalar oracle.
+void expect_oracle_agrees(const FaultSimulator& fsim, const FaultSet& det,
+                          const Vector3* scan_in, const Sequence& seq,
+                          const std::string& what) {
+  const FaultList& fl = fsim.fault_list();
+  for (std::size_t i = 0; i < fl.num_faults(); ++i) {
+    const fault::Fault& f = fl.faults()[i];
+    const check::OracleResult o =
+        check::oracle_run(fsim.circuit(), fsim.scan_mask(), fl.model(), f,
+                          scan_in, seq, scan_in != nullptr);
+    EXPECT_EQ(o.detected, det.test(fl.class_of(i)))
+        << what << ": fault " << fault::fault_name(f, fsim.circuit(),
+                                                   fl.model());
   }
-  return out;
+}
+
+constexpr sim::LaneWidth kLaneWidths[] = {sim::LaneWidth::W64,
+                                          sim::LaneWidth::Auto};
+
+const char* lanes_name(sim::LaneWidth w) {
+  return w == sim::LaneWidth::W64 ? "w64" : "default";
 }
 
 // --- Workload generation ----------------------------------------------
@@ -151,8 +166,9 @@ TEST(CheckOracle, StemFaultOnFfIsNotCaptured) {
 // --- Transition-delay faults: oracle vs kernels -----------------------
 
 TEST(CheckOracleTdf, AgreesWithBothKernelsOnEveryFault) {
-  // The scalar launch/capture interpreter and the packed frame-gated
-  // kernels must agree fault-by-fault, in both kernel modes.
+  // The scalar launch/capture interpreter and both packed frame-gated
+  // kernels — the one-lane group pass and the wide PPSFP batch pass —
+  // must agree fault-by-fault.
   const Circuit c = scan_path_circuit();
   const FaultList fl = FaultList::build(c, fault::FaultModel::transition());
   Sequence seq;
@@ -161,19 +177,14 @@ TEST(CheckOracleTdf, AgreesWithBothKernelsOnEveryFault) {
   seq.frames.push_back(sim::vector3_from_string("11"));
   seq.frames.push_back(sim::vector3_from_string("01"));
   const Vector3 si = sim::vector3_from_string("0");
-  for (const fault::KernelMode mode :
-       {fault::KernelMode::Full, fault::KernelMode::Cone}) {
-    FaultSimulator fsim(c, fl);
-    fsim.set_kernel(mode);
-    const FaultSet det = fsim.detect_scan_test(si, seq);
-    for (std::size_t i = 0; i < fl.num_faults(); ++i) {
-      const fault::Fault& f = fl.faults()[i];
-      const check::OracleResult o = check::oracle_run(
-          c, fsim.scan_mask(), fl.model(), f, &si, seq, true);
-      EXPECT_EQ(o.detected, det.test(fl.class_of(i)))
-          << "fault " << fault::fault_name(f, c, fl.model()) << " kernel "
-          << static_cast<int>(mode);
-    }
+  FaultSimulator fsim(c, fl);
+  expect_oracle_agrees(fsim, fsim.detect_scan_test(si, seq), &si, seq,
+                       "one-lane");
+  const FaultSimulator::BatchTest pair[] = {{&si, &seq}, {&si, &seq}};
+  const std::vector<FaultSet> batch = fsim.detect_batch(pair);
+  ASSERT_EQ(batch.size(), 2u);
+  for (const FaultSet& det : batch) {
+    expect_oracle_agrees(fsim, det, &si, seq, "batch");
   }
 }
 
@@ -239,7 +250,7 @@ TEST(CheckCorpus, FixedSeedsRunClean) {
 
 TEST(CheckCorpus, FixedSeedsRunCleanTransition) {
   // The same matrix under the transition model: every configuration
-  // (full/cone/auto, cold/warm, serial/parallel) plus the scalar TDF
+  // (64-bit/wide lanes, cold/warm, serial/parallel) plus the scalar TDF
   // oracle must agree on the frame-gated semantics.
   CheckConfig cfg;
   cfg.threads = 4;
@@ -255,62 +266,105 @@ TEST(CheckCorpus, FixedSeedsRunCleanTransition) {
   }
 }
 
-// --- Targeted cone-kernel audit cases ---------------------------------
+// --- Targeted X-state audit cases -------------------------------------
 
-// Satellite audit: with an all-X scan-in, the cone kernel's whole-frame
-// skipping starts from a state where every cone FF is X, and a fault
-// injected on the scan path (the FF's D-side logic) must still wake the
-// cone and reach the scan-out observation.  These cases pin the exact
-// shapes the audit covered, under both full and partial scan.
-TEST(CheckConeAudit, AllXScanInWithScanPathFault) {
-  const Circuit c = scan_path_circuit();
-  const FaultList fl = FaultList::build(c);
-  Sequence seq;
-  seq.frames.push_back(sim::vector3_from_string("1x"));
-  seq.frames.push_back(sim::vector3_from_string("0x"));
-  const Vector3 all_x = sim::vector3_from_string("x");
-  FaultSimulator full(c, fl);
-  full.set_kernel(fault::KernelMode::Full);
-  FaultSimulator cone(c, fl);
-  cone.set_kernel(fault::KernelMode::Cone);
-  EXPECT_EQ(full.detect_scan_test(all_x, seq),
-            cone.detect_scan_test(all_x, seq));
-  // detect_no_scan starts all-X too — same skipping hazard, PO-only.
-  EXPECT_EQ(full.detect_no_scan(seq), cone.detect_no_scan(seq));
+// An all-X scan-in starts every machine from an unknown state, and a
+// fault injected on the scan path (the FF's D-side logic) must still
+// reach the scan-out observation exactly as the oracle says.  These
+// cases pin that shape and a partial-scan unscanned flip-flop, on 64-bit
+// and default lanes.  Each shape is tiled kTiles times side by side so
+// the fault list spans several groups: on default lanes the scan query
+// then runs the wide fault-parallel pass, not the one-lane one.
+constexpr std::size_t kTiles = 24;
+
+std::string tiled(const char* s) {
+  std::string out;
+  for (std::size_t k = 0; k < kTiles; ++k) out += s;
+  return out;
 }
 
-TEST(CheckConeAudit, PartialScanUnscannedConeFf) {
-  // Two FFs, only one scanned: the unscanned FF's position is forced to
-  // X on every load, so the cone around it must never claim a binary
-  // fault-free reference there.
-  netlist::CircuitBuilder b("pcone");
-  b.add_input("a");
-  b.add_gate(GateType::Dff, "q0", {"d0"});
-  b.add_gate(GateType::Dff, "q1", {"d1"});
-  b.add_gate(GateType::Not, "d0", {"q1"});
-  b.add_gate(GateType::Xor, "d1", {"a", "q0"});
-  b.add_gate(GateType::Or, "po", {"q0", "q1"});
-  b.mark_output("po");
+// Runs detect_scan_test on `lanes`, checking that default lanes take the
+// wide fault-parallel pass.
+FaultSet scan_detect(FaultSimulator& fsim, sim::LaneWidth lanes,
+                     const Vector3& scan_in, const Sequence& seq) {
+  const std::uint64_t before = obs::value(obs::Counter::WideFpPasses);
+  FaultSet det = fsim.detect_scan_test(scan_in, seq);
+  if (lanes == sim::LaneWidth::Auto) {
+    EXPECT_GT(obs::value(obs::Counter::WideFpPasses), before);
+  }
+  return det;
+}
+
+TEST(CheckXStateAudit, AllXScanInWithScanPathFault) {
+  // kTiles copies of scan_path_circuit().
+  netlist::CircuitBuilder b("spath_tiled");
+  for (std::size_t k = 0; k < kTiles; ++k) {
+    const std::string t = std::to_string(k);
+    b.add_input("pi" + t);
+    b.add_input("en" + t);
+    b.add_gate(GateType::Buf, "d" + t, {"pi" + t});
+    b.add_gate(GateType::Dff, "q" + t, {"d" + t});
+    b.add_gate(GateType::And, "po" + t, {"q" + t, "en" + t});
+    b.mark_output("po" + t);
+  }
   const Circuit c = b.build();
   const FaultList fl = FaultList::build(c);
-  util::Bitset mask(2);
-  mask.set(0);  // q0 scanned, q1 not
+  ASSERT_GE(fault::num_groups(fl.num_classes()), 2u);
   Sequence seq;
-  seq.frames.push_back(sim::vector3_from_string("1"));
-  seq.frames.push_back(sim::vector3_from_string("0"));
-  seq.frames.push_back(sim::vector3_from_string("1"));
-  // scan_in spans *all* flip-flops; the unscanned q1 position must be
+  seq.frames.push_back(sim::vector3_from_string(tiled("1x")));
+  seq.frames.push_back(sim::vector3_from_string(tiled("0x")));
+  const Vector3 all_x = sim::vector3_from_string(tiled("x"));
+  for (const sim::LaneWidth lanes : kLaneWidths) {
+    FaultSimulator fsim(c, fl);
+    fsim.set_lane_width(lanes);
+    expect_oracle_agrees(fsim, scan_detect(fsim, lanes, all_x, seq), &all_x,
+                         seq, std::string("scan ") + lanes_name(lanes));
+    // detect_no_scan starts all-X too, PO-only.
+    expect_oracle_agrees(fsim, fsim.detect_no_scan(seq), nullptr, seq,
+                         std::string("no-scan ") + lanes_name(lanes));
+  }
+}
+
+TEST(CheckXStateAudit, PartialScanUnscannedFf) {
+  // Two FFs per tile, only one scanned: the unscanned FF's position is
+  // forced to X on every load, so no machine may claim a binary
+  // fault-free reference there.
+  netlist::CircuitBuilder b("pscan_tiled");
+  for (std::size_t k = 0; k < kTiles; ++k) {
+    const std::string t = std::to_string(k);
+    b.add_input("a" + t);
+    b.add_gate(GateType::Dff, "q0_" + t, {"d0_" + t});
+    b.add_gate(GateType::Dff, "q1_" + t, {"d1_" + t});
+    b.add_gate(GateType::Not, "d0_" + t, {"q1_" + t});
+    b.add_gate(GateType::Xor, "d1_" + t, {"a" + t, "q0_" + t});
+    b.add_gate(GateType::Or, "po" + t, {"q0_" + t, "q1_" + t});
+    b.mark_output("po" + t);
+  }
+  const Circuit c = b.build();
+  const FaultList fl = FaultList::build(c);
+  ASSERT_GE(fault::num_groups(fl.num_classes()), 2u);
+  // Scan every q0 (scan_in position i is flip_flops()[i]); leave q1 out.
+  const std::span<const netlist::NodeId> ffs = c.flip_flops();
+  util::Bitset mask(ffs.size());
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (c.node(ffs[i]).name.starts_with("q0_")) mask.set(i);
+  }
+  ASSERT_EQ(mask.count(), kTiles);
+  Sequence seq;
+  seq.frames.push_back(sim::vector3_from_string(tiled("1")));
+  seq.frames.push_back(sim::vector3_from_string(tiled("0")));
+  seq.frames.push_back(sim::vector3_from_string(tiled("1")));
+  // scan_in spans *all* flip-flops; the unscanned q1 positions must be
   // forced to X regardless of what the caller wrote there.
   for (const char* si_str : {"0x", "1x", "xx", "01", "10"}) {
-    const Vector3 si = sim::vector3_from_string(si_str);
-    FaultSimulator full(c, fl, mask);
-    full.set_kernel(fault::KernelMode::Full);
-    FaultSimulator cone(c, fl, mask);
-    cone.set_kernel(fault::KernelMode::Cone);
-    const FaultSet df = full.detect_scan_test(si, seq);
-    const FaultSet dc = cone.detect_scan_test(si, seq);
-    EXPECT_EQ(df, dc) << "scan-in " << si_str
-                      << set_delta(df, dc, fl, c);
+    const Vector3 si = sim::vector3_from_string(tiled(si_str));
+    for (const sim::LaneWidth lanes : kLaneWidths) {
+      FaultSimulator fsim(c, fl, mask);
+      fsim.set_lane_width(lanes);
+      expect_oracle_agrees(fsim, scan_detect(fsim, lanes, si, seq), &si, seq,
+                           std::string("scan-in ") + si_str + " " +
+                               lanes_name(lanes));
+    }
   }
 }
 

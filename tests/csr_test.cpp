@@ -1,8 +1,7 @@
 // Unit tests for the flat simulation kernel substrate: the CSR/levelized
-// schedule (netlist/csr.hpp), the shared fault-free NodeTrace and its
-// prefix-aware cache (sim/node_trace.hpp, sim/trace_cache.hpp), and the
-// per-group cone precomputation (sim/cone_kernel.hpp).  The end-to-end
-// cone-vs-full equivalence sweeps live in parallel_equiv_test.cpp; these
+// schedule (netlist/csr.hpp) and the shared fault-free NodeTrace and its
+// prefix-aware cache (sim/node_trace.hpp, sim/trace_cache.hpp).  The
+// end-to-end equivalence sweeps live in parallel_equiv_test.cpp; these
 // tests pin the structural invariants each layer promises.
 #include <gtest/gtest.h>
 
@@ -11,12 +10,9 @@
 #include <set>
 #include <vector>
 
-#include "fault/fault_list.hpp"
-#include "fault/group_worker.hpp"
 #include "gen/circuit_gen.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/csr.hpp"
-#include "sim/cone_kernel.hpp"
 #include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/trace_cache.hpp"
@@ -264,135 +260,6 @@ TEST(TraceCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.hits(), 2u);
   (void)cache.get(&keys[1], seq);  // was evicted -> miss
   EXPECT_EQ(cache.misses(), 4u);
-}
-
-// --- ConePlan ---------------------------------------------------------
-
-std::vector<sim::ConeSite> sites_of(const fault::FaultList& faults,
-                                    std::span<const fault::FaultClassId> ids) {
-  std::vector<sim::ConeSite> sites;
-  for (const fault::FaultClassId id : ids) {
-    const fault::Fault& f = faults.representative(id);
-    sites.push_back(sim::ConeSite{f.node, f.pin, f.value});
-  }
-  return sites;
-}
-
-TEST(ConePlan, ClosureScheduleAndBoundary) {
-  const netlist::Circuit c = make_circuit(41, 240);
-  const fault::FaultList faults = fault::FaultList::build(c);
-  const CsrSchedule& csr = c.csr();
-
-  // A few groups of different sizes, spread across the class list.
-  util::Rng rng(41);
-  for (const std::size_t group_size : {1u, 7u, 63u}) {
-    std::vector<fault::FaultClassId> ids;
-    for (std::size_t j = 0; j < group_size; ++j) {
-      ids.push_back(static_cast<fault::FaultClassId>(
-          rng.below(faults.num_classes())));
-    }
-    const std::vector<sim::ConeSite> sites = sites_of(faults, ids);
-    sim::ConePlan plan;
-    plan.build(c, sites);
-
-    // Sequential closure: every fanout of an in-cone node is in-cone
-    // (divergence propagates through gates *and* flip-flops).
-    for (NodeId id = 0; id < c.num_nodes(); ++id) {
-      if (!plan.in_cone(id)) continue;
-      for (const NodeId out : csr.fanouts(id)) {
-        EXPECT_TRUE(plan.in_cone(out)) << "fanout " << out << " of " << id;
-      }
-    }
-    for (const sim::ConeSite& s : sites) EXPECT_TRUE(plan.in_cone(s.node));
-
-    // eval() is exactly the in-cone combinational gates, in strictly
-    // increasing CSR rank (level-major sub-order of csr.order).
-    std::size_t in_cone_gates = 0;
-    for (const NodeId id : csr.order) {
-      if (plan.in_cone(id)) ++in_cone_gates;
-    }
-    ASSERT_EQ(plan.eval().size(), in_cone_gates);
-    for (std::size_t i = 0; i < plan.eval().size(); ++i) {
-      EXPECT_TRUE(plan.in_cone(plan.eval()[i]));
-      EXPECT_TRUE(netlist::is_combinational(c.node(plan.eval()[i]).type));
-      if (i > 0) {
-        EXPECT_LT(csr.rank[plan.eval()[i - 1]], csr.rank[plan.eval()[i]]);
-      }
-    }
-
-    // Boundary completeness: every value the cone evaluation reads is
-    // either produced inside the cone or seeded from the trace.
-    std::vector<char> produced(c.num_nodes(), 0);
-    for (const NodeId id : plan.eval()) produced[id] = 1;
-    for (const NodeId ff : plan.cone_ffs()) produced[ff] = 1;
-    std::vector<char> seeded(c.num_nodes(), 0);
-    for (const NodeId id : plan.boundary()) seeded[id] = 1;
-    const auto covered = [&](NodeId id) {
-      return produced[id] != 0 || seeded[id] != 0;
-    };
-    for (const NodeId id : plan.eval()) {
-      for (const NodeId f : csr.fanins(id)) {
-        EXPECT_TRUE(covered(f)) << "fanin " << f << " of gate " << id;
-      }
-    }
-    for (const NodeId ff : plan.cone_ffs()) {
-      EXPECT_TRUE(covered(csr.fanins(ff)[0])) << "D fanin of FF " << ff;
-    }
-
-    // FF/PO membership mirrors in_cone over the declaration lists.
-    const std::span<const NodeId> ffs = c.flip_flops();
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      if (!plan.in_cone(ffs[i])) continue;
-      ASSERT_LT(k, plan.cone_ffs().size());
-      EXPECT_EQ(plan.cone_ffs()[k], ffs[i]);
-      EXPECT_EQ(plan.cone_ff_pos()[k], i);
-      ++k;
-    }
-    EXPECT_EQ(k, plan.cone_ffs().size());
-    for (const NodeId po : plan.cone_pos()) EXPECT_TRUE(plan.in_cone(po));
-
-    // Activation lines: one per site; the stem line is the site node,
-    // a branch line is the driving fanin.
-    ASSERT_EQ(plan.act_lines().size(), sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      const sim::ConeSite& s = sites[i];
-      const NodeId expect_line =
-          s.pin == sim::kStemPin
-              ? s.node
-              : csr.fanins(s.node)[static_cast<std::size_t>(s.pin)];
-      EXPECT_EQ(plan.act_lines()[i], expect_line);
-      EXPECT_EQ(plan.act_stuck_one()[i] != 0, s.stuck_one);
-    }
-  }
-}
-
-// Direct worker-level check: one group, forced cone vs full kernel.
-TEST(ConeKernel, WorkerDetectMasksMatchFullKernel) {
-  const netlist::Circuit c = make_circuit(42, 260);
-  const fault::FaultList faults = fault::FaultList::build(c);
-  util::Rng rng(55);
-  const Vector3 scan_in = sim::random_vector(c.num_flip_flops(), rng);
-  const Sequence seq = sim::random_sequence(c.num_inputs(), 24, rng);
-
-  sim::NodeTrace trace(c, &scan_in);
-  trace.extend(seq.frames);
-
-  const util::Bitset scan_mask(c.num_flip_flops(), true);
-  fault::GroupWorker full_w(c, faults, scan_mask);
-  fault::GroupWorker cone_w(c, faults, scan_mask);
-  std::vector<fault::FaultClassId> group;
-  for (fault::FaultClassId id = 0;
-       id < std::min<std::size_t>(faults.num_classes(), 63); ++id) {
-    group.push_back(id);
-  }
-  const std::uint64_t full_mask = full_w.run_detect(
-      &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false);
-  const fault::KernelChoice kc{&trace, fault::KernelMode::Cone};
-  const std::uint64_t cone_mask = cone_w.run_detect(
-      &scan_in, seq, group, /*observe_scan_out=*/true, /*early_exit=*/false,
-      nullptr, nullptr, kc);
-  EXPECT_EQ(full_mask, cone_mask);
 }
 
 }  // namespace

@@ -84,6 +84,29 @@ TEST(Diagnosis, RejectsMisshapenObservedResponses) {
                std::invalid_argument);
 }
 
+// A test set from outside the program is checked too, before anything
+// is simulated: a short PI vector or a short scan-in vector in any test
+// is rejected.
+TEST(Diagnosis, RejectsMisshapenTestSequence) {
+  DiagRig rig(gen::make_s27());
+  ObservedResponses obs;
+  for (const tcomp::ScanTest& t : rig.tests.tests) {
+    obs.push_back(tcomp::expected_response(rig.circuit, t));
+  }
+  ASSERT_GE(obs.size(), 2u);
+
+  tcomp::ScanTestSet short_pi = rig.tests;
+  ASSERT_FALSE(short_pi.tests.back().seq.frames.empty());
+  short_pi.tests.back().seq.frames.back().pop_back();
+  EXPECT_THROW((void)diagnose(*rig.fsim, short_pi, obs),
+               std::invalid_argument);
+
+  tcomp::ScanTestSet short_si = rig.tests;
+  short_si.tests.front().scan_in.pop_back();
+  EXPECT_THROW((void)diagnose(*rig.fsim, short_si, obs),
+               std::invalid_argument);
+}
+
 // Property: injecting each detectable fault and diagnosing with the same
 // test set must keep the injected fault among the candidates, and every
 // candidate must be response-equivalent to it under the set.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
@@ -9,6 +10,7 @@
 #include "netlist/circuit.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::fault {
 namespace {
@@ -313,6 +315,60 @@ TEST(FaultSim, PrefixAllDetectedChecksSimulatedTargets) {
   EXPECT_FALSE(pd.all_detected());  // target 1 missing
   pd.detected.set(1);
   EXPECT_TRUE(pd.all_detected());   // count() == 4 > targets.size() == 2
+}
+
+// A PI vector is indexed in primary_inputs() order by every simulator;
+// a short one would be read out of bounds.  Every query checks each
+// frame's width at its boundary, before it simulates anything.
+TEST(FaultSim, RejectsShortPiVector) {
+  const Circuit c = gen::make_s27();
+  const FaultList fl = FaultList::build(c);
+  FaultSimulator fsim(c, fl);
+  const FaultSet all = fsim.all_faults();
+  const Vector3 si(c.num_flip_flops(), sim::V3::Zero);
+  Sequence seq;
+  seq.frames.push_back(Vector3(c.num_inputs(), sim::V3::One));
+  seq.frames.push_back(Vector3(c.num_inputs() - 1, sim::V3::One));
+  EXPECT_THROW((void)fsim.detect_no_scan(seq), std::invalid_argument);
+  EXPECT_THROW((void)fsim.detect_scan_test(si, seq), std::invalid_argument);
+  EXPECT_THROW((void)fsim.detects_all(si, seq, all), std::invalid_argument);
+  EXPECT_THROW((void)fsim.detection_times(si, seq, all),
+               std::invalid_argument);
+  EXPECT_THROW((void)fsim.prefix_detection(si, seq, all),
+               std::invalid_argument);
+  const FaultSimulator::BatchTest batch[] = {{&si, &seq}, {&si, &seq}};
+  EXPECT_THROW((void)fsim.detect_batch(batch), std::invalid_argument);
+  EXPECT_THROW((void)fsim.times_batch(batch, all), std::invalid_argument);
+  FaultSimulator::Session session(fsim, all);
+  EXPECT_THROW((void)session.step(seq.frames[1]), std::invalid_argument);
+}
+
+// With default settings, a stuck-at detect_scan_test over >= 2 fault
+// groups packs the groups into the lanes of the wide fault-parallel
+// pass, and returns exactly what the 64-bit one-lane passes return.
+TEST(FaultSim, DefaultDetectScanTestTakesWidePass) {
+  gen::GenParams p;
+  p.name = "widefp";
+  p.seed = 17;
+  p.num_inputs = 6;
+  p.num_outputs = 5;
+  p.num_flip_flops = 12;
+  p.num_gates = 220;
+  const Circuit c = gen::generate_circuit(p);
+  const FaultList fl = FaultList::build(c);
+  ASSERT_GE(num_groups(fl.num_classes()), 2u);
+  util::Rng rng(23);
+  const Sequence seq = sim::random_sequence(c.num_inputs(), 24, rng);
+  const Vector3 si = sim::random_vector(c.num_flip_flops(), rng);
+
+  FaultSimulator fsim(c, fl);
+  const std::uint64_t before = obs::value(obs::Counter::WideFpPasses);
+  const FaultSet wide = fsim.detect_scan_test(si, seq);
+  EXPECT_GT(obs::value(obs::Counter::WideFpPasses), before);
+
+  FaultSimulator w64(c, fl);
+  w64.set_lane_width(sim::LaneWidth::W64);
+  EXPECT_EQ(wide, w64.detect_scan_test(si, seq));
 }
 
 TEST(Session, LatchedEffectsCountsBinaryDifferences) {

@@ -4,9 +4,11 @@
 // change then shows up as a reviewed diff of tests/golden/circuit_runs.txt.
 //
 // Records are produced with expt::run_circuit on default options (seed
-// 1, no cache).  The kernel cases re-run three circuits under
-// --kernel=full and --kernel=cone and check them against the same
-// records: every kernel must reproduce the default's bits.
+// 1, no cache), whose simulator runs the default (auto) lane width:
+// stuck-at detect queries take the wide fault-parallel pass there.  The
+// w64 cases re-run three circuits on a 64-bit-lane simulator, where
+// every query takes the one-lane group pass, and check them against the
+// same records: every lane width must reproduce the default's bits.
 //
 // Regenerate the file after an intended behaviour change with
 //   golden_test --bless
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -25,6 +28,7 @@
 #include "expt/runner.hpp"
 #include "fault/fault_sim.hpp"
 #include "gen/suite.hpp"
+#include "sim/simd.hpp"
 
 #ifndef SCANC_GOLDEN_FILE
 #error "SCANC_GOLDEN_FILE must name the golden record file"
@@ -34,44 +38,36 @@ namespace scanc::expt {
 namespace {
 
 using fault::FaultModelKind;
-using fault::KernelMode;
+using sim::LaneWidth;
 
 constexpr const char* kCircuits[] = {"s298", "s344", "s382", "s400",
                                      "s526", "b01",  "b02",  "b03",
                                      "b06",  "b09",  "b10"};
-constexpr const char* kKernelCircuits[] = {"b01", "s298", "b10"};
+constexpr const char* kW64Circuits[] = {"b01", "s298", "b10"};
 
 struct Case {
   std::string circuit;
   FaultModelKind model;
-  KernelMode kernel;
+  LaneWidth lanes;
 };
 
 const char* model_name(FaultModelKind m) {
   return m == FaultModelKind::StuckAt ? "stuck" : "transition";
 }
 
-const char* kernel_name(KernelMode k) {
-  switch (k) {
-    case KernelMode::Auto:
-      return "auto";
-    case KernelMode::Full:
-      return "full";
-    case KernelMode::Cone:
-      return "cone";
-  }
-  return "?";
+const char* lanes_name(LaneWidth w) {
+  return w == LaneWidth::Auto ? "auto" : "w64";
 }
 
-/// Record key: one per (circuit, fault model); the kernel is not part of
-/// it because every kernel must produce the same record.
+/// Record key: one per (circuit, fault model); the lane width is not
+/// part of it because every width must produce the same record.
 std::string record_key(const Case& c) {
   return c.circuit + "/" + model_name(c.model);
 }
 
 void PrintTo(const Case& c, std::ostream* os) {
   *os << c.circuit << "/" << model_name(c.model) << "/"
-      << kernel_name(c.kernel);
+      << lanes_name(c.lanes);
 }
 
 std::vector<Case> all_cases() {
@@ -79,10 +75,10 @@ std::vector<Case> all_cases() {
   for (const FaultModelKind m :
        {FaultModelKind::StuckAt, FaultModelKind::Transition}) {
     for (const char* name : kCircuits) {
-      out.push_back({name, m, KernelMode::Auto});
+      out.push_back({name, m, LaneWidth::Auto});
     }
-    for (const KernelMode k : {KernelMode::Full, KernelMode::Cone}) {
-      for (const char* name : kKernelCircuits) out.push_back({name, m, k});
+    for (const char* name : kW64Circuits) {
+      out.push_back({name, m, LaneWidth::W64});
     }
   }
   return out;
@@ -150,7 +146,19 @@ CircuitRun run_case(const Case& c) {
   opt.cache_path.clear();  // no cache, no journal: always a fresh run
   opt.seed = 1;
   opt.fault_model = c.model;
-  opt.kernel = c.kernel;
+  if (c.lanes == LaneWidth::Auto) return run_circuit(*entry, opt);
+  // Any other width needs a simulator built on the same circuit and
+  // fault list the run uses.
+  const auto circuit = std::make_shared<const netlist::Circuit>(
+      gen::build_suite_circuit(*entry));
+  const auto faults = std::make_shared<const fault::FaultList>(
+      fault::FaultList::build(*circuit, fault::FaultModel::get(c.model)));
+  fault::FaultSimulator fsim(*circuit, *faults);
+  fsim.set_lane_width(c.lanes);
+  opt.shared_inputs = [&](const gen::SuiteEntry&, FaultModelKind) {
+    return SharedInputs{circuit, faults};
+  };
+  opt.simulator = &fsim;
   return run_circuit(*entry, opt);
 }
 
@@ -196,7 +204,7 @@ TEST_P(GoldenResults, MatchesRecord) {
     const auto w = want.find(name);
     ASSERT_NE(w, want.end()) << "golden record lacks field " << name;
     EXPECT_EQ(value, w->second)
-        << record_key(c) << " --kernel=" << kernel_name(c.kernel) << " field "
+        << record_key(c) << " lanes=" << lanes_name(c.lanes) << " field "
         << name;
   }
   EXPECT_EQ(got.size(), want.size()) << "field sets differ";
@@ -206,10 +214,10 @@ INSTANTIATE_TEST_SUITE_P(
     Suite, GoldenResults, ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<Case>& info) {
       return info.param.circuit + "_" + model_name(info.param.model) + "_" +
-             kernel_name(info.param.kernel);
+             lanes_name(info.param.lanes);
     });
 
-/// --bless: regenerate the record file from the default-kernel cases.
+/// --bless: regenerate the record file from the default-lane cases.
 int bless() {
   std::ofstream out(SCANC_GOLDEN_FILE);
   if (!out) {
@@ -219,7 +227,7 @@ int bless() {
   out << "# Golden CircuitRun records (all fields but seconds): seed 1,\n"
          "# default options, no cache.  Regenerate: golden_test --bless\n";
   for (const Case& c : all_cases()) {
-    if (c.kernel != KernelMode::Auto) continue;
+    if (c.lanes != LaneWidth::Auto) continue;
     out << record_line(record_key(c), run_case(c)) << "\n";
     std::cerr << "blessed " << record_key(c) << "\n";
   }

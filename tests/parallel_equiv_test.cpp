@@ -1,9 +1,9 @@
 // Randomized equivalence suite for the parallel fault-group execution
 // layer and the simulation kernels: every FaultSimulator query must
 // return bit-identical results for num_threads = 1 (serial, no pool)
-// and num_threads = N (worker pool), for every kernel mode (Auto,
-// forced Full, forced Cone), and for every lane width (scalar 64-bit
-// vs the 256/512-bit wide engine, intrinsic or portable), across
+// and num_threads = N (worker pool), and for every lane width (scalar
+// 64-bit vs the default and the 256/512-bit wide engine, intrinsic or
+// portable), across
 // generated circuits under full- and partial-scan masks.  The
 // pattern-parallel batch queries (detect_batch, times_batch) must
 // match their per-test scalar answers element for element, including
@@ -69,17 +69,9 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
     // The reference runs the scalar 64-bit kernels; the wide
     // configurations below must match it bit for bit.
     serial_->set_lane_width(sim::LaneWidth::W64);
+    // Default lanes under the pool.
     parallel_.emplace(*circuit_, *faults_, scan_mask_);
     parallel_->set_num_threads(parallel_threads());
-    // Kernel-forced simulators: the cone-restricted kernel must be
-    // bit-identical to the full kernel on every query, serial and
-    // parallel alike.
-    full_.emplace(*circuit_, *faults_, scan_mask_);
-    full_->set_num_threads(1);
-    full_->set_kernel(KernelMode::Full);
-    cone_.emplace(*circuit_, *faults_, scan_mask_);
-    cone_->set_num_threads(parallel_threads());
-    cone_->set_kernel(KernelMode::Cone);
     // Wide-lane simulators: 256-bit serial and 512-bit under the pool.
     // Where the CPU lacks the intrinsics these resolve to the portable
     // WideWord implementation at the same width — equally valid, the
@@ -101,10 +93,10 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
     if (targets_.none()) targets_.set(faults_->num_classes() / 2);
   }
 
-  /// The simulators that must agree with `serial_` (Auto kernel, scalar
-  /// lanes) on every query.
+  /// The simulators that must agree with `serial_` (scalar lanes) on
+  /// every query.
   std::vector<FaultSimulator*> others() {
-    return {&*parallel_, &*full_, &*cone_, &*wide256_, &*wide512_};
+    return {&*parallel_, &*wide256_, &*wide512_};
   }
 
   /// Pattern-parallel batch material: `n` tests with random scan-in
@@ -137,8 +129,6 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
   util::Bitset scan_mask_;
   std::optional<FaultSimulator> serial_;
   std::optional<FaultSimulator> parallel_;
-  std::optional<FaultSimulator> full_;
-  std::optional<FaultSimulator> cone_;
   std::optional<FaultSimulator> wide256_;
   std::optional<FaultSimulator> wide512_;
   Sequence seq_;

@@ -281,7 +281,7 @@ TEST(CancelSim, MidQueryConsistencyCancellationIsConservative) {
   }
 }
 
-// The wide fault-parallel plan (Full kernel, wide lanes, >= 2 fault
+// The wide fault-parallel plan (stuck-at, wide lanes, >= 2 fault
 // groups) honours the same token: pending chunks are skipped and
 // in-flight passes stop at their next frame.  s27 has a single group, so
 // these cases run on s298.
@@ -291,7 +291,6 @@ struct WideSimFixture {
       : circuit(gen::build_suite_circuit(*gen::find_suite_entry("s298"))),
         faults(fault::FaultList::build(circuit)),
         fsim(circuit, faults) {
-    fsim.set_kernel(fault::KernelMode::Full);
     fsim.set_lane_width(width);
   }
   netlist::Circuit circuit;
