@@ -112,10 +112,32 @@ def check_metrics(path):
     if "phases" not in m or not isinstance(m["phases"], list):
         error(f"{path}: missing 'phases' array")
     else:
+        # One aggregated record per phase name (obs::Phase), however many
+        # runs the process served; `counters` holds the nonzero deltas.
+        seen = set()
         for i, phase in enumerate(m["phases"]):
-            for field in ("name", "seconds", "faults_delta"):
+            for field in ("name", "calls", "seconds", "faults_delta",
+                          "counters"):
                 if field not in phase:
                     error(f"{path}: phases[{i}].{field} missing")
+            name = phase.get("name")
+            if name in seen:
+                error(f"{path}: phases[{i}]: duplicate record for {name!r}")
+            seen.add(name)
+            if not isinstance(phase.get("calls"), int) or phase["calls"] < 1:
+                error(f"{path}: phases[{i}].calls = {phase.get('calls')!r} "
+                      "is not a positive integer")
+            counters = phase.get("counters", {})
+            if not isinstance(counters, dict):
+                error(f"{path}: phases[{i}].counters is not an object")
+                continue
+            for key, value in counters.items():
+                if key not in EXPECTED_COUNTERS:
+                    error(f"{path}: phases[{i}].counters.{key} is not a "
+                          "known counter")
+                if not isinstance(value, int) or value < 0:
+                    error(f"{path}: phases[{i}].counters.{key} = {value!r} "
+                          "is not a non-negative integer")
     print(f"{path}: {len(m.get('counters', {}))} counters, "
           f"{len(m.get('phases', []))} phase records")
 

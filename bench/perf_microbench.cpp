@@ -354,12 +354,12 @@ void BM_PodemPerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_PodemPerFault);
 
-// ATPG backend per-fault cost across circuit sizes (Arg = gate count;
-// the bench/history "atpg" family records the sat/podem ratio per
-// size).  Both engines walk the same fault list round-robin so the
-// fault mix is identical; the SAT backend amortizes its one-time
-// circuit encoding across the incremental per-fault solves, which is
-// exactly how the runner uses it under --atpg=sat/auto.
+// ATPG backend per-fault cost across circuit sizes (Arg = gate count),
+// for comparing the sat/podem ratio per size.  Both engines walk the
+// same fault list round-robin so the fault mix is identical; the SAT
+// backend amortizes its one-time circuit encoding across the
+// incremental per-fault solves, which is exactly how the runner uses
+// it under --atpg=sat/auto.
 netlist::Circuit sized_circuit(std::size_t gates) {
   gen::GenParams p;
   p.name = "bench";

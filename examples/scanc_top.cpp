@@ -95,7 +95,7 @@ bool apply_frame(View& view, const Json& frame) {
     if (phase == "pipeline") row.total_faults = get_u64(*ev, "value");
   } else if (kind == "phase_end") {
     row.faults = std::max(row.faults, get_u64(*ev, "faults"));
-    if (phase == "pipeline") row.phase = "done";
+    if (phase == "run_circuit") row.phase = "done";
   } else if (kind == "round") {
     row.round = get_u64(*ev, "value") + 1;
     row.faults = std::max(row.faults, get_u64(*ev, "faults"));

@@ -27,7 +27,9 @@
 //                                       separately when > 1)
 //   --cache=PATH       SCANC_CACHE      cache file prefix
 //   --no-dynamic                        skip the [2,3]-style baseline
-//   --verbose          SCANC_VERBOSE=1  progress notes on stderr
+//   --verbose          SCANC_VERBOSE=1  progress notes on stderr, one
+//                                       "[circuit +secs] note" line per
+//                                       stage and phase entry
 //   --time-budget=S    SCANC_TIME_BUDGET
 //                                       stop gracefully after S seconds
 //                                       (fractional OK), keeping every

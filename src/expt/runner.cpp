@@ -20,6 +20,7 @@
 #include "tcomp/pipeline.hpp"
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
+#include "util/event_bus.hpp"
 #include "util/rng.hpp"
 #include "util/store.hpp"
 #include "util/telemetry.hpp"
@@ -268,20 +269,6 @@ VariantMeasurement measure_variant(fault::FaultSimulator& fsim,
   popt.cancel = options.cancel;
   popt.num_chains = options.num_chains;
   popt.universe = universe;  // empty unless the backend proved faults out
-  if (options.verbose || options.progress) {
-    const auto t0_clock = std::chrono::steady_clock::now();
-    const bool verbose = options.verbose;
-    const auto progress = options.progress;
-    popt.trace = [t0_clock, verbose, progress](const char* what) {
-      if (progress) progress(what);
-      if (!verbose) return;
-      const double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0_clock)
-                                 .count();
-      std::cerr << "    ... +" << std::fixed << std::setprecision(1)
-                << elapsed << "s " << what << "\n";
-    };
-  }
   const tcomp::PipelineResult r = tcomp::run_pipeline(fsim, t0, comb, popt);
   VariantMeasurement out;
   out.completed = r.completed;
@@ -418,14 +405,25 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
                                          start)
         .count();
   };
-  const auto note = [&](const char* what) {
-    if (options.progress) options.progress(what);
-    if (options.verbose) {
-      std::cerr << "[" << entry.params.name << " +" << std::fixed
-                << std::setprecision(1) << elapsed() << "s] " << what
-                << "\n";
-    }
-  };
+  // Every obs::Phase below — runner stages and the pipeline's phases —
+  // hands its progress note to this hook (the one --verbose format).
+  obs::ProgressHook progress;
+  if (options.progress || options.verbose) {
+    progress = [&](const char* what) {
+      if (options.progress) options.progress(what);
+      if (options.verbose) {
+        std::cerr << "[" << entry.params.name << " +" << std::fixed
+                  << std::setprecision(1) << elapsed() << "s] " << what
+                  << "\n";
+      }
+    };
+  }
+  const obs::EventJobScope scope(obs::current_event_job(),
+                                 std::move(progress));
+  // Opened after the journal credit, so the root record's counter
+  // delta and seconds are this call's work only.
+  const obs::Phase root("run_circuit", "run");
+
   // Checkpoint: persist the journal after a phase completes.  Atomic
   // replacement means a kill -9 mid-write leaves the previous journal
   // intact; the interrupted phase simply reruns next time.
@@ -445,34 +443,35 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     util::store_write(journal_path, serialize_journal(j));
   };
 
-  note("building circuit");
-  SharedInputs shared;
-  if (options.shared_inputs) {
-    shared = options.shared_inputs(entry, options.fault_model);
-  }
-  std::shared_ptr<const netlist::Circuit> circuit_holder = shared.circuit;
-  if (!circuit_holder) {
-    circuit_holder =
-        std::make_shared<const netlist::Circuit>(
-            gen::build_suite_circuit(entry));
-  }
-  const netlist::Circuit& circuit = *circuit_holder;
   const fault::FaultModel& model =
       fault::FaultModel::get(options.fault_model);
-  std::shared_ptr<const fault::FaultList> faults_holder = shared.faults;
-  if (!faults_holder) {
-    faults_holder = std::make_shared<const fault::FaultList>(
-        fault::FaultList::build(circuit, model));
-  }
-  const fault::FaultList& faults = *faults_holder;
+  SharedInputs shared;
   // A host-supplied (pooled) simulator carries a warmed trace cache from
-  // earlier jobs on this circuit; otherwise build a private one.  Either
-  // way the cancel token is detached on every exit path so a raised
-  // per-job token never leaks into the next lease.
+  // earlier jobs on this circuit; otherwise build a private one.
   std::optional<fault::FaultSimulator> own_fsim;
-  if (options.simulator == nullptr) own_fsim.emplace(circuit, faults);
+  {
+    const obs::Phase stage("build", "stage", "building circuit");
+    if (options.shared_inputs) {
+      shared = options.shared_inputs(entry, options.fault_model);
+    }
+    if (!shared.circuit) {
+      shared.circuit = std::make_shared<const netlist::Circuit>(
+          gen::build_suite_circuit(entry));
+    }
+    if (!shared.faults) {
+      shared.faults = std::make_shared<const fault::FaultList>(
+          fault::FaultList::build(*shared.circuit, model));
+    }
+    if (options.simulator == nullptr) {
+      own_fsim.emplace(*shared.circuit, *shared.faults);
+    }
+  }
+  const netlist::Circuit& circuit = *shared.circuit;
+  const fault::FaultList& faults = *shared.faults;
   fault::FaultSimulator& fsim =
       options.simulator ? *options.simulator : *own_fsim;
+  // The cancel token is detached on every exit path so a raised per-job
+  // token never leaks into the next lease.
   struct CancelDetach {
     fault::FaultSimulator& fsim;
     ~CancelDetach() { fsim.set_cancel({}); }
@@ -497,106 +496,111 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     return run;
   };
 
-  note("generating combinational test set C");
-  atpg::CombTestSetOptions copt;
-  copt.seed = options.seed;
-  copt.cancel = options.cancel;
-  copt.backend = options.atpg;
   // Non-empty only under --atpg=sat/auto: all faults minus the classes
   // proven untestable, handed to every pipeline run so Phase 3 stops
   // chasing faults no test can detect.  Stays empty (= no exclusion)
   // under the default backend for bit-identical legacy measurements.
   fault::FaultSet universe;
   atpg::CombTestSet comb;
-  if (!model.frame_gated()) {
-    comb = atpg::generate_comb_test_set(circuit, faults, copt);
-    run.detectable = faults.num_classes() - comb.proven_untestable;
-    run.proven_untestable = comb.proven_untestable;
-    run.aborted = comb.aborted;
-    if (options.atpg != atpg::AtpgBackend::Podem) {
-      universe = fsim.all_faults();
-      universe -= comb.untestable;
+  {
+    const obs::Phase stage("atpg", "stage",
+                           "generating combinational test set C");
+    atpg::CombTestSetOptions copt;
+    copt.seed = options.seed;
+    copt.cancel = options.cancel;
+    copt.backend = options.atpg;
+    if (!model.frame_gated()) {
+      comb = atpg::generate_comb_test_set(circuit, faults, copt);
+      run.detectable = faults.num_classes() - comb.proven_untestable;
+      run.proven_untestable = comb.proven_untestable;
+      run.aborted = comb.aborted;
+      if (options.atpg != atpg::AtpgBackend::Podem) {
+        universe = fsim.all_faults();
+        universe -= comb.untestable;
+      }
+    } else {
+      // The combinational ATPG is stuck-at-only: under a frame-gated
+      // model C is still the stuck-at test set (deterministic from the
+      // seed, the same patterns as a stuck-at run), while the coverage
+      // bookkeeping switches to the simulator's universe.  Stuck-at
+      // untestability proofs do not carry over, and C's `detected` set
+      // indexes the wrong classes — the dynamic baseline instead targets
+      // the full fault list, against which C's length-one tests launch
+      // no transitions.
+      const fault::FaultList sa_faults = fault::FaultList::build(circuit);
+      comb = atpg::generate_comb_test_set(circuit, sa_faults, copt);
+      comb.detected = fsim.all_faults();
+      comb.proven_untestable = 0;
+      run.detectable = faults.num_classes();
     }
-  } else {
-    // The combinational ATPG is stuck-at-only: under a frame-gated model
-    // C is still the stuck-at test set (deterministic from the seed, the
-    // same patterns as a stuck-at run), while the coverage bookkeeping
-    // switches to the simulator's universe.  Stuck-at untestability
-    // proofs do not carry over, and C's `detected` set indexes the wrong
-    // classes — the dynamic baseline instead targets the full fault
-    // list, against which C's length-one tests launch no transitions.
-    const fault::FaultList sa_faults = fault::FaultList::build(circuit);
-    comb = atpg::generate_comb_test_set(circuit, sa_faults, copt);
-    comb.detected = fsim.all_faults();
-    comb.proven_untestable = 0;
-    run.detectable = faults.num_classes();
-    if (options.atpg != atpg::AtpgBackend::Podem) {
-      // Resolve the transition universe directly (C's stuck-at proofs
-      // do not carry over): a cheap random two-frame prefilter knocks
-      // out the easily-launched classes, then the SAT backend's
-      // two-timeframe encoding resolves the remainder exactly.
-      note("resolving transition-fault universe (SAT)");
-      fault::FaultSet unresolved = fsim.all_faults();
-      util::Rng rng(options.seed ^ 0x7df5a11dULL);
-      constexpr std::size_t kPrefilter = 64;
-      std::vector<sim::Vector3> states(kPrefilter);
-      std::vector<sim::Sequence> seqs(kPrefilter);
-      std::vector<fault::FaultSimulator::BatchTest> batch(kPrefilter);
-      for (std::size_t i = 0; i < kPrefilter; ++i) {
-        states[i] = sim::random_vector(circuit.num_flip_flops(), rng);
-        seqs[i].frames.push_back(
-            sim::random_vector(circuit.num_inputs(), rng));
-        seqs[i].frames.push_back(
-            sim::random_vector(circuit.num_inputs(), rng));
-        batch[i] = {&states[i], &seqs[i]};
-      }
-      for (const fault::FaultSet& det :
-           fsim.detect_batch(batch, &unresolved)) {
-        unresolved -= det;
-      }
-      atpg::SatBackendOptions so;
-      so.cancel = options.cancel;
-      atpg::SatBackend sat(circuit, so);
-      universe = fsim.all_faults();
-      for (fault::FaultClassId id = 0; id < faults.num_classes(); ++id) {
-        if (!unresolved.test(id)) continue;
-        if (options.cancel.stop_requested()) break;
-        const atpg::TransitionTest t =
-            sat.generate_transition(faults.representative(id));
-        if (t.status == atpg::PodemStatus::Untestable) {
-          universe.reset(id);
-          ++run.proven_untestable;
-        } else if (t.status == atpg::PodemStatus::Aborted) {
-          ++run.aborted;
-        }
-      }
-      run.detectable = faults.num_classes() - run.proven_untestable;
+  }
+  if (model.frame_gated() && options.atpg != atpg::AtpgBackend::Podem) {
+    // Resolve the transition universe directly (C's stuck-at proofs do
+    // not carry over): a cheap random two-frame prefilter knocks out the
+    // easily-launched classes, then the SAT backend's two-timeframe
+    // encoding resolves the remainder exactly.
+    const obs::Phase stage("tdf_universe", "stage",
+                           "resolving transition-fault universe (SAT)");
+    fault::FaultSet unresolved = fsim.all_faults();
+    util::Rng rng(options.seed ^ 0x7df5a11dULL);
+    constexpr std::size_t kPrefilter = 64;
+    std::vector<sim::Vector3> states(kPrefilter);
+    std::vector<sim::Sequence> seqs(kPrefilter);
+    std::vector<fault::FaultSimulator::BatchTest> batch(kPrefilter);
+    for (std::size_t i = 0; i < kPrefilter; ++i) {
+      states[i] = sim::random_vector(circuit.num_flip_flops(), rng);
+      seqs[i].frames.push_back(sim::random_vector(circuit.num_inputs(), rng));
+      seqs[i].frames.push_back(sim::random_vector(circuit.num_inputs(), rng));
+      batch[i] = {&states[i], &seqs[i]};
     }
+    for (const fault::FaultSet& det : fsim.detect_batch(batch, &unresolved)) {
+      unresolved -= det;
+    }
+    atpg::SatBackendOptions so;
+    so.cancel = options.cancel;
+    atpg::SatBackend sat(circuit, so);
+    universe = fsim.all_faults();
+    for (fault::FaultClassId id = 0; id < faults.num_classes(); ++id) {
+      if (!unresolved.test(id)) continue;
+      if (options.cancel.stop_requested()) break;
+      const atpg::TransitionTest t =
+          sat.generate_transition(faults.representative(id));
+      if (t.status == atpg::PodemStatus::Untestable) {
+        universe.reset(id);
+        ++run.proven_untestable;
+      } else if (t.status == atpg::PodemStatus::Aborted) {
+        ++run.aborted;
+      }
+    }
+    run.detectable = faults.num_classes() - run.proven_untestable;
   }
   run.comb_tests = comb.tests.size();
   if (options.cancel.stop_requested()) return partial("setup");
 
-  // --- Phase: pipeline on the greedy T0 ------------------------------
+  // --- Stage: pipeline on the greedy T0 ------------------------------
   if (journal.has_atpg) {
-    note("pipeline (greedy T0): journaled, skipping");
+    const obs::Phase stage("pipeline_greedy", "stage",
+                           "pipeline (greedy T0): journaled, skipping");
     run.atpg = journal.atpg;
   } else {
-    note("generating T0 (greedy)");
-    tgen::GreedyTgenOptions gopt;
-    gopt.seed = options.seed;
-    gopt.max_length = 1024;
-    gopt.cancel = options.cancel;
-    const tgen::GreedyTgenResult t0_atpg =
-        generate_test_sequence(circuit, faults, gopt);
+    const tgen::GreedyTgenResult t0_atpg = [&] {
+      const obs::Phase stage("greedy_t0", "stage", "generating T0 (greedy)");
+      tgen::GreedyTgenOptions gopt;
+      gopt.seed = options.seed;
+      gopt.max_length = 1024;
+      gopt.cancel = options.cancel;
+      return generate_test_sequence(circuit, faults, gopt);
+    }();
     if (options.cancel.stop_requested()) return partial("setup");
 
-    note("pipeline (greedy T0)");
+    const obs::Phase stage("pipeline_greedy", "stage",
+                           "pipeline (greedy T0)");
     const VariantMeasurement m = measure_variant(
         fsim, t0_atpg.sequence, comb.tests, options, universe);
     run.atpg = m.result;
-    // Journal only a phase the token never interrupted: the token is
+    // Journal only a stage the token never interrupted: the token is
     // sticky, so stop_requested() here proves every simulation inside
-    // the phase ran to completion.
+    // the stage ran to completion.
     if (!m.completed || options.cancel.stop_requested()) {
       return partial(std::string("pipeline-atpg/") +
                      tcomp::to_string(m.stopped_at));
@@ -606,12 +610,14 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     checkpoint();
   }
 
-  // --- Phase: pipeline on the random T0 ------------------------------
+  // --- Stage: pipeline on the random T0 ------------------------------
   if (journal.has_random) {
-    note("pipeline (random T0): journaled, skipping");
+    const obs::Phase stage("pipeline_random", "stage",
+                           "pipeline (random T0): journaled, skipping");
     run.random = journal.random;
   } else {
-    note("pipeline (random T0)");
+    const obs::Phase stage("pipeline_random", "stage",
+                           "pipeline (random T0)");
     const sim::Sequence t0_rand = tgen::random_test_sequence(
         circuit, options.random_t0_length, options.seed);
     const VariantMeasurement m =
@@ -626,16 +632,17 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     checkpoint();
   }
 
-  // --- Phase: baseline [4] -------------------------------------------
+  // --- Stage: baseline [4] -------------------------------------------
   if (journal.has_baseline4) {
-    note("baseline [4]: journaled, skipping");
+    const obs::Phase stage("baseline4", "stage",
+                           "baseline [4]: journaled, skipping");
     run.cyc_4_init = journal.cyc_4_init;
     run.cyc_4_comp = journal.cyc_4_comp;
     run.atspeed_ave_4 = journal.atspeed_ave_4;
     run.atspeed_min_4 = journal.atspeed_min_4;
     run.atspeed_max_4 = journal.atspeed_max_4;
   } else {
-    note("baseline [4]");
+    const obs::Phase stage("baseline4", "stage", "baseline [4]");
     const tcomp::ScanTestSet b4 = tcomp::comb_initial_set(comb.tests);
     run.cyc_4_init = tcomp::clock_cycles(b4, nsv, chains);
     tcomp::CombineOptions b4opt;
@@ -656,13 +663,16 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     checkpoint();
   }
 
-  // --- Phase: dynamic baseline ---------------------------------------
+  // --- Stage: dynamic baseline ---------------------------------------
   if (options.run_dynamic_baseline) {
     if (journal.has_dynamic) {
-      note("baseline [2,3]-style dynamic: journaled, skipping");
+      const obs::Phase stage("dynamic", "stage",
+                             "baseline [2,3]-style dynamic: journaled, "
+                             "skipping");
       run.cyc_dyn = journal.cyc_dyn;
     } else {
-      note("baseline [2,3]-style dynamic");
+      const obs::Phase stage("dynamic", "stage",
+                             "baseline [2,3]-style dynamic");
       tcomp::DynamicBaselineOptions dopt;
       dopt.seed = options.seed;
       const tcomp::ScanTestSet dyn =

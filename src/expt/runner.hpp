@@ -144,9 +144,10 @@ struct RunnerOptions {
   /// on every exit path, so a pooled simulator — whose warmed trace
   /// cache is the point of reuse — comes back clean for the next job.
   fault::FaultSimulator* simulator = nullptr;
-  /// Optional machine progress hook: called with a short phase note at
-  /// every runner and pipeline phase boundary (same strings the
-  /// --verbose stderr notes print).  The service watchdog uses it as a
+  /// Optional machine progress hook: called with a short note on entry
+  /// to every runner stage and pipeline phase that has one (the strings
+  /// --verbose prints; run_circuit installs it as the thread's
+  /// obs::EventJobScope hook).  The service watchdog uses it as a
   /// per-job liveness stamp.  Must not throw.
   std::function<void(const char*)> progress;
   /// Cooperative cancellation for the whole run: raised explicitly

@@ -17,10 +17,6 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
   IterateResult result;
   std::vector<char> selected(comb.size(), 0);
 
-  const auto trace = [&](const char* what) {
-    if (options.trace) options.trace(what);
-  };
-
   Sequence current = t0;
   bool have_result = false;
   const std::size_t limit =
@@ -32,11 +28,11 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
       result.stopped = true;
       break;
     }
-    const obs::Span round_span("iterate round", "phase");
-    trace("phase 1 (scan-in / scan-out selection)");
+    const obs::Phase round("round");
     Phase1Result p1;
     {
-      const obs::Span span("phase1", "phase");
+      const obs::Phase phase("phase1", "phase",
+                             "phase 1 (scan-in / scan-out selection)");
       p1 = run_phase1(fsim, current, comb, selected, options.phase1);
     }
     if (iter == 0) result.f0 = p1.f0;
@@ -45,8 +41,7 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
     FaultSet detected = p1.f_so;
     std::size_t omitted = 0;
     if (options.apply_omission && !options.cancel.stop_requested()) {
-      trace("phase 2 (vector omission)");
-      const obs::Span span("phase2 omission", "phase");
+      const obs::Phase phase("phase2", "phase", "phase 2 (vector omission)");
       OmissionResult om =
           options.phase2_method == Phase2Method::Restoration
               ? restore_vectors(fsim, tau, p1.f_so, options.restoration)

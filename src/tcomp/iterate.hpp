@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "atpg/comb_tset.hpp"
@@ -46,8 +45,6 @@ struct IterateOptions {
   /// fault-simulation results are partial) and the best complete round
   /// so far is returned, flagged via IterateResult::stopped.
   util::CancelToken cancel;
-  /// Optional progress callback (step names, for logging).
-  std::function<void(const char*)> trace;
 };
 
 /// Trace of one iteration, for diagnostics and tests.

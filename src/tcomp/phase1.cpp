@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/event_bus.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::tcomp {
@@ -30,19 +29,15 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
 
   // Step 1: faults detected by T0 alone (all-X state, PO observation).
   {
-    const obs::Span span("phase1 step1 T0-detect", "step");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase1/step1");
+    obs::Phase step("phase1/step1", "step");
     result.f0 = fsim.detect_no_scan(t0);
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase1/step1",
-                       result.f0.count());
+    step.report(result.f0.count());
   }
 
   // Step 2: candidate scan-in states are the state parts of C.  Simulate
   // only F - F0: faults in F0 are detected for any scan-in choice.
   {
-    const obs::Span span("phase1 step2 scan-in", "step");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase1/step2", 0,
-                       comb.size());
+    obs::Phase step("phase1/step2", "step", nullptr, 0, comb.size());
     FaultSet remaining = fsim.all_faults();
     remaining -= result.f0;
 
@@ -115,8 +110,7 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
     result.chosen_candidate = best;
     result.chose_selected = best_selected;
     result.f_si = result.f0 | best_det;
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase1/step2",
-                       result.f_si.count(), best);
+    step.report(result.f_si.count());
   }
 
   const sim::Vector3& si = comb[result.chosen_candidate].state;
@@ -124,8 +118,7 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
   // Step 3: scan-out time selection from one detection-time recording of
   // (SI, T0) over all faults.  tau_SO,u detects f iff f is PO-detected at
   // some time <= u or the faulty state differs observably after time u.
-  const obs::Span step3_span("phase1 step3 scan-out", "step");
-  obs::publish_event(obs::EventKind::PhaseBegin, "phase1/step3");
+  obs::Phase step3("phase1/step3", "step");
   const FaultSet all = fsim.all_faults();
   const auto times = fsim.detection_times(si, t0, all);
 
@@ -183,8 +176,7 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
       result.f_so.set(times.targets[k]);
     }
   }
-  obs::publish_event(obs::EventKind::PhaseEnd, "phase1/step3",
-                     result.f_so.count(), u_so);
+  step3.report(result.f_so.count());
   return result;
 }
 

@@ -1,9 +1,7 @@
 #include "tcomp/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "util/event_bus.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::tcomp {
@@ -12,19 +10,6 @@ using fault::FaultSet;
 using fault::FaultSimulator;
 
 namespace {
-
-using PhaseClock = std::chrono::steady_clock;
-
-double seconds_since(PhaseClock::time_point start) {
-  return std::chrono::duration<double>(PhaseClock::now() - start).count();
-}
-
-std::uint64_t millis_since(PhaseClock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(PhaseClock::now() -
-                                                            start)
-          .count());
-}
 
 /// Restores a simulator's cancel token and thread count on scope exit.
 /// run_pipeline installs the pipeline's own token/threads at entry; a
@@ -67,9 +52,9 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
                             std::span<const atpg::CombTest> comb,
                             const PipelineOptions& options) {
   PipelineResult result;
-  const auto trace = [&](const char* what) {
-    if (options.trace) options.trace(what);
-  };
+  // The begin event carries the fault universe size (value) so live
+  // watchers can turn per-round detection counts into coverage %.
+  obs::Phase pipeline("pipeline", "phase", nullptr, 0, fsim.num_classes());
   // Every exit (including cancellation) reports N_cyc for whatever test
   // sets it is returning, all via the one shared cost-model helper.
   const auto finish = [&]() -> PipelineResult& {
@@ -78,14 +63,9 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
     result.num_chains = chains;
     result.initial_cycles = clock_cycles(result.initial, nsv, chains);
     result.compacted_cycles = clock_cycles(result.compacted, nsv, chains);
-    obs::publish_event(obs::EventKind::PhaseEnd, "pipeline",
-                       result.final_coverage.count(), fsim.num_classes());
+    pipeline.report(result.final_coverage.count());
     return result;
   };
-  // The begin event carries the fault universe size (value) so live
-  // watchers can turn per-round detection counts into coverage %.
-  obs::publish_event(obs::EventKind::PhaseBegin, "pipeline", 0,
-                     fsim.num_classes());
   // The caller's token/threads are restored on every exit path (see
   // SimStateGuard) so a pooled simulator comes back clean.
   const SimStateGuard guard(fsim);
@@ -93,20 +73,13 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   fsim.set_cancel(options.cancel);
 
   // Phases 1 and 2, iterated.
-  trace("phases 1+2 (iterated)");
   IterateResult it;
   {
-    const obs::PhaseSpan span("phase1+2");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase1+2");
-    const auto started = PhaseClock::now();
+    obs::Phase phase("phase1+2", "phase", "phases 1+2 (iterated)");
     IterateOptions iopt = options.iterate;
-    if (!iopt.trace) iopt.trace = options.trace;
     if (!iopt.cancel.valid()) iopt.cancel = options.cancel;
     it = iterate_phases(fsim, t0, comb, iopt);
-    obs::record_phase("phase1+2", seconds_since(started),
-                      it.f_seq.count());
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase1+2",
-                       it.f_seq.count(), millis_since(started));
+    phase.credit(it.f_seq.count());
   }
   result.tau_seq = std::move(it.tau_seq);
   result.f0 = std::move(it.f0);
@@ -133,7 +106,6 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   }
 
   // Phase 3: cover F - F_seq from C.
-  trace("phase 3 (top-off)");
   FaultSet undetected = fsim.all_faults();
   if (options.universe.size() == undetected.size()) {
     // Proven-untestable classes leave F before top-off: Phase 3 only
@@ -145,17 +117,10 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   undetected -= result.f_seq;
   TopOffResult topoff;
   {
-    const obs::PhaseSpan span("phase3");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase3",
-                       undetected.count());
-    const auto started = PhaseClock::now();
+    obs::Phase phase("phase3", "phase", "phase 3 (top-off)",
+                     undetected.count());
     topoff = top_off(fsim, comb, undetected);
-    obs::record_phase(
-        "phase3", seconds_since(started),
-        undetected.count() - topoff.uncoverable.count());
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase3",
-                       undetected.count() - topoff.uncoverable.count(),
-                       millis_since(started));
+    phase.credit(undetected.count() - topoff.uncoverable.count());
   }
   result.added_tests = topoff.tests.size();
   result.uncoverable = std::move(topoff.uncoverable);
@@ -184,20 +149,14 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   initial_coverage |= result.f_seq;
 
   // Phase 4: static compaction by combining.
-  trace("phase 4 (combining)");
   if (options.run_phase4) {
-    const obs::PhaseSpan span("phase4");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase4", 0,
-                       result.initial.tests.size());
-    const auto started = PhaseClock::now();
+    const obs::Phase phase("phase4", "phase", "phase 4 (combining)", 0,
+                           result.initial.tests.size());
     CombineOptions copt = options.combine;
     if (!copt.cancel.valid()) copt.cancel = options.cancel;
     CombineResult comp = combine_tests(fsim, result.initial, copt);
     result.compacted = std::move(comp.tests);
     result.combinations = comp.combinations;
-    obs::record_phase("phase4", seconds_since(started), 0);
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase4", 0,
-                       millis_since(started));
   } else {
     result.compacted = result.initial;
   }
@@ -212,14 +171,9 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   }
 
   {
-    const obs::PhaseSpan span("coverage");
-    obs::publish_event(obs::EventKind::PhaseBegin, "coverage");
-    const auto started = PhaseClock::now();
+    obs::Phase phase("coverage");
     result.final_coverage = coverage(fsim, result.compacted);
-    obs::record_phase("coverage", seconds_since(started), 0);
-    obs::publish_event(obs::EventKind::PhaseEnd, "coverage",
-                       result.final_coverage.count(),
-                       millis_since(started));
+    phase.report(result.final_coverage.count());
   }
   if (options.cancel.stop_requested()) {
     // The coverage simulation itself was interrupted; fall back to the

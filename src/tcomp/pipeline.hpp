@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "atpg/comb_tset.hpp"
 #include "fault/fault_sim.hpp"
@@ -62,8 +61,6 @@ struct PipelineOptions {
   /// phases.  On cancellation the pipeline returns its best-so-far
   /// compacted set with completed == false instead of discarding work.
   util::CancelToken cancel;
-  /// Optional progress callback (phase names, for logging).
-  std::function<void(const char*)> trace;
 };
 
 struct PipelineResult {

@@ -20,7 +20,7 @@ namespace {
 constexpr std::size_t kMaxTrackedJobs = 1024;
 
 const std::string kEmptyJob;
-thread_local const std::string* t_current_job = nullptr;
+thread_local const EventJobScope* t_scope = nullptr;
 
 void append_json_string(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -248,9 +248,7 @@ std::atomic<std::uint32_t> g_sinks{0};
 void publish_slow(EventKind kind, const char* phase, std::uint64_t faults,
                   std::uint64_t value, const char* note) noexcept {
   try {
-    const std::string& job =
-        t_current_job != nullptr ? *t_current_job : kEmptyJob;
-    bus().publish(job, kind, phase, faults, value, note);
+    bus().publish(current_event_job(), kind, phase, faults, value, note);
   } catch (...) {
     // Telemetry must never take down the workload.
   }
@@ -267,15 +265,21 @@ void publish_slow_job(const std::string& job, EventKind kind,
 
 }  // namespace events_internal
 
-EventJobScope::EventJobScope(std::string job_id) noexcept
-    : job_(std::move(job_id)), previous_(t_current_job) {
-  t_current_job = &job_;
+EventJobScope::EventJobScope(std::string job_id, ProgressHook progress) noexcept
+    : job_(std::move(job_id)),
+      progress_(std::move(progress)),
+      previous_(t_scope) {
+  t_scope = this;
 }
 
-EventJobScope::~EventJobScope() { t_current_job = previous_; }
+EventJobScope::~EventJobScope() { t_scope = previous_; }
 
 const std::string& current_event_job() noexcept {
-  return t_current_job != nullptr ? *t_current_job : kEmptyJob;
+  return t_scope != nullptr ? t_scope->job_ : kEmptyJob;
+}
+
+void progress_note(const char* note) {
+  if (t_scope != nullptr && t_scope->progress_) t_scope->progress_(note);
 }
 
 EventSubscription::~EventSubscription() {

@@ -34,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,7 +45,7 @@ namespace scanc::obs {
 // Events.
 
 enum class EventKind : std::uint8_t {
-  PhaseBegin,  ///< a pipeline phase / step started (phase = its path)
+  PhaseBegin,  ///< an obs::Phase started (phase = its name)
   PhaseEnd,    ///< ...finished; faults = detections, value = millis
   Round,       ///< one Phase 1+2 round: faults = detected, value = round
   Counters,    ///< periodic execution snapshot: value = groups this call
@@ -112,24 +113,38 @@ inline void publish_job_event(const std::string& job, EventKind kind,
   events_internal::publish_slow_job(job, kind, phase, faults, value, note);
 }
 
-/// RAII thread-local job scope: publish_event calls from this thread are
-/// stamped with `job_id` while the scope is live (nesting-safe).  The
-/// service installs one around each job attempt so pipeline events carry
-/// the owning job's id.
+/// Receives the note of each obs::Phase entered on the thread.  Must
+/// not throw.
+using ProgressHook = std::function<void(const char*)>;
+
+/// RAII thread-local job scope: while it is live, publish_event calls
+/// from this thread are stamped with `job_id` and obs::Phase notes go to
+/// `progress` (may be empty); an inner scope shadows both.  The service
+/// installs one per job attempt, expt::run_circuit one carrying
+/// RunnerOptions::progress.
 class EventJobScope {
  public:
-  explicit EventJobScope(std::string job_id) noexcept;
+  explicit EventJobScope(std::string job_id,
+                         ProgressHook progress = {}) noexcept;
   ~EventJobScope();
   EventJobScope(const EventJobScope&) = delete;
   EventJobScope& operator=(const EventJobScope&) = delete;
 
  private:
+  friend const std::string& current_event_job() noexcept;
+  friend void progress_note(const char* note);
+
   std::string job_;
-  const std::string* previous_;
+  ProgressHook progress_;
+  const EventJobScope* previous_;
 };
 
 /// The calling thread's current job scope id ("" outside any scope).
 [[nodiscard]] const std::string& current_event_job() noexcept;
+
+/// Hands `note` to the innermost job scope's progress hook (no-op
+/// without one).
+void progress_note(const char* note);
 
 // ---------------------------------------------------------------------
 // Live subscriptions (the svc `watch` stream source).

@@ -12,6 +12,8 @@
 #include <ostream>
 #include <thread>
 
+#include "util/event_bus.hpp"
+
 namespace scanc::obs {
 namespace {
 
@@ -88,9 +90,23 @@ class Registry {
     return hists_[static_cast<std::size_t>(h)].data;
   }
 
-  void record_phase(PhaseRecord rec) {
+  void record_phase(const char* name, double seconds,
+                    std::uint64_t faults_delta,
+                    const CounterSnapshot& counters) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    phases_.push_back(std::move(rec));
+    auto it = std::find_if(phases_.begin(), phases_.end(),
+                           [name](const PhaseRecord& r) {
+                             return r.name == name;
+                           });
+    if (it == phases_.end()) {
+      it = phases_.insert(phases_.end(), PhaseRecord{.name = name});
+    }
+    ++it->calls;
+    it->seconds += seconds;
+    it->faults_delta += faults_delta;
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+      it->counters[i] += counters[i];
+    }
   }
 
   std::vector<PhaseRecord> phase_records() {
@@ -293,21 +309,10 @@ ScopedTimer::~ScopedTimer() {
 }
 
 // ---------------------------------------------------------------------
-// Phase accounting.
-
-void record_phase(const char* name, double seconds,
-                  std::uint64_t faults_delta) {
-  Registry::instance().record_phase(
-      PhaseRecord{name, seconds, faults_delta});
-  if (faults_delta != 0) add(Counter::FaultsDetected, faults_delta);
-}
+// Phase records.
 
 std::vector<PhaseRecord> phase_records() {
   return Registry::instance().phase_records();
-}
-
-void set_current_phase(const char* literal) noexcept {
-  g_current_phase.store(literal, std::memory_order_relaxed);
 }
 
 const char* current_phase() noexcept {
@@ -331,12 +336,29 @@ Span::~Span() {
   trace_event(name_, category_, start_us_, end - start_us_);
 }
 
-PhaseSpan::PhaseSpan(const char* name) noexcept
-    : span_(name, "phase"), previous_(current_phase()) {
-  set_current_phase(name);
+Phase::Phase(const char* name, const char* category, const char* note,
+             std::uint64_t faults, std::uint64_t value)
+    : span_(name, category), name_(name), previous_(current_phase()) {
+  if (note != nullptr) progress_note(note);
+  publish_event(EventKind::PhaseBegin, name, faults, value);
+  g_current_phase.store(name, std::memory_order_relaxed);
+  start_ns_ = now_nanos();
+  entry_ = snapshot_counters();
 }
 
-PhaseSpan::~PhaseSpan() { set_current_phase(previous_); }
+Phase::~Phase() {
+  const std::uint64_t elapsed_ns = now_nanos() - start_ns_;
+  if (credited_ != 0) add(Counter::FaultsDetected, credited_);
+  publish_event(EventKind::PhaseEnd, name_, faults_, elapsed_ns / 1'000'000);
+  g_current_phase.store(previous_, std::memory_order_relaxed);
+  try {
+    Registry::instance().record_phase(
+        name_, static_cast<double>(elapsed_ns) * 1e-9, credited_,
+        counter_delta(snapshot_counters(), entry_));
+  } catch (...) {
+    // Telemetry must never take down the workload.
+  }
+}
 
 // ---------------------------------------------------------------------
 // Run-level reporting.
@@ -429,10 +451,20 @@ void write_metrics_json(std::ostream& out) {
   out << "\n  },\n  \"phases\": [";
   const std::vector<PhaseRecord> phases = phase_records();
   for (std::size_t i = 0; i < phases.size(); ++i) {
+    const PhaseRecord& p = phases[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": ";
-    json_string(out, phases[i].name);
-    out << ", \"seconds\": " << phases[i].seconds
-        << ", \"faults_delta\": " << phases[i].faults_delta << "}";
+    json_string(out, p.name);
+    out << ", \"calls\": " << p.calls << ", \"seconds\": " << p.seconds
+        << ", \"faults_delta\": " << p.faults_delta << ", \"counters\": {";
+    // Only the counters the phase moved: most stay 0 in any one phase.
+    const char* sep = "";
+    for (std::size_t c = 0; c < kNumCounters; ++c) {
+      if (p.counters[c] == 0) continue;
+      out << sep << "\"" << counter_name(static_cast<Counter>(c))
+          << "\": " << p.counters[c];
+      sep = ", ";
+    }
+    out << "}}";
   }
   out << "\n  ]\n}\n";
   out.precision(old_precision);
@@ -485,11 +517,12 @@ void print_summary(std::ostream& out) {
   pct("trace cache hit ratio", d.trace_cache_hit_ratio);
   const std::vector<PhaseRecord> phases = phase_records();
   if (!phases.empty()) {
-    out << " phases (name, seconds, faults)\n";
+    out << " phases (name, calls, seconds, faults)\n";
     for (const PhaseRecord& p : phases) {
       out << "  " << std::left << std::setw(28) << p.name << std::right
-          << std::setw(12) << std::fixed << std::setprecision(3) << p.seconds
-          << std::setw(10) << p.faults_delta << "\n";
+          << std::setw(8) << p.calls << std::setw(12) << std::fixed
+          << std::setprecision(3) << p.seconds << std::setw(10)
+          << p.faults_delta << "\n";
       out.unsetf(std::ios::fixed);
     }
   }

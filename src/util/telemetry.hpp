@@ -19,8 +19,9 @@
 //   Span       RAII trace span: emits one Chrome trace-event when a
 //              trace file is installed (util/trace_writer.hpp), else
 //              costs one relaxed load and allocates nothing.
-//   PhaseSpan  Span + the current-phase gauge the heartbeat reports,
-//              restored on scope exit (nesting-safe).
+//   Phase      the one phase hook: a Span plus the phase begin/end
+//              events, the heartbeat's current phase, the progress note
+//              and one aggregated phase record with counter deltas.
 //   Heartbeat  optional background thread printing one progress line
 //              (phase, faults detected, frames/s) per interval.
 //
@@ -208,24 +209,22 @@ class ScopedTimer {
 };
 
 // ---------------------------------------------------------------------
-// Phase accounting (the paper's per-phase cost tables).
+// Phase records (the paper's per-phase cost tables), written by Phase.
 
+/// Every call of one phase name, aggregated (one record per name).
 struct PhaseRecord {
   std::string name;
-  double seconds = 0.0;
-  std::uint64_t faults_delta = 0;  ///< newly detected faults this phase
+  std::uint64_t calls = 0;
+  double seconds = 0.0;            ///< summed wall time
+  std::uint64_t faults_delta = 0;  ///< newly detected faults (Phase::credit)
+  /// Summed counter deltas between entry and exit.  Counters are
+  /// process-wide, so a delta is exact only while one run is in flight.
+  CounterSnapshot counters{};
 };
-
-/// Appends one phase record (thread-safe) and bumps
-/// Counter::FaultsDetected by `faults_delta`.
-void record_phase(const char* name, double seconds,
-                  std::uint64_t faults_delta);
 
 [[nodiscard]] std::vector<PhaseRecord> phase_records();
 
-/// Current pipeline phase, for the heartbeat.  `literal` must be a
-/// string literal (or otherwise outlive all readers).
-void set_current_phase(const char* literal) noexcept;
+/// Current (innermost) phase, for the heartbeat.
 [[nodiscard]] const char* current_phase() noexcept;
 
 // ---------------------------------------------------------------------
@@ -248,18 +247,39 @@ class Span {
   bool active_;
 };
 
-/// Span that also publishes `name` as the current phase for the
-/// heartbeat, restoring the enclosing phase on scope exit.
-class PhaseSpan {
+/// RAII phase, the one way code marks a phase.  Entry opens a span of
+/// `category`, hands `note` (if any) to the thread's progress hook
+/// (EventJobScope), publishes phase_begin(`faults`, `value`) and sets the
+/// heartbeat phase.  Exit, by any path, publishes phase_end (reported
+/// faults, wall ms), restores the heartbeat phase and folds the wall
+/// time, credited faults and counter deltas (snapshotted only at these
+/// two boundaries) into the record of `name`.  Strings must be literals.
+class Phase {
  public:
-  explicit PhaseSpan(const char* name) noexcept;
-  ~PhaseSpan();
-  PhaseSpan(const PhaseSpan&) = delete;
-  PhaseSpan& operator=(const PhaseSpan&) = delete;
+  explicit Phase(const char* name, const char* category = "phase",
+                 const char* note = nullptr, std::uint64_t faults = 0,
+                 std::uint64_t value = 0);
+  ~Phase();
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  /// Sets the phase_end `faults` payload (the coverage it ends with).
+  void report(std::uint64_t faults) noexcept { faults_ = faults; }
+  /// Newly detected faults this phase accounts for: reported as above,
+  /// and added to the phase record and Counter::FaultsDetected.
+  void credit(std::uint64_t faults) noexcept {
+    faults_ = faults;
+    credited_ = faults;
+  }
 
  private:
   Span span_;
+  const char* name_;
   const char* previous_;
+  std::uint64_t faults_ = 0;
+  std::uint64_t credited_ = 0;
+  std::uint64_t start_ns_ = 0;
+  CounterSnapshot entry_{};
 };
 
 // ---------------------------------------------------------------------

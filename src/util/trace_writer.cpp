@@ -58,7 +58,6 @@ void TraceWriter::raw_event(const char* json) {
   if (!first_) std::fputs(",\n", file_);
   first_ = false;
   std::fputs(json, file_);
-  ++events_;
 }
 
 void TraceWriter::event_complete(const char* name, const char* cat,
@@ -75,18 +74,6 @@ void TraceWriter::event_complete(const char* name, const char* cat,
   raw_event(buf);
 }
 
-void TraceWriter::event_instant(const char* name, const char* cat,
-                                std::uint64_t ts_us, std::uint32_t tid) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"pid\":1,"
-                "\"tid\":%u,\"ts\":%llu,\"s\":\"t\"}",
-                name, cat, static_cast<unsigned>(tid),
-                static_cast<unsigned long long>(ts_us));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  raw_event(buf);
-}
-
 void TraceWriter::finish() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr || finished_) return;
@@ -94,10 +81,6 @@ void TraceWriter::finish() {
   std::fclose(file_);
   file_ = nullptr;
   finished_ = true;
-}
-
-std::uint64_t TraceWriter::events_written() const noexcept {
-  return events_;
 }
 
 bool open_trace(const std::string& path) {
@@ -133,12 +116,6 @@ void trace_event(const char* name, const char* cat, std::uint64_t ts_us,
   if (!tracing_enabled()) return;
   const std::shared_ptr<TraceWriter> w = current_writer();
   if (w) w->event_complete(name, cat, ts_us, dur_us, this_thread_id());
-}
-
-void trace_instant(const char* name, const char* cat) {
-  if (!tracing_enabled()) return;
-  const std::shared_ptr<TraceWriter> w = current_writer();
-  if (w) w->event_instant(name, cat, now_micros(), this_thread_id());
 }
 
 }  // namespace scanc::obs

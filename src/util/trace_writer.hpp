@@ -45,16 +45,9 @@ class TraceWriter {
                       std::uint64_t ts_us, std::uint64_t dur_us,
                       std::uint32_t tid);
 
-  /// Appends one instant event (a vertical marker line).
-  void event_instant(const char* name, const char* cat, std::uint64_t ts_us,
-                     std::uint32_t tid);
-
   /// Writes the closing bracket and flushes (idempotent; also run by the
   /// destructor).
   void finish();
-
-  /// Events written so far (exposed for tests).
-  [[nodiscard]] std::uint64_t events_written() const noexcept;
 
  private:
   void raw_event(const char* prefix_json);
@@ -63,7 +56,6 @@ class TraceWriter {
   std::FILE* file_ = nullptr;
   bool first_ = true;
   bool finished_ = false;
-  std::uint64_t events_ = 0;
 };
 
 /// Microseconds since the process-wide telemetry epoch (steady clock,
@@ -90,8 +82,5 @@ void close_trace();
 /// Emits one complete event through the global writer, if installed.
 void trace_event(const char* name, const char* cat, std::uint64_t ts_us,
                  std::uint64_t dur_us);
-
-/// Emits one instant event through the global writer, if installed.
-void trace_instant(const char* name, const char* cat);
 
 }  // namespace scanc::obs

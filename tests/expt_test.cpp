@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "expt/options.hpp"
 #include "expt/runner.hpp"
@@ -267,6 +269,78 @@ TEST(Runner, AutoBackendLeavesNoAbortedFaults) {
     // universe.
     EXPECT_LE(run.atpg.det_final, run.detectable) << name;
   }
+}
+
+// The progress-note contract: RunnerOptions::progress receives these
+// literal strings, in this order, once per stage or phase entry.
+// perfbench's harness turns each note into a span boundary and
+// perfbench/benchlib.py (STAGE_NOTES, PHASE_NOTES, STEP_NOTES) classifies
+// them by literal string, so a changed, dropped or extra note silently
+// breaks its per-layer attribution.
+std::vector<std::string> progress_notes(const char* circuit,
+                                        fault::FaultModelKind model,
+                                        atpg::AtpgBackend backend) {
+  const auto entry = gen::find_suite_entry(circuit);
+  EXPECT_TRUE(entry.has_value());
+  RunnerOptions opt;
+  opt.cache_path.clear();  // in-memory: no cache, no journal
+  opt.random_t0_length = 100;
+  opt.fault_model = model;
+  opt.atpg = backend;
+  std::vector<std::string> notes;
+  opt.progress = [&notes](const char* note) { notes.emplace_back(note); };
+  const CircuitRun run = run_circuit(*entry, opt);
+  EXPECT_TRUE(run.completed);
+  return notes;
+}
+
+/// The notes of one pipeline run whose Phase 1+2 iteration ran `rounds`
+/// rounds, each with Phase 2.
+std::vector<std::string> pipeline_notes(const char* stage,
+                                        std::size_t rounds) {
+  std::vector<std::string> notes = {stage, "phases 1+2 (iterated)"};
+  for (std::size_t r = 0; r < rounds; ++r) {
+    notes.emplace_back("phase 1 (scan-in / scan-out selection)");
+    notes.emplace_back("phase 2 (vector omission)");
+  }
+  notes.emplace_back("phase 3 (top-off)");
+  notes.emplace_back("phase 4 (combining)");
+  return notes;
+}
+
+/// setup, the greedy-T0 stage, both pipelines, both baselines.
+std::vector<std::string> flow_notes(std::vector<std::string> setup,
+                                    std::size_t greedy_rounds,
+                                    std::size_t random_rounds) {
+  std::vector<std::string> notes = std::move(setup);
+  notes.emplace_back("generating T0 (greedy)");
+  for (std::string& n : pipeline_notes("pipeline (greedy T0)", greedy_rounds)) {
+    notes.push_back(std::move(n));
+  }
+  for (std::string& n : pipeline_notes("pipeline (random T0)", random_rounds)) {
+    notes.push_back(std::move(n));
+  }
+  notes.emplace_back("baseline [4]");
+  notes.emplace_back("baseline [2,3]-style dynamic");
+  return notes;
+}
+
+TEST(Runner, ProgressNotesStuckAt) {
+  const std::vector<std::string> want = flow_notes(
+      {"building circuit", "generating combinational test set C"}, 3, 3);
+  EXPECT_EQ(progress_notes("b01", fault::FaultModelKind::StuckAt,
+                           atpg::AtpgBackend::Podem),
+            want);
+}
+
+TEST(Runner, ProgressNotesTransitionAuto) {
+  const std::vector<std::string> want =
+      flow_notes({"building circuit", "generating combinational test set C",
+                  "resolving transition-fault universe (SAT)"},
+                 2, 2);
+  EXPECT_EQ(progress_notes("b01", fault::FaultModelKind::Transition,
+                           atpg::AtpgBackend::Auto),
+            want);
 }
 
 }  // namespace

@@ -407,6 +407,75 @@ TEST(CancelSim, IterateKeepsBestCompleteRound) {
 }
 
 // ---------------------------------------------------------------------
+// Phase events stay balanced on every exit path: a watcher (scanc-top)
+// must never see a job stuck mid-phase because the pipeline left early.
+
+/// Every phase_begin in `events` is closed by a phase_end of the same
+/// phase, innermost first.
+void expect_balanced_phases(const std::vector<obs::Event>& events) {
+  std::vector<std::string> open;
+  for (const obs::Event& e : events) {
+    const std::string kind = obs::to_string(e.kind);
+    if (kind == "phase_begin") {
+      open.push_back(e.phase);
+    } else if (kind == "phase_end") {
+      ASSERT_FALSE(open.empty()) << "phase_end without a begin: " << e.phase;
+      EXPECT_EQ(open.back(), e.phase) << "phases must close innermost first";
+      open.pop_back();
+    }
+  }
+  EXPECT_TRUE(open.empty()) << open.size() << " phase(s) never ended, "
+                            << "innermost " << open.back();
+}
+
+TEST(PhaseEvents, ThrowingQueryClosesEveryPhase) {
+  SimFixture fx;
+  atpg::CombTestSetOptions copt;
+  copt.seed = 1;
+  const atpg::CombTestSet comb =
+      atpg::generate_comb_test_set(fx.circuit, fx.faults, copt);
+  // Every frame is one primary input short: the first query rejects T0.
+  sim::Sequence t0;
+  t0.frames.assign(8, sim::Vector3(fx.circuit.num_inputs() - 1));
+
+  obs::reset_events();
+  const auto sub = obs::subscribe("", 1024);
+  EXPECT_THROW((void)tcomp::run_pipeline(fx.fsim, t0, comb.tests),
+               std::invalid_argument);
+  std::vector<obs::Event> events;
+  sub->poll(events, 0.1);
+  ASSERT_FALSE(events.empty()) << "the pipeline opened phases before the throw";
+  expect_balanced_phases(events);
+}
+
+TEST(PhaseEvents, CancelMidPipelineClosesEveryPhase) {
+  SimFixture fx;
+  atpg::CombTestSetOptions copt;
+  copt.seed = 1;
+  const atpg::CombTestSet comb =
+      atpg::generate_comb_test_set(fx.circuit, fx.faults, copt);
+  const sim::Sequence t0 =
+      tgen::random_test_sequence(fx.circuit, 64, /*seed=*/3);
+
+  tcomp::PipelineOptions popt;
+  popt.cancel = util::CancelToken::make();
+  // Cut the run deterministically as Phase 4 starts.
+  const obs::EventJobScope scope("", [&popt](const char* note) {
+    if (std::string(note) == "phase 4 (combining)") popt.cancel.request_stop();
+  });
+  obs::reset_events();
+  const auto sub = obs::subscribe("", 1024);
+  const tcomp::PipelineResult r =
+      tcomp::run_pipeline(fx.fsim, t0, comb.tests, popt);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.stopped_at, tcomp::PipelinePhase::Combine);
+  std::vector<obs::Event> events;
+  sub->poll(events, 0.1);
+  ASSERT_FALSE(events.empty());
+  expect_balanced_phases(events);
+}
+
+// ---------------------------------------------------------------------
 // Runner-level degradation: corrupt caches recompute, never crash.
 
 expt::RunnerOptions tiny_runner(const std::string& cache_path) {
@@ -784,11 +853,12 @@ TEST(ObsShutdown, DrainEventsReachTheLogBeforeSinksSeal) {
   ASSERT_TRUE(obs::open_event_log(log_path));
   ASSERT_TRUE(obs::events_enabled());
 
-  obs::publish_event(obs::EventKind::PhaseBegin, "pipeline");
-  obs::publish_event(obs::EventKind::Round, "phase1+2", 17, 0);
+  {
+    const obs::Phase pipeline("pipeline");
+    obs::publish_event(obs::EventKind::Round, "phase1+2", 17, 0);
+  }
   // The drain's last gasp — this is the event a wrong ordering loses.
-  obs::publish_event(obs::EventKind::PhaseEnd, "pipeline", 17, 1,
-                     "drain");
+  obs::publish_event(obs::EventKind::JobState, "", 0, 0, "drain");
 
   obs::shutdown_sinks();
   EXPECT_FALSE(obs::events_enabled());
@@ -799,11 +869,11 @@ TEST(ObsShutdown, DrainEventsReachTheLogBeforeSinksSeal) {
   ASSERT_TRUE(log.good());
   std::vector<std::string> lines;
   for (std::string line; std::getline(log, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);
+  ASSERT_EQ(lines.size(), 4u);
   EXPECT_NE(lines[0].find("\"kind\":\"phase_begin\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"kind\":\"round\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"kind\":\"phase_end\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"note\":\"drain\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"note\":\"drain\""), std::string::npos);
 
   // The trace was sealed after the log: a complete JSON document.
   std::ifstream trace(trace_path);
@@ -820,7 +890,7 @@ TEST(ObsShutdown, DrainEventsReachTheLogBeforeSinksSeal) {
   std::ifstream relog(log_path);
   std::size_t count = 0;
   for (std::string line; std::getline(relog, line);) ++count;
-  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(count, 4u);
 }
 
 }  // namespace

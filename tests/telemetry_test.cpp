@@ -13,6 +13,7 @@
 #include <iterator>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,23 +163,114 @@ TEST(TelemetryHistograms, Log2Buckets) {
 
 TEST(TelemetryPhases, RecordPhaseBumpsFaultsDetected) {
   obs::reset();
-  obs::record_phase("phase1+2", 1.5, 10);
-  obs::record_phase("phase3", 0.5, 4);
+  {
+    obs::Phase phase("phase1+2");
+    phase.credit(10);
+  }
+  {
+    obs::Phase phase("phase3");
+    obs::add(obs::Counter::QueriesRun, 2);
+    phase.credit(4);
+  }
+  {
+    obs::Phase coverage("coverage");
+    coverage.report(99);  // reported only: not a detection credit
+  }
   const std::vector<obs::PhaseRecord> records = obs::phase_records();
-  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].name, "phase1+2");
-  EXPECT_DOUBLE_EQ(records[0].seconds, 1.5);
+  EXPECT_EQ(records[0].calls, 1u);
+  EXPECT_GE(records[0].seconds, 0.0);
   EXPECT_EQ(records[1].faults_delta, 4u);
+  EXPECT_EQ(records[2].faults_delta, 0u);
+  // Counter deltas are taken between entry and exit.
+  const auto at = [](const obs::PhaseRecord& r, obs::Counter c) {
+    return r.counters[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(at(records[1], obs::Counter::QueriesRun), 2u);
+  EXPECT_EQ(at(records[1], obs::Counter::FaultsDetected), 4u);
+  EXPECT_EQ(at(records[0], obs::Counter::QueriesRun), 0u);
   EXPECT_EQ(count(obs::Counter::FaultsDetected), 14u);
 }
 
-TEST(TelemetryPhases, PhaseSpanRestoresEnclosingPhase) {
-  obs::set_current_phase("outer");
+TEST(TelemetryPhases, RecordsAggregateByName) {
+  obs::reset();
+  constexpr std::uint64_t kRuns = 5;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    obs::Phase outer("pipeline");
+    {
+      obs::Phase inner("phase3");
+      obs::add(obs::Counter::GroupsExecuted, 3);
+      inner.credit(2);
+    }
+  }
+  const std::vector<obs::PhaseRecord> records = obs::phase_records();
+  ASSERT_EQ(records.size(), 2u) << "one record per phase name";
+  // Records appear in order of first exit.
+  EXPECT_EQ(records[0].name, "phase3");
+  EXPECT_EQ(records[1].name, "pipeline");
+  for (const obs::PhaseRecord& r : records) {
+    EXPECT_EQ(r.calls, kRuns) << r.name;
+    EXPECT_EQ(r.counters[static_cast<std::size_t>(
+                  obs::Counter::GroupsExecuted)],
+              3 * kRuns)
+        << r.name << ": an enclosing phase's delta includes its children";
+  }
+  EXPECT_EQ(records[0].faults_delta, 2 * kRuns);
+  EXPECT_EQ(records[1].faults_delta, 0u);
+  EXPECT_EQ(count(obs::Counter::FaultsDetected), 2 * kRuns);
+}
+
+TEST(TelemetryPhases, PhaseRestoresEnclosingPhase) {
+  obs::reset();
+  const obs::Phase outer("outer");
   {
-    obs::PhaseSpan inner("inner");
+    const obs::Phase inner("inner");
     EXPECT_STREQ(obs::current_phase(), "inner");
   }
   EXPECT_STREQ(obs::current_phase(), "outer");
+}
+
+TEST(TelemetryPhases, PhaseNotesReachTheScopeHookOnEntryOnly) {
+  std::vector<std::string> notes;
+  const obs::EventJobScope scope(
+      "job-p", [&notes](const char* note) { notes.emplace_back(note); });
+  {
+    const obs::Phase stage("stage", "stage", "stage note");
+    const obs::Phase silent("silent");  // no note: the hook stays quiet
+    {
+      // An inner scope shadows the hook.
+      const obs::EventJobScope quiet("job-p");
+      const obs::Phase hidden("hidden", "phase", "hidden note");
+    }
+    const obs::Phase step("step", "step", "step note");
+  }
+  EXPECT_EQ(notes, (std::vector<std::string>{"stage note", "step note"}));
+}
+
+TEST(TelemetryPhases, PhaseEventsBalanceOnEveryExit) {
+  obs::reset_events();
+  const auto sub = obs::subscribe("", 64);
+  const auto throwing = [] {
+    obs::Phase phase("outer", "phase", nullptr, 7, 42);
+    const obs::Phase inner("inner");
+    phase.report(3);
+    throw std::runtime_error("query failed");
+  };
+  EXPECT_THROW(throwing(), std::runtime_error);
+  std::vector<obs::Event> got;
+  sub->poll(got, 0.5);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].kind, obs::EventKind::PhaseBegin);
+  EXPECT_EQ(got[0].phase, "outer");
+  EXPECT_EQ(got[0].faults, 7u);
+  EXPECT_EQ(got[0].value, 42u);
+  EXPECT_EQ(got[1].phase, "inner");
+  EXPECT_EQ(got[2].kind, obs::EventKind::PhaseEnd);
+  EXPECT_EQ(got[2].phase, "inner");
+  EXPECT_EQ(got[3].kind, obs::EventKind::PhaseEnd);
+  EXPECT_EQ(got[3].phase, "outer");
+  EXPECT_EQ(got[3].faults, 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +408,11 @@ TEST(TelemetryReports, MetricsJsonCarriesSchemaAndSections) {
   obs::reset();
   obs::add(obs::Counter::FramesSimulated, 12);
   obs::record(obs::Histogram::QueryNanos, 500);
-  obs::record_phase("phase1+2", 0.25, 3);
+  {
+    obs::Phase phase("phase1+2");
+    obs::add(obs::Counter::QueriesRun, 6);
+    phase.credit(3);
+  }
   std::ostringstream out;
   obs::write_metrics_json(out);
   const std::string json = out.str();
@@ -328,14 +424,17 @@ TEST(TelemetryReports, MetricsJsonCarriesSchemaAndSections) {
   EXPECT_NE(json.find("\"derived\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
-  EXPECT_NE(json.find("\"phase1+2\""), std::string::npos);
+  EXPECT_NE(json.find("\"phase1+2\", \"calls\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"faults_delta\": 3, \"counters\": {"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"queries_run\": 6"), std::string::npos);
 }
 
 TEST(TelemetryReports, SummaryMentionsCountersAndPhases) {
   obs::reset();
   obs::add(obs::Counter::FramesSimulated, 90);
   obs::add(obs::Counter::FramesSkipped, 10);
-  obs::record_phase("coverage", 0.125, 0);
+  { const obs::Phase coverage("coverage"); }
   std::ostringstream out;
   obs::print_summary(out);
   const std::string text = out.str();
@@ -346,7 +445,7 @@ TEST(TelemetryReports, SummaryMentionsCountersAndPhases) {
 
 TEST(TelemetryReports, HeartbeatPrintsProgressLines) {
   obs::reset();
-  obs::set_current_phase("hb-test");
+  const obs::Phase phase("hb-test");
   std::ostringstream sink;
   obs::Heartbeat hb;
   hb.start(0.02, &sink);
@@ -558,7 +657,10 @@ TEST(TelemetryReports, ResetZeroesEverything) {
   obs::add(obs::Counter::FramesSimulated, 5);
   obs::set_gauge(obs::Gauge::ThreadsConfigured, 4);
   obs::record(obs::Histogram::TaskRunNanos, 77);
-  obs::record_phase("p", 1.0, 2);
+  {
+    obs::Phase phase("p");
+    phase.credit(2);
+  }
   obs::reset();
   EXPECT_EQ(count(obs::Counter::FramesSimulated), 0u);
   EXPECT_EQ(count(obs::Counter::FaultsDetected), 0u);
