@@ -14,11 +14,10 @@ BM_KernelPerTest/N over BM_KernelPPSFP/N (the pattern-parallel batch
 gain).  These ratios compare two measurements from the same run, so
 absolute-time noise on shared CI runners largely cancels.
 
-A ``transition`` section gates the counters perf_microbench attaches to
+A ``transition`` section gates the counter perf_microbench attaches to
 the frame-gated transition kernel (BM_KernelTDF): tdf_skip_ratio pins
-the activation-aware whole-frame skipping, cache_hit_ratio the shared
-fault-free trace reuse — so a change that keeps wall time but destroys
-either still fails.
+the activation-aware whole-frame skipping, so a change that keeps wall
+time but destroys it still fails.
 
 Every missing benchmark, field, or baseline key is reported by name
 instead of surfacing as a traceback.

@@ -22,8 +22,7 @@ EXPECTED_COUNTERS = [
     "tdf_activations",
     "tdf_frames_skipped", "ppsfp_batches", "ppsfp_tests_packed",
     "wide_fp_passes", "trace_cache_hits",
-    "trace_cache_misses", "trace_cache_extensions",
-    "trace_cache_partial_reuses", "trace_cache_evictions", "pool_tasks_run",
+    "trace_cache_misses", "trace_cache_evictions", "pool_tasks_run",
     "pool_queue_wait_ns", "pool_busy_ns", "groups_executed", "queries_run",
     "faults_detected", "iterate_rounds",
     "atpg_sat_solve_calls", "atpg_sat_conflicts", "atpg_sat_proofs",
@@ -40,11 +39,11 @@ EXPECTED_COUNTERS = [
     "registry_sim_reuses",
 ]
 EXPECTED_GAUGES = [
-    "trace_cache_size", "threads_configured", "simd_lane_width",
+    "threads_configured", "simd_lane_width",
     "ppsfp_tests_per_pass", "svc_queue_depth", "svc_jobs_running",
 ]
 EXPECTED_DERIVED = [
-    "trace_cache_hit_ratio", "pool_mean_queue_wait_ns",
+    "pool_mean_queue_wait_ns",
 ]
 EXPECTED_HISTOGRAMS = [
     "queue_wait_ns", "task_run_ns", "query_ns", "job_queue_ns",

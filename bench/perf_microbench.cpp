@@ -197,11 +197,6 @@ void run_kernel_bench(benchmark::State& state,
   const sim::Sequence seq = tgen::random_test_sequence(c, 32, 11);
   util::Rng rng(3);
   const sim::Vector3 si = sim::random_vector(c.num_flip_flops(), rng);
-  // One untimed warm-up query outside the counted window: it builds the
-  // fault-free trace, so cache_hit_ratio counts reuse over the timed
-  // queries only and does not depend on how many iterations the library
-  // chooses to run.
-  benchmark::DoNotOptimize(fsim.detect_scan_test(si, seq));
   const obs::CounterSnapshot before = obs::snapshot_counters();
   for (auto _ : state) {
     benchmark::DoNotOptimize(fsim.detect_scan_test(si, seq));
@@ -220,17 +215,10 @@ void run_kernel_bench(benchmark::State& state,
       benchmark::Counter::kIsRate);
   state.counters["gates"] = benchmark::Counter(
       static_cast<double>(c.num_gates()));
-  // Trace reuse (checked against BENCH_kernel_baseline.json's
-  // "transition" section for BM_KernelTDF).
-  const double reuse = at(obs::Counter::TraceCacheHits) +
-                       at(obs::Counter::TraceCacheExtensions) +
-                       at(obs::Counter::TraceCachePartialReuses);
-  const double lookups = reuse + at(obs::Counter::TraceCacheMisses);
-  state.counters["cache_hit_ratio"] = benchmark::Counter(
-      lookups > 0.0 ? reuse / lookups : 0.0);
   if (model.frame_gated()) {
-    // Activation-aware skipping: the fraction of group-frames the TDF
-    // kernel never simulated because no fault in the group launched.
+    // Activation-aware skipping (checked against BENCH_kernel_baseline
+    // .json's "transition" section): the fraction of group-frames the
+    // TDF kernel never simulated because no fault in the group launched.
     const double tdf_frames = at(obs::Counter::FramesSimulated) +
                               at(obs::Counter::TdfFramesSkipped);
     state.counters["tdf_skip_ratio"] = benchmark::Counter(

@@ -29,7 +29,7 @@ namespace {
 struct Config {
   const char* name;
   std::size_t threads;
-  bool fresh_per_query;  ///< new simulator per query: every trace misses
+  bool fresh_per_query;  ///< new simulator per query
   sim::LaneWidth lanes = sim::LaneWidth::W64;
 };
 
@@ -505,20 +505,17 @@ class CaseChecker {
   void check_batch() {
     // Pattern-parallel batch queries against the per-test scalar
     // answers, at every distinct lane width: W64 exercises the per-test
-    // fallback inside detect_batch/times_batch, the wide widths the
+    // fallback inside detect_batch, the wide widths the
     // packed PPSFP engine (intrinsic where the CPU has it, portable
     // wide words otherwise — both must be bit-identical).
     if (w_->tests.empty()) return;
     std::vector<FaultSimulator::BatchTest> batch(w_->tests.size());
     std::vector<FaultSet> base;
-    std::vector<FaultSimulator::DetectionTimes> base_times;
     base.reserve(batch.size());
-    base_times.reserve(batch.size());
     for (std::size_t i = 0; i < w_->tests.size(); ++i) {
       const tcomp::ScanTest& t = w_->tests[i];
       batch[i] = {&t.scan_in, &t.seq};
       base.push_back(ref_.detect_scan_test(t.scan_in, t.seq, &targets_));
-      base_times.push_back(ref_.detection_times(t.scan_in, t.seq, targets_));
     }
 
     // Ragged no-scan batch: the full sequence, a prefix, and an empty
@@ -557,17 +554,6 @@ class CaseChecker {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         expect_sets_equal(where + " detect test=" + std::to_string(i),
                           base[i], det[i]);
-      }
-      if (cut()) return;
-      const auto times = s.times_batch(batch, targets_);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::string tw = where + " times test=" + std::to_string(i);
-        expect_true(tw, times[i].targets == base_times[i].targets,
-                    "target order differs");
-        expect_true(tw, times[i].first_po == base_times[i].first_po,
-                    "first_po differs");
-        expect_true(tw, times[i].state_diff == base_times[i].state_diff,
-                    "state_diff differs");
       }
       if (cut()) return;
       const std::vector<FaultSet> nsd = s.detect_batch(ns_batch, &targets_);

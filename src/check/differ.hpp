@@ -4,20 +4,17 @@
 // configurations that must be bit-identical by contract:
 //
 //   reference     1 thread, 64-bit lanes, one simulator for the whole
-//                 case (under the transition model its traces exercise
-//                 cache hits, in-place extension, copy-on-write and
-//                 partial prefix reuse)
+//                 case
 //   w64/N         N threads, 64-bit lanes, shared simulator
 //   default/cold  1 thread, default lanes, fresh simulator per query
-//                 (every trace is a cache miss: cold vs the warm
-//                 reference)
+//                 (a simulator keeps no trace state between queries, so
+//                 fresh and shared simulators must agree)
 //   wide          1 thread, CheckConfig::lane_width lanes (the
 //                 SIMD-or-portable wide fault-parallel engine)
 //   wide/N        N threads, wide lanes
 //
-// and the pattern-parallel batch queries (check_batch): detect_batch /
-// times_batch over all of the workload's scan tests plus a ragged
-// no-scan batch, at every distinct lane width (64 = per-test fallback,
+// and the pattern-parallel batch query (check_batch): detect_batch
+// over all of the workload's scan tests plus a ragged no-scan batch, at every distinct lane width (64 = per-test fallback,
 // 256/512 = packed PPSFP engine), each element compared against the
 // scalar per-test reference answer,
 //

@@ -446,8 +446,8 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
   const fault::FaultModel& model =
       fault::FaultModel::get(options.fault_model);
   SharedInputs shared;
-  // A host-supplied (pooled) simulator carries a warmed trace cache from
-  // earlier jobs on this circuit; otherwise build a private one.
+  // A host-supplied (pooled) simulator is reused from earlier jobs on
+  // this circuit; otherwise build a private one.
   std::optional<fault::FaultSimulator> own_fsim;
   {
     const obs::Phase stage("build", "stage", "building circuit");

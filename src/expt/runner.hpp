@@ -141,8 +141,8 @@ struct RunnerOptions {
   /// of the call; it must have been constructed on exactly the circuit
   /// and fault list `shared_inputs` returns.  run_circuit installs its
   /// own threads/cancel settings and detaches the cancel token
-  /// on every exit path, so a pooled simulator — whose warmed trace
-  /// cache is the point of reuse — comes back clean for the next job.
+  /// on every exit path, so a pooled simulator comes back clean for the
+  /// next job.
   fault::FaultSimulator* simulator = nullptr;
   /// Optional machine progress hook: called with a short note on entry
   /// to every runner stage and pipeline phase that has one (the strings

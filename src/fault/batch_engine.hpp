@@ -7,7 +7,7 @@
 // interface, so the dispatch on lane width/ISA happens once per engine
 // construction, never on the per-gate path.  Two pass shapes:
 //
-//   detect_batch / times_batch  (PPSFP)
+//   detect_batch  (PPSFP)
 //     lanes() scan tests in the bit-lanes of one pass, one fault group
 //     replicated across lanes (splat injection masks, per-lane
 //     stimulus).  Lane l's result is bit-identical to the corresponding
@@ -40,8 +40,9 @@ namespace scanc::fault {
 
 /// One scan test of a pattern batch.  `scan_in` (nullptr = no scan-in,
 /// all-X start) is masked for partial scan by the engine.  `trace` is
-/// the test's fault-free trace, required under frame-gated fault models
-/// (it is the activation oracle) and ignored otherwise.
+/// the test's fault-free trace, exactly seq->length() frames long,
+/// required under frame-gated fault models (it is the activation
+/// oracle) and ignored otherwise.
 struct BatchTestRef {
   const sim::Vector3* scan_in = nullptr;
   const sim::Sequence* seq = nullptr;
@@ -65,18 +66,6 @@ class BatchEngine {
                             std::span<const FaultClassId> group,
                             bool observe_scan_out,
                             std::span<std::uint64_t> det) = 0;
-
-  /// PPSFP detection-time recording: strided lane-major records — test
-  /// l, group member j lands at index l * stride + j of both spans
-  /// (stride >= group.size() lets callers aim the engine at a slice of
-  /// a per-query flat buffer).  first_po must be initialised to -1 and
-  /// state_diff pre-sized to each test's sequence length, exactly as
-  /// GroupWorker::run_times expects.
-  virtual void times_batch(std::span<const BatchTestRef> tests,
-                           std::span<const FaultClassId> group,
-                           std::size_t stride,
-                           std::span<std::int64_t> first_po,
-                           std::span<util::Bitset> state_diff) = 0;
 
   /// Wide fault-parallel detection: `ngroups` (<= lanes()) consecutive
   /// groups of `list` starting at group index `first_group`, one test

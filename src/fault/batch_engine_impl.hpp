@@ -2,9 +2,9 @@
 // by the per-ISA translation units (batch_engine.cpp and the
 // -mavx2/-mavx512f TUs).  Include this header only from those TUs.
 //
-// The PPSFP passes (detect_batch, times_batch) run one lane-masked frame
-// loop, run_batch, on the same Activation idea as GroupWorker's frame
-// loop (group_worker.cpp):
+// The PPSFP pass (detect_batch) runs one lane-masked frame loop,
+// run_batch, on the same Activation idea as GroupWorker's frame loop
+// (group_worker.cpp):
 //
 //   stuck-at   splat injections built once, per-lane scan-in, and every
 //              lane whose test is still running (t < length) is active
@@ -12,7 +12,7 @@
 //              injections rebuilt and state reloaded per frame, latching
 //              only where the observer needs it
 //
-// and a lane observer (detection masks or detection times).  Bit
+// and a lane observer (per-lane detection masks).  Bit
 // identity: lane l replicates the control flow of the GroupWorker
 // full-kernel pass on test l, because every observation is masked with
 // the lanes the per-test pass would observe *this frame* — inactive
@@ -80,20 +80,6 @@ class BatchEngineImpl final : public BatchEngine {
     }
   }
 
-  void times_batch(std::span<const BatchTestRef> tests,
-                   std::span<const FaultClassId> group, std::size_t stride,
-                   std::span<std::int64_t> first_po,
-                   std::span<util::Bitset> state_diff) override {
-    assert(!tests.empty() && tests.size() <= kLanes);
-    assert(stride >= group.size());
-    assert(first_po.size() >= (tests.size() - 1) * stride + group.size());
-    assert(state_diff.size() >= (tests.size() - 1) * stride + group.size());
-    obs::add(obs::Counter::PpsfpBatches);
-    obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
-    TimesLanes rec{tests.size(), stride, first_po, state_diff};
-    run_batch(tests, group, rec);
-  }
-
   void detect_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
                      std::span<const FaultClassId> list,
                      std::size_t first_group, std::size_t ngroups,
@@ -149,7 +135,7 @@ class BatchEngineImpl final : public BatchEngine {
     }
   }
 
-  // --- lane observers ----------------------------------------------------
+  // --- the lane observer -------------------------------------------------
   //
   // frame() sees each frame's PO detections with the active lanes;
   // wants_state(finals) asks the TDF activation to latch (finals: active
@@ -163,14 +149,11 @@ class BatchEngineImpl final : public BatchEngine {
     bool early_exit;
     W det = sim::zero<W>();
 
-    void frame(std::size_t /*t*/, const W& active, const W& po) {
-      det = det | (po & active);
-    }
+    void frame(const W& active, const W& po) { det = det | (po & active); }
     [[nodiscard]] bool wants_state(const W& finals) const {
       return observe_scan_out && sim::any(finals);
     }
-    void state(std::size_t /*t*/, const W& /*active*/, const W& finals,
-               const BatchEngineImpl& eng) {
+    void state(const W& finals, const BatchEngineImpl& eng) {
       if (wants_state(finals)) {
         det = det | (eng.state_detections() & finals);
       }
@@ -180,36 +163,6 @@ class BatchEngineImpl final : public BatchEngine {
     [[nodiscard]] bool done() const {
       return early_exit && !sim::any(det ^ full);
     }
-  };
-
-  /// Strided lane-major detection-time records (times_batch).
-  struct TimesLanes {
-    std::size_t n;
-    std::size_t stride;
-    std::span<std::int64_t> first_po;
-    std::span<util::Bitset> state_diff;
-    W det = sim::zero<W>();
-
-    void frame(std::size_t t, const W& active, const W& po) {
-      const W fresh = po & active & ~det;
-      det = det | fresh;
-      for (std::size_t l = 0; l < n; ++l) {
-        for_each_slot(sim::lane(fresh, l), [&](std::size_t j) {
-          first_po[l * stride + j] = static_cast<std::int64_t>(t);
-        });
-      }
-    }
-    [[nodiscard]] bool wants_state(const W& /*finals*/) const { return true; }
-    void state(std::size_t t, const W& active, const W& /*finals*/,
-               const BatchEngineImpl& eng) {
-      const W bits = eng.state_detections() & active;
-      for (std::size_t l = 0; l < n; ++l) {
-        for_each_slot(sim::lane(bits, l), [&](std::size_t j) {
-          state_diff[l * stride + j].set(t);
-        });
-      }
-    }
-    [[nodiscard]] bool done() const { return false; }
   };
 
   // --- the PPSFP frame loop ----------------------------------------------
@@ -255,13 +208,15 @@ class BatchEngineImpl final : public BatchEngine {
   }
 
   /// One PPSFP pass of `group` over `tests` (lane l = tests[l]).
-  template <class Rec>
   void run_batch(std::span<const BatchTestRef> tests,
-                 std::span<const FaultClassId> group, Rec& rec) {
+                 std::span<const FaultClassId> group, DetectLanes& rec) {
     const std::size_t n = tests.size();
     const bool gated = faults_->model().frame_gated();
     obs::add(obs::Counter::FullPasses, n);
     if (gated) {
+      assert(std::all_of(tests.begin(), tests.end(), [](const auto& t) {
+        return t.trace != nullptr && t.trace->length() == t.seq->length();
+      }));
       tdf_sites_.build(*faults_, group);
       sim_.reset(nullptr);
     } else {
@@ -285,13 +240,13 @@ class BatchEngineImpl final : public BatchEngine {
       const W active = launch(tests, t, gated, tally);
       if (!sim::any(active)) continue;
       sim_.apply_frame({pi_.data(), n}, &inj_);
-      rec.frame(t, active, po_detections(sim_));
+      rec.frame(active, po_detections(sim_));
       const W finals = active & lane_mask(n, [&](std::size_t l) {
                          return tests[l].seq->length() == t + 1;
                        });
       if (!gated || rec.wants_state(finals)) {
         sim_.latch(&inj_);
-        rec.state(t, active, finals, *this);
+        rec.state(finals, *this);
       }
       if (rec.done()) break;
     }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -43,8 +42,7 @@ FaultSimulator::FaultSimulator(const Circuit& circuit,
     : circuit_(&circuit),
       faults_(&faults),
       scan_mask_(std::move(scan_mask)),
-      exec_(circuit, faults, scan_mask_),
-      trace_cache_(circuit) {
+      exec_(circuit, faults, scan_mask_) {
   assert(scan_mask_.size() == circuit.num_flip_flops());
   // Packing rank per class: the representative's position in the
   // level-major CSR order (for source nodes, the earliest position among
@@ -145,16 +143,43 @@ void FaultSimulator::reduce_masks(std::span<const FaultClassId> list,
   }
 }
 
-std::shared_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
-    const sim::Vector3* scan_in, const sim::Sequence& seq) {
-  if (!faults_->model().frame_gated()) return nullptr;
+sim::NodeTrace FaultSimulator::empty_trace(const Vector3* scan_in) const {
   if (scan_in == nullptr || scan_mask_.all()) {
-    return trace_cache_.get(scan_in, seq);
+    return sim::NodeTrace(*circuit_, scan_in);
   }
   // Partial scan: the trace must start from the masked state the
   // workers load (unscanned positions unknown).
-  const sim::Vector3 masked = mask_scan_in(*scan_in, scan_mask_);
-  return trace_cache_.get(&masked, seq);
+  const Vector3 masked = mask_scan_in(*scan_in, scan_mask_);
+  return sim::NodeTrace(*circuit_, &masked);
+}
+
+std::unique_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
+    const Vector3* scan_in, const Sequence& seq) const {
+  if (!faults_->model().frame_gated()) return nullptr;
+  auto trace = std::make_unique<sim::NodeTrace>(empty_trace(scan_in));
+  trace->extend(seq.frames);
+  obs::add(obs::Counter::TraceCacheMisses);
+  return trace;
+}
+
+std::vector<sim::NodeTrace> FaultSimulator::acquire_traces(
+    std::span<const BatchTest> tests) const {
+  std::vector<sim::NodeTrace> traces;
+  if (!faults_->model().frame_gated()) return traces;
+  traces.reserve(tests.size());
+  for (const BatchTest& t : tests) traces.push_back(empty_trace(t.scan_in));
+  for (std::size_t base = 0; base < tests.size(); base += 64) {
+    const std::size_t n = std::min<std::size_t>(64, tests.size() - base);
+    std::vector<sim::NodeTrace*> ptrs(n);
+    std::vector<std::span<const Vector3>> frames(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      ptrs[k] = &traces[base + k];
+      frames[k] = tests[base + k].seq->frames;
+    }
+    sim::NodeTrace::extend_batch(ptrs, frames);
+  }
+  obs::add(obs::Counter::TraceCacheMisses, tests.size());
+  return traces;
 }
 
 bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
@@ -368,28 +393,6 @@ FaultSet FaultSimulator::consistent_faults(
   return consistent;
 }
 
-std::vector<std::shared_ptr<const sim::NodeTrace>>
-FaultSimulator::acquire_traces(std::span<const BatchTest> tests) {
-  if (!faults_->model().frame_gated()) return {};
-  std::vector<sim::TraceCache::Request> reqs(tests.size());
-  // Masked scan-in copies (partial scan) must outlive get_batch; the
-  // reserve keeps their addresses stable.
-  std::vector<sim::Vector3> masked;
-  const bool full_scan = scan_mask_.all();
-  if (!full_scan) masked.reserve(tests.size());
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    reqs[i].seq = tests[i].seq;
-    if (tests[i].scan_in == nullptr) continue;
-    if (full_scan) {
-      reqs[i].scan_in = tests[i].scan_in;
-      continue;
-    }
-    masked.push_back(mask_scan_in(*tests[i].scan_in, scan_mask_));
-    reqs[i].scan_in = &masked.back();
-  }
-  return trace_cache_.get_batch(reqs);
-}
-
 std::vector<FaultSet> FaultSimulator::detect_batch(
     std::span<const BatchTest> tests, const FaultSet* targets) {
   const std::size_t num_tests = tests.size();
@@ -421,7 +424,7 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
   std::vector<BatchTestRef> refs(num_tests);
   for (std::size_t i = 0; i < num_tests; ++i) {
     refs[i] = BatchTestRef{tests[i].scan_in, tests[i].seq,
-                           traces.empty() ? nullptr : traces[i].get()};
+                           traces.empty() ? nullptr : &traces[i]};
   }
   const std::size_t ng = num_groups(list.size());
   const std::size_t lanes = cfg.lanes();
@@ -447,78 +450,6 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
     FaultSet s(num_classes());
     reduce_masks(list, gm, s);
     out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<FaultSimulator::DetectionTimes> FaultSimulator::times_batch(
-    std::span<const BatchTest> tests, const FaultSet& targets) {
-  const std::size_t num_tests = tests.size();
-  std::vector<DetectionTimes> out;
-  out.reserve(num_tests);
-  if (num_tests == 0) return out;
-  for (const BatchTest& t : tests) {
-    assert(t.seq != nullptr);
-    if (t.scan_in == nullptr) {
-      throw std::invalid_argument("times_batch: every test needs scan-in");
-    }
-    check_test(t.scan_in, *t.seq);
-  }
-  const sim::SimdConfig cfg = simd_config();
-  if (!use_batch(num_tests, cfg)) {
-    for (const BatchTest& t : tests) {
-      out.push_back(detection_times(*t.scan_in, *t.seq, targets));
-    }
-    return out;
-  }
-  const QueryScope scope("times_batch");
-  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-  obs::set_gauge(obs::Gauge::PpsfpTestsPerPass, cfg.lanes());
-  const std::vector<FaultClassId> list = collect(&targets);
-  const auto traces = acquire_traces(tests);
-  std::vector<BatchTestRef> refs(num_tests);
-  for (std::size_t i = 0; i < num_tests; ++i) {
-    refs[i] = BatchTestRef{tests[i].scan_in, tests[i].seq,
-                           traces.empty() ? nullptr : traces[i].get()};
-  }
-  const std::size_t nt = list.size();
-  const std::size_t lanes = cfg.lanes();
-  // Flat test-major records: test i, target j at index i * nt + j.  The
-  // engine's stride parameter lets each (group, chunk) call write its
-  // slice of this buffer directly.
-  std::vector<std::int64_t> flat_po(num_tests * nt, -1);
-  std::vector<util::Bitset> flat_sd(num_tests * nt);
-  for (std::size_t i = 0; i < num_tests; ++i) {
-    for (std::size_t j = 0; j < nt; ++j) {
-      flat_sd[i * nt + j] = util::Bitset(tests[i].seq->length());
-    }
-  }
-  for_each_group(
-      exec_, list, policy(),
-      [&](GroupWorker& w, std::size_t g,
-          std::span<const FaultClassId> group) {
-        BatchEngine& eng = w.batch_engine(cfg);
-        const std::size_t base = g * kGroupSize;
-        for (std::size_t c = 0; c < num_tests; c += lanes) {
-          if (cancel_.stop_requested()) return;  // skip rest of group
-          const std::size_t n = std::min(lanes, num_tests - c);
-          const std::size_t off = c * nt + base;
-          const std::size_t len = (n - 1) * nt + group.size();
-          eng.times_batch(std::span<const BatchTestRef>(refs).subspan(c, n),
-                          group, /*stride=*/nt,
-                          std::span<std::int64_t>(flat_po).subspan(off, len),
-                          std::span<util::Bitset>(flat_sd).subspan(off, len));
-        }
-      });
-  for (std::size_t i = 0; i < num_tests; ++i) {
-    DetectionTimes dt;
-    dt.targets = list;
-    const auto b = static_cast<std::ptrdiff_t>(i * nt);
-    const auto e = static_cast<std::ptrdiff_t>((i + 1) * nt);
-    dt.first_po.assign(flat_po.begin() + b, flat_po.begin() + e);
-    dt.state_diff.assign(std::make_move_iterator(flat_sd.begin() + b),
-                         std::make_move_iterator(flat_sd.begin() + e));
-    out.push_back(std::move(dt));
   }
   return out;
 }

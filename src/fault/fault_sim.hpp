@@ -17,8 +17,10 @@
 // CSR-levelized schedule.  Stuck-at detect queries with >= 2 groups pack
 // lanes() groups into one wide fault-parallel pass; batch queries pack
 // lanes() tests into one PPSFP pass.  Under a frame-gated fault model
-// the passes read a shared fault-free trace (sim/node_trace.hpp,
-// memoized across queries by sim/trace_cache.hpp) as activation oracle.
+// the passes read a fault-free trace (sim/node_trace.hpp) as activation
+// oracle: each query builds the trace of its test once, shares it
+// read-only across its groups and drops it on return, so a simulator
+// keeps no trace state between queries.
 //
 // Detection is conservative (standard for 3-valued simulation): a fault
 // is detected at an observation point only when both the fault-free and
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -43,9 +46,9 @@
 #include "fault/fault_list.hpp"
 #include "fault/group_exec.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/simd.hpp"
-#include "sim/trace_cache.hpp"
 #include "util/bitset.hpp"
 #include "util/cancel.hpp"
 
@@ -103,11 +106,6 @@ class FaultSimulator {
   /// machine.
   [[nodiscard]] sim::SimdConfig simd_config() const noexcept {
     return sim::resolve_simd(lane_width_);
-  }
-
-  /// The shared fault-free trace cache (exposed for tests/diagnostics).
-  [[nodiscard]] const sim::TraceCache& trace_cache() const noexcept {
-    return trace_cache_;
   }
 
   /// The scan-chain membership mask (all-set for full scan).
@@ -202,13 +200,6 @@ class FaultSimulator {
   [[nodiscard]] DetectionTimes detection_times(const sim::Vector3& scan_in,
                                                const sim::Sequence& seq,
                                                const FaultSet& targets);
-
-  /// Pattern-parallel (PPSFP) batch of detection_times: one record per
-  /// test, in order, bit-identical to the per-test query.  Every test
-  /// must have scan-in.  Same packing and fallback rules as
-  /// detect_batch.
-  [[nodiscard]] std::vector<DetectionTimes> times_batch(
-      std::span<const BatchTest> tests, const FaultSet& targets);
 
   /// Lighter variant of detection_times for coverage checking: records
   /// each target's earliest PO detection time and whether the complete
@@ -378,18 +369,23 @@ class FaultSimulator {
                     std::span<const std::uint64_t> group_masks,
                     FaultSet& out, bool complement = false) const;
 
-  /// The cached fault-free trace of (masked scan_in, seq), shared across
-  /// groups, when the fault model is frame-gated (the trace is its
+  /// The fault-free trace of (masked scan_in, seq), exactly
+  /// seq.length() frames long, built for one query and read by all of
+  /// its groups, when the fault model is frame-gated (the trace is its
   /// activation oracle); nullptr under a frame-less model.
-  [[nodiscard]] std::shared_ptr<const sim::NodeTrace> acquire_trace(
-      const sim::Vector3* scan_in, const sim::Sequence& seq);
+  [[nodiscard]] std::unique_ptr<const sim::NodeTrace> acquire_trace(
+      const sim::Vector3* scan_in, const sim::Sequence& seq) const;
 
   /// Fault-free traces for a batch query: one per test under a
-  /// frame-gated model (the batch passes' activation oracle), empty
-  /// under stuck-at (no stuck-at pass reads a trace).  Acquired before
-  /// the group fan-out — TraceCache is not thread-safe.
-  [[nodiscard]] std::vector<std::shared_ptr<const sim::NodeTrace>>
-  acquire_traces(std::span<const BatchTest> tests);
+  /// frame-gated model (the batch passes' activation oracle), built
+  /// pattern-packed, 64 per NodeTrace::extend_batch pass; empty under
+  /// stuck-at (no stuck-at pass reads a trace).
+  [[nodiscard]] std::vector<sim::NodeTrace> acquire_traces(
+      std::span<const BatchTest> tests) const;
+
+  /// An empty trace starting from `scan_in` masked for partial scan
+  /// (nullptr = all-X start, as the workers load it).
+  [[nodiscard]] sim::NodeTrace empty_trace(const sim::Vector3* scan_in) const;
 
   /// True when a (sub)query should take the wide PPSFP path.
   [[nodiscard]] static bool use_batch(std::size_t num_tests,
@@ -416,7 +412,6 @@ class FaultSimulator {
   sim::LaneWidth lane_width_ = sim::LaneWidth::Auto;
   util::CancelToken cancel_;
   GroupExecutor exec_;
-  sim::TraceCache trace_cache_;
   std::vector<std::uint32_t> pack_rank_;  ///< per class: packing rank
 };
 

@@ -185,7 +185,7 @@ void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
   if (faults_->model().frame_gated()) {
     // The trace is the activation oracle, and each active frame reloads
     // its state from it (no scan-in load).
-    assert(trace != nullptr);
+    assert(trace != nullptr && trace->length() == seq.length());
     tdf_sites_.build(*faults_, group);
     injections_.clear();
     TdfLaunch act(tdf_sites_, injections_, *trace);

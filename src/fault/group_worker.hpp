@@ -85,8 +85,9 @@ class GroupWorker {
   /// the pass with a partial mask — callers that observe
   /// cancel->stop_requested() must treat the result as incomplete.
   /// `trace`, in every pass, is the fault-free trace of (masked scan_in,
-  /// seq): required under a frame-gated fault model, where it is the
-  /// activation oracle, and ignored otherwise.
+  /// seq), exactly seq.length() frames long: required under a
+  /// frame-gated fault model, where it is the activation oracle, and
+  /// ignored otherwise.
   std::uint64_t run_detect(const sim::Vector3* scan_in,
                            const sim::Sequence& seq,
                            std::span<const FaultClassId> group,

@@ -21,17 +21,6 @@ NodeTrace::NodeTrace(const netlist::Circuit& c, const Vector3* scan_in)
   }
 }
 
-NodeTrace::NodeTrace(const NodeTrace& other, std::size_t prefix_len)
-    : circuit_(other.circuit_),
-      stride_(other.stride_),
-      length_(prefix_len),
-      vals_(other.vals_.begin(),
-            other.vals_.begin() +
-                static_cast<std::ptrdiff_t>(prefix_len * other.stride_)),
-      initial_state_(other.initial_state_) {
-  assert(prefix_len <= other.length_);
-}
-
 Vector3 NodeTrace::state_at_start(std::size_t k) const {
   if (k == 0) return initial_state_;
   const netlist::CsrSchedule& csr = circuit_->csr();

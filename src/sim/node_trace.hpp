@@ -16,9 +16,10 @@
 //   - FF state at the start of frame k  = value(k-1, d), or the scan-in
 //                                         state for k == 0
 //
-// Traces are extendable: extend() appends frames, resuming from the
-// state the recorded prefix ends in.  TraceCache exploits this for the
-// overlapping re-simulations vector omission / restoration produce.
+// A trace lives for one FaultSimulator query: the query builds it from
+// its (masked scan-in, sequence), exactly seq.length() frames long, and
+// drops it when the query returns.  extend() appends frames, resuming
+// from the state the recorded prefix ends in.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +37,6 @@ class NodeTrace {
   /// Starts an empty trace from `scan_in` (or the all-X state when
   /// nullptr).  `scan_in` must already be masked for partial scan.
   NodeTrace(const netlist::Circuit& c, const Vector3* scan_in);
-
-  /// Copies the first `prefix_len` frames of `other` (prefix reuse).
-  NodeTrace(const NodeTrace& other, std::size_t prefix_len);
 
   [[nodiscard]] const netlist::Circuit& circuit() const noexcept {
     return *circuit_;

@@ -1,6 +1,7 @@
 // Cross-job shared state: parsed circuits, collapsed fault lists, and
-// pooled fault simulators (whose warmed TraceCache is the expensive
-// thing worth keeping).
+// pooled fault simulators (reuse saves their construction: group
+// workers, packing ranks).  A simulator keeps no trace state between
+// queries, so a pooled one answers exactly as a fresh one.
 //
 // Sharing model (docs/service.md):
 //
@@ -10,10 +11,10 @@
 //     publishes a *new* object and swaps the registry pointer; jobs
 //     started on the old one keep it alive until they finish.
 //
-//   - Simulators are mutable (per-query scratch + trace cache), so they
-//     are never shared concurrently: a job takes an *exclusive* lease,
-//     and the pool hands the same instance — warm cache and all — to
-//     the next job on the same (circuit, model) once released.
+//   - Simulators are mutable (per-query scratch), so they are never
+//     shared concurrently: a job takes an *exclusive* lease, and the
+//     pool hands the same instance to the next job on the same
+//     (circuit, model) once released.
 //
 // Both maps are bounded (LRU eviction of idle entries) so a daemon that
 // sees thousands of distinct circuits does not grow without limit.
@@ -55,7 +56,7 @@ class SharedRegistry {
                                           fault::FaultModelKind model);
 
   /// Exclusive lease of a pooled simulator.  Move-only RAII: releasing
-  /// returns the simulator (warm trace cache included) to the pool.
+  /// returns the simulator to the pool.
   class SimLease {
    public:
     SimLease() = default;

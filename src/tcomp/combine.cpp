@@ -150,8 +150,9 @@ CombineResult combine_tests(FaultSimulator& fsim, const ScanTestSet& set,
           continue;
         }
         bool combined = combiner.attempt(i, j, i, j);
-        if (!combined && options.try_both_orders && j > i) {
-          // (j, i) order, stored at slot i so the outer scan stays valid.
+        if (!combined && j > i) {
+          // Both orders are tried: (j, i), stored at slot i so the outer
+          // scan stays valid.
           combined = combiner.attempt(j, i, i, j);
         }
         if (combined) {

@@ -35,8 +35,6 @@ struct TransferOptions {
 };
 
 struct CombineOptions {
-  /// Try combining in both (i,j) and (j,i) orders.
-  bool try_both_orders = true;
   /// Upper bound on accepted combinations (0 = unlimited).
   std::size_t max_combinations = 0;
   /// Cooperative cancellation, checked before every pair attempt.  The

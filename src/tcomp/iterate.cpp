@@ -11,6 +11,15 @@ using fault::FaultSet;
 using fault::FaultSimulator;
 using sim::Sequence;
 
+namespace {
+
+/// Cap on Phase 1+2 rounds, below the paper's bound of |C|.  In practice
+/// coverage and length settle within a few rounds; the cap bounds
+/// runtime on large circuits where |C| is big.
+constexpr std::size_t kMaxIterations = 4;
+
+}  // namespace
+
 IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
                              std::span<const atpg::CombTest> comb,
                              const IterateOptions& options) {
@@ -19,10 +28,7 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
 
   Sequence current = t0;
   bool have_result = false;
-  const std::size_t limit =
-      options.max_iterations == 0
-          ? comb.size()
-          : std::min(options.max_iterations, comb.size());
+  const std::size_t limit = std::min(kMaxIterations, comb.size());
   for (std::size_t iter = 0; iter < limit; ++iter) {
     if (options.cancel.stop_requested()) {
       result.stopped = true;
@@ -45,7 +51,7 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
       OmissionResult om =
           options.phase2_method == Phase2Method::Restoration
               ? restore_vectors(fsim, tau, p1.f_so, options.restoration)
-              : omit_vectors(fsim, tau, p1.f_so, options.omission);
+              : omit_vectors(fsim, tau, p1.f_so);
       omitted = om.omitted;
       tau = std::move(om.test);
       // Omission preserves F_SO and can add detections (Section 3.2 /
@@ -80,7 +86,9 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
       result.tau_seq = tau;
       result.f_seq = detected;
       have_result = true;
-    } else if (options.stop_on_no_progress && iter > 0) {
+    } else if (iter > 0) {
+      // No progress: the round neither detected more faults nor
+      // shortened the sequence.
       break;
     }
 

@@ -28,18 +28,10 @@ enum class Phase2Method : std::uint8_t {
 
 struct IterateOptions {
   Phase1Options phase1;
-  OmissionOptions omission;
   RestorationOptions restoration;
   Phase2Method phase2_method = Phase2Method::Omission;
   bool apply_omission = true;  ///< ablation: disable Phase 2
   bool iterate = true;         ///< ablation: single pass of Phases 1-2
-  /// Cap on Phase 1+2 rounds (0 = the paper's bound of |C|).  In
-  /// practice coverage and length settle within a few rounds; the cap
-  /// bounds runtime on large circuits where |C| is big.
-  std::size_t max_iterations = 4;
-  /// Stop early when a round neither detects more faults nor shortens
-  /// the sequence.
-  bool stop_on_no_progress = true;
   /// Cooperative cancellation: checked before each round and after each
   /// phase step.  A round interrupted mid-flight is *discarded* (its
   /// fault-simulation results are partial) and the best complete round

@@ -18,11 +18,19 @@ namespace {
 /// omission can disturb them, so they join every trial.
 constexpr std::int64_t kScanOutOnly = std::numeric_limits<std::int64_t>::max();
 
+/// Maximum sweeps at every block size; a sweep that removes nothing ends
+/// that block size early.
+constexpr std::size_t kMaxPasses = 2;
+
+/// Upper bound on simulated frames across all trials, as a multiple of
+/// the initial sequence length.  When the budget runs out the current
+/// (already valid) test is returned.
+constexpr std::size_t kBudgetFactor = 64;
+
 }  // namespace
 
 OmissionResult omit_vectors(FaultSimulator& fsim, const ScanTest& test,
-                            const FaultSet& required,
-                            const OmissionOptions& options) {
+                            const FaultSet& required) {
   OmissionResult result;
   result.test = test;
   if (test.seq.length() <= 1 || required.none()) return result;
@@ -37,18 +45,12 @@ OmissionResult omit_vectors(FaultSimulator& fsim, const ScanTest& test,
         times.first_po[k] >= 0 ? times.first_po[k] : kScanOutOnly;
   }
 
-  std::size_t budget =
-      options.budget_factor == 0
-          ? std::numeric_limits<std::size_t>::max()
-          : options.budget_factor * test.seq.length();
+  std::size_t budget = kBudgetFactor * test.seq.length();
 
-  std::size_t block = options.initial_block;
-  if (block == 0) {
-    block = std::clamp<std::size_t>(test.seq.length() / 64, 1, 32);
-  }
-
+  // Initial block size: max(1, L/64) capped at 32.
+  std::size_t block = std::clamp<std::size_t>(test.seq.length() / 64, 1, 32);
   for (; block >= 1; block = (block == 1 ? 0 : block / 2)) {
-    for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
+    for (std::size_t pass = 0; pass < kMaxPasses; ++pass) {
       std::size_t removed_this_pass = 0;
       // Sweep block start positions from the tail toward the front.
       std::size_t u = result.test.seq.length();

@@ -25,18 +25,6 @@
 
 namespace scanc::tcomp {
 
-struct OmissionOptions {
-  /// Maximum sweeps at every block size; a sweep that removes nothing
-  /// ends that block size early.
-  std::size_t max_passes = 2;
-  /// Initial block size; 0 selects max(1, L/64) capped at 32.
-  std::size_t initial_block = 0;
-  /// Upper bound on simulated frames across all trials, as a multiple of
-  /// the initial sequence length (0 = unlimited).  When the budget runs
-  /// out the current (already valid) test is returned.
-  std::size_t budget_factor = 64;
-};
-
 struct OmissionResult {
   ScanTest test;            ///< tau_C = (SI, T_C)
   std::size_t omitted = 0;  ///< vectors removed
@@ -46,8 +34,6 @@ struct OmissionResult {
 /// `required`.  `required` must be detected by `test` on entry.
 [[nodiscard]] OmissionResult omit_vectors(fault::FaultSimulator& fsim,
                                           const ScanTest& test,
-                                          const fault::FaultSet& required,
-                                          const OmissionOptions& options =
-                                              {});
+                                          const fault::FaultSet& required);
 
 }  // namespace scanc::tcomp

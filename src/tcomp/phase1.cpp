@@ -13,6 +13,19 @@ using fault::FaultSet;
 using fault::FaultSimulator;
 using sim::Sequence;
 
+namespace {
+
+/// Scan-in candidate screening: when C and T0 are large, rank all
+/// candidates on the first kScreenPrefix time units of T0 and fully
+/// evaluate only the best kScreenKeep (engineering shortcut over the
+/// paper's evaluate-all; the final choice is exact among the kept
+/// candidates).  Screening activates only when both the pool exceeds
+/// 2*kScreenKeep and T0 exceeds 2*kScreenPrefix.
+constexpr std::size_t kScreenPrefix = 128;
+constexpr std::size_t kScreenKeep = 8;
+
+}  // namespace
+
 Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
                         std::span<const atpg::CombTest> comb,
                         std::span<const char> selected,
@@ -44,11 +57,10 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
     // Optional screening pass: rank everyone on a prefix of T0, keep the
     // best few for exact evaluation.
     std::vector<std::size_t> pool;
-    const bool screen = options.screen_prefix > 0 &&
-                        t0.length() > 2 * options.screen_prefix &&
-                        comb.size() > 2 * options.screen_keep;
+    const bool screen =
+        t0.length() > 2 * kScreenPrefix && comb.size() > 2 * kScreenKeep;
     if (screen) {
-      const Sequence prefix = t0.subsequence(0, options.screen_prefix - 1);
+      const Sequence prefix = t0.subsequence(0, kScreenPrefix - 1);
       // One pattern-parallel batch scores every candidate's prefix
       // coverage.
       std::vector<FaultSimulator::BatchTest> batch(comb.size());
@@ -71,8 +83,7 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
                   }
                   return a.second < b.second;
                 });
-      for (std::size_t k = 0; k < options.screen_keep && k < scored.size();
-           ++k) {
+      for (std::size_t k = 0; k < kScreenKeep && k < scored.size(); ++k) {
         pool.push_back(scored[k].second);
       }
     } else {

@@ -32,15 +32,6 @@ enum class ScanOutRule : std::uint8_t {
 
 struct Phase1Options {
   ScanOutRule scan_out_rule = ScanOutRule::EarliestFull;
-  /// Scan-in candidate screening: when C and T0 are large, rank all
-  /// candidates on the first `screen_prefix` time units of T0 and fully
-  /// evaluate only the best `screen_keep` (engineering shortcut over the
-  /// paper's evaluate-all; the final choice is exact among the kept
-  /// candidates).  screen_prefix = 0 disables screening.  Screening
-  /// activates only when both the pool exceeds 2*screen_keep and T0
-  /// exceeds 2*screen_prefix.
-  std::size_t screen_prefix = 128;
-  std::size_t screen_keep = 8;
 };
 
 struct Phase1Result {

@@ -173,9 +173,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::WideFpPasses: return "wide_fp_passes";
     case Counter::TraceCacheHits: return "trace_cache_hits";
     case Counter::TraceCacheMisses: return "trace_cache_misses";
-    case Counter::TraceCacheExtensions: return "trace_cache_extensions";
-    case Counter::TraceCachePartialReuses:
-      return "trace_cache_partial_reuses";
     case Counter::TraceCacheEvictions: return "trace_cache_evictions";
     case Counter::PoolTasksRun: return "pool_tasks_run";
     case Counter::PoolQueueWaitNanos: return "pool_queue_wait_ns";
@@ -254,7 +251,6 @@ void reset() {
 
 const char* gauge_name(Gauge g) noexcept {
   switch (g) {
-    case Gauge::TraceCacheSize: return "trace_cache_size";
     case Gauge::ThreadsConfigured: return "threads_configured";
     case Gauge::SvcQueueDepth: return "svc_queue_depth";
     case Gauge::SvcJobsRunning: return "svc_jobs_running";
@@ -370,26 +366,6 @@ double ratio(std::uint64_t num, std::uint64_t den) {
                               static_cast<double>(den);
 }
 
-struct Derived {
-  double trace_cache_hit_ratio;
-  double pool_mean_queue_wait_ns;
-};
-
-Derived derive(const CounterSnapshot& s) {
-  const auto at = [&s](Counter c) {
-    return s[static_cast<std::size_t>(c)];
-  };
-  Derived d{};
-  const std::uint64_t reuse = at(Counter::TraceCacheHits) +
-                              at(Counter::TraceCacheExtensions) +
-                              at(Counter::TraceCachePartialReuses);
-  d.trace_cache_hit_ratio =
-      ratio(reuse, reuse + at(Counter::TraceCacheMisses));
-  d.pool_mean_queue_wait_ns =
-      ratio(at(Counter::PoolQueueWaitNanos), at(Counter::PoolTasksRun));
-  return d;
-}
-
 void json_string(std::ostream& out, const std::string& s) {
   out << '"';
   for (const char c : s) {
@@ -403,7 +379,9 @@ void json_string(std::ostream& out, const std::string& s) {
 
 void write_metrics_json(std::ostream& out) {
   const CounterSnapshot s = snapshot_counters();
-  const Derived d = derive(s);
+  const double pool_mean_queue_wait_ns =
+      ratio(s[static_cast<std::size_t>(Counter::PoolQueueWaitNanos)],
+            s[static_cast<std::size_t>(Counter::PoolTasksRun)]);
   // Snapshot ordering stamps: `sequence` is process-monotonic across
   // snapshots (so multiple --metrics-out style dumps from one run are
   // orderable even when written within the same millisecond) and
@@ -428,9 +406,7 @@ void write_metrics_json(std::ostream& out) {
   }
   out << "\n  },\n  \"derived\": {\n";
   const auto old_precision = out.precision(6);
-  out << "    \"trace_cache_hit_ratio\": " << d.trace_cache_hit_ratio
-      << ",\n"
-      << "    \"pool_mean_queue_wait_ns\": " << d.pool_mean_queue_wait_ns
+  out << "    \"pool_mean_queue_wait_ns\": " << pool_mean_queue_wait_ns
       << "\n  },\n  \"histograms\": {";
   for (std::size_t i = 0; i < kNumHistograms; ++i) {
     const HistogramData h = histogram(static_cast<Histogram>(i));
@@ -479,7 +455,6 @@ bool write_metrics_file(const std::string& path) {
 
 void print_summary(std::ostream& out) {
   const CounterSnapshot s = snapshot_counters();
-  const Derived d = derive(s);
   const auto at = [&s](Counter c) {
     return s[static_cast<std::size_t>(c)];
   };
@@ -492,12 +467,7 @@ void print_summary(std::ostream& out) {
   row("frames simulated", at(Counter::FramesSimulated));
   row("full passes", at(Counter::FullPasses));
   row("wide fault-parallel passes", at(Counter::WideFpPasses));
-  out << " trace cache\n";
-  row("hits", at(Counter::TraceCacheHits));
-  row("misses", at(Counter::TraceCacheMisses));
-  row("extensions", at(Counter::TraceCacheExtensions));
-  row("partial reuses", at(Counter::TraceCachePartialReuses));
-  row("evictions", at(Counter::TraceCacheEvictions));
+  row("fault-free traces built", at(Counter::TraceCacheMisses));
   out << " execution\n";
   row("queries run", at(Counter::QueriesRun));
   row("groups executed", at(Counter::GroupsExecuted));
@@ -507,14 +477,6 @@ void print_summary(std::ostream& out) {
   out << " pipeline\n";
   row("faults detected", at(Counter::FaultsDetected));
   row("iterate rounds", at(Counter::IterateRounds));
-  out << " derived\n";
-  const auto pct = [&out](const char* name, double v) {
-    out << "  " << std::left << std::setw(28) << name << std::right
-        << std::setw(15) << std::fixed << std::setprecision(1) << v * 100.0
-        << "%\n";
-    out.unsetf(std::ios::fixed);
-  };
-  pct("trace cache hit ratio", d.trace_cache_hit_ratio);
   const std::vector<PhaseRecord> phases = phase_records();
   if (!phases.empty()) {
     out << " phases (name, calls, seconds, faults)\n";

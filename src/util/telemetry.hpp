@@ -57,12 +57,11 @@ enum class Counter : std::uint16_t {
   PpsfpBatches,         ///< pattern-parallel batch passes run
   PpsfpTestsPacked,     ///< scan tests packed into PPSFP lanes (sum)
   WideFpPasses,         ///< wide fault-parallel passes (lanes = groups)
-  // Fault-free trace cache (sim/trace_cache.cpp).
-  TraceCacheHits,
-  TraceCacheMisses,
-  TraceCacheExtensions,
-  TraceCachePartialReuses,
-  TraceCacheEvictions,
+  // Fault-free traces (fault/fault_sim.cpp).  The names are kept from
+  // the deleted trace cache: every frame-gated query builds its traces.
+  TraceCacheHits,       ///< retired: always 0 (the trace cache is gone)
+  TraceCacheMisses,     ///< fault-free traces built (full simulations)
+  TraceCacheEvictions,  ///< retired: always 0 (the trace cache is gone)
   // Thread pool / group execution (util/thread_pool.cpp,
   // fault/group_exec.cpp).
   PoolTasksRun,
@@ -101,7 +100,7 @@ enum class Counter : std::uint16_t {
   // Compaction service — shared-state registry.
   RegistryCircuitHits,  ///< parsed-circuit reuses across jobs
   RegistryCircuitMisses,///< circuits parsed/generated fresh
-  RegistrySimReuses,    ///< pooled simulators (warm TraceCache) reused
+  RegistrySimReuses,    ///< pooled simulators reused (no construction)
   // SAT ATPG backend (atpg/sat_backend.cpp).
   AtpgSatSolveCalls,    ///< per-fault SAT solves issued
   AtpgSatConflicts,     ///< CDCL conflicts across all solves
@@ -145,7 +144,6 @@ void reset();
 // Gauges.
 
 enum class Gauge : std::uint16_t {
-  TraceCacheSize,     ///< live entries in the fault-free trace cache
   ThreadsConfigured,  ///< last worker-thread count installed
   SvcQueueDepth,      ///< jobs currently queued in the service
   SvcJobsRunning,     ///< jobs currently executing
@@ -286,7 +284,7 @@ class Phase {
 // Run-level reporting.
 
 /// Machine-readable snapshot: counters, gauges, histograms, derived
-/// ratios (trace-cache hit ratio, mean pool queue wait), and phase
+/// ratio (mean pool queue wait), and phase
 /// records.  Schema "scanc-metrics-v1" (bench/check_metrics_schema.py).
 void write_metrics_json(std::ostream& out);
 

@@ -1,9 +1,8 @@
 // Tests for the differential fuzzing subsystem (src/check/): workload
 // determinism, oracle agreement on hand-built circuits, the seeded
-// regression corpus, the targeted X-state audit cases, and the
-// TraceCache copy-on-write contract the fuzzer's warm configurations
-// lean on.  The open-ended hunt lives in the fuzz_check binary; these
-// tests pin fixed seeds so a regression fails deterministically in CI.
+// regression corpus and the targeted X-state audit cases.  The
+// open-ended hunt lives in the fuzz_check binary; these tests pin fixed
+// seeds so a regression fails deterministically in CI.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -18,7 +17,6 @@
 #include "fault/fault_sim.hpp"
 #include "fault/model.hpp"
 #include "netlist/circuit.hpp"
-#include "sim/trace_cache.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
 
@@ -250,8 +248,8 @@ TEST(CheckCorpus, FixedSeedsRunClean) {
 
 TEST(CheckCorpus, FixedSeedsRunCleanTransition) {
   // The same matrix under the transition model: every configuration
-  // (64-bit/wide lanes, cold/warm, serial/parallel) plus the scalar TDF
-  // oracle must agree on the frame-gated semantics.
+  // (64-bit/wide lanes, fresh/shared simulator, serial/parallel) plus
+  // the scalar TDF oracle must agree on the frame-gated semantics.
   CheckConfig cfg;
   cfg.threads = 4;
   std::uint64_t state = 0xBEEFED;
@@ -366,65 +364,6 @@ TEST(CheckXStateAudit, PartialScanUnscannedFf) {
                                lanes_name(lanes));
     }
   }
-}
-
-// --- TraceCache copy-on-write -----------------------------------------
-
-TEST(TraceCacheCow, HeldTraceSurvivesExtendingGet) {
-  const Workload w = check::make_workload(99);
-  sim::TraceCache cache(w.circuit, 4);
-  Sequence shorter;
-  Sequence longer;
-  util::Rng rng(7);
-  for (int t = 0; t < 6; ++t) {
-    Vector3 v(w.circuit.num_inputs());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = rng.coin() ? sim::V3::One : sim::V3::Zero;
-    }
-    longer.frames.push_back(v);
-    if (t < 3) shorter.frames.push_back(v);
-  }
-
-  // Hold the short trace across a get() that extends the cached entry.
-  const auto held = cache.get(nullptr, shorter);
-  ASSERT_EQ(held->length(), 3u);
-  std::vector<sim::V3> frame0(held->frame(0).begin(), held->frame(0).end());
-
-  const auto extended = cache.get(nullptr, longer);
-  EXPECT_EQ(cache.extensions(), 1u);
-  ASSERT_EQ(extended->length(), 6u);
-  // Copy-on-write: the holder's trace is physically untouched...
-  EXPECT_NE(held.get(), extended.get());
-  EXPECT_EQ(held->length(), 3u);
-  EXPECT_TRUE(std::equal(frame0.begin(), frame0.end(),
-                         held->frame(0).begin()));
-  // ...and the extension agrees with it on the shared prefix.
-  for (std::size_t t = 0; t < 3; ++t) {
-    const auto a = held->frame(t);
-    const auto b = extended->frame(t);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "frame " << t;
-  }
-}
-
-TEST(TraceCacheCow, UnsharedEntryExtendsInPlace) {
-  const Workload w = check::make_workload(99);
-  sim::TraceCache cache(w.circuit, 4);
-  Sequence shorter;
-  Sequence longer;
-  for (int t = 0; t < 4; ++t) {
-    Vector3 v(w.circuit.num_inputs(), sim::V3::One);
-    longer.frames.push_back(v);
-    if (t < 2) shorter.frames.push_back(v);
-  }
-  const sim::NodeTrace* raw = nullptr;
-  {
-    const auto held = cache.get(nullptr, shorter);
-    raw = held.get();
-  }  // released: only the cache entry still owns the trace
-  const auto extended = cache.get(nullptr, longer);
-  EXPECT_EQ(cache.extensions(), 1u);
-  EXPECT_EQ(extended.get(), raw) << "no holder -> extend in place";
-  EXPECT_EQ(extended->length(), 4u);
 }
 
 // --- Per-case watchdog -------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit tests for the flat simulation kernel substrate: the CSR/levelized
-// schedule (netlist/csr.hpp) and the shared fault-free NodeTrace and its
-// prefix-aware cache (sim/node_trace.hpp, sim/trace_cache.hpp).  The
+// schedule (netlist/csr.hpp) and the fault-free NodeTrace
+// (sim/node_trace.hpp).  The
 // end-to-end equivalence sweeps live in parallel_equiv_test.cpp; these
 // tests pin the structural invariants each layer promises.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "netlist/csr.hpp"
 #include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
-#include "sim/trace_cache.hpp"
 #include "util/rng.hpp"
 
 namespace scanc {
@@ -148,118 +147,18 @@ TEST(NodeTrace, ExtendsIncrementally) {
   util::Rng rng(7);
   const Sequence seq = sim::random_sequence(c.num_inputs(), 12, rng);
 
-  // One shot vs two extends vs a prefix copy + extend: identical frames.
+  // One shot vs two extends: identical frames.
   sim::NodeTrace whole(c, nullptr);
   whole.extend(seq.frames);
   sim::NodeTrace stepped(c, nullptr);
   stepped.extend(std::span<const Vector3>(seq.frames).first(5));
-  sim::NodeTrace copied(stepped, 5);
   stepped.extend(std::span<const Vector3>(seq.frames).subspan(5));
-  copied.extend(std::span<const Vector3>(seq.frames).subspan(5));
   ASSERT_EQ(stepped.length(), seq.length());
-  ASSERT_EQ(copied.length(), seq.length());
   for (std::size_t t = 0; t < seq.length(); ++t) {
     const std::span<const V3> a = whole.frame(t);
     const std::span<const V3> b = stepped.frame(t);
-    const std::span<const V3> d = copied.frame(t);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), d.begin()));
   }
-}
-
-// --- TraceCache -------------------------------------------------------
-
-TEST(TraceCache, HitExtendAndPartialReuse) {
-  const netlist::Circuit c = make_circuit(31);
-  util::Rng rng(5);
-  const Vector3 scan_in = sim::random_vector(c.num_flip_flops(), rng);
-  Sequence seq = sim::random_sequence(c.num_inputs(), 10, rng);
-
-  sim::TraceCache cache(c);
-  const auto t1 = cache.get(&scan_in, seq);
-  EXPECT_EQ(cache.misses(), 1u);
-  ASSERT_GE(t1->length(), seq.length());
-
-  // Exact repeat: same trace object, no new work.
-  const auto t2 = cache.get(&scan_in, seq);
-  EXPECT_EQ(t2.get(), t1.get());
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // Prefix query: the longer cached trace serves it unchanged.
-  Sequence shorter = seq;
-  shorter.frames.resize(6);
-  const auto t3 = cache.get(&scan_in, shorter);
-  EXPECT_EQ(t3.get(), t1.get());
-  EXPECT_EQ(cache.hits(), 2u);
-
-  // Extension: cached trace is a prefix of the query.  The outstanding
-  // shared_ptrs must keep seeing the old frames (copy-on-write).
-  Sequence longer = seq;
-  util::Rng rng2(6);
-  for (int i = 0; i < 4; ++i) {
-    longer.frames.push_back(sim::random_vector(c.num_inputs(), rng2));
-  }
-  const auto t4 = cache.get(&scan_in, longer);
-  EXPECT_EQ(cache.extensions(), 1u);
-  ASSERT_GE(t4->length(), longer.length());
-  EXPECT_EQ(t1->length(), seq.length());
-
-  // Partial overlap: same first 6 frames, divergent tail -> the common
-  // prefix is copied, only the tail is re-simulated.
-  Sequence branched = seq;
-  branched.frames.resize(6);
-  for (int i = 0; i < 5; ++i) {
-    branched.frames.push_back(sim::random_vector(c.num_inputs(), rng2));
-  }
-  const auto t5 = cache.get(&scan_in, branched);
-  EXPECT_EQ(cache.partial_reuses(), 1u);
-  const sim::Trace ref = sim::simulate_fault_free(c, &scan_in, branched);
-  const std::span<const NodeId> pos = c.primary_outputs();
-  for (std::size_t t = 0; t < branched.length(); ++t) {
-    for (std::size_t j = 0; j < pos.size(); ++j) {
-      EXPECT_EQ(t5->value(t, pos[j]), ref.po_frames[t][j]);
-    }
-  }
-}
-
-TEST(TraceCache, DistinguishesScanStates) {
-  const netlist::Circuit c = make_circuit(32);
-  util::Rng rng(8);
-  const Sequence seq = sim::random_sequence(c.num_inputs(), 8, rng);
-  Vector3 a = sim::random_vector(c.num_flip_flops(), rng);
-  Vector3 b = a;
-  b[0] = b[0] == V3::One ? V3::Zero : V3::One;
-
-  sim::TraceCache cache(c);
-  const auto ta = cache.get(&a, seq);
-  const auto tb = cache.get(&b, seq);
-  const auto tn = cache.get(nullptr, seq);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_NE(ta.get(), tb.get());
-  EXPECT_NE(ta.get(), tn.get());
-  EXPECT_EQ(ta->initial_state(), a);
-  EXPECT_EQ(tb->initial_state(), b);
-}
-
-TEST(TraceCache, EvictsLeastRecentlyUsed) {
-  const netlist::Circuit c = make_circuit(33);
-  util::Rng rng(9);
-  const Sequence seq = sim::random_sequence(c.num_inputs(), 4, rng);
-  std::vector<Vector3> keys;
-  for (int i = 0; i < 3; ++i) {
-    keys.push_back(sim::random_vector(c.num_flip_flops(), rng));
-  }
-
-  sim::TraceCache cache(c, /*capacity=*/2);
-  (void)cache.get(&keys[0], seq);
-  (void)cache.get(&keys[1], seq);
-  (void)cache.get(&keys[0], seq);  // refresh key 0
-  (void)cache.get(&keys[2], seq);  // evicts key 1
-  EXPECT_EQ(cache.size(), 2u);
-  (void)cache.get(&keys[0], seq);
-  EXPECT_EQ(cache.hits(), 2u);
-  (void)cache.get(&keys[1], seq);  // was evicted -> miss
-  EXPECT_EQ(cache.misses(), 4u);
 }
 
 }  // namespace

@@ -338,7 +338,6 @@ TEST(FaultSim, RejectsShortPiVector) {
                std::invalid_argument);
   const FaultSimulator::BatchTest batch[] = {{&si, &seq}, {&si, &seq}};
   EXPECT_THROW((void)fsim.detect_batch(batch), std::invalid_argument);
-  EXPECT_THROW((void)fsim.times_batch(batch, all), std::invalid_argument);
   FaultSimulator::Session session(fsim, all);
   EXPECT_THROW((void)session.step(seq.frames[1]), std::invalid_argument);
 }

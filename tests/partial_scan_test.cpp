@@ -8,6 +8,7 @@
 #include "atpg/podem.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/model.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/embedded.hpp"
 #include "tcomp/pipeline.hpp"
@@ -45,17 +46,40 @@ Circuit two_ff_circuit() {
 
 TEST(PartialScanSim, UnscannedScanInIsIgnored) {
   const Circuit c = two_ff_circuit();
-  const FaultList fl = FaultList::build(c);
-  // Only ff0 scanned: scan-in values for ff1 must be forced to X, so the
-  // two detect runs below (differing only in ff1's scan-in bit) agree.
-  FaultSimulator fsim(c, fl, mask_of({0}, 2));
-  sim::Sequence seq;
-  seq.frames.push_back(sim::vector3_from_string("11"));
-  const FaultSet a =
-      fsim.detect_scan_test(sim::vector3_from_string("10"), seq);
-  const FaultSet b =
-      fsim.detect_scan_test(sim::vector3_from_string("11"), seq);
-  EXPECT_EQ(a, b);
+  for (const fault::FaultModel* model :
+       {&fault::FaultModel::stuck_at(), &fault::FaultModel::transition()}) {
+    SCOPED_TRACE(model->name());
+    const FaultList fl = FaultList::build(c, *model);
+    // Only ff0 scanned: scan-in values for ff1 must be forced to X, so
+    // runs differing only in ff1's scan-in bit agree.  Under the
+    // transition model that covers the masked scan-in of the fault-free
+    // trace, built per query and per batch test; frame 0 never launches,
+    // so its test needs at least 3 frames to launch at frames 1 and 2.
+    FaultSimulator fsim(c, fl, mask_of({0}, 2));
+    sim::Sequence seq;
+    seq.frames.push_back(sim::vector3_from_string("11"));
+    if (model->frame_gated()) {
+      seq.frames.push_back(sim::vector3_from_string("01"));
+      seq.frames.push_back(sim::vector3_from_string("11"));
+    }
+    const sim::Vector3 si[] = {
+        sim::vector3_from_string("10"), sim::vector3_from_string("11"),
+        sim::vector3_from_string("00"), sim::vector3_from_string("01")};
+    const FaultSet a = fsim.detect_scan_test(si[0], seq);
+    const FaultSet b = fsim.detect_scan_test(si[1], seq);
+    EXPECT_EQ(a, b);
+    EXPECT_FALSE(a.none()) << "the comparison must not be vacuous";
+
+    const FaultSimulator::BatchTest with_0[] = {{&si[0], &seq},
+                                                {&si[2], &seq}};
+    const FaultSimulator::BatchTest with_1[] = {{&si[1], &seq},
+                                                {&si[3], &seq}};
+    const std::vector<FaultSet> batch_0 = fsim.detect_batch(with_0);
+    const std::vector<FaultSet> batch_1 = fsim.detect_batch(with_1);
+    ASSERT_EQ(batch_0.size(), 2u);
+    EXPECT_EQ(batch_0, batch_1);
+    EXPECT_EQ(batch_0[0], a);
+  }
 }
 
 TEST(PartialScanSim, UnscannedCaptureNotObserved) {

@@ -133,8 +133,6 @@ TEST(TelemetryCounters, NamesAreStableSnakeCase) {
   }
   EXPECT_STREQ(obs::counter_name(obs::Counter::FramesSimulated),
                "frames_simulated");
-  EXPECT_STREQ(obs::counter_name(obs::Counter::TraceCachePartialReuses),
-               "trace_cache_partial_reuses");
 }
 
 // ---------------------------------------------------------------------
@@ -142,9 +140,9 @@ TEST(TelemetryCounters, NamesAreStableSnakeCase) {
 
 TEST(TelemetryGauges, LastWriterWins) {
   obs::reset();
-  obs::set_gauge(obs::Gauge::TraceCacheSize, 7);
-  obs::set_gauge(obs::Gauge::TraceCacheSize, 3);
-  EXPECT_EQ(obs::gauge(obs::Gauge::TraceCacheSize), 3u);
+  obs::set_gauge(obs::Gauge::ThreadsConfigured, 7);
+  obs::set_gauge(obs::Gauge::ThreadsConfigured, 3);
+  EXPECT_EQ(obs::gauge(obs::Gauge::ThreadsConfigured), 3u);
 }
 
 TEST(TelemetryHistograms, Log2Buckets) {
