@@ -10,7 +10,6 @@
 #include "check/oracle_sim.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/model.hpp"
-#include "sim/seq_sim.hpp"
 #include "tcomp/omission.hpp"
 #include "util/cancel.hpp"
 #include "util/telemetry.hpp"
@@ -188,8 +187,6 @@ class CaseChecker {
 
     if (cut()) return;
     check_detects_all(tag, test, base);
-    if (cut()) return;
-    check_consistency(tag, test, base);
     if (cfg_->run_oracle && !cut()) check_oracle(tag, test, base, times);
     if (cfg_->run_metamorphic && len >= 1 && !cut()) {
       check_prefix_property(tag, test, times);
@@ -228,32 +225,6 @@ class CaseChecker {
     }
   }
 
-  void check_consistency(const std::string& tag, const tcomp::ScanTest& test,
-                         const FaultSet& base) {
-    // Observe the fault-free machine: every undetected fault is
-    // consistent with it, every detected fault is not — the conservative
-    // mismatch rule is exactly the conservative detection rule.
-    Vector3 masked = test.scan_in;
-    for (std::size_t i = 0; i < masked.size(); ++i) {
-      if (!w_->scan_mask.test(i)) masked[i] = V3::X;
-    }
-    const sim::Trace trace =
-        sim::simulate_fault_free(w_->circuit, &masked, test.seq);
-    const Vector3& scan_out =
-        trace.states.empty() ? masked : trace.states.back();
-    FaultSet want = targets_;
-    want -= base;
-    const FaultSet got = ref_.consistent_faults(
-        test.scan_in, test.seq, trace.po_frames, scan_out, targets_);
-    expect_sets_equal(tag + " consistent_faults(fault-free)", want, got);
-    for_each_config([&](const char* name, FaultSimulator& s) {
-      expect_sets_equal(
-          tag + " cfg=" + std::string(name) + " consistent_faults", got,
-          s.consistent_faults(test.scan_in, test.seq, trace.po_frames,
-                              scan_out, targets_));
-    });
-  }
-
   void check_oracle(const std::string& tag, const tcomp::ScanTest& test,
                     const FaultSet& base,
                     const FaultSimulator::DetectionTimes& times) {
@@ -280,18 +251,6 @@ class CaseChecker {
         }
       }
       expect_true(where, sd_ok, "oracle disagrees on state_diff");
-      // Feed the oracle's faulty response back as an "observed defective
-      // chip": the injected fault itself must stay consistent.
-      if (checked <= 8) {
-        const OracleResponse resp =
-            oracle_response(w_->circuit, w_->scan_mask, w_->faults.model(),
-                            rep, test.scan_in, test.seq);
-        const FaultSet cons = ref_.consistent_faults(
-            test.scan_in, test.seq, resp.po_frames, resp.scan_out,
-            targets_);
-        expect_true(where + " response", cons.test(f),
-                    "true culprit excluded from consistent set");
-      }
     }
   }
 

@@ -21,8 +21,6 @@
 // plus the scalar single-fault oracle (check/oracle_sim.hpp), and the
 // metamorphic properties the paper's accounting guarantees:
 //
-//   - consistent_faults against the fault-free response is exactly the
-//     complement of the detected set over the targets;
 //   - prefix_detection and detection_times agree, and the prefix test
 //     (SI, T[0,u]) detects exactly { f : first_po <= u or u in
 //     state_diff[f] };

@@ -267,51 +267,6 @@ OracleResult oracle_run_tdf(const Circuit& c, const util::Bitset& scan_mask,
   return out;
 }
 
-OracleResponse oracle_response_tdf(const Circuit& c,
-                                   const util::Bitset& scan_mask,
-                                   const fault::Fault& f,
-                                   const Vector3& scan_in,
-                                   const Sequence& seq) {
-  assert(f.pin == sim::kStemPin);
-  const fault::Fault frozen{f.node, f.pin, f.value};
-  Machine free(c, nullptr);
-  free.reset();
-  Vector3 state_entering = masked_scan_in(scan_in, scan_mask);
-  free.load_state(state_entering);
-
-  OracleResponse out;
-  out.po_frames.reserve(seq.length());
-  TdfTracker tracker(f);
-  Machine faulty(c, &frozen);
-  bool final_active = false;
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    free.apply_frame(seq.frames[t]);
-    const V3 cur = free.value(f.node);
-    const bool active = tracker.launches(t, cur);
-    if (active) {
-      faulty.reset();
-      faulty.load_state(state_entering);
-      faulty.apply_frame(seq.frames[t]);
-    }
-    const Machine& observed = active ? faulty : free;
-    Vector3 po;
-    po.reserve(c.num_outputs());
-    for (const NodeId p : c.primary_outputs()) po.push_back(observed.value(p));
-    out.po_frames.push_back(std::move(po));
-    if (active) faulty.latch();
-    free.latch();
-    if (t + 1 == seq.length()) final_active = active;
-    state_entering = captured_state(c, free);
-    tracker.prev = cur;
-  }
-  const Machine& last = final_active ? faulty : free;
-  out.scan_out.assign(c.num_flip_flops(), V3::X);
-  for (std::size_t i = 0; i < c.num_flip_flops(); ++i) {
-    if (scan_mask.test(i)) out.scan_out[i] = last.captured(i);
-  }
-  return out;
-}
-
 }  // namespace
 
 OracleResult oracle_run(const Circuit& c, const util::Bitset& scan_mask,
@@ -366,41 +321,6 @@ OracleResult oracle_run(const Circuit& c, const util::Bitset& scan_mask,
     return oracle_run_tdf(c, scan_mask, f, scan_in, seq, observe_scan_out);
   }
   return oracle_run(c, scan_mask, f, scan_in, seq, observe_scan_out);
-}
-
-OracleResponse oracle_response(const Circuit& c,
-                               const util::Bitset& scan_mask,
-                               const fault::FaultModel& model,
-                               const fault::Fault& f, const Vector3& scan_in,
-                               const Sequence& seq) {
-  if (model.frame_gated()) {
-    return oracle_response_tdf(c, scan_mask, f, scan_in, seq);
-  }
-  return oracle_response(c, scan_mask, f, scan_in, seq);
-}
-
-OracleResponse oracle_response(const Circuit& c,
-                               const util::Bitset& scan_mask,
-                               const fault::Fault& f, const Vector3& scan_in,
-                               const Sequence& seq) {
-  Machine faulty(c, &f);
-  faulty.reset();
-  faulty.load_state(masked_scan_in(scan_in, scan_mask));
-  OracleResponse out;
-  out.po_frames.reserve(seq.length());
-  for (std::size_t t = 0; t < seq.length(); ++t) {
-    faulty.apply_frame(seq.frames[t]);
-    Vector3 po;
-    po.reserve(c.num_outputs());
-    for (const NodeId p : c.primary_outputs()) po.push_back(faulty.value(p));
-    out.po_frames.push_back(std::move(po));
-    faulty.latch();
-  }
-  out.scan_out.assign(c.num_flip_flops(), V3::X);
-  for (std::size_t i = 0; i < c.num_flip_flops(); ++i) {
-    if (scan_mask.test(i)) out.scan_out[i] = faulty.captured(i);
-  }
-  return out;
 }
 
 }  // namespace scanc::check

@@ -77,28 +77,4 @@ struct OracleResult {
                                       const sim::Sequence& seq,
                                       bool observe_scan_out);
 
-/// The faulty machine's response to a scan test: PO vectors after every
-/// time unit and the captured scan-out state (full flip_flops() order;
-/// unscanned positions reported as captured, callers mask as needed).
-/// Used to feed consistent_faults with a "defective chip" observation.
-struct OracleResponse {
-  std::vector<sim::Vector3> po_frames;
-  sim::Vector3 scan_out;
-};
-
-[[nodiscard]] OracleResponse oracle_response(const netlist::Circuit& c,
-                                             const util::Bitset& scan_mask,
-                                             const fault::Fault& f,
-                                             const sim::Vector3& scan_in,
-                                             const sim::Sequence& seq);
-
-/// Model-dispatching form of oracle_response (see oracle_run): under a
-/// frame-gated model inactive frames report the fault-free response.
-[[nodiscard]] OracleResponse oracle_response(const netlist::Circuit& c,
-                                             const util::Bitset& scan_mask,
-                                             const fault::FaultModel& model,
-                                             const fault::Fault& f,
-                                             const sim::Vector3& scan_in,
-                                             const sim::Sequence& seq);
-
 }  // namespace scanc::check

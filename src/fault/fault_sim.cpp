@@ -82,30 +82,6 @@ void FaultSimulator::check_pi(const Vector3& pi) const {
   }
 }
 
-void FaultSimulator::check_response(std::span<const Vector3> observed_pos,
-                                    const Vector3& observed_scan_out,
-                                    const Sequence& seq) const {
-  if (observed_pos.size() != seq.length()) {
-    throw std::invalid_argument(
-        "observed response has " + std::to_string(observed_pos.size()) +
-        " PO vectors for a " + std::to_string(seq.length()) +
-        "-frame test");
-  }
-  for (const Vector3& po : observed_pos) {
-    if (po.size() != circuit_->num_outputs()) {
-      throw std::invalid_argument(
-          "observed PO width " + std::to_string(po.size()) +
-          " != output count " + std::to_string(circuit_->num_outputs()));
-    }
-  }
-  if (observed_scan_out.size() != circuit_->num_flip_flops()) {
-    throw std::invalid_argument(
-        "observed scan_out width " +
-        std::to_string(observed_scan_out.size()) + " != flip-flop count " +
-        std::to_string(circuit_->num_flip_flops()));
-  }
-}
-
 std::vector<FaultClassId> FaultSimulator::collect(
     const FaultSet* targets) const {
   std::vector<FaultClassId> out;
@@ -132,13 +108,12 @@ std::vector<FaultClassId> FaultSimulator::collect(
 
 void FaultSimulator::reduce_masks(std::span<const FaultClassId> list,
                                   std::span<const std::uint64_t> group_masks,
-                                  FaultSet& out, bool complement) const {
+                                  FaultSet& out) const {
   for (std::size_t g = 0; g < group_masks.size(); ++g) {
     const std::size_t base = g * kGroupSize;
     const std::size_t n = std::min(kGroupSize, list.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
-      const bool bit = (group_masks[g] & (1ULL << (j + 1))) != 0;
-      if (bit != complement) out.set(list[base + j]);
+      if ((group_masks[g] & (1ULL << (j + 1))) != 0) out.set(list[base + j]);
     }
   }
 }
@@ -153,7 +128,7 @@ sim::NodeTrace FaultSimulator::empty_trace(const Vector3* scan_in) const {
   return sim::NodeTrace(*circuit_, &masked);
 }
 
-std::unique_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
+std::unique_ptr<const sim::NodeTrace> FaultSimulator::build_trace(
     const Vector3* scan_in, const Sequence& seq) const {
   if (!faults_->model().frame_gated()) return nullptr;
   auto trace = std::make_unique<sim::NodeTrace>(empty_trace(scan_in));
@@ -162,7 +137,7 @@ std::unique_ptr<const sim::NodeTrace> FaultSimulator::acquire_trace(
   return trace;
 }
 
-std::vector<sim::NodeTrace> FaultSimulator::acquire_traces(
+std::vector<sim::NodeTrace> FaultSimulator::build_traces(
     std::span<const BatchTest> tests) const {
   std::vector<sim::NodeTrace> traces;
   if (!faults_->model().frame_gated()) return traces;
@@ -236,7 +211,7 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(nullptr, seq, list, /*observe_scan_out=*/false,
                       /*all_ok=*/nullptr, det)) {
-    const auto trace = acquire_trace(nullptr, seq);
+    const auto trace = build_trace(nullptr, seq);
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -262,7 +237,7 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   if (!wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true,
                       /*all_ok=*/nullptr, det)) {
-    const auto trace = acquire_trace(&scan_in, seq);
+    const auto trace = build_trace(&scan_in, seq);
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -289,7 +264,7 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   times.state_diff.assign(times.targets.size(), util::Bitset(seq.length()));
   const std::span<std::int64_t> first_po(times.first_po);
   const std::span<util::Bitset> state_diff(times.state_diff);
-  const auto trace = acquire_trace(&scan_in, seq);
+  const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, times.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -312,7 +287,7 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   out.first_po.assign(out.targets.size(), -1);
   out.detected = util::Bitset(num_classes());
   const std::span<std::int64_t> first_po(out.first_po);
-  const auto trace = acquire_trace(&scan_in, seq);
+  const auto trace = build_trace(&scan_in, seq);
   std::vector<std::uint64_t> det(num_groups(out.targets.size()), 0);
   for_each_group(exec_, out.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -344,7 +319,7 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                      det)) {
     return all_ok.load(std::memory_order_relaxed);
   }
-  const auto trace = acquire_trace(&scan_in, seq);
+  const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, list, policy(),
                  [&](GroupWorker& w, std::size_t /*g*/,
                      std::span<const FaultClassId> group) {
@@ -365,32 +340,6 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                    }
                  });
   return all_ok.load(std::memory_order_relaxed);
-}
-
-FaultSet FaultSimulator::consistent_faults(
-    const Vector3& scan_in, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, const FaultSet& targets) {
-  check_test(&scan_in, seq);
-  check_response(observed_pos, observed_scan_out, seq);
-  const QueryScope scope("consistent_faults");
-  const std::vector<FaultClassId> list = collect(&targets);
-  const auto trace = acquire_trace(&scan_in, seq);
-  std::vector<std::uint64_t> mismatch(num_groups(list.size()), 0);
-  for_each_group(exec_, list, policy(),
-                 [&](GroupWorker& w, std::size_t g,
-                     std::span<const FaultClassId> group) {
-                   // Skipped groups keep mismatch == 0: their faults
-                   // remain (conservatively) consistent.
-                   if (cancel_.stop_requested()) return;
-                   mismatch[g] = w.run_consistency(scan_in, seq,
-                                                   observed_pos,
-                                                   observed_scan_out, group,
-                                                   &cancel_, trace.get());
-                 });
-  FaultSet consistent(num_classes());
-  reduce_masks(list, mismatch, consistent, /*complement=*/true);
-  return consistent;
 }
 
 std::vector<FaultSet> FaultSimulator::detect_batch(
@@ -420,7 +369,7 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
   obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
   obs::set_gauge(obs::Gauge::PpsfpTestsPerPass, cfg.lanes());
   const std::vector<FaultClassId> list = collect(targets);
-  const auto traces = acquire_traces(tests);
+  const auto traces = build_traces(tests);
   std::vector<BatchTestRef> refs(num_tests);
   for (std::size_t i = 0; i < num_tests; ++i) {
     refs[i] = BatchTestRef{tests[i].scan_in, tests[i].seq,

@@ -236,31 +236,6 @@ class FaultSimulator {
                                  const sim::Sequence& seq,
                                  const FaultSet& required);
 
-  /// Compares every target fault's predicted response under the scan
-  /// test (scan_in, seq) against an observed response, returning the set
-  /// of faults *consistent* with the observation.  Comparison is
-  /// conservative: positions where either side is X never count as a
-  /// mismatch.  `observed_pos[t]` is the observed PO vector after time
-  /// unit t; `observed_scan_out` the observed scan-out state.
-  /// This is the kernel of effect-cause fault diagnosis (diag/).
-  /// Cancellation is conservative in the inclusive direction: groups
-  /// skipped or aborted by a raised cancel token report no mismatches,
-  /// so their faults stay in the consistent set (candidates are never
-  /// wrongly excluded by a partial result).
-  [[nodiscard]] FaultSet consistent_faults(
-      const sim::Vector3& scan_in, const sim::Sequence& seq,
-      std::span<const sim::Vector3> observed_pos,
-      const sim::Vector3& observed_scan_out, const FaultSet& targets);
-
-  /// Throws std::invalid_argument unless an observed response fits the
-  /// scan test with sequence `seq`: one PO vector of primary_outputs()
-  /// width per frame, and a scan-out vector of flip_flops() width.
-  /// consistent_faults checks its arguments with it; a short response
-  /// from a tester would otherwise be read out of bounds.
-  void check_response(std::span<const sim::Vector3> observed_pos,
-                      const sim::Vector3& observed_scan_out,
-                      const sim::Sequence& seq) const;
-
   /// Throws std::invalid_argument unless the circuit can run the test
   /// (scan_in, seq): a scan-in vector (when given) of flip_flops()
   /// width, and one PI vector of primary_inputs() width per frame.  The
@@ -363,24 +338,23 @@ class FaultSimulator {
       const FaultSet* targets) const;
 
   /// Scatters per-group detection masks into a per-class FaultSet, in
-  /// group order.  With `complement`, classes whose bit is *clear* are
-  /// set instead (mismatch mask -> consistent set).
+  /// group order.
   void reduce_masks(std::span<const FaultClassId> list,
                     std::span<const std::uint64_t> group_masks,
-                    FaultSet& out, bool complement = false) const;
+                    FaultSet& out) const;
 
   /// The fault-free trace of (masked scan_in, seq), exactly
   /// seq.length() frames long, built for one query and read by all of
   /// its groups, when the fault model is frame-gated (the trace is its
   /// activation oracle); nullptr under a frame-less model.
-  [[nodiscard]] std::unique_ptr<const sim::NodeTrace> acquire_trace(
+  [[nodiscard]] std::unique_ptr<const sim::NodeTrace> build_trace(
       const sim::Vector3* scan_in, const sim::Sequence& seq) const;
 
   /// Fault-free traces for a batch query: one per test under a
   /// frame-gated model (the batch passes' activation oracle), built
   /// pattern-packed, 64 per NodeTrace::extend_batch pass; empty under
   /// stuck-at (no stuck-at pass reads a trace).
-  [[nodiscard]] std::vector<sim::NodeTrace> acquire_traces(
+  [[nodiscard]] std::vector<sim::NodeTrace> build_traces(
       std::span<const BatchTest> tests) const;
 
   /// An empty trace starting from `scan_in` masked for partial scan

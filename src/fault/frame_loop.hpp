@@ -8,8 +8,8 @@
 //               simulates frame t, latch() captures the next state,
 //               reload(t) restarts frame t from the fault-free state
 //               entering it — and answers the observers' questions
-//               about the current frame (PO and scan-out detection words,
-//               mismatch words against an observed response);
+//               about the current frame (PO and scan-out detection
+//               words);
 //   Activation  launch(t, ev, tally) decides whether frame t has any
 //               active fault and prepares the evaluator for it;
 //               kPersistent says whether faulty state carries across
@@ -17,16 +17,14 @@
 //               reads the evaluator's final state);
 //   Observer    what a pass records.  interrupted() is polled before
 //               every frame; frame() sees each simulated frame's POs;
-//               quiet() sees frames where every slot follows the
-//               fault-free trace and returns whether it observed
-//               anything; wants_state(last) asks a non-persistent
-//               activation to latch this frame; state() sees each latch;
-//               done(last) ends the pass early; scan_out(ev, valid)
-//               observes the final state (valid: the evaluator holds it,
-//               else every machine scans out the fault-free state).
+//               wants_state(last) asks a non-persistent activation to
+//               latch this frame; state() sees each latch; done(last)
+//               ends the pass early; scan_out(ev, valid) observes the
+//               final state (valid: the evaluator holds it, else every
+//               machine scans out the fault-free state).
 //
 // This header holds the policies both GroupWorker (one-lane word, all
-// four passes) and the wide fault-parallel BatchEngine pass (W lanes of
+// three passes) and the wide fault-parallel BatchEngine pass (W lanes of
 // fault groups) run: FullEval<W> over SeqSim<W>, AlwaysActive and
 // DetectObs<W>.  The transition activation and the remaining observers
 // are one-lane only and live in group_worker.cpp.
@@ -65,14 +63,6 @@ template <class W>
   return det;
 }
 
-/// Mismatch bits of one observation point: predicted binary, observed
-/// binary, values differ.
-[[nodiscard]] inline std::uint64_t mismatches(sim::PackedV3 w,
-                                              sim::V3 observed) {
-  if (!sim::is_binary(observed)) return 0;
-  return sim::differs_from_reference(w, observed == sim::V3::One);
-}
-
 /// The full CSR schedule on a SeqSim<W>: the machines start from the
 /// (partial-scan masked) scan-in, or all-X without one.
 template <class W>
@@ -99,23 +89,6 @@ class FullEval {
   [[nodiscard]] W state_detections() const {
     return fault::state_detections(sim_, scan_mask_);
   }
-  [[nodiscard]] std::uint64_t po_mismatches(
-      std::size_t /*t*/, const sim::Vector3& observed) const {
-    const auto pos = sim_.circuit().primary_outputs();
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      m |= mismatches(sim_.value(pos[i]), observed[i]);
-    }
-    return m;
-  }
-  [[nodiscard]] std::uint64_t state_mismatches(
-      const sim::Vector3& observed) const {
-    std::uint64_t m = 0;
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-      if (scan_mask_.test(i)) m |= mismatches(sim_.captured(i), observed[i]);
-    }
-    return m;
-  }
 
  private:
   sim::SeqSim<W>& sim_;
@@ -135,8 +108,8 @@ struct AlwaysActive {
   }
 };
 
-/// Cooperative stop signals, polled once per frame, the quiet-frame and
-/// latch hooks most observers ignore, and the frame weight: a pass over
+/// Cooperative stop signals, polled once per frame, the latch hook most
+/// observers ignore, and the frame weight: a pass over
 /// `lanes` lanes counts lane-frames, so FramesSimulated stays comparable
 /// between one-lane and wide passes.
 struct ObserverBase {
@@ -149,7 +122,6 @@ struct ObserverBase {
             !keep_going->load(std::memory_order_relaxed)) ||
            (cancel != nullptr && cancel->stop_requested());
   }
-  [[nodiscard]] bool quiet(std::size_t /*t*/) { return false; }
   template <class Eval>
   void state(std::size_t /*t*/, const Eval& /*ev*/) {}
 };
@@ -189,10 +161,7 @@ void frame_loop(Eval& ev, Act& act, Obs& obs, std::size_t len) {
   for (std::size_t t = 0; t < len; ++t) {
     if (obs.interrupted()) return;  // partial result
     const bool last = t + 1 == len;
-    if (!act.launch(t, ev, tally)) {
-      if (obs.quiet(t) && obs.done(last)) return;
-      continue;
-    }
+    if (!act.launch(t, ev, tally)) continue;
     ev.eval(t);
     tally.simulated += obs.lanes;
     obs.frame(t, ev);

@@ -32,19 +32,9 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
 
 // ---------------------------------------------------------------------
 // The one-lane policies of the frame loop (fault/frame_loop.hpp): the
-// transition activation and the detection-time, prefix and consistency
-// observers.
+// transition activation and the detection-time and prefix observers.
 
 namespace {
-
-/// Mismatch word of a slot-uniform observation point at fault-free value
-/// `v`: a binary/binary difference mismatches all slots at once — the
-/// word `mismatches` yields on a uniform packed value.
-std::uint64_t uniform_mismatch(sim::V3 v, sim::V3 observed) {
-  return (sim::is_binary(observed) && sim::is_binary(v) && v != observed)
-             ? ~0ULL
-             : 0;
-}
 
 /// Transition delay (frame-gated): fault j is active in frame t >= 1 iff
 /// its site launches the delayed transition across frames t-1 -> t of
@@ -132,49 +122,6 @@ struct PrefixObs : ObserverBase {
   }
 };
 
-/// Mismatch mask against an observed response.  Quiet frames and an
-/// invalid scan-out compare the fault-free values, which mismatch all
-/// slots uniformly; stops once every group slot mismatches.
-struct ConsistencyObs : ObserverBase {
-  std::uint64_t full;
-  std::span<const Vector3> observed_pos;
-  const Vector3& observed_scan_out;
-  const sim::NodeTrace* trace;
-  const netlist::Circuit& circuit;
-  const util::Bitset& scan_mask;
-  std::size_t len;
-  std::uint64_t mismatch = 0;
-
-  [[nodiscard]] bool quiet(std::size_t t) {
-    const auto pos = circuit.primary_outputs();
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-      mismatch |= uniform_mismatch(trace->value(t, pos[i]), observed_pos[t][i]);
-    }
-    return true;
-  }
-  template <class Eval>
-  void frame(std::size_t t, const Eval& ev) {
-    mismatch |= ev.po_mismatches(t, observed_pos[t]);
-  }
-  [[nodiscard]] bool wants_state(bool last) const { return last; }
-  [[nodiscard]] bool done(bool /*last*/) const {
-    return (mismatch & full) == full;
-  }
-  template <class Eval>
-  void scan_out(const Eval& ev, bool valid) {
-    if (valid) {
-      mismatch |= ev.state_mismatches(observed_scan_out);
-      return;
-    }
-    const Vector3 ff_free = trace->state_at_start(len);
-    for (std::size_t i = 0; i < ff_free.size(); ++i) {
-      if (scan_mask.test(i)) {
-        mismatch |= uniform_mismatch(ff_free[i], observed_scan_out[i]);
-      }
-    }
-  }
-};
-
 }  // namespace
 
 template <class Obs>
@@ -238,25 +185,6 @@ std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
   PrefixObs obs{{nullptr, cancel}, group_slot_mask(group.size()), first_po};
   run(&scan_in, seq, group, trace, obs);
   return obs.det;
-}
-
-std::uint64_t GroupWorker::run_consistency(
-    const Vector3& scan_in, const Sequence& seq,
-    std::span<const sim::Vector3> observed_pos,
-    const Vector3& observed_scan_out, std::span<const FaultClassId> group,
-    const util::CancelToken* cancel, const sim::NodeTrace* trace) {
-  assert(observed_pos.size() == seq.length());
-  assert(observed_scan_out.size() == circuit_->num_flip_flops());
-  ConsistencyObs obs{{nullptr, cancel},
-                     group_slot_mask(group.size()),
-                     observed_pos,
-                     observed_scan_out,
-                     trace,
-                     *circuit_,
-                     scan_mask_,
-                     seq.length()};
-  run(&scan_in, seq, group, trace, obs);
-  return obs.mismatch;
 }
 
 }  // namespace scanc::fault

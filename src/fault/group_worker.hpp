@@ -9,12 +9,11 @@
 // execution layer (fault/group_exec.hpp) hands each executing thread its
 // own worker.
 //
-// The four public passes map one-to-one onto the FaultSimulator queries
+// The three public passes map one-to-one onto the FaultSimulator queries
 // built on top of them:
-//   run_detect      -> detect_no_scan / detect_scan_test / detects_all
-//   run_times       -> detection_times
-//   run_prefix      -> prefix_detection
-//   run_consistency -> consistent_faults
+//   run_detect -> detect_no_scan / detect_scan_test / detects_all
+//   run_times  -> detection_times
+//   run_prefix -> prefix_detection
 // Each is a thin dispatcher over one frame loop (fault/frame_loop.hpp,
 // shared with the wide fault-parallel pass) templated on three policies
 // (docs/execution.md, "Simulation kernels"):
@@ -24,7 +23,7 @@
 //               frame, state reloaded from the fault-free trace, latch
 //               only where the observer needs it);
 //   Observer    what a frame records: detection mask with early exit,
-//               detection times, prefix coverage, or response mismatch.
+//               detection times, or prefix coverage.
 // Each pass is a pure function of (const inputs, group): it fully
 // re-initialises the owned state, so results never depend on what the
 // worker ran before.
@@ -120,19 +119,6 @@ class GroupWorker {
                            std::span<std::int64_t> first_po,
                            const util::CancelToken* cancel = nullptr,
                            const sim::NodeTrace* trace = nullptr);
-
-  /// Response-comparison pass for diagnosis: returns the mask of group
-  /// faults whose predicted response *mismatches* the observation
-  /// (binary-vs-binary differences only).  A raised `cancel` aborts at
-  /// the next frame boundary; the partial mask under-reports mismatches,
-  /// which callers must treat as "conservatively consistent".
-  std::uint64_t run_consistency(const sim::Vector3& scan_in,
-                                const sim::Sequence& seq,
-                                std::span<const sim::Vector3> observed_pos,
-                                const sim::Vector3& observed_scan_out,
-                                std::span<const FaultClassId> group,
-                                const util::CancelToken* cancel = nullptr,
-                                const sim::NodeTrace* trace = nullptr);
 
   /// Worker-local wide batch engine for `cfg` (PPSFP and wide
   /// fault-parallel passes), created on first use and rebuilt when the

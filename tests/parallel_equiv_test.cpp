@@ -197,24 +197,6 @@ TEST_P(ParallelEquivalence, DetectsAll) {
   }
 }
 
-TEST_P(ParallelEquivalence, ConsistentFaults) {
-  // Observe the fault-free response: every undetected fault (and none of
-  // the PO/scan-out-detected ones) must remain consistent, identically
-  // in every mode.
-  const sim::Trace good =
-      sim::simulate_fault_free(*circuit_, &scan_in_, seq_);
-  Vector3 observed_scan_out = good.states.back();
-  for (std::size_t i = 0; i < observed_scan_out.size(); ++i) {
-    if (!scan_mask_.test(i)) observed_scan_out[i] = sim::V3::X;
-  }
-  const FaultSet a = serial_->consistent_faults(
-      scan_in_, seq_, good.po_frames, observed_scan_out, targets_);
-  for (FaultSimulator* other : others()) {
-    EXPECT_EQ(a, other->consistent_faults(scan_in_, seq_, good.po_frames,
-                                          observed_scan_out, targets_));
-  }
-}
-
 TEST_P(ParallelEquivalence, BatchDetect) {
   // 10 tests > 8 lanes: the 512-bit engine takes one full chunk plus a
   // ragged chunk of 2; every element must equal its per-test answer.

@@ -225,62 +225,6 @@ TEST(CancelSim, MidQueryCancellationFromAnotherThreadIsClean) {
   }
 }
 
-TEST(CancelSim, RaisedTokenKeepsConsistentFaultsConservative) {
-  // consistent_faults under cancellation must err toward "consistent":
-  // a fault may stay in the candidate set spuriously, but must never be
-  // excluded without its mismatch being observed.
-  SimFixture fx;
-  const sim::Sequence seq =
-      tgen::random_test_sequence(fx.circuit, 64, /*seed=*/7);
-  const sim::Vector3 si(fx.circuit.num_flip_flops());
-  const sim::Trace good =
-      sim::simulate_fault_free(fx.circuit, &si, seq);
-  const fault::FaultSet targets = fx.fsim.all_faults();
-  const fault::FaultSet base = fx.fsim.consistent_faults(
-      si, seq, good.po_frames, good.states.back(), targets);
-  // Observing the fault-free response leaves some faults inconsistent
-  // (the detected ones), so the conservative direction is observable.
-  ASSERT_LT(base.count(), targets.count());
-
-  // A pre-raised token (same state as an expired deadline, see
-  // DeadlineExpiryRaisesToken) skips every group: all targets remain
-  // consistent — a strict superset of the uncancelled answer.
-  const auto token = util::CancelToken::make();
-  token.request_stop();
-  fx.fsim.set_cancel(token);
-  const fault::FaultSet cancelled = fx.fsim.consistent_faults(
-      si, seq, good.po_frames, good.states.back(), targets);
-  EXPECT_EQ(cancelled.count(), targets.count());
-}
-
-TEST(CancelSim, MidQueryConsistencyCancellationIsConservative) {
-  // Raise the token from a second thread mid-query: whatever frame the
-  // per-frame poll in run_consistency cuts at, the result only loses
-  // mismatches, so it is a superset of the uncancelled consistent set.
-  SimFixture fx;
-  fx.fsim.set_num_threads(2);
-  const sim::Sequence seq =
-      tgen::random_test_sequence(fx.circuit, 512, /*seed=*/11);
-  const sim::Vector3 si(fx.circuit.num_flip_flops());
-  const sim::Trace good =
-      sim::simulate_fault_free(fx.circuit, &si, seq);
-  const fault::FaultSet targets = fx.fsim.all_faults();
-  const fault::FaultSet base = fx.fsim.consistent_faults(
-      si, seq, good.po_frames, good.states.back(), targets);
-
-  for (int round = 0; round < 8; ++round) {
-    const auto token = util::CancelToken::make();
-    fx.fsim.set_cancel(token);
-    std::thread raiser([&token] { token.request_stop(); });
-    const fault::FaultSet cut = fx.fsim.consistent_faults(
-        si, seq, good.po_frames, good.states.back(), targets);
-    raiser.join();
-    fault::FaultSet lost = base;
-    lost -= cut;
-    EXPECT_TRUE(lost.none()) << "round " << round;
-  }
-}
-
 // The wide fault-parallel plan (stuck-at, wide lanes, >= 2 fault
 // groups) honours the same token: pending chunks are skipped and
 // in-flight passes stop at their next frame.  s27 has a single group, so

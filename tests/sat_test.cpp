@@ -421,7 +421,7 @@ TEST(SatBackendStuck, AgreesWithPodemUnderPartialScan) {
 TEST(SatBackendStuck, AgreesWithPodemOnS27) {
   const Circuit c = gen::make_s27();
   const FaultList fl = FaultList::build(c);
-  Podem podem(c, PodemOptions{.backtrack_limit = 1000000});
+  Podem podem(c, PodemOptions{.backtrack_limit = 1000000, .scan_mask = {}});
   SatBackend sat(c);
   for (std::size_t i = 0; i < fl.num_classes(); ++i) {
     const Fault f = fl.representative(static_cast<fault::FaultClassId>(i));

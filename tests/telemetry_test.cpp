@@ -40,10 +40,16 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// noinline: inlined into a caller, the free() call trips GCC 12's
+// -Wmismatched-new-delete (a false positive against the replaced new).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -238,7 +244,7 @@ TEST(TelemetryPhases, PhaseNotesReachTheScopeHookOnEntryOnly) {
     const obs::Phase silent("silent");  // no note: the hook stays quiet
     {
       // An inner scope shadows the hook.
-      const obs::EventJobScope quiet("job-p");
+      const obs::EventJobScope inner("job-p");
       const obs::Phase hidden("hidden", "phase", "hidden note");
     }
     const obs::Phase step("step", "step", "step note");
