@@ -25,6 +25,7 @@ EXPECTED_COUNTERS = [
     "trace_cache_misses", "trace_cache_evictions", "pool_tasks_run",
     "pool_queue_wait_ns", "pool_busy_ns", "groups_executed", "queries_run",
     "faults_detected", "iterate_rounds",
+    "combine_trials_memoized", "combine_lanes_discarded",
     "atpg_sat_solve_calls", "atpg_sat_conflicts", "atpg_sat_proofs",
     "atpg_sat_fallbacks",
     "check_cases_run",

@@ -12,6 +12,7 @@
 #include "fault/model.hpp"
 #include "tcomp/omission.hpp"
 #include "util/cancel.hpp"
+#include "util/rng.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::check {
@@ -75,6 +76,7 @@ class CaseChecker {
     }
     if (!cut()) check_no_scan();
     if (!cut()) check_batch();
+    if (!cut()) check_detects_all_batch();
     if (cfg_->atpg != AtpgCheck::Off && !cut()) check_atpg();
     if (cfg_->run_metamorphic && !cut()) {
       check_session_resume();
@@ -521,6 +523,71 @@ class CaseChecker {
                           ns_base[i], nsd[i]);
       }
     }
+  }
+
+  void check_detects_all_batch() {
+    // A window of coverage checks shaped like the Phase 4 combiner's:
+    // mixed lengths (prefixes, whole tests, concatenated pairs),
+    // required sets spanning 1-3 fault groups that the trial's test
+    // detects entirely or misses by one, and duplicates.  Entry k must
+    // equal the reference detects_all on trial k in every configuration
+    // (W64 runs the per-trial path, wide lanes the lane-batched pass).
+    const std::size_t nt = w_->tests.size();
+    if (nt == 0) return;
+    util::Rng rng(w_->seed * 0x9e3779b97f4a7c15ULL + 3);
+    const std::size_t n = 3 * nt + 2;
+    std::vector<Sequence> seqs;
+    std::vector<FaultSet> required;
+    seqs.reserve(n);
+    required.reserve(n);
+    std::vector<FaultSimulator::Trial> trials;
+    std::vector<bool> want;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (k % 4 == 3) {  // a duplicate of an earlier trial
+        const std::size_t d = rng.below(k);
+        trials.push_back(trials[d]);
+        want.push_back(want[d]);
+        continue;
+      }
+      const tcomp::ScanTest& a = w_->tests[rng.below(nt)];
+      const Sequence& b = w_->tests[rng.below(nt)].seq;
+      const std::size_t len = a.seq.length();
+      const std::uint64_t shape = rng.below(3);
+      seqs.push_back(shape == 0 || len == 0 ? a.seq
+                     : shape == 1           ? a.seq.subsequence(
+                                                  0, rng.below(len))
+                                            : a.seq.concatenated(b));
+      const FaultSet det =
+          ref_.detect_scan_test(a.scan_in, seqs.back(), &targets_);
+      // About 1-3 groups' worth of the detected classes ...
+      const std::size_t quota = (1 + rng.below(3)) * fault::kGroupSize;
+      const std::size_t have = det.count();
+      FaultSet r(det.size());
+      det.for_each([&](std::size_t f) {
+        if (have <= quota || rng.below(have) < quota) r.set(f);
+      });
+      // ... and, half the time, one target the trial misses.
+      if (rng.below(2) == 0) {
+        const FaultSet missed = targets_ - det;
+        std::size_t pick = missed.none() ? 0 : rng.below(missed.count());
+        missed.for_each([&](std::size_t f) {
+          if (pick-- == 0) r.set(f);
+        });
+      }
+      required.push_back(std::move(r));
+      trials.push_back({&a.scan_in, &seqs.back(), &required.back()});
+      want.push_back(ref_.detects_all(a.scan_in, seqs.back(),
+                                      required.back()));
+    }
+    for_each_config([&](const char* name, FaultSimulator& s) {
+      const std::vector<bool> got = s.detects_all_batch(trials);
+      for (std::size_t k = 0; k < trials.size(); ++k) {
+        expect_true("detects_all_batch cfg=" + std::string(name) +
+                        " trial=" + std::to_string(k),
+                    got[k] == want[k],
+                    "detects_all_batch disagrees with detects_all");
+      }
+    });
   }
 
   void check_session_resume() {

@@ -28,6 +28,8 @@
 //     detections;
 //   - detects_all is true on the detected set and false once any
 //     undetected fault is added;
+//   - detects_all_batch answers every trial of a mixed window (lengths,
+//     1-3 groups per trial, duplicates) as detects_all does;
 //   - omit_vectors preserves every required fault (checked on every
 //     configuration, not just the reference that accepted the
 //     omission);

@@ -377,7 +377,12 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
     // store_read filters envelope damage, deserialize_run filters
     // payload damage, and neither throws.
     if (const auto payload = util::store_read(path)) {
-      if (auto run = deserialize_run(*payload)) return *run;
+      if (auto run = deserialize_run(*payload)) {
+        // A crash between the final write and the journal's retirement
+        // (below) leaves a redundant journal; the hit retires it.
+        std::remove(journal_path.c_str());
+        return *run;
+      }
     }
   }
 
@@ -689,7 +694,7 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
 
   if (use_disk) {
     // Final result first, then retire the journal; a crash between the
-    // two leaves a redundant journal that the next cache hit ignores.
+    // two leaves a redundant journal that the next cache hit retires.
     util::store_write(path, serialize_run(run));
     std::remove(journal_path.c_str());
   }

@@ -1,11 +1,11 @@
-// Wide batch simulation engine: pattern-parallel (PPSFP) and wide
-// fault-parallel passes.
+// Wide batch simulation engine: pattern-parallel (PPSFP), lane-batched
+// and wide fault-parallel passes.
 //
 // A BatchEngine owns one SeqSim<W> (sim/seq_sim.hpp — the simulator the
 // one-lane GroupWorker passes run, instantiated on a multi-lane word W:
 // portable WideWord<NW>, Avx2Word, or Avx512Word) behind a virtual
 // interface, so the dispatch on lane width/ISA happens once per engine
-// construction, never on the per-gate path.  Two pass shapes:
+// construction, never on the per-gate path.  Three pass shapes:
 //
 //   detect_batch  (PPSFP)
 //     lanes() scan tests in the bit-lanes of one pass, one fault group
@@ -13,11 +13,18 @@
 //     stimulus).  Lane l's result is bit-identical to the corresponding
 //     64-bit per-test GroupWorker pass — lanes never interact.
 //
-//   detect_groups  (wide fault-parallel)
+//   detect_lanes  (lane-batched, stuck-at)
+//     the PPSFP loop with a (test, group) pair per lane: per-lane
+//     scan-in, stimulus and injection masks, each lane observed up to
+//     its own last frame.  Lane l's mask is bit-identical to run_detect
+//     of its group on its test.
+//
+//   detect_groups / times_groups / prefix_groups  (wide fault-parallel)
 //     one scan test broadcast to every lane, lanes() consecutive fault
 //     groups with per-lane injection masks, run on GroupWorker's frame
-//     loop (fault/frame_loop.hpp).  Lane l's mask is bit-identical to
-//     run_detect over group first_group + l.
+//     loop (fault/frame_loop.hpp) with the detection, detection-time
+//     or prefix observer.  Lane l's records are bit-identical to
+//     run_detect / run_times / run_prefix over group first_group + l.
 //
 // Engines are created per worker thread (GroupWorker::batch_engine) and
 // reused across passes; construction is cheap (two node-indexed arrays).
@@ -49,6 +56,13 @@ struct BatchTestRef {
   const sim::NodeTrace* trace = nullptr;
 };
 
+/// One lane of a lane-batched detection pass: a scan test and the fault
+/// group (<= 63 classes) checked against it.
+struct LaneJob {
+  BatchTestRef test;
+  std::span<const FaultClassId> group;
+};
+
 class BatchEngine {
  public:
   virtual ~BatchEngine() = default;
@@ -67,6 +81,15 @@ class BatchEngine {
                             bool observe_scan_out,
                             std::span<std::uint64_t> det) = 0;
 
+  /// Lane-batched detection: jobs[l] (<= lanes() jobs) runs in lane l.
+  /// det[l] receives its group's detection mask, bit-identical to
+  /// GroupWorker::run_detect(scan_in, seq, group, observe_scan_out =
+  /// true, early_exit = true).  `cancel` is polled per frame; a raised
+  /// token leaves partial masks.  Stuck-at models only.
+  virtual void detect_lanes(std::span<const LaneJob> jobs,
+                            const util::CancelToken* cancel,
+                            std::span<std::uint64_t> det) = 0;
+
   /// Wide fault-parallel detection: `ngroups` (<= lanes()) consecutive
   /// groups of `list` starting at group index `first_group`, one test
   /// broadcast to every lane.  det[l] receives group first_group + l's
@@ -79,6 +102,28 @@ class BatchEngine {
                              std::size_t first_group, std::size_t ngroups,
                              bool observe_scan_out, bool early_exit,
                              const std::atomic<bool>* keep_going,
+                             const util::CancelToken* cancel,
+                             std::span<std::uint64_t> det) = 0;
+
+  /// Wide fault-parallel GroupWorker::run_times over the same lane
+  /// layout as detect_groups.  first_po / state_diff hold the records of
+  /// the ngroups groups' targets (list positions from first_group *
+  /// kGroupSize on), initialised as run_times requires.
+  virtual void times_groups(const sim::Vector3& scan_in,
+                            const sim::Sequence& seq,
+                            std::span<const FaultClassId> list,
+                            std::size_t first_group, std::size_t ngroups,
+                            std::span<std::int64_t> first_po,
+                            std::span<util::Bitset> state_diff,
+                            const util::CancelToken* cancel) = 0;
+
+  /// Wide fault-parallel GroupWorker::run_prefix: first_po as in
+  /// times_groups, det[l] = group first_group + l's detection mask.
+  virtual void prefix_groups(const sim::Vector3& scan_in,
+                             const sim::Sequence& seq,
+                             std::span<const FaultClassId> list,
+                             std::size_t first_group, std::size_t ngroups,
+                             std::span<std::int64_t> first_po,
                              const util::CancelToken* cancel,
                              std::span<std::uint64_t> det) = 0;
 };

@@ -2,15 +2,17 @@
 // by the per-ISA translation units (batch_engine.cpp and the
 // -mavx2/-mavx512f TUs).  Include this header only from those TUs.
 //
-// The PPSFP pass (detect_batch) runs one lane-masked frame loop,
-// run_batch, on the same Activation idea as GroupWorker's frame loop
-// (group_worker.cpp):
+// The PPSFP passes (detect_batch, detect_lanes) run one lane-masked
+// frame loop, run_batch, on the same Activation idea as GroupWorker's
+// frame loop (group_worker.cpp):
 //
-//   stuck-at   splat injections built once, per-lane scan-in, and every
-//              lane whose test is still running (t < length) is active
+//   stuck-at   injections built once — one group splat across the lanes
+//              (detect_batch) or one group per lane (detect_lanes) —
+//              per-lane scan-in, and every lane whose test is still
+//              running (t < length) is active
 //   TDF        per-lane launch masks from each test's fault-free trace:
 //              injections rebuilt and state reloaded per frame, latching
-//              only where the observer needs it
+//              only where the observer needs it (detect_batch only)
 //
 // and a lane observer (per-lane detection masks).  Bit
 // identity: lane l replicates the control flow of the GroupWorker
@@ -20,9 +22,10 @@
 // active frames) and dead lanes keep evolving on all-X inputs; that is
 // garbage by design and harmless because the masks keep it unobserved.
 //
-// The wide fault-parallel pass (detect_groups) has no loop of its own:
-// it runs GroupWorker's frame_loop (fault/frame_loop.hpp) with
-// FullEval<W>, AlwaysActive and DetectObs<W>, lane l carrying fault
+// The wide fault-parallel passes (detect_groups, times_groups,
+// prefix_groups) have no loop of their own: they run GroupWorker's
+// frame_loop (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive and
+// DetectObs<W> / TimesObs<W> / PrefixObs<W>, lane l carrying fault
 // group first_group + l under the broadcast test.
 #pragma once
 
@@ -69,15 +72,39 @@ class BatchEngineImpl final : public BatchEngine {
     assert(det.size() == tests.size());
     obs::add(obs::Counter::PpsfpBatches);
     obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
-    // The stuck-at pass stops once every lane is saturated; the TDF pass
-    // always runs to the longest test.
-    DetectLanes rec{sim::splat<W>(group_slot_mask(group.size())),
-                    observe_scan_out,
-                    !faults_->model().frame_gated()};
-    run_batch(tests, group, rec);
-    for (std::size_t l = 0; l < tests.size(); ++l) {
-      det[l] = sim::lane(rec.det, l);
+    const bool gated = faults_->model().frame_gated();
+    if (gated) {
+      tdf_sites_.build(*faults_, group);
+    } else {
+      build_group_injections(*faults_, group, inj_);
     }
+    // The stuck-at pass stops once no running lane can gain a detection;
+    // the TDF pass always runs to the longest test.
+    DetectLanes rec{sim::splat<W>(group_slot_mask(group.size())),
+                    observe_scan_out, !gated, nullptr};
+    run_batch(tests, rec);
+    store_det(rec.det, det);
+  }
+
+  void detect_lanes(std::span<const LaneJob> jobs,
+                    const util::CancelToken* cancel,
+                    std::span<std::uint64_t> det) override {
+    const std::size_t n = jobs.size();
+    assert(n >= 1 && n <= kLanes && det.size() == n);
+    assert(!faults_->model().frame_gated());
+    obs::add(obs::Counter::PpsfpBatches);
+    obs::add(obs::Counter::PpsfpTestsPacked, n);
+    inj_.clear();
+    std::uint64_t full[kLanes] = {};
+    std::array<BatchTestRef, kLanes> tests{};
+    for (std::size_t l = 0; l < n; ++l) {
+      full[l] = add_lane_group(l, jobs[l].group);
+      tests[l] = jobs[l].test;
+    }
+    DetectLanes rec{sim::load_lanes<W>(full), /*observe_scan_out=*/true,
+                    /*early_exit=*/true, cancel};
+    run_batch({tests.data(), n}, rec);
+    store_det(rec.det, det);
   }
 
   void detect_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
@@ -86,7 +113,40 @@ class BatchEngineImpl final : public BatchEngine {
                      bool observe_scan_out, bool early_exit,
                      const std::atomic<bool>* keep_going,
                      const util::CancelToken* cancel,
-                     std::span<std::uint64_t> det) override;
+                     std::span<std::uint64_t> det) override {
+    assert(det.size() == ngroups);
+    const W full = lane_groups(list, first_group, ngroups);
+    DetectObs<W> obs{{keep_going, cancel, ngroups},
+                     full,
+                     observe_scan_out,
+                     early_exit};
+    run_groups(scan_in, seq, obs);
+    store_det(obs.det, det);
+  }
+
+  void times_groups(const sim::Vector3& scan_in, const sim::Sequence& seq,
+                    std::span<const FaultClassId> list,
+                    std::size_t first_group, std::size_t ngroups,
+                    std::span<std::int64_t> first_po,
+                    std::span<util::Bitset> state_diff,
+                    const util::CancelToken* cancel) override {
+    lane_groups(list, first_group, ngroups);
+    TimesObs<W> obs{{nullptr, cancel, ngroups}, first_po, state_diff};
+    run_groups(&scan_in, seq, obs);
+  }
+
+  void prefix_groups(const sim::Vector3& scan_in, const sim::Sequence& seq,
+                     std::span<const FaultClassId> list,
+                     std::size_t first_group, std::size_t ngroups,
+                     std::span<std::int64_t> first_po,
+                     const util::CancelToken* cancel,
+                     std::span<std::uint64_t> det) override {
+    assert(det.size() == ngroups);
+    const W full = lane_groups(list, first_group, ngroups);
+    PrefixObs<W> obs{{nullptr, cancel, ngroups}, full, first_po};
+    run_groups(&scan_in, seq, obs);
+    store_det(obs.det, det);
+  }
 
  private:
   // --- shared helpers --------------------------------------------------
@@ -94,11 +154,16 @@ class BatchEngineImpl final : public BatchEngine {
   /// Word with lane l all-ones iff pred(l); lanes >= n are zero.
   template <class Pred>
   [[nodiscard]] static W lane_mask(std::size_t n, Pred pred) {
-    W m = sim::zero<W>();
-    for (std::size_t l = 0; l < n; ++l) {
-      if (pred(l)) sim::set_lane(m, l, ~0ULL);
-    }
-    return m;
+    std::uint64_t m[kLanes] = {};
+    for (std::size_t l = 0; l < n; ++l) m[l] = pred(l) ? ~0ULL : 0;
+    return sim::load_lanes<W>(m);
+  }
+
+  /// det[l] = lane l of `w` for the first det.size() lanes.
+  static void store_det(const W& w, std::span<std::uint64_t> det) {
+    std::uint64_t all[kLanes];
+    sim::store_lanes(w, all);
+    std::copy_n(all, det.size(), det.begin());
   }
 
   [[nodiscard]] static std::size_t max_length(
@@ -114,6 +179,47 @@ class BatchEngineImpl final : public BatchEngine {
     return fault::state_detections(sim_, scan_mask_);
   }
 
+  /// Registers `group`'s stuck-line injections in lane l only (slot j+1
+  /// = group[j]) and returns the lane's slot mask.
+  std::uint64_t add_lane_group(std::size_t l,
+                               std::span<const FaultClassId> group) {
+    std::uint64_t m[kLanes] = {};
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      const Fault& f = faults_->representative(group[j]);
+      m[l] = 1ULL << (j + 1);
+      inj_.add(f.node, f.pin, f.value, sim::load_lanes<W>(m));
+    }
+    return group_slot_mask(group.size());
+  }
+
+  /// Rebuilds inj_ with lane l carrying group first_group + l of `list`
+  /// and returns the lanes' slot masks.
+  W lane_groups(std::span<const FaultClassId> list, std::size_t first_group,
+                std::size_t ngroups) {
+    assert(ngroups >= 1 && ngroups <= kLanes);
+    inj_.clear();
+    std::uint64_t full[kLanes] = {};
+    for (std::size_t l = 0; l < ngroups; ++l) {
+      const std::size_t base = (first_group + l) * kGroupSize;
+      full[l] = add_lane_group(
+          l, list.subspan(base, std::min(kGroupSize, list.size() - base)));
+    }
+    return sim::load_lanes<W>(full);
+  }
+
+  /// The wide fault-parallel pass: the lanes built by lane_groups run
+  /// one broadcast test on the shared frame loop under `obs`.
+  template <class Obs>
+  void run_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
+                  Obs& obs) {
+    assert(!faults_->model().frame_gated());
+    obs::add(obs::Counter::WideFpPasses);
+    obs::add(obs::Counter::FullPasses, obs.lanes);
+    FullEval<W> ev(sim_, inj_, scan_mask_, seq, /*trace=*/nullptr, scan_in);
+    AlwaysActive act;
+    frame_loop(ev, act, obs, seq.length());
+  }
+
   /// Rebuilds inj_ from the per-lane activation masks act_: site j gets
   /// one wide injection whose lane l mask is slot j+1 iff lane l launches
   /// it.
@@ -121,16 +227,17 @@ class BatchEngineImpl final : public BatchEngine {
     inj_.clear();
     for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
       const std::uint64_t slot = 1ULL << (j + 1);
-      W m = sim::zero<W>();
+      std::uint64_t m[kLanes] = {};
       bool used = false;
       for (std::size_t l = 0; l < n; ++l) {
         if ((act_[l] & slot) != 0) {
-          sim::set_lane(m, l, slot);
+          m[l] = slot;
           used = true;
         }
       }
       if (used) {
-        inj_.add(tdf_sites_[j].node, sim::kStemPin, tdf_sites_[j].stale, m);
+        inj_.add(tdf_sites_[j].node, sim::kStemPin, tdf_sites_[j].stale,
+                 sim::load_lanes<W>(m));
       }
     }
   }
@@ -142,11 +249,12 @@ class BatchEngineImpl final : public BatchEngine {
   // lanes on their test's last frame); state() sees every latch; done()
   // ends the pass early.
 
-  /// Per-lane detection masks (detect_batch).
+  /// Per-lane detection masks (detect_batch, detect_lanes).
   struct DetectLanes {
     W full;
     bool observe_scan_out;
     bool early_exit;
+    const util::CancelToken* cancel;
     W det = sim::zero<W>();
 
     void frame(const W& active, const W& po) { det = det | (po & active); }
@@ -158,10 +266,14 @@ class BatchEngineImpl final : public BatchEngine {
         det = det | (eng.state_detections() & finals);
       }
     }
-    // All lanes saturated: later frames cannot add detections (per-lane
-    // det is capped at `full`, matching run_detect's early exit).
-    [[nodiscard]] bool done() const {
-      return early_exit && !sim::any(det ^ full);
+    // No lane that runs on (`running`) can still gain a detection:
+    // saturated lanes stop as run_detect's early exit does (per-lane det
+    // is capped at `full`), and finished lanes are never observed again.
+    [[nodiscard]] bool done(const W& running) const {
+      return early_exit && !sim::any((det ^ full) & running);
+    }
+    [[nodiscard]] bool interrupted() const {
+      return cancel != nullptr && cancel->stop_requested();
     }
   };
 
@@ -207,9 +319,10 @@ class BatchEngineImpl final : public BatchEngine {
     return lane_mask(n, [&](std::size_t l) { return act_[l] != 0; });
   }
 
-  /// One PPSFP pass of `group` over `tests` (lane l = tests[l]).
-  void run_batch(std::span<const BatchTestRef> tests,
-                 std::span<const FaultClassId> group, DetectLanes& rec) {
+  /// One pass over `tests` (lane l = tests[l]) with the faults already
+  /// registered: inj_ under stuck-at, tdf_sites_ under a frame-gated
+  /// model.
+  void run_batch(std::span<const BatchTestRef> tests, DetectLanes& rec) {
     const std::size_t n = tests.size();
     const bool gated = faults_->model().frame_gated();
     obs::add(obs::Counter::FullPasses, n);
@@ -217,10 +330,8 @@ class BatchEngineImpl final : public BatchEngine {
       assert(std::all_of(tests.begin(), tests.end(), [](const auto& t) {
         return t.trace != nullptr && t.trace->length() == t.seq->length();
       }));
-      tdf_sites_.build(*faults_, group);
       sim_.reset(nullptr);
     } else {
-      build_group_injections(*faults_, group, inj_);
       sim_.reset(&inj_);
       std::array<const sim::Vector3*, kLanes> state{};
       bool any_state = false;
@@ -237,6 +348,7 @@ class BatchEngineImpl final : public BatchEngine {
     FrameTally tally;
     // Frame 0 has no launch frame and is never active under TDF.
     for (std::size_t t = gated ? 1 : 0; t < max_len; ++t) {
+      if (rec.interrupted()) break;  // partial masks
       const W active = launch(tests, t, gated, tally);
       if (!sim::any(active)) continue;
       sim_.apply_frame({pi_.data(), n}, &inj_);
@@ -248,10 +360,9 @@ class BatchEngineImpl final : public BatchEngine {
         sim_.latch(&inj_);
         rec.state(finals, *this);
       }
-      if (rec.done()) break;
+      if (rec.done(active & ~finals)) break;
     }
   }
-
 
   const netlist::Circuit* circuit_;
   const FaultList* faults_;
@@ -263,46 +374,6 @@ class BatchEngineImpl final : public BatchEngine {
   std::array<const sim::Vector3*, kLanes> pi_{};
   std::array<std::uint64_t, kLanes> act_{};
 };
-
-// --- wide fault-parallel pass ------------------------------------------
-
-template <class W>
-void BatchEngineImpl<W>::detect_groups(
-    const sim::Vector3* scan_in, const sim::Sequence& seq,
-    std::span<const FaultClassId> list, std::size_t first_group,
-    std::size_t ngroups, bool observe_scan_out, bool early_exit,
-    const std::atomic<bool>* keep_going, const util::CancelToken* cancel,
-    std::span<std::uint64_t> det_out) {
-  assert(ngroups >= 1 && ngroups <= kLanes);
-  assert(det_out.size() == ngroups);
-  assert(!faults_->model().frame_gated());
-  obs::add(obs::Counter::WideFpPasses);
-  obs::add(obs::Counter::FullPasses, ngroups);
-
-  // Per-lane injections: lane l carries group first_group + l; every
-  // lane runs the same broadcast test on the shared frame loop.
-  inj_.clear();
-  W full = sim::zero<W>();
-  for (std::size_t l = 0; l < ngroups; ++l) {
-    const std::size_t base = (first_group + l) * kGroupSize;
-    const std::size_t gn = std::min(kGroupSize, list.size() - base);
-    sim::set_lane(full, l, group_slot_mask(gn));
-    for (std::size_t j = 0; j < gn; ++j) {
-      const Fault& f = faults_->representative(list[base + j]);
-      W m = sim::zero<W>();
-      sim::set_lane(m, l, 1ULL << (j + 1));
-      inj_.add(f.node, f.pin, f.value, m);
-    }
-  }
-  FullEval<W> ev(sim_, inj_, scan_mask_, seq, /*trace=*/nullptr, scan_in);
-  AlwaysActive act;
-  DetectObs<W> obs{{keep_going, cancel, ngroups},
-                   full,
-                   observe_scan_out,
-                   early_exit};
-  frame_loop(ev, act, obs, seq.length());
-  for (std::size_t l = 0; l < ngroups; ++l) det_out[l] = sim::lane(obs.det, l);
-}
 
 template <class W>
 [[nodiscard]] std::unique_ptr<BatchEngine> make_batch_engine_impl(

@@ -157,50 +157,56 @@ std::vector<sim::NodeTrace> FaultSimulator::build_traces(
   return traces;
 }
 
+template <class Fn>
+bool FaultSimulator::wide_fp_chunks(std::size_t ngroups, Fn fn) {
+  const sim::SimdConfig cfg = simd_config();
+  if (cfg.lanes() <= 1 || ngroups < 2 || faults_->model().frame_gated()) {
+    return false;
+  }
+  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
+  obs::add(obs::Counter::GroupsExecuted, ngroups);
+  const std::size_t lanes = cfg.lanes();
+  const std::size_t nchunks = (ngroups + lanes - 1) / lanes;
+  exec_.for_each_chunk(nchunks, policy(),
+                       [&](GroupWorker& w, std::size_t c) {
+                         if (cancel_.stop_requested()) return;  // skip
+                         const std::size_t first = c * lanes;
+                         fn(w.batch_engine(cfg), first,
+                            std::min(lanes, ngroups - first));
+                       });
+  return true;
+}
+
 bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
                                     const Sequence& seq,
                                     std::span<const FaultClassId> list,
                                     bool observe_scan_out,
                                     std::atomic<bool>* all_ok,
                                     std::span<std::uint64_t> det) {
-  const sim::SimdConfig cfg = simd_config();
-  const std::size_t ng = det.size();
-  if (cfg.lanes() <= 1 || ng < 2 || faults_->model().frame_gated()) {
-    return false;
+  const bool wide = wide_fp_chunks(det.size(), [&](BatchEngine& eng,
+                                                   std::size_t first,
+                                                   std::size_t n) {
+    if (all_ok != nullptr && !all_ok->load(std::memory_order_relaxed)) {
+      return;
+    }
+    eng.detect_groups(scan_in, seq, list, first, n, observe_scan_out,
+                      /*early_exit=*/true, all_ok, &cancel_,
+                      det.subspan(first, n));
+    if (all_ok == nullptr) return;
+    // Each chunk checks its lanes so later chunks still exit early.
+    for (std::size_t g = first; g < first + n; ++g) {
+      const std::size_t gn = std::min(kGroupSize, list.size() - g * kGroupSize);
+      if (det[g] != group_slot_mask(gn)) {
+        all_ok->store(false, std::memory_order_relaxed);
+      }
+    }
+  });
+  // detects_all: a cancelled plan (chunks skipped or cut) reads
+  // conservatively false.
+  if (wide && all_ok != nullptr && cancel_.stop_requested()) {
+    all_ok->store(false, std::memory_order_relaxed);
   }
-  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-  obs::add(obs::Counter::GroupsExecuted, ng);
-  const std::size_t lanes = cfg.lanes();
-  const std::size_t nchunks = (ng + lanes - 1) / lanes;
-  exec_.for_each_chunk(
-      nchunks, policy(), [&](GroupWorker& w, std::size_t c) {
-        if (all_ok != nullptr && !all_ok->load(std::memory_order_relaxed)) {
-          return;
-        }
-        if (cancel_.stop_requested()) {  // skip chunk
-          // detects_all: cancelled means conservatively false.
-          if (all_ok != nullptr) {
-            all_ok->store(false, std::memory_order_relaxed);
-          }
-          return;
-        }
-        const std::size_t first = c * lanes;
-        const std::size_t n = std::min(lanes, ng - first);
-        w.batch_engine(cfg).detect_groups(scan_in, seq, list, first, n,
-                                          observe_scan_out,
-                                          /*early_exit=*/true, all_ok,
-                                          &cancel_, det.subspan(first, n));
-        if (all_ok == nullptr) return;
-        // Each chunk checks its lanes so later chunks still exit early.
-        for (std::size_t g = first; g < first + n; ++g) {
-          const std::size_t gn =
-              std::min(kGroupSize, list.size() - g * kGroupSize);
-          if (det[g] != group_slot_mask(gn)) {
-            all_ok->store(false, std::memory_order_relaxed);
-          }
-        }
-      });
-  return true;
+  return wide;
 }
 
 FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
@@ -264,6 +270,17 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   times.state_diff.assign(times.targets.size(), util::Bitset(seq.length()));
   const std::span<std::int64_t> first_po(times.first_po);
   const std::span<util::Bitset> state_diff(times.state_diff);
+  const std::size_t nt = times.targets.size();
+  if (wide_fp_chunks(num_groups(nt), [&](BatchEngine& eng, std::size_t first,
+                                         std::size_t n) {
+        const std::size_t base = first * kGroupSize;
+        const std::size_t cnt = std::min(n * kGroupSize, nt - base);
+        eng.times_groups(scan_in, seq, times.targets, first, n,
+                         first_po.subspan(base, cnt),
+                         state_diff.subspan(base, cnt), &cancel_);
+      })) {
+    return times;
+  }
   const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, times.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
@@ -287,8 +304,22 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   out.first_po.assign(out.targets.size(), -1);
   out.detected = util::Bitset(num_classes());
   const std::span<std::int64_t> first_po(out.first_po);
+  const std::size_t nt = out.targets.size();
+  std::vector<std::uint64_t> det(num_groups(nt), 0);
+  if (wide_fp_chunks(det.size(), [&](BatchEngine& eng, std::size_t first,
+                                     std::size_t n) {
+        const std::size_t base = first * kGroupSize;
+        eng.prefix_groups(scan_in, seq, out.targets, first, n,
+                          first_po.subspan(base,
+                                           std::min(n * kGroupSize,
+                                                    nt - base)),
+                          &cancel_,
+                          std::span<std::uint64_t>(det).subspan(first, n));
+      })) {
+    reduce_masks(out.targets, det, out.detected);
+    return out;
+  }
   const auto trace = build_trace(&scan_in, seq);
-  std::vector<std::uint64_t> det(num_groups(out.targets.size()), 0);
   for_each_group(exec_, out.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -340,6 +371,76 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
                    }
                  });
   return all_ok.load(std::memory_order_relaxed);
+}
+
+std::vector<bool> FaultSimulator::detects_all_batch(
+    std::span<const Trial> trials) {
+  for (const Trial& t : trials) {
+    assert(t.scan_in != nullptr && t.seq != nullptr && t.required != nullptr);
+    check_test(t.scan_in, *t.seq);
+  }
+  std::vector<bool> out(trials.size(), true);
+  // Lane j = one (trial, fault group) pair; a trial without groups
+  // passes trivially, as detects_all does on an empty required set.
+  struct Lane {
+    std::size_t trial;
+    std::size_t group;
+  };
+  std::vector<std::vector<FaultClassId>> lists(trials.size());
+  std::vector<Lane> lanes;
+  for (std::size_t k = 0; k < trials.size(); ++k) {
+    lists[k] = collect(trials[k].required);
+    for (std::size_t g = 0; g < num_groups(lists[k].size()); ++g) {
+      lanes.push_back({k, g});
+    }
+  }
+  const sim::SimdConfig cfg = simd_config();
+  if (cfg.lanes() <= 1 || lanes.size() <= 1 ||
+      faults_->model().frame_gated()) {
+    for (std::size_t k = 0; k < trials.size(); ++k) {
+      out[k] = detects_all(*trials[k].scan_in, *trials[k].seq,
+                           *trials[k].required);
+    }
+    return out;
+  }
+  const QueryScope scope("detects_all_batch");
+  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
+  obs::add(obs::Counter::GroupsExecuted, lanes.size());
+  // Length-sorted packing keeps long trials from stretching the passes
+  // of short ones; stable, so the plan is a function of the trials.
+  std::stable_sort(lanes.begin(), lanes.end(),
+                   [&](const Lane& a, const Lane& b) {
+                     return trials[a.trial].seq->length() <
+                            trials[b.trial].seq->length();
+                   });
+  const auto group_of = [&](const Lane& l) {
+    const std::span<const FaultClassId> list(lists[l.trial]);
+    const std::size_t base = l.group * kGroupSize;
+    return list.subspan(base, std::min(kGroupSize, list.size() - base));
+  };
+  const std::size_t width = cfg.lanes();
+  std::vector<std::uint64_t> det(lanes.size(), 0);
+  exec_.for_each_chunk(
+      (lanes.size() + width - 1) / width, policy(),
+      [&](GroupWorker& w, std::size_t c) {
+        if (cancel_.stop_requested()) return;  // skip chunk
+        const std::size_t first = c * width;
+        const std::size_t n = std::min(width, lanes.size() - first);
+        std::vector<LaneJob> jobs(n);
+        for (std::size_t l = 0; l < n; ++l) {
+          const Lane& lane = lanes[first + l];
+          const Trial& t = trials[lane.trial];
+          jobs[l] = LaneJob{{t.scan_in, t.seq, nullptr}, group_of(lane)};
+        }
+        w.batch_engine(cfg).detect_lanes(
+            jobs, &cancel_, std::span<std::uint64_t>(det).subspan(first, n));
+      });
+  for (std::size_t j = 0; j < lanes.size(); ++j) {
+    if (det[j] != group_slot_mask(group_of(lanes[j]).size())) {
+      out[lanes[j].trial] = false;
+    }
+  }
+  return out;
 }
 
 std::vector<FaultSet> FaultSimulator::detect_batch(

@@ -14,9 +14,11 @@
 // serial run (see group_exec.hpp for the determinism argument).
 //
 // Kernel: every group pass evaluates the whole circuit on the
-// CSR-levelized schedule.  Stuck-at detect queries with >= 2 groups pack
+// CSR-levelized schedule.  Stuck-at per-group queries (detect,
+// detects_all, detection_times, prefix_detection) with >= 2 groups pack
 // lanes() groups into one wide fault-parallel pass; batch queries pack
-// lanes() tests into one PPSFP pass.  Under a frame-gated fault model
+// lanes() tests (detect_batch) or (test, group) pairs
+// (detects_all_batch) into one pass.  Under a frame-gated fault model
 // the passes read a fault-free trace (sim/node_trace.hpp) as activation
 // oracle: each query builds the trace of its test once, shares it
 // read-only across its groups and drops it on return, so a simulator
@@ -35,6 +37,8 @@
 //   - detection_times     : Phase 1 Step 3 (scan-out time selection from a
 //                           single simulation pass)
 //   - detects_all         : Phase 2 / Phase 4 coverage-preservation checks
+//   - detects_all_batch   : a window of Phase 4 checks in one lane-batched
+//                           pass
 #pragma once
 
 #include <cstdint>
@@ -236,6 +240,26 @@ class FaultSimulator {
                                  const sim::Sequence& seq,
                                  const FaultSet& required);
 
+  /// One trial of detects_all_batch: the scan test (scan_in, seq) and
+  /// the classes it must detect.
+  struct Trial {
+    const sim::Vector3* scan_in = nullptr;
+    const sim::Sequence* seq = nullptr;
+    const FaultSet* required = nullptr;
+  };
+
+  /// detects_all over a batch of trials: entry k is detects_all on
+  /// trial k.  With wide lanes under a frame-less model every (trial,
+  /// fault group) pair becomes one lane of a lane-batched pass — its
+  /// own scan-in, stimulus and injections, observed at its own last
+  /// frame — and the lanes, sorted by test length, fill lanes() per
+  /// pass; a trial passes iff each of its lanes detects its whole
+  /// group.  Otherwise (W64, frame-gated models, a single lane) the
+  /// trials run one by one through detects_all.  A raised cancel token
+  /// makes interrupted trials conservatively false.
+  [[nodiscard]] std::vector<bool> detects_all_batch(
+      std::span<const Trial> trials);
+
   /// Throws std::invalid_argument unless the circuit can run the test
   /// (scan_in, seq): a scan-in vector (when given) of flip_flops()
   /// width, and one PI vector of primary_inputs() width per frame.  The
@@ -367,13 +391,20 @@ class FaultSimulator {
     return num_tests > 1 && cfg.lanes() > 1;
   }
 
-  /// Runs a detect-shaped plan on the wide fault-parallel path (lanes()
-  /// groups per pass) when it applies — frame-less model, >= 2 groups,
-  /// wide lanes — filling det (one mask per group) and
-  /// returning true.  Returns false untouched when the per-group 64-bit
-  /// plan should run instead.  With `all_ok` (detects_all) the plan
-  /// stops early: a chunk that misses a fault or sees the cancel token
-  /// clears it, and pending chunks and in-flight passes then stop.
+  /// Runs fn(engine, first_group, n) over the chunks of lanes()
+  /// consecutive groups of an `ngroups`-group plan — the wide
+  /// fault-parallel pass — when it applies (frame-less model, >= 2
+  /// groups, wide lanes) and returns true; chunks are skipped once the
+  /// cancel token is raised.  Returns false untouched when the
+  /// per-group 64-bit plan should run instead.
+  template <class Fn>
+  bool wide_fp_chunks(std::size_t ngroups, Fn fn);
+
+  /// detect_no_scan / detect_scan_test / detects_all on the wide
+  /// fault-parallel pass when wide_fp_chunks applies, filling det (one
+  /// mask per group).  With `all_ok` (detects_all) the plan stops
+  /// early: a chunk that misses a fault or sees the cancel token clears
+  /// it, and pending chunks and in-flight passes then stop.
   bool wide_fp_detect(const sim::Vector3* scan_in, const sim::Sequence& seq,
                       std::span<const FaultClassId> list,
                       bool observe_scan_out, std::atomic<bool>* all_ok,

@@ -20,6 +20,15 @@
 
 namespace scanc::fault {
 
+/// Group capacity: 63 faulty machines per pass (slot 0 is fault-free).
+inline constexpr std::size_t kGroupSize = 63;
+
+/// Number of <= 63-class groups covering `num_targets` classes.
+[[nodiscard]] constexpr std::size_t num_groups(
+    std::size_t num_targets) noexcept {
+  return (num_targets + kGroupSize - 1) / kGroupSize;
+}
+
 /// Calls fn(j) for every group member j whose slot bit j+1 is set in
 /// `bits` (bit 0, the reference slot, must be clear).
 template <class Fn>

@@ -24,14 +24,15 @@
 //               machine scans out the fault-free state).
 //
 // This header holds the policies both GroupWorker (one-lane word, all
-// three passes) and the wide fault-parallel BatchEngine pass (W lanes of
-// fault groups) run: FullEval<W> over SeqSim<W>, AlwaysActive and
-// DetectObs<W>.  The transition activation and the remaining observers
-// are one-lane only and live in group_worker.cpp.
+// three passes) and the wide fault-parallel BatchEngine passes (W lanes
+// of fault groups) run: FullEval<W> over SeqSim<W>, AlwaysActive and
+// the three observers DetectObs<W>, TimesObs<W> and PrefixObs<W>.  The
+// transition activation is one-lane only and lives in group_worker.cpp.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 #include "fault/frame_common.hpp"
 #include "sim/node_trace.hpp"
@@ -148,6 +149,75 @@ struct DetectObs : ObserverBase {
   template <class Eval>
   void scan_out(const Eval& ev, bool valid) {
     if (observe_scan_out && valid) det = det | ev.state_detections();
+  }
+};
+
+/// Calls fn(k) for every set slot of every lane of `bits`, where k =
+/// lane * kGroupSize + member: the fault's position in a pass whose lane
+/// l carries the l-th of consecutive groups (k = member on the one-lane
+/// word).
+template <class W, class Fn>
+void for_each_lane_slot(const W& bits, Fn fn) {
+  if (!sim::any(bits)) return;
+  std::uint64_t lanes[sim::kWordLanes<W>];
+  sim::store_lanes(bits, lanes);
+  for (std::size_t l = 0; l < sim::kWordLanes<W>; ++l) {
+    for_each_slot(lanes[l], [&](std::size_t j) { fn(l * kGroupSize + j); });
+  }
+}
+
+/// First PO detection time per fault, and every time unit whose scan-out
+/// (the state latched at its end) would detect it.  Both spans are
+/// indexed as for_each_lane_slot numbers the faults.
+template <class W>
+struct TimesObs : ObserverBase {
+  std::span<std::int64_t> first_po;
+  std::span<util::Bitset> state_diff;
+  W det = sim::zero<W>();
+
+  template <class Eval>
+  void frame(std::size_t t, const Eval& ev) {
+    const W fresh = ev.po_detections() & ~det;
+    det = det | fresh;
+    for_each_lane_slot(fresh, [&](std::size_t k) {
+      first_po[k] = static_cast<std::int64_t>(t);
+    });
+  }
+  [[nodiscard]] bool wants_state(bool /*last*/) const { return true; }
+  template <class Eval>
+  void state(std::size_t t, const Eval& ev) {
+    for_each_lane_slot(ev.state_detections(),
+                       [&](std::size_t k) { state_diff[k].set(t); });
+  }
+  [[nodiscard]] bool done(bool /*last*/) const { return false; }
+  template <class Eval>
+  void scan_out(const Eval& /*ev*/, bool /*valid*/) {}
+};
+
+/// First PO detection times (indexed as in TimesObs) plus the whole
+/// test's detection word (final scan-out included); stops once every
+/// fault of every lane is PO-detected.
+template <class W>
+struct PrefixObs : ObserverBase {
+  W full;
+  std::span<std::int64_t> first_po;
+  W det = sim::zero<W>();
+
+  template <class Eval>
+  void frame(std::size_t t, const Eval& ev) {
+    const W fresh = ev.po_detections() & ~det;
+    det = det | fresh;
+    for_each_lane_slot(fresh, [&](std::size_t k) {
+      first_po[k] = static_cast<std::int64_t>(t);
+    });
+  }
+  [[nodiscard]] bool wants_state(bool last) const { return last; }
+  [[nodiscard]] bool done(bool /*last*/) const {
+    return !sim::any(det ^ full);
+  }
+  template <class Eval>
+  void scan_out(const Eval& ev, bool valid) {
+    if (valid) det = det | ev.state_detections();
   }
 };
 

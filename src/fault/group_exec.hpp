@@ -23,15 +23,6 @@
 
 namespace scanc::fault {
 
-/// Group capacity: 63 faulty machines per pass (slot 0 is fault-free).
-inline constexpr std::size_t kGroupSize = 63;
-
-/// Number of <= 63-class groups covering `num_targets` classes.
-[[nodiscard]] constexpr std::size_t num_groups(
-    std::size_t num_targets) noexcept {
-  return (num_targets + kGroupSize - 1) / kGroupSize;
-}
-
 /// How a query plan executes.
 struct ExecPolicy {
   /// Worker threads: 1 = serial on the calling thread (no pool), 0 = one

@@ -31,8 +31,8 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------
-// The one-lane policies of the frame loop (fault/frame_loop.hpp): the
-// transition activation and the detection-time and prefix observers.
+// The one-lane policy of the frame loop (fault/frame_loop.hpp): the
+// transition activation.
 
 namespace {
 
@@ -71,55 +71,6 @@ class TdfLaunch {
   const TdfSites& sites_;
   sim::PackedInjectionMap& inj_;
   const sim::NodeTrace& trace_;
-};
-
-/// First PO detection time per fault, and every time unit whose scan-out
-/// (the state latched at its end) would detect it.
-struct TimesObs : ObserverBase {
-  std::span<std::int64_t> first_po;
-  std::span<util::Bitset> state_diff;
-  std::uint64_t det = 0;
-
-  template <class Eval>
-  void frame(std::size_t t, const Eval& ev) {
-    const std::uint64_t fresh = ev.po_detections() & ~det;
-    det |= fresh;
-    for_each_slot(fresh, [&](std::size_t j) {
-      first_po[j] = static_cast<std::int64_t>(t);
-    });
-  }
-  [[nodiscard]] bool wants_state(bool /*last*/) const { return true; }
-  template <class Eval>
-  void state(std::size_t t, const Eval& ev) {
-    for_each_slot(ev.state_detections(),
-                  [&](std::size_t j) { state_diff[j].set(t); });
-  }
-  [[nodiscard]] bool done(bool /*last*/) const { return false; }
-  template <class Eval>
-  void scan_out(const Eval& /*ev*/, bool /*valid*/) {}
-};
-
-/// First PO detection times plus the whole test's detection mask
-/// (final scan-out included); stops once everything is PO-detected.
-struct PrefixObs : ObserverBase {
-  std::uint64_t full;
-  std::span<std::int64_t> first_po;
-  std::uint64_t det = 0;
-
-  template <class Eval>
-  void frame(std::size_t t, const Eval& ev) {
-    const std::uint64_t fresh = ev.po_detections() & ~det;
-    det |= fresh;
-    for_each_slot(fresh, [&](std::size_t j) {
-      first_po[j] = static_cast<std::int64_t>(t);
-    });
-  }
-  [[nodiscard]] bool wants_state(bool last) const { return last; }
-  [[nodiscard]] bool done(bool /*last*/) const { return det == full; }
-  template <class Eval>
-  void scan_out(const Eval& ev, bool valid) {
-    if (valid) det |= ev.state_detections();
-  }
 };
 
 }  // namespace
@@ -171,7 +122,7 @@ void GroupWorker::run_times(const Vector3& scan_in, const Sequence& seq,
                             const sim::NodeTrace* trace) {
   assert(first_po.size() == group.size());
   assert(state_diff.size() == group.size());
-  TimesObs obs{{nullptr, cancel}, first_po, state_diff};
+  TimesObs<std::uint64_t> obs{{nullptr, cancel}, first_po, state_diff};
   run(&scan_in, seq, group, trace, obs);
 }
 
@@ -182,7 +133,8 @@ std::uint64_t GroupWorker::run_prefix(const Vector3& scan_in,
                                       const util::CancelToken* cancel,
                                       const sim::NodeTrace* trace) {
   assert(first_po.size() == group.size());
-  PrefixObs obs{{nullptr, cancel}, group_slot_mask(group.size()), first_po};
+  PrefixObs<std::uint64_t> obs{
+      {nullptr, cancel}, group_slot_mask(group.size()), first_po};
   run(&scan_in, seq, group, trace, obs);
   return obs.det;
 }

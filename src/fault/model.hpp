@@ -20,7 +20,7 @@
 //               activation-aware frame-skipping rule the kernels use.
 //
 // The model owns what varies between fault types; the packed 64-slot
-// fault-parallel machinery, group partitioning, fault-free traces, and the six
+// fault-parallel machinery, group partitioning, fault-free traces, and the seven
 // FaultSimulator queries are model-agnostic and consume the model through
 // FaultList::model().
 #pragma once

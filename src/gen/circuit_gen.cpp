@@ -133,7 +133,8 @@ class Generator {
       pi_only = pi_only && pool_[s].pi_only;
       ++uses_[s];
     }
-    const std::string name = "g" + std::to_string(gate_counter_++);
+    std::string name = "g";
+    name += std::to_string(gate_counter_++);
     const NodeId id = builder_.add_gate(
         type, name, std::span<const std::string_view>(fanin_names));
     add_to_pool(name, id, pi_only, std::move(picks));

@@ -211,18 +211,30 @@ void SeqSim<W>::load_state(std::span<const Vector3* const> states,
                            const Injections* inj) {
   const auto ffs = circuit_->flip_flops();
   assert(states.size() <= kLanes);
+  // Each FF's lanes are staged in plain arrays and loaded once; `keep`
+  // selects the lanes without a state, which retain their values.
+  std::uint64_t sel[kLanes] = {};
+  for (std::size_t l = 0; l < states.size(); ++l) {
+    assert(states[l] == nullptr || states[l]->size() == ffs.size());
+    sel[l] = states[l] != nullptr ? ~0ULL : 0;
+  }
+  const W keep = ~load_lanes<W>(sel);
+  std::uint64_t is0[kLanes] = {};
+  std::uint64_t is1[kLanes] = {};
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    Value cap = captured_[i];
-    Value v = values_[ffs[i]];
     for (std::size_t l = 0; l < states.size(); ++l) {
       if (states[l] == nullptr) continue;
-      assert(states[l]->size() == ffs.size());
-      const V3 s = (*states[l])[i];
-      set_lane_broadcast(cap, l, s);
-      set_lane_broadcast(v, l, s);
+      const auto bits = static_cast<std::uint8_t>((*states[l])[i]);
+      is0[l] = (bits & 1) ? ~0ULL : 0;
+      is1[l] = (bits & 2) ? ~0ULL : 0;
     }
-    captured_[i] = cap;
-    set_source(ffs[i], v, inj);
+    const W s0 = load_lanes<W>(is0);
+    const W s1 = load_lanes<W>(is1);
+    const Value& cap = captured_[i];
+    const Value& v = values_[ffs[i]];
+    captured_[i] = Value{(cap.is0 & keep) | s0, (cap.is1 & keep) | s1};
+    set_source(ffs[i], Value{(v.is0 & keep) | s0, (v.is1 & keep) | s1},
+               inj);
   }
 }
 
@@ -241,14 +253,20 @@ void SeqSim<W>::apply_frame(std::span<const Vector3* const> pis_per_lane,
                             const Injections* inj) {
   const auto pis = circuit_->primary_inputs();
   assert(pis_per_lane.size() <= kLanes);
+  // Each PI's lanes are staged in plain arrays (X by default) and
+  // loaded once.
+  std::uint64_t is0[kLanes];
+  std::uint64_t is1[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) is0[l] = is1[l] = ~0ULL;
   for (std::size_t i = 0; i < pis.size(); ++i) {
-    Value v = wide_broadcast<W>(V3::X);
     for (std::size_t l = 0; l < pis_per_lane.size(); ++l) {
       if (pis_per_lane[l] == nullptr) continue;
       assert(pis_per_lane[l]->size() == pis.size());
-      set_lane_broadcast(v, l, (*pis_per_lane[l])[i]);
+      const auto bits = static_cast<std::uint8_t>((*pis_per_lane[l])[i]);
+      is0[l] = (bits & 1) ? ~0ULL : 0;
+      is1[l] = (bits & 2) ? ~0ULL : 0;
     }
-    set_source(pis[i], v, inj);
+    set_source(pis[i], Value{load_lanes<W>(is0), load_lanes<W>(is1)}, inj);
   }
   eval_gates(inj);
 }

@@ -23,8 +23,8 @@
 // the same inputs — the bit-identity contract the check/ differ enforces.
 //
 // Word types and their primitive set — zero<W>(), splat<W>(x),
-// lane(w, i), set_lane(w, i, x), any(w), bcast_bit0(w) and the bitwise
-// operators:
+// load_lanes<W>(p), store_lanes(w, p), any(w), bcast_bit0(w) and the
+// bitwise operators:
 //   std::uint64_t — one lane, the baseline word;
 //   WideWord<NW>  — portable uint64_t[NW]; plain loops the compiler
 //                   autovectorizes (and the SCANC_FORCE_SCALAR_WIDE
@@ -75,14 +75,22 @@ template <class W>
   return splat<W>(0);
 }
 
-/// Lane i's 64 bits.
-[[nodiscard]] constexpr std::uint64_t lane(std::uint64_t w,
-                                           std::size_t /*i*/) noexcept {
-  return w;
+/// The word whose lane i is p[i] (kWordLanes<W> entries), and its
+/// inverse: one vector load or store for every lane.  The primary
+/// template serves the portable WideWord<NW>.
+template <class W>
+[[nodiscard]] inline W load_lanes(const std::uint64_t* p) noexcept {
+  W r;
+  for (std::size_t i = 0; i < W::kLanes; ++i) r.w[i] = p[i];
+  return r;
 }
-constexpr void set_lane(std::uint64_t& w, std::size_t /*i*/,
-                        std::uint64_t x) noexcept {
-  w = x;
+template <>
+[[nodiscard]] inline std::uint64_t load_lanes<std::uint64_t>(
+    const std::uint64_t* p) noexcept {
+  return p[0];
+}
+inline void store_lanes(std::uint64_t w, std::uint64_t* p) noexcept {
+  p[0] = w;
 }
 /// True when any bit of any lane is set.
 [[nodiscard]] constexpr bool any(std::uint64_t w) noexcept { return w != 0; }
@@ -120,14 +128,8 @@ struct WideWord {
 };
 
 template <std::size_t NW>
-[[nodiscard]] inline std::uint64_t lane(const WideWord<NW>& a,
-                                        std::size_t i) noexcept {
-  return a.w[i];
-}
-template <std::size_t NW>
-inline void set_lane(WideWord<NW>& a, std::size_t i,
-                     std::uint64_t x) noexcept {
-  a.w[i] = x;
+inline void store_lanes(const WideWord<NW>& a, std::uint64_t* p) noexcept {
+  for (std::size_t i = 0; i < NW; ++i) p[i] = a.w[i];
 }
 template <std::size_t NW>
 [[nodiscard]] inline bool any(const WideWord<NW>& a) noexcept {
@@ -168,17 +170,13 @@ template <>
 [[nodiscard]] inline Avx2Word splat<Avx2Word>(std::uint64_t x) noexcept {
   return {_mm256_set1_epi64x(static_cast<long long>(x))};
 }
-[[nodiscard]] inline std::uint64_t lane(const Avx2Word& a,
-                                        std::size_t i) noexcept {
-  alignas(32) std::uint64_t tmp[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), a.v);
-  return tmp[i];
+template <>
+[[nodiscard]] inline Avx2Word load_lanes<Avx2Word>(
+    const std::uint64_t* p) noexcept {
+  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
 }
-inline void set_lane(Avx2Word& a, std::size_t i, std::uint64_t x) noexcept {
-  alignas(32) std::uint64_t tmp[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), a.v);
-  tmp[i] = x;
-  a.v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
+inline void store_lanes(const Avx2Word& a, std::uint64_t* p) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a.v);
 }
 [[nodiscard]] inline bool any(const Avx2Word& a) noexcept {
   return _mm256_testz_si256(a.v, a.v) == 0;
@@ -217,17 +215,13 @@ template <>
 [[nodiscard]] inline Avx512Word splat<Avx512Word>(std::uint64_t x) noexcept {
   return {_mm512_set1_epi64(static_cast<long long>(x))};
 }
-[[nodiscard]] inline std::uint64_t lane(const Avx512Word& a,
-                                        std::size_t i) noexcept {
-  alignas(64) std::uint64_t tmp[8];
-  _mm512_store_si512(tmp, a.v);
-  return tmp[i];
+template <>
+[[nodiscard]] inline Avx512Word load_lanes<Avx512Word>(
+    const std::uint64_t* p) noexcept {
+  return {_mm512_loadu_si512(p)};
 }
-inline void set_lane(Avx512Word& a, std::size_t i, std::uint64_t x) noexcept {
-  alignas(64) std::uint64_t tmp[8];
-  _mm512_store_si512(tmp, a.v);
-  tmp[i] = x;
-  a.v = _mm512_load_si512(tmp);
+inline void store_lanes(const Avx512Word& a, std::uint64_t* p) noexcept {
+  _mm512_storeu_si512(p, a.v);
 }
 [[nodiscard]] inline bool any(const Avx512Word& a) noexcept {
   return _mm512_test_epi64_mask(a.v, a.v) != 0;
@@ -253,15 +247,6 @@ template <class W>
   const auto bits = static_cast<std::uint8_t>(v);
   return {splat<W>((bits & 1) ? ~0ULL : 0ULL),
           splat<W>((bits & 2) ? ~0ULL : 0ULL)};
-}
-
-/// Writes the 64-slot broadcast of a scalar value into one lane.
-template <class W>
-inline void set_lane_broadcast(WideV3<W>& v, std::size_t l,
-                               V3 value) noexcept {
-  const auto bits = static_cast<std::uint8_t>(value);
-  set_lane(v.is0, l, (bits & 1) ? ~0ULL : 0ULL);
-  set_lane(v.is1, l, (bits & 2) ? ~0ULL : 0ULL);
 }
 
 template <class W>

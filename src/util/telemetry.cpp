@@ -181,6 +181,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::QueriesRun: return "queries_run";
     case Counter::FaultsDetected: return "faults_detected";
     case Counter::IterateRounds: return "iterate_rounds";
+    case Counter::CombineTrialsMemoized: return "combine_trials_memoized";
+    case Counter::CombineLanesDiscarded: return "combine_lanes_discarded";
     case Counter::CheckCasesRun: return "check_cases_run";
     case Counter::CheckQueriesCompared: return "check_queries_compared";
     case Counter::CheckDivergences: return "check_divergences";
@@ -477,6 +479,8 @@ void print_summary(std::ostream& out) {
   out << " pipeline\n";
   row("faults detected", at(Counter::FaultsDetected));
   row("iterate rounds", at(Counter::IterateRounds));
+  row("combine trials memoized", at(Counter::CombineTrialsMemoized));
+  row("combine lanes discarded", at(Counter::CombineLanesDiscarded));
   const std::vector<PhaseRecord> phases = phase_records();
   if (!phases.empty()) {
     out << " phases (name, calls, seconds, faults)\n";

@@ -72,6 +72,9 @@ enum class Counter : std::uint16_t {
   // Compaction pipeline (tcomp/pipeline.cpp, tcomp/iterate.cpp).
   FaultsDetected,       ///< cumulative per-phase detection deltas
   IterateRounds,        ///< completed Phase 1+2 rounds
+  // Pair combining (tcomp/combine.cpp).
+  CombineTrialsMemoized,  ///< attempts rejected by the memo, unsimulated
+  CombineLanesDiscarded,  ///< speculative lanes run past a success
   // Differential fuzzing subsystem (check/).
   CheckCasesRun,        ///< fuzz cases generated and checked
   CheckQueriesCompared, ///< cross-kernel / oracle comparisons performed

@@ -23,6 +23,7 @@
 #include "sim/seq_sim.hpp"
 #include "tgen/random_seq.hpp"
 #include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::fault {
 namespace {
@@ -124,6 +125,14 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
     return m;
   }
 
+  /// Under stuck-at with >= 2 target groups the per-group queries take
+  /// the wide fault-parallel pass on every simulator but serial_: the
+  /// pass counter must rise, so the comparison really is wide vs scalar.
+  void expect_wide_passes_since(std::uint64_t before) const {
+    if (GetParam().tdf || num_groups(targets_.count()) < 2) return;
+    EXPECT_GT(obs::value(obs::Counter::WideFpPasses), before);
+  }
+
   std::optional<netlist::Circuit> circuit_;
   std::optional<FaultList> faults_;
   util::Bitset scan_mask_;
@@ -156,6 +165,7 @@ TEST_P(ParallelEquivalence, DetectScanTest) {
 
 TEST_P(ParallelEquivalence, DetectionTimes) {
   const auto a = serial_->detection_times(scan_in_, seq_, targets_);
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
   for (FaultSimulator* other : others()) {
     const auto b = other->detection_times(scan_in_, seq_, targets_);
     ASSERT_EQ(a.targets, b.targets);
@@ -165,16 +175,80 @@ TEST_P(ParallelEquivalence, DetectionTimes) {
       EXPECT_EQ(a.state_diff[i], b.state_diff[i]) << "target " << i;
     }
   }
+  expect_wide_passes_since(passes);
 }
 
 TEST_P(ParallelEquivalence, PrefixDetection) {
   const auto a = serial_->prefix_detection(scan_in_, seq_, targets_);
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
   for (FaultSimulator* other : others()) {
     const auto b = other->prefix_detection(scan_in_, seq_, targets_);
     ASSERT_EQ(a.targets, b.targets);
     EXPECT_EQ(a.first_po, b.first_po);
     EXPECT_EQ(a.detected, b.detected);
     EXPECT_EQ(a.all_detected(), b.all_detected());
+  }
+  expect_wide_passes_since(passes);
+}
+
+TEST_P(ParallelEquivalence, DetectsAllBatch) {
+  // A window of trials: ragged lengths (prefixes of seq_ and seq_
+  // doubled), required sets of 1-3 groups that the trial's test detects
+  // entirely or misses by one class, and duplicates.  Entry k must equal
+  // detects_all on trial k at W64 (the per-trial path) and at every
+  // wide width (the lane-batched pass, chunked and ragged).
+  util::Rng rng(GetParam().seed * 40503 + 17);
+  const std::size_t n = 14;
+  std::vector<Vector3> scan_ins;
+  std::vector<Sequence> seqs;
+  std::vector<FaultSet> required;
+  scan_ins.reserve(n);
+  seqs.reserve(n);
+  required.reserve(n);
+  std::vector<FaultSimulator::Trial> trials;
+  std::vector<bool> want;
+  const Sequence twice = seq_.concatenated(seq_);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k % 5 == 4) {  // a duplicate of an earlier trial
+      const std::size_t d = rng.below(k);
+      trials.push_back(trials[d]);
+      want.push_back(want[d]);
+      continue;
+    }
+    scan_ins.push_back(sim::random_vector(circuit_->num_flip_flops(), rng));
+    seqs.push_back(k % 3 == 0 ? twice
+                              : seq_.subsequence(0, rng.below(seq_.length())));
+    const FaultSet det =
+        serial_->detect_scan_test(scan_ins.back(), seqs.back());
+    const std::size_t quota = (1 + k % 3) * kGroupSize;
+    const std::size_t have = det.count();
+    FaultSet r(det.size());
+    det.for_each([&](std::size_t f) {
+      if (have <= quota || rng.below(have) < quota) r.set(f);
+    });
+    if (k % 2 == 1 && !det.all()) {
+      for (std::size_t f = rng.below(det.size());; f = (f + 1) % det.size()) {
+        if (!det.test(f)) {
+          r.set(f);
+          break;
+        }
+      }
+    }
+    required.push_back(std::move(r));
+    trials.push_back({&scan_ins.back(), &seqs.back(), &required.back()});
+    want.push_back(
+        serial_->detects_all(scan_ins.back(), seqs.back(), required.back()));
+  }
+  ASSERT_NE(std::count(want.begin(), want.end(), true), 0);
+  ASSERT_NE(std::count(want.begin(), want.end(), false), 0);
+  std::vector<FaultSimulator*> sims = others();
+  sims.push_back(&*serial_);
+  for (FaultSimulator* s : sims) {
+    const std::vector<bool> got = s->detects_all_batch(trials);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k], want[k]) << "trial " << k;
+    }
   }
 }
 

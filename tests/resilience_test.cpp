@@ -32,6 +32,8 @@
 #include "gen/embedded.hpp"
 #include "gen/suite.hpp"
 #include "sim/seq_sim.hpp"
+#include "tcomp/baselines.hpp"
+#include "tcomp/combine.hpp"
 #include "tcomp/iterate.hpp"
 #include "tcomp/pipeline.hpp"
 #include "tgen/random_seq.hpp"
@@ -348,6 +350,66 @@ TEST(CancelSim, IterateKeepsBestCompleteRound) {
   EXPECT_TRUE(cut.stopped);
   EXPECT_FALSE(cut.tau_valid);
   EXPECT_TRUE(cut.iterations.empty());
+}
+
+/// Phase 4 cut inside its windows: deadlines swept across the combining
+/// of s298's one-vector test set (the [4] baseline's shape, where most
+/// windows batch several trials) must each leave a valid set — every
+/// combination kept coverage, no test lost or duplicated — and a rerun
+/// on the same simulator must match the uncut run bit for bit.
+void check_phase4_window_cuts(const fault::FaultModel& model) {
+  const netlist::Circuit circuit =
+      gen::build_suite_circuit(*gen::find_suite_entry("s298"));
+  const fault::FaultList faults = fault::FaultList::build(circuit, model);
+  fault::FaultSimulator fsim(circuit, faults);
+  // Two-vector tests (each one-vector ATPG test followed by the next
+  // one's inputs), so the transition model detects faults too.
+  atpg::CombTestSetOptions copt;
+  copt.seed = 1;
+  tcomp::ScanTestSet initial = tcomp::comb_initial_set(
+      atpg::generate_comb_test_set(circuit, fault::FaultList::build(circuit),
+                                   copt)
+          .tests);
+  for (std::size_t i = 0; i < initial.size(); ++i) {
+    initial.tests[i].seq.frames.push_back(
+        initial.tests[(i + 1) % initial.size()].seq.frames.front());
+  }
+  const fault::FaultSet before = tcomp::coverage(fsim, initial);
+  const tcomp::CombineResult full = tcomp::combine_tests(fsim, initial);
+  ASSERT_GT(full.combinations, 0u);
+  EXPECT_TRUE(tcomp::coverage(fsim, full.tests).contains(before));
+
+  int mid = 0;
+  for (const double budget : {2e-4, 5e-4, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2}) {
+    tcomp::CombineOptions opt;
+    opt.cancel = util::CancelToken::make(util::Deadline::after(budget));
+    fsim.set_cancel(opt.cancel);
+    const tcomp::CombineResult cut = tcomp::combine_tests(fsim, initial, opt);
+    fsim.set_cancel({});
+    mid += cut.attempts > 0 && cut.attempts < full.attempts;
+    EXPECT_EQ(cut.tests.size() + cut.combinations, initial.size());
+    EXPECT_EQ(cut.tests.total_vectors(), initial.total_vectors());
+    EXPECT_TRUE(tcomp::coverage(fsim, cut.tests).contains(before))
+        << "budget " << budget;
+  }
+  EXPECT_GT(mid, 0) << "no cut landed inside the combining";
+
+  const tcomp::CombineResult again = tcomp::combine_tests(fsim, initial);
+  EXPECT_EQ(again.attempts, full.attempts);
+  EXPECT_EQ(again.combinations, full.combinations);
+  ASSERT_EQ(again.tests.size(), full.tests.size());
+  for (std::size_t i = 0; i < full.tests.size(); ++i) {
+    EXPECT_EQ(again.tests.tests[i].scan_in, full.tests.tests[i].scan_in);
+    EXPECT_EQ(again.tests.tests[i].seq, full.tests.tests[i].seq);
+  }
+}
+
+TEST(CancelSim, Phase4WindowCutKeepsValidSetAndRerunsBitIdentically) {
+  check_phase4_window_cuts(fault::FaultModel::stuck_at());
+}
+
+TEST(CancelSim, Phase4WindowCutKeepsValidSetTransition) {
+  check_phase4_window_cuts(fault::FaultModel::transition());
 }
 
 // ---------------------------------------------------------------------

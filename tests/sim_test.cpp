@@ -295,12 +295,19 @@ TEST(Sequence, RandomVectorIsFullySpecified) {
 using W4 = WideWord<4>;
 
 WideV3<W4> wide_from_lanes(const std::array<PackedV3, 4>& lanes) {
-  WideV3<W4> v{zero<W4>(), zero<W4>()};
+  std::array<std::uint64_t, 4> is0;
+  std::array<std::uint64_t, 4> is1;
   for (std::size_t i = 0; i < 4; ++i) {
-    set_lane(v.is0, i, lanes[i].is0);
-    set_lane(v.is1, i, lanes[i].is1);
+    is0[i] = lanes[i].is0;
+    is1[i] = lanes[i].is1;
   }
-  return v;
+  return {load_lanes<W4>(is0.data()), load_lanes<W4>(is1.data())};
+}
+
+std::uint64_t lane(const W4& w, std::size_t i) {
+  std::array<std::uint64_t, 4> all;
+  store_lanes(w, all.data());
+  return all[i];
 }
 
 PackedV3 lane_of(const WideV3<W4>& v, std::size_t i) {
@@ -344,12 +351,9 @@ TEST(WideWord, InjectMatchesPackedPerLane) {
   for (int round = 0; round < 50; ++round) {
     const auto la = random_lanes(rng);
     const WideV3<W4> a = wide_from_lanes(la);
-    W4 mask = zero<W4>();
     std::array<std::uint64_t, 4> masks;
-    for (std::size_t i = 0; i < 4; ++i) {
-      masks[i] = rng.next();
-      set_lane(mask, i, masks[i]);
-    }
+    for (std::uint64_t& m : masks) m = rng.next();
+    const W4 mask = load_lanes<W4>(masks.data());
     for (const bool stuck_one : {false, true}) {
       const WideV3<W4> got = w_inject(a, mask, stuck_one);
       for (std::size_t i = 0; i < 4; ++i) {
@@ -410,9 +414,10 @@ TEST(WideWord, EvalGateMatchesPackedPerLane) {
 }
 
 TEST(WideWord, Bcast0AndAny) {
-  W4 v = zero<W4>();
-  EXPECT_FALSE(any(v));
-  set_lane(v, 2, 0x8000000000000001ULL);
+  EXPECT_FALSE(any(zero<W4>()));
+  const std::array<std::uint64_t, 4> lanes = {0, 0, 0x8000000000000001ULL,
+                                              0};
+  const W4 v = load_lanes<W4>(lanes.data());
   EXPECT_TRUE(any(v));
   const W4 b = bcast_bit0(v);
   EXPECT_EQ(lane(b, 0), 0ULL);

@@ -15,6 +15,8 @@
 #include "tcomp/topoff.hpp"
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
+#include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::tcomp {
 namespace {
@@ -397,6 +399,195 @@ TEST(Combine, MaxCombinationsRespected) {
   const CombineResult r = combine_tests(*s.fsim, initial, opt);
   EXPECT_LE(r.combinations, 1u);
 }
+
+// The sequential pair scan combine_tests ran before it checked attempts
+// in windows and kept a rejection memo: one detects_all per attempt,
+// in loop order.  combine_tests must reproduce it attempt for attempt.
+struct ReferenceCombiner {
+  ReferenceCombiner(FaultSimulator& f, const CombineOptions& o)
+      : fsim(f), options(o), rng(o.transfer.seed ^ 0x7a45fe6ULL) {}
+
+  FaultSimulator& fsim;
+  CombineOptions options;
+  util::Rng rng;
+  CombineResult result;
+  std::vector<FaultSet> det;
+  std::vector<std::uint32_t> cnt;
+
+  std::vector<ScanTest>& tests() { return result.tests.tests; }
+
+  bool transfer(std::size_t first, std::size_t second,
+                const FaultSet& essential, ScanTest& combined) {
+    const std::size_t nsv = fsim.circuit().num_flip_flops();
+    const std::size_t limit =
+        nsv == 0 ? 0 : std::min(options.transfer.max_length, nsv - 1);
+    sim::Sequence w;
+    while (w.length() < limit) {
+      sim::Vector3 best_vec;
+      std::size_t best_score = 0;
+      for (std::size_t k = 0; k < options.transfer.candidates; ++k) {
+        const sim::Vector3 vec =
+            sim::random_vector(fsim.circuit().num_inputs(), rng);
+        sim::Sequence cand = tests()[first].seq.concatenated(w);
+        cand.frames.push_back(vec);
+        cand = cand.concatenated(tests()[second].seq);
+        const std::size_t score =
+            fsim.detect_scan_test(tests()[first].scan_in, cand, &essential)
+                .count();
+        if (score >= essential.count()) {
+          w.frames.push_back(vec);
+          combined.seq = tests()[first].seq.concatenated(w).concatenated(
+              tests()[second].seq);
+          return true;
+        }
+        if (k == 0 || score > best_score) {
+          best_score = score;
+          best_vec = vec;
+        }
+      }
+      w.frames.push_back(best_vec);
+    }
+    return false;
+  }
+
+  bool attempt(std::size_t first, std::size_t second, std::size_t keep,
+               std::size_t erase) {
+    ++result.attempts;
+    FaultSet essential = det[first] | det[second];
+    essential.for_each([&](std::size_t f) {
+      const std::uint32_t others =
+          cnt[f] - static_cast<std::uint32_t>(det[first].test(f)) -
+          static_cast<std::uint32_t>(det[second].test(f));
+      if (others > 0) essential.reset(f);
+    });
+    ScanTest combined;
+    combined.scan_in = tests()[first].scan_in;
+    combined.seq = tests()[first].seq.concatenated(tests()[second].seq);
+    bool ok = fsim.detects_all(combined.scan_in, combined.seq, essential);
+    if (!ok && options.transfer.enabled && !essential.none()) {
+      ok = transfer(first, second, essential, combined);
+    }
+    if (!ok) return false;
+    const FaultSet nd = fsim.detect_scan_test(combined.scan_in, combined.seq);
+    det[first].for_each([&](std::size_t f) { --cnt[f]; });
+    det[second].for_each([&](std::size_t f) { --cnt[f]; });
+    nd.for_each([&](std::size_t f) { ++cnt[f]; });
+    tests()[keep] = std::move(combined);
+    det[keep] = nd;
+    tests().erase(tests().begin() + static_cast<std::ptrdiff_t>(erase));
+    det.erase(det.begin() + static_cast<std::ptrdiff_t>(erase));
+    ++result.combinations;
+    return true;
+  }
+
+  CombineResult run(const ScanTestSet& set) {
+    result = CombineResult{set, 0, 0};
+    if (set.tests.size() <= 1) return result;
+    cnt.assign(fsim.num_classes(), 0);
+    for (const ScanTest& t : tests()) {
+      det.push_back(fsim.detect_scan_test(t.scan_in, t.seq));
+      det.back().for_each([&](std::size_t f) { ++cnt[f]; });
+    }
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t i = 0; i < tests().size(); ++i) {
+        for (std::size_t j = 0; j < tests().size();) {
+          if (options.max_combinations != 0 &&
+              result.combinations >= options.max_combinations) {
+            return result;
+          }
+          if (j == i) {
+            ++j;
+            continue;
+          }
+          bool combined = attempt(i, j, i, j);
+          if (!combined && j > i) combined = attempt(j, i, i, j);
+          if (combined) {
+            progress = true;
+            if (j < i) --i;
+          } else {
+            ++j;
+          }
+        }
+      }
+    }
+    return result;
+  }
+};
+
+struct CombineEquivCase {
+  std::uint64_t seed;
+  bool transition;
+  bool transfer;
+  std::size_t max_combinations;
+  sim::LaneWidth lanes;
+};
+
+class CombineEquivalence
+    : public ::testing::TestWithParam<CombineEquivCase> {};
+
+TEST_P(CombineEquivalence, MatchesTheSequentialScan) {
+  const CombineEquivCase& c = GetParam();
+  Rig s(make_rig(c.seed, 120, 8, 0));
+  const FaultList faults = FaultList::build(
+      s.circuit, c.transition ? fault::FaultModel::transition()
+                              : fault::FaultModel::stuck_at());
+  FaultSimulator fsim(s.circuit, faults);
+  fsim.set_lane_width(c.lanes);
+  // One-vector tests plus a few long ones, so windows mix short and
+  // long trials and essential sets span more than one group.
+  ScanTestSet initial = comb_initial_set(s.comb.tests);
+  util::Rng rng(c.seed * 7919 + 3);
+  for (std::size_t k = 0; k < 3 && s.t0.length() > 1; ++k) {
+    ScanTest t;
+    t.scan_in = sim::random_vector(s.circuit.num_flip_flops(), rng);
+    t.seq = s.t0.subsequence(0, rng.below(s.t0.length()));
+    initial.tests.insert(initial.tests.begin() +
+                             static_cast<std::ptrdiff_t>(
+                                 rng.below(initial.tests.size() + 1)),
+                         t);
+  }
+  CombineOptions opt;
+  opt.max_combinations = c.max_combinations;
+  opt.transfer.enabled = c.transfer;
+  opt.transfer.seed = c.seed;
+
+  FaultSimulator ref_sim(s.circuit, faults);
+  ref_sim.set_lane_width(sim::LaneWidth::W64);
+  const CombineResult want = ReferenceCombiner(ref_sim, opt).run(initial);
+  const std::uint64_t memo_before =
+      obs::value(obs::Counter::CombineTrialsMemoized);
+  const CombineResult got = combine_tests(fsim, initial, opt);
+  // Later passes revisit rejected pairs, so the memo answers some.
+  if (c.max_combinations == 0) {
+    EXPECT_GT(obs::value(obs::Counter::CombineTrialsMemoized), memo_before);
+  }
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.combinations, want.combinations);
+  ASSERT_EQ(got.tests.size(), want.tests.size());
+  for (std::size_t i = 0; i < got.tests.size(); ++i) {
+    EXPECT_EQ(got.tests.tests[i].scan_in, want.tests.tests[i].scan_in);
+    EXPECT_EQ(got.tests.tests[i].seq, want.tests.tests[i].seq) << i;
+  }
+}
+
+std::vector<CombineEquivCase> combine_equiv_cases() {
+  std::vector<CombineEquivCase> out;
+  for (const bool tdf : {false, true}) {
+    for (const bool transfer : {false, true}) {
+      for (const std::size_t budget : {std::size_t{0}, std::size_t{1}}) {
+        for (const sim::LaneWidth lw :
+             {sim::LaneWidth::Auto, sim::LaneWidth::W64}) {
+          out.push_back({out.size() % 3 + 2, tdf, transfer, budget, lw});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, CombineEquivalence,
+                         ::testing::ValuesIn(combine_equiv_cases()));
 
 class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
