@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/packed.hpp"
+#include "util/telemetry.hpp"
 
 namespace scanc::atpg {
 
@@ -23,26 +24,109 @@ std::uint32_t sat_add(std::uint32_t a, std::uint32_t b) {
   return std::min(kCcMax, a + b);
 }
 
-bool has_effect(V3 good, V3 bad) {
+// Packed (good, bad) byte: good's V3 in bits 0-1, bad's in bits 2-3.
+// Bits 0 and 2 are the machines' is0 rails, bits 1 and 3 their is1
+// rails, so each V3 operation applies to both machines at once.
+constexpr std::uint8_t kIs0 = 0b0101;
+constexpr std::uint8_t kIs1 = 0b1010;
+constexpr std::uint8_t kGood = 0b0011;
+
+constexpr std::uint8_t pack(V3 good, V3 bad) {
+  return static_cast<std::uint8_t>(static_cast<std::uint8_t>(good) |
+                                   (static_cast<std::uint8_t>(bad) << 2));
+}
+
+constexpr V3 good_of(std::uint8_t v) { return static_cast<V3>(v & kGood); }
+constexpr V3 bad_of(std::uint8_t v) { return static_cast<V3>(v >> 2); }
+
+/// `v` with its bad half forced to the stuck value.
+constexpr std::uint8_t with_bad(std::uint8_t v, V3 stuck) {
+  return pack(good_of(v), stuck);
+}
+
+constexpr std::uint8_t inv(std::uint8_t v) {
+  return static_cast<std::uint8_t>(((v & kIs0) << 1) | ((v >> 1) & kIs0));
+}
+
+constexpr std::uint8_t xor2(std::uint8_t a, std::uint8_t b) {
+  const std::uint8_t a0 = a & kIs0;
+  const std::uint8_t a1 = (a >> 1) & kIs0;
+  const std::uint8_t b0 = b & kIs0;
+  const std::uint8_t b1 = (b >> 1) & kIs0;
+  return static_cast<std::uint8_t>(((a0 & b0) | (a1 & b1)) |
+                                   (((a0 & b1) | (a1 & b0)) << 1));
+}
+
+bool has_effect(std::uint8_t v) {
+  const V3 good = good_of(v);
+  const V3 bad = bad_of(v);
   return sim::is_binary(good) && sim::is_binary(bad) && good != bad;
 }
 
-bool x_ish(V3 good, V3 bad) { return good == V3::X || bad == V3::X; }
+bool x_ish(std::uint8_t v) {
+  // X is 0b11 in a half: some half has both rails set.
+  return (v & (v >> 1) & kIs0) != 0;
+}
+
+// Per-gate evaluation code (Podem::op_): the rail mask that takes the
+// OR of the fanins (the other rails take their AND), an inversion flag,
+// and the XOR-family flag.
+constexpr std::uint8_t kInvertOp = 0x10;
+constexpr std::uint8_t kXorOp = 0x20;
+
+constexpr std::uint8_t op_of(GateType type) {
+  const std::uint8_t inv_flag = netlist::is_inverting(type) ? kInvertOp : 0;
+  switch (type) {
+    case GateType::Xor:
+    case GateType::Xnor:
+      return kXorOp | inv_flag;
+    case GateType::Or:
+    case GateType::Nor:
+      return kIs1 | inv_flag;  // is1 = any fanin is1, is0 = all are
+    default:
+      return kIs0 | inv_flag;  // AND family, BUF, NOT: is0 = any fanin is0
+  }
+}
+
+/// Both machines' output of a gate with code `op` whose fanin k is
+/// `in(k)`.
+template <typename In>
+std::uint8_t eval_packed(std::uint8_t op, std::size_t arity, In in) {
+  std::uint8_t v = in(0);
+  if (op & kXorOp) {
+    for (std::size_t k = 1; k < arity; ++k) v = xor2(v, in(k));
+  } else {
+    std::uint8_t any = v;
+    std::uint8_t all = v;
+    for (std::size_t k = 1; k < arity; ++k) {
+      const std::uint8_t f = in(k);
+      any |= f;
+      all &= f;
+    }
+    const std::uint8_t m = op & (kIs0 | kIs1);
+    v = static_cast<std::uint8_t>((any & m) | (all & (m ^ (kIs0 | kIs1))));
+  }
+  return (op & kInvertOp) ? inv(v) : v;
+}
 
 }  // namespace
 
 Podem::Podem(const Circuit& circuit, PodemOptions options)
     : circuit_(&circuit),
+      csr_(&circuit.csr()),
       options_(options),
-      good_(circuit.num_nodes(), V3::X),
-      bad_(circuit.num_nodes(), V3::X),
+      val_(circuit.num_nodes(), pack(V3::X, V3::X)),
       assign_(circuit.num_nodes(), V3::X),
       cc0_(circuit.num_nodes(), 1),
       cc1_(circuit.num_nodes(), 1),
-      x_reach_(circuit.num_nodes(), 0),
-      dirty_(circuit.num_nodes(), 0),
+      level_(circuit.num_nodes(), 0),
+      op_(circuit.num_nodes(), 0),
       assignable_(circuit.num_nodes(), 0),
-      observable_ff_(circuit.num_flip_flops(), 1) {
+      observable_ff_(circuit.num_flip_flops(), 1),
+      bucket_(circuit.num_gates()),
+      fill_(circuit.depth() + 1, 0),
+      queued_(circuit.num_nodes(), 0),
+      stamp_(circuit.num_nodes(), 0) {
   const auto ffs = circuit.flip_flops();
   inputs_.reserve(circuit.num_inputs() + ffs.size());
   for (const NodeId id : circuit.primary_inputs()) {
@@ -65,6 +149,10 @@ Podem::Podem(const Circuit& circuit, PodemOptions options)
       cc0_[ffs[i]] = kCcMax;
       cc1_[ffs[i]] = kCcMax;
     }
+  }
+  for (const NodeId id : circuit.topo_order()) {
+    level_[id] = circuit.node(id).level;
+    op_[id] = op_of(circuit.node(id).type);
   }
   compute_controllability();
 }
@@ -132,206 +220,210 @@ void Podem::compute_controllability() {
   }
 }
 
-std::pair<V3, V3> Podem::eval_node(const Node& n, NodeId id,
-                                   const Fault& fault) const {
-  const bool fault_here = fault.node == id;
-  const V3 stuck = fault.value ? V3::One : V3::Zero;
-  const auto bad_in = [&](std::size_t p) -> V3 {
-    if (fault_here && fault.pin == static_cast<std::int32_t>(p)) {
-      return stuck;
-    }
-    return bad_[n.fanins[p]];
-  };
-
-  V3 g;
-  V3 b;
-  switch (n.type) {
-    case GateType::Buf:
-    case GateType::Not:
-      g = good_[n.fanins[0]];
-      b = bad_in(0);
-      if (n.type == GateType::Not) {
-        g = v3_not(g);
-        b = v3_not(b);
-      }
-      break;
-    case GateType::And:
-    case GateType::Nand: {
-      g = good_[n.fanins[0]];
-      b = bad_in(0);
-      for (std::size_t p = 1; p < n.fanins.size(); ++p) {
-        g = v3_and(g, good_[n.fanins[p]]);
-        b = v3_and(b, bad_in(p));
-      }
-      if (n.type == GateType::Nand) {
-        g = v3_not(g);
-        b = v3_not(b);
-      }
-      break;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      g = good_[n.fanins[0]];
-      b = bad_in(0);
-      for (std::size_t p = 1; p < n.fanins.size(); ++p) {
-        g = v3_or(g, good_[n.fanins[p]]);
-        b = v3_or(b, bad_in(p));
-      }
-      if (n.type == GateType::Nor) {
-        g = v3_not(g);
-        b = v3_not(b);
-      }
-      break;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      g = good_[n.fanins[0]];
-      b = bad_in(0);
-      for (std::size_t p = 1; p < n.fanins.size(); ++p) {
-        g = v3_xor(g, good_[n.fanins[p]]);
-        b = v3_xor(b, bad_in(p));
-      }
-      if (n.type == GateType::Xnor) {
-        g = v3_not(g);
-        b = v3_not(b);
-      }
-      break;
-    }
-    default:
-      g = V3::X;
-      b = V3::X;
-      break;
+std::uint8_t Podem::eval(NodeId id) const {
+  const NodeId* fanins = csr_->fanin_ids.data() + csr_->fanin_offsets[id];
+  const std::size_t arity =
+      csr_->fanin_offsets[id + 1] - csr_->fanin_offsets[id];
+  if (id != fault_.node) {
+    return eval_packed(op_[id], arity,
+                       [&](std::size_t k) { return val_[fanins[k]]; });
   }
-  if (fault_here && fault.pin == sim::kStemPin) b = stuck;
-  return {g, b};
+  const V3 stuck = sim::v3_from_bool(fault_.value);
+  const std::uint8_t v = eval_packed(op_[id], arity, [&](std::size_t k) {
+    const std::uint8_t f = val_[fanins[k]];
+    return fault_.pin == static_cast<std::int32_t>(k) ? with_bad(f, stuck)
+                                                      : f;
+  });
+  return fault_.pin == sim::kStemPin ? with_bad(v, stuck) : v;
 }
 
-void Podem::imply(const Fault& fault) {
-  const bool stem = fault.pin == sim::kStemPin;
-  const V3 stuck = fault.value ? V3::One : V3::Zero;
+void Podem::set_value(NodeId id, std::uint8_t v) {
+  trail_.push_back(Change{id, val_[id]});
+  val_[id] = v;
+}
 
+void Podem::undo_to(std::size_t mark) {
+  while (trail_.size() > mark) {
+    val_[trail_.back().node] = trail_.back().old;
+    trail_.pop_back();
+  }
+}
+
+void Podem::next_stamp() {
+  if (++stamp_epoch_ == 0) {  // wrapped: no stale mark may match
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    stamp_epoch_ = 1;
+  }
+}
+
+void Podem::build_cone() {
+  // The fault site's transitive fanout through combinational gates (a
+  // flip-flop's Q is a decision, not a function of its D line), listed
+  // in topo_order() order: the D-frontier is collected in this order
+  // and then sorted by level with an unstable sort, so the order fixes
+  // how level ties break.
+  cone_.clear();
+  next_stamp();
+  stamp_[fault_.node] = stamp_epoch_;
+  for (const NodeId id : circuit_->topo_order()) {
+    const auto fanins = csr_->fanins(id);
+    if (id != fault_.node &&
+        std::none_of(fanins.begin(), fanins.end(), [&](NodeId f) {
+          return stamp_[f] == stamp_epoch_;
+        })) {
+      continue;
+    }
+    stamp_[id] = stamp_epoch_;
+    cone_.push_back(id);
+  }
+}
+
+void Podem::imply() {
+  const V3 stuck = sim::v3_from_bool(fault_.value);
   for (NodeId id = 0; id < circuit_->num_nodes(); ++id) {
-    const GateType t = circuit_->node(id).type;
+    const GateType t = csr_->types[id];
+    V3 v;
     if (t == GateType::Input || t == GateType::Dff) {
-      good_[id] = assign_[id];
-      bad_[id] = assign_[id];
+      v = assign_[id];
     } else if (t == GateType::Const0) {
-      good_[id] = V3::Zero;
-      bad_[id] = V3::Zero;
+      v = V3::Zero;
     } else if (t == GateType::Const1) {
-      good_[id] = V3::One;
-      bad_[id] = V3::One;
+      v = V3::One;
     } else {
       continue;
     }
-    if (stem && fault.node == id) bad_[id] = stuck;
+    val_[id] = pack(v, fault_.pin == sim::kStemPin && fault_.node == id
+                           ? stuck
+                           : v);
   }
+  for (const NodeId id : csr_->order) val_[id] = eval(id);
+  gate_evals_ += csr_->order.size();
+}
 
-  for (const NodeId id : circuit_->topo_order()) {
-    const auto [g, b] = eval_node(circuit_->node(id), id, fault);
-    good_[id] = g;
-    bad_[id] = b;
+void Podem::propagate(NodeId changed_input) {
+  // Event-driven implication of an input that goes from X to binary: a
+  // gate is evaluated only when one of its fanins changed, in level
+  // order, so every fanin is final when it is read.  Ternary simulation
+  // is monotone (specifying an input only specifies values further), so
+  // a gate whose good and bad values are both binary already keeps them
+  // and is not queued.  Apart from those, this evaluates exactly the
+  // gates a topological scan for dirty fanins would, so the values are
+  // the same.
+  if (++epoch_ == 0) {
+    std::fill(queued_.begin(), queued_.end(), 0);
+    epoch_ = 1;
+  }
+  const V3 a = assign_[changed_input];
+  const bool stem_here =
+      fault_.pin == sim::kStemPin && fault_.node == changed_input;
+  set_value(changed_input,
+            pack(a, stem_here ? sim::v3_from_bool(fault_.value) : a));
+
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t hi = 0;
+  const auto enqueue_fanouts = [&](NodeId id) {
+    for (const NodeId out : csr_->fanouts(id)) {
+      const std::uint32_t l = level_[out];
+      if (l == 0 || queued_[out] == epoch_ || !x_ish(val_[out])) continue;
+      queued_[out] = epoch_;
+      bucket_[csr_->level_offsets[l - 1] + fill_[l]++] = out;
+      lo = std::min(lo, l);
+      hi = std::max(hi, l);
+    }
+  };
+  enqueue_fanouts(changed_input);
+  for (std::uint32_t l = lo; l <= hi; ++l) {
+    const std::uint32_t base = csr_->level_offsets[l - 1];
+    // Fanouts sit on higher levels, so this bucket is complete.
+    for (std::uint32_t i = 0; i < fill_[l]; ++i) {
+      const NodeId id = bucket_[base + i];
+      const std::uint8_t v = eval(id);
+      if (v == val_[id]) continue;
+      set_value(id, v);
+      enqueue_fanouts(id);
+    }
+    gate_evals_ += fill_[l];
+    fill_[l] = 0;
   }
 }
 
-void Podem::propagate(NodeId changed_input, const Fault& fault) {
-  // Event-driven re-implication: recompute only the fanout cone of the
-  // changed input.  One cheap dirty-fanin check per gate in topological
-  // order; evaluation happens only inside the cone.
-  ++epoch_;
-  good_[changed_input] = assign_[changed_input];
-  bad_[changed_input] = assign_[changed_input];
-  if (fault.pin == sim::kStemPin && fault.node == changed_input) {
-    bad_[changed_input] = fault.value ? V3::One : V3::Zero;
-  }
-  dirty_[changed_input] = epoch_;
-
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    bool touched = false;
-    for (const NodeId f : n.fanins) {
-      if (dirty_[f] == epoch_) {
-        touched = true;
-        break;
-      }
+bool Podem::effect_in(NodeId id) const {
+  const auto fanins = csr_->fanins(id);
+  for (std::size_t p = 0; p < fanins.size(); ++p) {
+    std::uint8_t v = val_[fanins[p]];
+    if (fault_.node == id && fault_.pin == static_cast<std::int32_t>(p)) {
+      v = with_bad(v, sim::v3_from_bool(fault_.value));
     }
-    if (!touched) continue;
-    const auto [g, b] = eval_node(n, id, fault);
-    if (g != good_[id] || b != bad_[id]) {
-      good_[id] = g;
-      bad_[id] = b;
-      dirty_[id] = epoch_;
-    }
+    if (has_effect(v)) return true;
   }
+  return false;
 }
 
-bool Podem::fault_effect_observed(const Fault& fault) const {
+bool Podem::fault_effect_observed() const {
   for (const NodeId po : circuit_->primary_outputs()) {
-    if (has_effect(good_[po], bad_[po])) return true;
+    if (has_effect(val_[po])) return true;
   }
   const auto ffs = circuit_->flip_flops();
   for (std::size_t i = 0; i < ffs.size(); ++i) {
     if (!observable_ff_[i]) continue;
     const NodeId ff = ffs[i];
-    const NodeId d = circuit_->node(ff).fanins[0];
-    V3 b = bad_[d];
-    if (fault.node == ff && fault.pin == 0) {
-      b = fault.value ? V3::One : V3::Zero;
+    std::uint8_t v = val_[csr_->fanins(ff)[0]];
+    if (fault_.node == ff && fault_.pin == 0) {
+      v = with_bad(v, sim::v3_from_bool(fault_.value));
     }
-    if (has_effect(good_[d], b)) return true;
+    if (has_effect(v)) return true;
   }
   return false;
 }
 
-bool Podem::x_path_exists(const Fault& fault) {
-  // x_reach_[id] = 1 when id is X-ish and some X-ish path leads from it to
-  // an observation point (PO or a flip-flop D line).
-  std::fill(x_reach_.begin(), x_reach_.end(), 0);
+bool Podem::x_path_exists() {
+  // A node is X-reachable when it is X-ish and some X-ish path leads
+  // from it to an observation point (PO or a flip-flop D line).  Only
+  // the fault site's cone can hold a gate with a fault effect on an
+  // input, and a cone gate's fanouts are cone gates or flip-flops, so
+  // one backward pass over the cone decides it.
+  next_stamp();
   const auto mark_base = [&](NodeId id) {
-    if (x_ish(good_[id], bad_[id])) x_reach_[id] = 1;
+    if (x_ish(val_[id])) stamp_[id] = stamp_epoch_;
   };
   for (const NodeId po : circuit_->primary_outputs()) mark_base(po);
   const auto ffs = circuit_->flip_flops();
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (observable_ff_[i]) mark_base(circuit_->node(ffs[i]).fanins[0]);
+    if (observable_ff_[i]) mark_base(csr_->fanins(ffs[i])[0]);
   }
-  const auto order = circuit_->topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = cone_.rbegin(); it != cone_.rend(); ++it) {
     const NodeId id = *it;
-    if (x_reach_[id]) continue;
-    if (!x_ish(good_[id], bad_[id])) continue;
-    for (const NodeId out : circuit_->node(id).fanouts) {
-      if (x_reach_[out]) {
-        x_reach_[id] = 1;
-        break;
+    if (stamp_[id] != stamp_epoch_) {
+      if (!x_ish(val_[id])) continue;
+      bool reach = false;
+      for (const NodeId out : csr_->fanouts(id)) {
+        if (stamp_[out] == stamp_epoch_) {
+          reach = true;
+          break;
+        }
       }
+      if (!reach) continue;
+      stamp_[id] = stamp_epoch_;
     }
+    // Some gate with a fault effect on an input must have an X-path
+    // onward.
+    if (effect_in(id)) return true;
   }
-  // Some gate with a fault effect on an input must have an X-path onward.
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    if (!x_reach_[id]) continue;
-    for (std::size_t p = 0; p < n.fanins.size(); ++p) {
-      V3 b = bad_[n.fanins[p]];
-      if (fault.node == id && fault.pin == static_cast<std::int32_t>(p)) {
-        b = fault.value ? V3::One : V3::Zero;
-      }
-      if (has_effect(good_[n.fanins[p]], b)) return true;
-    }
-  }
-  // A still-X observation line fed directly by the fault site also counts
-  // (effect waiting to appear once the site value is set).
+  // No X-reachable gate holds an effect on an input.  An effect that
+  // already sits on an observation line does not count here:
+  // fault_effect_observed() catches it before objective() runs, so
+  // false is right.
   return false;
 }
 
-std::optional<std::pair<NodeId, bool>> Podem::objective(const Fault& fault) {
+std::optional<std::pair<NodeId, bool>> Podem::objective() {
   // Activation: the good value at the fault site must oppose the stuck
   // value.  For branch faults, the site value is the driving stem's.
-  const NodeId site = fault.pin == sim::kStemPin
-                          ? fault.node
-                          : circuit_->node(fault.node).fanins[fault.pin];
-  const V3 site_good = good_[site];
-  const V3 want = fault.value ? V3::Zero : V3::One;
+  const NodeId site = fault_.pin == sim::kStemPin
+                          ? fault_.node
+                          : csr_->fanins(fault_.node)[fault_.pin];
+  const V3 site_good = good_of(val_[site]);
+  const V3 want = fault_.value ? V3::Zero : V3::One;
   if (site_good == V3::X) return std::make_pair(site, want == V3::One);
   if (site_good != want) return std::nullopt;  // conflict: cannot excite
 
@@ -339,34 +431,24 @@ std::optional<std::pair<NodeId, bool>> Podem::objective(const Fault& fault) {
   // simulation is monotone, so once every path from every fault effect to
   // an observation point is blocked by a determined-equal node, no
   // further assignment can create a detection: pruning here is sound.)
-  if (!x_path_exists(fault)) return std::nullopt;
+  if (!x_path_exists()) return std::nullopt;
 
   // D-frontier: gates with a fault effect on an input and an X-ish
   // output.  Try the deepest first (closest to the outputs) and take the
   // first gate offering an unassigned (X) input to drive.
-  std::vector<NodeId> frontier;
-  for (const NodeId id : circuit_->topo_order()) {
-    const Node& n = circuit_->node(id);
-    if (!x_ish(good_[id], bad_[id])) continue;
-    bool effect_in = false;
-    for (std::size_t p = 0; p < n.fanins.size() && !effect_in; ++p) {
-      V3 b = bad_[n.fanins[p]];
-      if (fault.node == id && fault.pin == static_cast<std::int32_t>(p)) {
-        b = fault.value ? V3::One : V3::Zero;
-      }
-      effect_in = has_effect(good_[n.fanins[p]], b);
-    }
-    if (effect_in) frontier.push_back(id);
+  frontier_.clear();
+  for (const NodeId id : cone_) {
+    if (x_ish(val_[id]) && effect_in(id)) frontier_.push_back(id);
   }
-  std::sort(frontier.begin(), frontier.end(), [&](NodeId a, NodeId b) {
-    return circuit_->node(a).level > circuit_->node(b).level;
+  std::sort(frontier_.begin(), frontier_.end(), [&](NodeId a, NodeId b) {
+    return level_[a] > level_[b];
   });
-  for (const NodeId id : frontier) {
-    const Node& n = circuit_->node(id);
-    for (const NodeId f : n.fanins) {
-      if (good_[f] != V3::X) continue;
-      const bool value = netlist::has_controlling_value(n.type)
-                             ? !netlist::controlling_value(n.type)
+  for (const NodeId id : frontier_) {
+    const GateType type = csr_->types[id];
+    for (const NodeId f : csr_->fanins(id)) {
+      if (good_of(val_[f]) != V3::X) continue;
+      const bool value = netlist::has_controlling_value(type)
+                             ? !netlist::controlling_value(type)
                              : false;  // XOR-family: any binary value
       return std::make_pair(f, value);
     }
@@ -385,38 +467,39 @@ std::optional<std::pair<NodeId, bool>> Podem::objective(const Fault& fault) {
 std::optional<std::pair<NodeId, bool>> Podem::backtrace(NodeId node,
                                                         bool value) const {
   for (;;) {
-    const Node& n = circuit_->node(node);
-    if (n.type == GateType::Input || n.type == GateType::Dff) {
+    const GateType type = csr_->types[node];
+    if (type == GateType::Input || type == GateType::Dff) {
       // Unscanned flip-flops are not decision variables.
       return (assignable_[node] && assign_[node] == V3::X)
                  ? std::make_optional(std::make_pair(node, value))
                  : std::nullopt;
     }
-    if (n.type == GateType::Const0 || n.type == GateType::Const1) {
+    if (type == GateType::Const0 || type == GateType::Const1) {
       return std::nullopt;  // constants cannot be driven
     }
-    switch (n.type) {
+    const auto fanins = csr_->fanins(node);
+    switch (type) {
       case GateType::Buf:
-        node = n.fanins[0];
+        node = fanins[0];
         break;
       case GateType::Not:
-        node = n.fanins[0];
+        node = fanins[0];
         value = !value;
         break;
       case GateType::And:
       case GateType::Nand:
       case GateType::Or:
       case GateType::Nor: {
-        const bool inner = netlist::is_inverting(n.type) ? !value : value;
-        const bool ctrl = netlist::controlling_value(n.type);  // 0 AND, 1 OR
+        const bool inner = netlist::is_inverting(type) ? !value : value;
+        const bool ctrl = netlist::controlling_value(type);  // 0 AND, 1 OR
         // inner == !ctrl: all inputs must be !ctrl -> pick the hardest X
         // input; inner == ctrl: one input suffices -> pick the easiest.
         const bool need = inner;
         NodeId pick = netlist::kNoNode;
         std::uint32_t pick_cost = 0;
         const bool want_hardest = (inner != ctrl);
-        for (const NodeId f : n.fanins) {
-          if (good_[f] != V3::X) continue;
+        for (const NodeId f : fanins) {
+          if (good_of(val_[f]) != V3::X) continue;
           const std::uint32_t cost = need ? cc1_[f] : cc0_[f];
           if (pick == netlist::kNoNode ||
               (want_hardest ? cost > pick_cost : cost < pick_cost)) {
@@ -436,16 +519,17 @@ std::optional<std::pair<NodeId, bool>> Podem::backtrace(NodeId node,
         // the required input is out ^ parity; otherwise any value works.
         NodeId pick = netlist::kNoNode;
         bool others_binary = true;
-        bool parity = (n.type == GateType::Xnor);
-        for (const NodeId f : n.fanins) {
-          if (good_[f] == V3::X) {
+        bool parity = (type == GateType::Xnor);
+        for (const NodeId f : fanins) {
+          const V3 g = good_of(val_[f]);
+          if (g == V3::X) {
             if (pick == netlist::kNoNode) {
               pick = f;
             } else {
               others_binary = false;
             }
           } else {
-            parity ^= (good_[f] == V3::One);
+            parity ^= (g == V3::One);
           }
         }
         if (pick == netlist::kNoNode) return std::nullopt;
@@ -460,33 +544,40 @@ std::optional<std::pair<NodeId, bool>> Podem::backtrace(NodeId node,
 }
 
 PodemResult Podem::generate(const Fault& fault) {
-  struct Decision {
-    NodeId input;
-    bool value;
-    bool flipped;
+  // Scratch from an earlier call is reset here, never trusted: the
+  // trail and decisions are cleared, the queue drains empty at the end
+  // of every propagate, and the stamps run under fresh epochs.
+  fault_ = fault;
+  std::fill(assign_.begin(), assign_.end(), V3::X);
+  trail_.clear();
+  decisions_.clear();
+  gate_evals_ = 0;
+  std::uint64_t num_decisions = 0;
+  PodemResult result;
+  build_cone();
+  imply();
+
+  const auto finish = [&](PodemStatus status) {
+    result.status = status;
+    obs::add(obs::Counter::AtpgPodemDecisions, num_decisions);
+    obs::add(obs::Counter::AtpgPodemBacktracks, result.backtracks);
+    obs::add(obs::Counter::AtpgPodemGateEvals, gate_evals_);
+    return result;
   };
 
-  std::fill(assign_.begin(), assign_.end(), V3::X);
-  std::vector<Decision> decisions;
-  PodemResult result;
-  imply(fault);
-
   for (;;) {
-    if (fault_effect_observed(fault)) {
-      result.status = PodemStatus::Detected;
-      result.cube.inputs.clear();
-      result.cube.state.clear();
+    if (fault_effect_observed()) {
       for (const NodeId id : circuit_->primary_inputs()) {
         result.cube.inputs.push_back(assign_[id]);
       }
       for (const NodeId id : circuit_->flip_flops()) {
         result.cube.state.push_back(assign_[id]);
       }
-      return result;
+      return finish(PodemStatus::Detected);
     }
 
     bool need_backtrack = true;
-    if (const auto obj = objective(fault)) {
+    if (const auto obj = objective()) {
       auto bt = backtrace(obj->first, obj->second);
       if (!bt) {
         // Backtrace dead-ended on an unassignable X source (an
@@ -503,33 +594,37 @@ PodemResult Podem::generate(const Fault& fault) {
         }
       }
       if (bt) {
-        decisions.push_back(Decision{bt->first, bt->second, false});
+        decisions_.push_back(
+            Decision{bt->first, bt->second, false, trail_.size()});
+        ++num_decisions;
         assign_[bt->first] = sim::v3_from_bool(bt->second);
-        propagate(bt->first, fault);
+        propagate(bt->first);
         need_backtrack = false;
       }
     }
     if (!need_backtrack) continue;
 
     // Backtrack: undo fully-explored decisions, flip the newest untried.
-    while (!decisions.empty() && decisions.back().flipped) {
-      assign_[decisions.back().input] = V3::X;
-      propagate(decisions.back().input, fault);
-      decisions.pop_back();
+    // The implied values are a function of assign_ alone, so restoring
+    // the trail to a decision's mark is the same as re-implying with
+    // its input back at X.
+    while (!decisions_.empty() && decisions_.back().flipped) {
+      assign_[decisions_.back().input] = V3::X;
+      undo_to(decisions_.back().mark);
+      decisions_.pop_back();
     }
-    if (decisions.empty()) {
-      result.status = PodemStatus::Untestable;
-      return result;
-    }
+    if (decisions_.empty()) return finish(PodemStatus::Untestable);
     if (++result.backtracks > options_.backtrack_limit) {
-      result.status = PodemStatus::Aborted;
-      return result;
+      return finish(PodemStatus::Aborted);
     }
-    Decision& d = decisions.back();
+    // The flip is implied from the state before the decision, so that
+    // every propagate() specifies an X input.
+    Decision& d = decisions_.back();
+    undo_to(d.mark);
     d.flipped = true;
     d.value = !d.value;
     assign_[d.input] = sim::v3_from_bool(d.value);
-    propagate(d.input, fault);
+    propagate(d.input);
   }
 }
 

@@ -15,6 +15,12 @@
 // with an X-path check, and backtrack on conflicts.  A backtrack limit
 // bounds the search; exhausting the search space without hitting the
 // limit proves the fault combinationally untestable.
+//
+// Implication is event-driven (docs/atpg.md "PODEM implication"): a
+// decision re-evaluates, level by level, only the gates whose fanins
+// changed; every value change goes on a trail that backtracking
+// restores; and the X-path check and the D-frontier scan walk only the
+// fault site's transitive fanout.
 #pragma once
 
 #include <cstdint>
@@ -68,34 +74,66 @@ class Podem {
   [[nodiscard]] PodemResult generate(const fault::Fault& fault);
 
  private:
-  struct Impl;
+  /// One trail entry: a node's packed value before a change.
+  struct Change {
+    netlist::NodeId node;
+    std::uint8_t old;
+  };
+  struct Decision {
+    netlist::NodeId input;
+    bool value;
+    bool flipped;
+    std::size_t mark;  ///< trail size before the first assignment
+  };
+
   // Scratch state lives in the class to avoid per-call allocation.
   const netlist::Circuit* circuit_;
+  const netlist::CsrSchedule* csr_;
   PodemOptions options_;
+  fault::Fault fault_{};  ///< target of the running generate()
 
-  // Per-node 5-valued state (good, bad), assignments and controllability.
-  std::vector<sim::V3> good_;
-  std::vector<sim::V3> bad_;
+  // Per-node (good, bad) pair packed into one byte: good's V3 in bits
+  // 0-1, bad's in bits 2-3, so one AND or OR evaluates both machines.
+  std::vector<std::uint8_t> val_;
   std::vector<sim::V3> assign_;       // per assignable input node id
   std::vector<netlist::NodeId> inputs_;  // PIs then scanned FF Q nodes
   std::vector<std::uint32_t> cc0_;    // SCOAP-like controllability to 0
   std::vector<std::uint32_t> cc1_;    // SCOAP-like controllability to 1
-  std::vector<char> x_reach_;         // X-path reachability scratch
-  std::vector<std::uint32_t> dirty_;  // epoch marks for event-driven imply
+  std::vector<std::uint32_t> level_;  // Node::level (0 = source)
+  std::vector<std::uint8_t> op_;      // per gate: evaluation code
   std::vector<char> assignable_;      // per node: PI or scanned FF
   std::vector<char> observable_ff_;   // per FF index: D line observed
+
+  // Event queue: gates of level l wait in bucket_[level_offsets[l-1] +
+  // 0 .. fill_[l]); `queued_` holds the epoch a gate was last queued in.
+  std::vector<netlist::NodeId> bucket_;
+  std::vector<std::uint32_t> fill_;
+  std::vector<std::uint32_t> queued_;
   std::uint32_t epoch_ = 0;
+  std::vector<Change> trail_;
+  std::vector<Decision> decisions_;
+
+  // The fault site's transitive-fanout gates in topo_order() order,
+  // rebuilt by each generate(); `stamp_` marks cone membership and the
+  // X-path reach under epochs of their own.
+  std::vector<netlist::NodeId> cone_;
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t stamp_epoch_ = 0;
+  std::vector<netlist::NodeId> frontier_;
+  std::uint64_t gate_evals_ = 0;
 
   void compute_controllability();
-  void imply(const fault::Fault& fault);
-  void propagate(netlist::NodeId changed_input, const fault::Fault& fault);
-  [[nodiscard]] std::pair<sim::V3, sim::V3> eval_node(
-      const netlist::Node& n, netlist::NodeId id,
-      const fault::Fault& fault) const;
-  [[nodiscard]] bool fault_effect_observed(const fault::Fault& fault) const;
-  [[nodiscard]] bool x_path_exists(const fault::Fault& fault);
-  [[nodiscard]] std::optional<std::pair<netlist::NodeId, bool>> objective(
-      const fault::Fault& fault);
+  void next_stamp();
+  void build_cone();
+  void imply();
+  void propagate(netlist::NodeId changed_input);
+  void set_value(netlist::NodeId id, std::uint8_t v);
+  void undo_to(std::size_t mark);
+  [[nodiscard]] std::uint8_t eval(netlist::NodeId id) const;
+  [[nodiscard]] bool effect_in(netlist::NodeId id) const;
+  [[nodiscard]] bool fault_effect_observed() const;
+  [[nodiscard]] bool x_path_exists();
+  [[nodiscard]] std::optional<std::pair<netlist::NodeId, bool>> objective();
   [[nodiscard]] std::optional<std::pair<netlist::NodeId, bool>> backtrace(
       netlist::NodeId node, bool value) const;
 };

@@ -77,6 +77,10 @@ class CaseChecker {
     if (!cut()) check_no_scan();
     if (!cut()) check_batch();
     if (!cut()) check_detects_all_batch();
+    if (w_->faults.model().kind() == fault::FaultModelKind::StuckAt &&
+        !cut()) {
+      check_podem_state();
+    }
     if (cfg_->atpg != AtpgCheck::Off && !cut()) check_atpg();
     if (cfg_->run_metamorphic && !cut()) {
       check_session_resume();
@@ -290,6 +294,44 @@ class CaseChecker {
                   s.detects_all(r.test.scan_in, r.test.seq, base),
                   "omitted test coverage disagrees across configs");
     });
+  }
+
+  /// PODEM keeps its trail, event queue, epoch stamps and fault-site
+  /// cone across generate() calls, and a leak between calls would
+  /// corrupt only later faults: the engine shared across the target
+  /// list, run forward and then in reverse order, must answer every
+  /// fault as a fresh engine does.
+  void check_podem_state() {
+    atpg::PodemOptions po;
+    po.scan_mask = w_->scan_mask;
+    std::vector<FaultClassId> ids;
+    targets_.for_each([&](std::size_t i) {
+      if (ids.size() < cfg_->atpg_fault_cap) {
+        ids.push_back(static_cast<FaultClassId>(i));
+      }
+    });
+    const auto same = [](const atpg::PodemResult& a,
+                         const atpg::PodemResult& b) {
+      return a.status == b.status && a.backtracks == b.backtracks &&
+             a.cube.state == b.cube.state && a.cube.inputs == b.cube.inputs;
+    };
+    atpg::Podem shared(w_->circuit, po);
+    std::vector<atpg::PodemResult> forward;
+    for (const FaultClassId id : ids) {
+      if (cut()) return;
+      forward.push_back(shared.generate(w_->faults.representative(id)));
+    }
+    for (std::size_t k = ids.size(); k-- > 0 && !cut();) {
+      const fault::Fault& rep = w_->faults.representative(ids[k]);
+      const std::string where = "podem class=" + std::to_string(ids[k]);
+      const atpg::PodemResult fresh =
+          atpg::Podem(w_->circuit, po).generate(rep);
+      expect_true(where + " shared-forward", same(forward[k], fresh),
+                  "shared PODEM engine differs from a fresh one");
+      expect_true(where + " shared-reverse", same(shared.generate(rep), fresh),
+                  "shared PODEM engine differs from a fresh one (reverse "
+                  "order)");
+    }
   }
 
   /// SAT ATPG laws (docs/atpg.md).  The backend runs with an unbounded

@@ -37,6 +37,10 @@
 //     from first principles, matches tcomp::clock_cycles;
 //   - a snapshot/restore'd Session re-detects exactly what the
 //     uninterrupted run detects (resume == uninterrupted);
+//   - under stuck-at, one PODEM engine shared across the target list
+//     (forward, then reverse order) answers every fault exactly as a
+//     fresh engine does: its trail, event queue and cone scratch leak
+//     nothing between generate() calls;
 //   - with CheckConfig::atpg enabled, the SAT ATPG backend's verdicts
 //     (docs/atpg.md): definite PODEM and SAT verdicts agree, every
 //     SAT-generated cube detects its fault under the reference

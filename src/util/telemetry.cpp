@@ -212,6 +212,9 @@ const char* counter_name(Counter c) noexcept {
     case Counter::AtpgSatConflicts: return "atpg_sat_conflicts";
     case Counter::AtpgSatProofs: return "atpg_sat_proofs";
     case Counter::AtpgSatFallbacks: return "atpg_sat_fallbacks";
+    case Counter::AtpgPodemDecisions: return "atpg_podem_decisions";
+    case Counter::AtpgPodemBacktracks: return "atpg_podem_backtracks";
+    case Counter::AtpgPodemGateEvals: return "atpg_podem_gate_evals";
     case Counter::kCount: break;
   }
   return "?";
@@ -481,6 +484,10 @@ void print_summary(std::ostream& out) {
   row("iterate rounds", at(Counter::IterateRounds));
   row("combine trials memoized", at(Counter::CombineTrialsMemoized));
   row("combine lanes discarded", at(Counter::CombineLanesDiscarded));
+  out << " atpg\n";
+  row("podem decisions", at(Counter::AtpgPodemDecisions));
+  row("podem backtracks", at(Counter::AtpgPodemBacktracks));
+  row("podem gate evals", at(Counter::AtpgPodemGateEvals));
   const std::vector<PhaseRecord> phases = phase_records();
   if (!phases.empty()) {
     out << " phases (name, calls, seconds, faults)\n";

@@ -109,6 +109,10 @@ enum class Counter : std::uint16_t {
   AtpgSatConflicts,     ///< CDCL conflicts across all solves
   AtpgSatProofs,        ///< untestability proofs (UNSAT verdicts)
   AtpgSatFallbacks,     ///< --atpg=auto faults retried on SAT after abort
+  // PODEM (atpg/podem.cpp).
+  AtpgPodemDecisions,   ///< input decisions made (flips not included)
+  AtpgPodemBacktracks,  ///< PodemResult::backtracks summed over runs
+  AtpgPodemGateEvals,   ///< gate evaluations by implication
   kCount
 };
 
