@@ -9,9 +9,10 @@ value below ``tolerance * baseline`` fails; the default tolerance of
 
 A ``simd`` section gates the wide-kernel speedups: ``simd.wide`` holds
 per-tile-count floors for BM_KernelFull/N over BM_KernelWide/N (the
-SIMD fault-parallel widening gain) and ``simd.ppsfp`` for
+SIMD fault-parallel widening gain), ``simd.ppsfp`` for
 BM_KernelPerTest/N over BM_KernelPPSFP/N (the pattern-parallel batch
-gain).  These ratios compare two measurements from the same run, so
+gain) and ``simd.tdf_wide`` for BM_KernelTDF/N over BM_KernelTDFWide/N
+(the fault-parallel widening gain under transition faults).  These ratios compare two measurements from the same run, so
 absolute-time noise on shared CI runners largely cancels.
 
 A ``transition`` section gates the counter perf_microbench attaches to
@@ -164,6 +165,11 @@ def main():
             ratio_speedups(benchmarks, args.measured,
                            "BM_KernelPerTest", "BM_KernelPPSFP"),
             simd["ppsfp"], args.tolerance, label="ppsfp") and ok
+    if "tdf_wide" in simd:
+        ok = check_speedups(
+            ratio_speedups(benchmarks, args.measured,
+                           "BM_KernelTDF", "BM_KernelTDFWide"),
+            simd["tdf_wide"], args.tolerance, label="tdf_wide") and ok
     sys.exit(0 if ok else 1)
 
 

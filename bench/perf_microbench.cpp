@@ -256,6 +256,20 @@ void BM_KernelWide(benchmark::State& state) {
 BENCHMARK(BM_KernelWide)->Arg(2)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+// The transition kernel on the wide fault-parallel engine: the same
+// query as BM_KernelTDF (which pins 64-bit lanes) on LaneWidth::Auto.
+// The ratio BM_KernelTDF/BM_KernelTDFWide is the transition widening
+// gain, gated by the baseline's "simd.tdf_wide" section.
+void BM_KernelTDFWide(benchmark::State& state) {
+  run_kernel_bench(state, fault::FaultModel::transition(),
+                   sim::LaneWidth::Auto);
+  const sim::SimdConfig simd = sim::resolve_simd(sim::LaneWidth::Auto);
+  state.counters["lane_bits"] =
+      benchmark::Counter(static_cast<double>(simd.bits));
+}
+BENCHMARK(BM_KernelTDFWide)->Arg(2)->Arg(8)->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
 // Pattern-parallel (PPSFP) batch scoring vs per-test scoring: the same
 // 16 scan tests on the tiled circuit, scored one detect_scan_test at a
 // time on 64-bit lanes (BM_KernelPerTest) and in one

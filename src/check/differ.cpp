@@ -635,12 +635,31 @@ class CaseChecker {
   void check_session_resume() {
     // An interrupted-and-restored session must re-derive exactly what
     // the uninterrupted run derives (resume == uninterrupted), and both
-    // must equal the one-shot detect_no_scan answer.
+    // must equal the one-shot detect_no_scan answer.  Every
+    // configuration's session must step exactly as the reference's: the
+    // same new detections and latched effects per step (transition
+    // sessions pack the launching groups lanes() per frame).
     const Sequence& seq = w_->no_scan_seq;
-    FaultSimulator::Session straight(ref_, targets_);
-    for (const Vector3& pi : seq.frames) straight.step(pi);
-    expect_sets_equal("session straight", no_scan_base_,
-                      straight.detected());
+    const auto trail = [&](FaultSimulator& sim, FaultSet& detected) {
+      std::vector<std::size_t> out;
+      FaultSimulator::Session session(sim, targets_);
+      for (const Vector3& pi : seq.frames) {
+        out.push_back(session.step(pi));
+        out.push_back(session.latched_effects());
+      }
+      detected = session.detected();
+      return out;
+    };
+    FaultSet straight;
+    const std::vector<std::size_t> want = trail(ref_, straight);
+    expect_sets_equal("session straight", no_scan_base_, straight);
+    for_each_config([&](const char* name, FaultSimulator& sim) {
+      FaultSet detected;
+      const bool same = trail(sim, detected) == want;
+      expect_true(std::string(name) + " session steps", same,
+                  "per-step detections or latched effects differ");
+      expect_sets_equal(std::string(name) + " session", straight, detected);
+    });
 
     if (seq.length() < 2) return;
     const std::size_t cut = seq.length() / 2;

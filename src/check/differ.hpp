@@ -36,7 +36,8 @@
 //   - N_cyc = (k+1)*ceil(N_SV/chains) + sum L(T_j), recomputed here
 //     from first principles, matches tcomp::clock_cycles;
 //   - a snapshot/restore'd Session re-detects exactly what the
-//     uninterrupted run detects (resume == uninterrupted);
+//     uninterrupted run detects (resume == uninterrupted), and every
+//     configuration's Session steps exactly as the reference's;
 //   - under stuck-at, one PODEM engine shared across the target list
 //     (forward, then reverse order) answers every fault exactly as a
 //     fresh engine does: its trail, event queue and cone scratch leak

@@ -34,6 +34,10 @@ std::unique_ptr<BatchEngine> make_batch_engine(
     case sim::SimdIsa::Portable:
       break;
   }
+  if (cfg.bits <= 64) {
+    return make_batch_engine_impl<std::uint64_t>(circuit, faults,
+                                                 std::move(scan_mask));
+  }
   if (cfg.bits >= 512) {
     return make_batch_engine_impl<sim::WideWord<8>>(circuit, faults,
                                                     std::move(scan_mask));

@@ -5,13 +5,15 @@
 // one-lane GroupWorker passes run, instantiated on a multi-lane word W:
 // portable WideWord<NW>, Avx2Word, or Avx512Word) behind a virtual
 // interface, so the dispatch on lane width/ISA happens once per engine
-// construction, never on the per-gate path.  Three pass shapes:
+// construction, never on the per-gate path.  Four pass shapes:
 //
 //   detect_batch  (PPSFP)
 //     lanes() scan tests in the bit-lanes of one pass, one fault group
 //     replicated across lanes (splat injection masks, per-lane
-//     stimulus).  Lane l's result is bit-identical to the corresponding
-//     64-bit per-test GroupWorker pass — lanes never interact.
+//     stimulus; under transition faults per-lane launches from each
+//     test's trace).  Lane l's result is bit-identical to the
+//     corresponding 64-bit per-test GroupWorker pass — lanes never
+//     interact.
 //
 //   detect_lanes  (lane-batched, stuck-at)
 //     the PPSFP loop with a (test, group) pair per lane: per-lane
@@ -21,13 +23,20 @@
 //
 //   detect_groups / times_groups / prefix_groups  (wide fault-parallel)
 //     one scan test broadcast to every lane, lanes() consecutive fault
-//     groups with per-lane injection masks, run on GroupWorker's frame
+//     groups with per-lane injection masks (stuck-at) or per-lane
+//     transition launches (TdfLaunch<W>), run on GroupWorker's frame
 //     loop (fault/frame_loop.hpp) with the detection, detection-time
 //     or prefix observer.  Lane l's records are bit-identical to
 //     run_detect / run_times / run_prefix over group first_group + l.
 //
+//   tdf_session_frame  (transition Session frame)
+//     one frame of an incremental transition-fault Session, lane l
+//     carrying one launching fault group.
+//
 // Engines are created per worker thread (GroupWorker::batch_engine) and
 // reused across passes; construction is cheap (two node-indexed arrays).
+// The one-lane word (cfg.bits == 64) has an engine too; the Session uses
+// it at W64, every other pass runs on GroupWorker there.
 #pragma once
 
 #include <atomic>
@@ -36,6 +45,7 @@
 #include <span>
 
 #include "fault/fault_list.hpp"
+#include "fault/frame_common.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/node_trace.hpp"
 #include "sim/sequence.hpp"
@@ -63,6 +73,13 @@ struct LaneJob {
   std::span<const FaultClassId> group;
 };
 
+/// One lane of a transition-fault Session frame: a fault group's
+/// activation sites and the slots launched this frame.
+struct TdfLaunchJob {
+  const TdfSites* sites = nullptr;
+  std::uint64_t act = 0;
+};
+
 class BatchEngine {
  public:
   virtual ~BatchEngine() = default;
@@ -85,7 +102,8 @@ class BatchEngine {
   /// det[l] receives its group's detection mask, bit-identical to
   /// GroupWorker::run_detect(scan_in, seq, group, observe_scan_out =
   /// true, early_exit = true).  `cancel` is polled per frame; a raised
-  /// token leaves partial masks.  Stuck-at models only.
+  /// token leaves partial masks.  Stuck-at models only: transition
+  /// trials run one by one (FaultSimulator::detects_all_batch).
   virtual void detect_lanes(std::span<const LaneJob> jobs,
                             const util::CancelToken* cancel,
                             std::span<std::uint64_t> det) = 0;
@@ -94,10 +112,12 @@ class BatchEngine {
   /// groups of `list` starting at group index `first_group`, one test
   /// broadcast to every lane.  det[l] receives group first_group + l's
   /// mask.  `scan_in` is masked internally (mirrors run_detect).
+  /// `trace` is the test's fault-free trace, as BatchTestRef::trace.
   /// keep_going / cancel are polled per frame with the same partial-mask
-  /// contract as GroupWorker::run_detect.  Stuck-at models only.
+  /// contract as GroupWorker::run_detect.
   virtual void detect_groups(const sim::Vector3* scan_in,
                              const sim::Sequence& seq,
+                             const sim::NodeTrace* trace,
                              std::span<const FaultClassId> list,
                              std::size_t first_group, std::size_t ngroups,
                              bool observe_scan_out, bool early_exit,
@@ -111,6 +131,7 @@ class BatchEngine {
   /// kGroupSize on), initialised as run_times requires.
   virtual void times_groups(const sim::Vector3& scan_in,
                             const sim::Sequence& seq,
+                            const sim::NodeTrace* trace,
                             std::span<const FaultClassId> list,
                             std::size_t first_group, std::size_t ngroups,
                             std::span<std::int64_t> first_po,
@@ -121,16 +142,29 @@ class BatchEngine {
   /// times_groups, det[l] = group first_group + l's detection mask.
   virtual void prefix_groups(const sim::Vector3& scan_in,
                              const sim::Sequence& seq,
+                             const sim::NodeTrace* trace,
                              std::span<const FaultClassId> list,
                              std::size_t first_group, std::size_t ngroups,
                              std::span<std::int64_t> first_po,
                              const util::CancelToken* cancel,
                              std::span<std::uint64_t> det) = 0;
+
+  /// One frame of a transition-fault Session: every lane starts from the
+  /// fault-free state latched after `prev` (NodeId-indexed node values
+  /// of the previous fault-free frame; all-X before the first) and
+  /// applies `pi`, lane l with jobs[l]'s launched sites stuck at their
+  /// stale values (jobs.size() <= lanes()).  det[l] receives lane l's PO
+  /// detection mask; returns the fault effects latched over all lanes
+  /// (Session::latched_effects).
+  virtual std::size_t tdf_session_frame(std::span<const sim::V3> prev,
+                                        const sim::Vector3& pi,
+                                        std::span<const TdfLaunchJob> jobs,
+                                        std::span<std::uint64_t> det) = 0;
 };
 
 /// Builds the engine `cfg` resolves to (sim/simd.hpp): an intrinsic
 /// word when that TU was compiled and cfg.isa selects it, else the
-/// portable wide word at cfg.bits.  cfg.bits must be > 64.
+/// portable wide word at cfg.bits, or the one-lane word at 64 bits.
 [[nodiscard]] std::unique_ptr<BatchEngine> make_batch_engine(
     const netlist::Circuit& circuit, const FaultList& faults,
     util::Bitset scan_mask, const sim::SimdConfig& cfg);

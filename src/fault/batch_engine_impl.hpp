@@ -10,9 +10,10 @@
 //              (detect_batch) or one group per lane (detect_lanes) —
 //              per-lane scan-in, and every lane whose test is still
 //              running (t < length) is active
-//   TDF        per-lane launch masks from each test's fault-free trace:
-//              injections rebuilt and state reloaded per frame, latching
-//              only where the observer needs it (detect_batch only)
+//   TDF        TdfLaunch<W> (fault/frame_loop.hpp) with one group in
+//              every lane and each lane's own test trace: injections
+//              rebuilt and state reloaded per frame, latching only where
+//              the observer needs it (detect_batch only)
 //
 // and a lane observer (per-lane detection masks).  Bit
 // identity: lane l replicates the control flow of the GroupWorker
@@ -24,9 +25,9 @@
 //
 // The wide fault-parallel passes (detect_groups, times_groups,
 // prefix_groups) have no loop of their own: they run GroupWorker's
-// frame_loop (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive and
-// DetectObs<W> / TimesObs<W> / PrefixObs<W>, lane l carrying fault
-// group first_group + l under the broadcast test.
+// frame_loop (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive or
+// TdfLaunch<W>, and DetectObs<W> / TimesObs<W> / PrefixObs<W>, lane l
+// carrying fault group first_group + l under the broadcast test.
 #pragma once
 
 #include <algorithm>
@@ -74,7 +75,7 @@ class BatchEngineImpl final : public BatchEngine {
     obs::add(obs::Counter::PpsfpTestsPacked, tests.size());
     const bool gated = faults_->model().frame_gated();
     if (gated) {
-      tdf_sites_.build(*faults_, group);
+      lane_sites_[0].build(*faults_, group);
     } else {
       build_group_injections(*faults_, group, inj_);
     }
@@ -108,6 +109,7 @@ class BatchEngineImpl final : public BatchEngine {
   }
 
   void detect_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
+                     const sim::NodeTrace* trace,
                      std::span<const FaultClassId> list,
                      std::size_t first_group, std::size_t ngroups,
                      bool observe_scan_out, bool early_exit,
@@ -115,37 +117,67 @@ class BatchEngineImpl final : public BatchEngine {
                      const util::CancelToken* cancel,
                      std::span<std::uint64_t> det) override {
     assert(det.size() == ngroups);
-    const W full = lane_groups(list, first_group, ngroups);
     DetectObs<W> obs{{keep_going, cancel, ngroups},
-                     full,
+                     lane_slots(list, first_group, ngroups),
                      observe_scan_out,
                      early_exit};
-    run_groups(scan_in, seq, obs);
+    run_groups(scan_in, seq, trace, list, first_group, obs);
     store_det(obs.det, det);
   }
 
   void times_groups(const sim::Vector3& scan_in, const sim::Sequence& seq,
+                    const sim::NodeTrace* trace,
                     std::span<const FaultClassId> list,
                     std::size_t first_group, std::size_t ngroups,
                     std::span<std::int64_t> first_po,
                     std::span<util::Bitset> state_diff,
                     const util::CancelToken* cancel) override {
-    lane_groups(list, first_group, ngroups);
     TimesObs<W> obs{{nullptr, cancel, ngroups}, first_po, state_diff};
-    run_groups(&scan_in, seq, obs);
+    run_groups(&scan_in, seq, trace, list, first_group, obs);
   }
 
   void prefix_groups(const sim::Vector3& scan_in, const sim::Sequence& seq,
+                     const sim::NodeTrace* trace,
                      std::span<const FaultClassId> list,
                      std::size_t first_group, std::size_t ngroups,
                      std::span<std::int64_t> first_po,
                      const util::CancelToken* cancel,
                      std::span<std::uint64_t> det) override {
     assert(det.size() == ngroups);
-    const W full = lane_groups(list, first_group, ngroups);
-    PrefixObs<W> obs{{nullptr, cancel, ngroups}, full, first_po};
-    run_groups(&scan_in, seq, obs);
+    PrefixObs<W> obs{{nullptr, cancel, ngroups},
+                     lane_slots(list, first_group, ngroups),
+                     first_po};
+    run_groups(&scan_in, seq, trace, list, first_group, obs);
     store_det(obs.det, det);
+  }
+
+  std::size_t tdf_session_frame(std::span<const sim::V3> prev,
+                                const sim::Vector3& pi,
+                                std::span<const TdfLaunchJob> jobs,
+                                std::span<std::uint64_t> det) override {
+    const std::size_t n = jobs.size();
+    assert(n >= 1 && n <= kLanes && det.size() == n);
+    std::array<TdfLane, kLanes> lanes{};
+    for (std::size_t l = 0; l < n; ++l) lanes[l].sites = jobs[l].sites;
+    TdfLaunch<W> launch(inj_, {lanes.data(), n});
+    for (std::size_t l = 0; l < n; ++l) launch.set_act(l, jobs[l].act);
+    launch.inject();
+    // No reset: a transition launch never injects a constant (it never
+    // toggles), and the state load and the frame overwrite every other
+    // node in every lane.
+    sim_.load_state_after(prev, &inj_);
+    sim_.apply_frame(pi, &inj_);
+    store_det(po_detections(sim_), det);
+    sim_.latch(&inj_);
+    std::size_t latched = 0;
+    std::uint64_t eff[kLanes];
+    for (std::size_t i = 0; i < circuit_->num_flip_flops(); ++i) {
+      sim::store_lanes(sim::wide_detections(sim_.captured(i)), eff);
+      for (std::size_t l = 0; l < n; ++l) {
+        latched += static_cast<std::size_t>(std::popcount(eff[l]));
+      }
+    }
+    return latched;
   }
 
  private:
@@ -192,53 +224,59 @@ class BatchEngineImpl final : public BatchEngine {
     return group_slot_mask(group.size());
   }
 
-  /// Rebuilds inj_ with lane l carrying group first_group + l of `list`
-  /// and returns the lanes' slot masks.
-  W lane_groups(std::span<const FaultClassId> list, std::size_t first_group,
-                std::size_t ngroups) {
+  /// Group g of `list` (<= kGroupSize classes from g * kGroupSize on).
+  [[nodiscard]] static std::span<const FaultClassId> group_of(
+      std::span<const FaultClassId> list, std::size_t g) {
+    const std::size_t base = g * kGroupSize;
+    return list.subspan(base, std::min(kGroupSize, list.size() - base));
+  }
+
+  /// Slot masks of the ngroups groups from first_group on, lane l =
+  /// group first_group + l (lanes >= ngroups empty).
+  [[nodiscard]] static W lane_slots(std::span<const FaultClassId> list,
+                                    std::size_t first_group,
+                                    std::size_t ngroups) {
     assert(ngroups >= 1 && ngroups <= kLanes);
-    inj_.clear();
     std::uint64_t full[kLanes] = {};
     for (std::size_t l = 0; l < ngroups; ++l) {
-      const std::size_t base = (first_group + l) * kGroupSize;
-      full[l] = add_lane_group(
-          l, list.subspan(base, std::min(kGroupSize, list.size() - base)));
+      full[l] = group_slot_mask(group_of(list, first_group + l).size());
     }
     return sim::load_lanes<W>(full);
   }
 
-  /// The wide fault-parallel pass: the lanes built by lane_groups run
-  /// one broadcast test on the shared frame loop under `obs`.
+  /// The wide fault-parallel pass: lane l carries group first_group + l
+  /// of `list` (obs.lanes groups) through one broadcast test on the
+  /// shared frame loop under `obs` — stuck-at injections registered once
+  /// per pass, or the transition launch read from `trace`.
   template <class Obs>
   void run_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
-                  Obs& obs) {
-    assert(!faults_->model().frame_gated());
+                  const sim::NodeTrace* trace,
+                  std::span<const FaultClassId> list,
+                  std::size_t first_group, Obs& obs) {
+    const std::size_t ngroups = obs.lanes;
+    assert(ngroups >= 1 && ngroups <= kLanes);
     obs::add(obs::Counter::WideFpPasses);
-    obs::add(obs::Counter::FullPasses, obs.lanes);
-    FullEval<W> ev(sim_, inj_, scan_mask_, seq, /*trace=*/nullptr, scan_in);
-    AlwaysActive act;
-    frame_loop(ev, act, obs, seq.length());
-  }
-
-  /// Rebuilds inj_ from the per-lane activation masks act_: site j gets
-  /// one wide injection whose lane l mask is slot j+1 iff lane l launches
-  /// it.
-  void build_tdf_injections(std::size_t n) {
+    obs::add(obs::Counter::FullPasses, ngroups);
     inj_.clear();
-    for (std::size_t j = 0; j < tdf_sites_.size(); ++j) {
-      const std::uint64_t slot = 1ULL << (j + 1);
-      std::uint64_t m[kLanes] = {};
-      bool used = false;
-      for (std::size_t l = 0; l < n; ++l) {
-        if ((act_[l] & slot) != 0) {
-          m[l] = slot;
-          used = true;
-        }
+    if (faults_->model().frame_gated()) {
+      // The trace is the activation oracle, and each active frame
+      // reloads its state from it (no scan-in load).
+      assert(trace != nullptr && trace->length() == seq.length());
+      std::array<TdfLane, kLanes> lanes{};
+      for (std::size_t l = 0; l < ngroups; ++l) {
+        lane_sites_[l].build(*faults_, group_of(list, first_group + l));
+        lanes[l] = TdfLane{&lane_sites_[l], trace};
       }
-      if (used) {
-        inj_.add(tdf_sites_[j].node, sim::kStemPin, tdf_sites_[j].stale,
-                 sim::load_lanes<W>(m));
+      TdfLaunch<W> act(inj_, {lanes.data(), ngroups});
+      FullEval<W> ev(sim_, inj_, scan_mask_, seq, trace, nullptr);
+      frame_loop(ev, act, obs, seq.length());
+    } else {
+      for (std::size_t l = 0; l < ngroups; ++l) {
+        add_lane_group(l, group_of(list, first_group + l));
       }
+      FullEval<W> ev(sim_, inj_, scan_mask_, seq, nullptr, scan_in);
+      AlwaysActive act;
+      frame_loop(ev, act, obs, seq.length());
     }
   }
 
@@ -282,12 +320,12 @@ class BatchEngineImpl final : public BatchEngine {
   /// Activation for frame t: fills pi_ with each lane's stimulus (nullptr
   /// = idle lane) and returns the lanes observed this frame.  Stuck-at:
   /// every lane whose test is still running.  Frame-gated: the lanes
-  /// that launch a transition, with inj_ rebuilt and their state
+  /// that launch a transition (`tdf`), with inj_ rebuilt and their state
   /// reloaded from their fault-free traces.
-  W launch(std::span<const BatchTestRef> tests, std::size_t t, bool gated,
-           FrameTally& tally) {
+  W launch(std::span<const BatchTestRef> tests, std::size_t t,
+           TdfLaunch<W>* tdf, FrameTally& tally) {
     const std::size_t n = tests.size();
-    if (!gated) {
+    if (tdf == nullptr) {
       for (std::size_t l = 0; l < n; ++l) {
         const bool live = t < tests[l].seq->length();
         pi_[l] = live ? &tests[l].seq->frames[t] : nullptr;
@@ -295,41 +333,41 @@ class BatchEngineImpl final : public BatchEngine {
       }
       return lane_mask(n, [&](std::size_t l) { return pi_[l] != nullptr; });
     }
-    bool any_act = false;
+    const bool any_act = tdf->activate(t);
     for (std::size_t l = 0; l < n; ++l) {
       const bool live = t < tests[l].seq->length();
-      act_[l] = live ? tdf_sites_.activation(*tests[l].trace, t) : 0;
-      if (live && act_[l] == 0) ++tally.tdf_skipped;
-      any_act |= act_[l] != 0;
+      if (live && tdf->act(l) == 0) ++tally.tdf_skipped;
     }
     if (!any_act) return sim::zero<W>();
-    build_tdf_injections(n);
-    std::array<const sim::Vector3*, kLanes> state{};
+    tdf->inject();
+    tally.tdf_activations += tdf->activations();
+    std::array<const sim::NodeTrace*, kLanes> from{};
     for (std::size_t l = 0; l < n; ++l) {
       pi_[l] = nullptr;
-      if (act_[l] == 0) continue;
-      tally.tdf_activations +=
-          static_cast<std::uint64_t>(std::popcount(act_[l]));
+      if (tdf->act(l) == 0) continue;
       ++tally.simulated;
-      state_scratch_[l] = tests[l].trace->state_at_start(t);
-      state[l] = &state_scratch_[l];
+      from[l] = tests[l].trace;
       pi_[l] = &tests[l].seq->frames[t];
     }
-    sim_.load_state({state.data(), n}, &inj_);
-    return lane_mask(n, [&](std::size_t l) { return act_[l] != 0; });
+    sim_.load_state({from.data(), n}, t, &inj_);
+    return lane_mask(n, [&](std::size_t l) { return tdf->act(l) != 0; });
   }
 
   /// One pass over `tests` (lane l = tests[l]) with the faults already
-  /// registered: inj_ under stuck-at, tdf_sites_ under a frame-gated
-  /// model.
+  /// registered: inj_ under stuck-at, lane_sites_[0] (the one group of
+  /// every lane) under a frame-gated model.
   void run_batch(std::span<const BatchTestRef> tests, DetectLanes& rec) {
     const std::size_t n = tests.size();
     const bool gated = faults_->model().frame_gated();
     obs::add(obs::Counter::FullPasses, n);
+    std::array<TdfLane, kLanes> lanes{};
     if (gated) {
       assert(std::all_of(tests.begin(), tests.end(), [](const auto& t) {
         return t.trace != nullptr && t.trace->length() == t.seq->length();
       }));
+      for (std::size_t l = 0; l < n; ++l) {
+        lanes[l] = TdfLane{&lane_sites_[0], tests[l].trace};
+      }
       sim_.reset(nullptr);
     } else {
       sim_.reset(&inj_);
@@ -345,11 +383,12 @@ class BatchEngineImpl final : public BatchEngine {
     }
 
     const std::size_t max_len = max_length(tests);
+    TdfLaunch<W> tdf(inj_, {lanes.data(), n});
     FrameTally tally;
     // Frame 0 has no launch frame and is never active under TDF.
     for (std::size_t t = gated ? 1 : 0; t < max_len; ++t) {
       if (rec.interrupted()) break;  // partial masks
-      const W active = launch(tests, t, gated, tally);
+      const W active = launch(tests, t, gated ? &tdf : nullptr, tally);
       if (!sim::any(active)) continue;
       sim_.apply_frame({pi_.data(), n}, &inj_);
       rec.frame(active, po_detections(sim_));
@@ -370,9 +409,8 @@ class BatchEngineImpl final : public BatchEngine {
   sim::SeqSim<W> sim_;
   sim::InjectionMap<W> inj_;
   std::vector<sim::Vector3> state_scratch_;
-  TdfSites tdf_sites_;
+  std::array<TdfSites, kLanes> lane_sites_;
   std::array<const sim::Vector3*, kLanes> pi_{};
-  std::array<std::uint64_t, kLanes> act_{};
 };
 
 template <class W>

@@ -160,9 +160,7 @@ std::vector<sim::NodeTrace> FaultSimulator::build_traces(
 template <class Fn>
 bool FaultSimulator::wide_fp_chunks(std::size_t ngroups, Fn fn) {
   const sim::SimdConfig cfg = simd_config();
-  if (cfg.lanes() <= 1 || ngroups < 2 || faults_->model().frame_gated()) {
-    return false;
-  }
+  if (cfg.lanes() <= 1 || ngroups < 2) return false;
   obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
   obs::add(obs::Counter::GroupsExecuted, ngroups);
   const std::size_t lanes = cfg.lanes();
@@ -179,6 +177,7 @@ bool FaultSimulator::wide_fp_chunks(std::size_t ngroups, Fn fn) {
 
 bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
                                     const Sequence& seq,
+                                    const sim::NodeTrace* trace,
                                     std::span<const FaultClassId> list,
                                     bool observe_scan_out,
                                     std::atomic<bool>* all_ok,
@@ -189,7 +188,7 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
     if (all_ok != nullptr && !all_ok->load(std::memory_order_relaxed)) {
       return;
     }
-    eng.detect_groups(scan_in, seq, list, first, n, observe_scan_out,
+    eng.detect_groups(scan_in, seq, trace, list, first, n, observe_scan_out,
                       /*early_exit=*/true, all_ok, &cancel_,
                       det.subspan(first, n));
     if (all_ok == nullptr) return;
@@ -215,9 +214,9 @@ FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
   const QueryScope scope("detect_no_scan");
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
-  if (!wide_fp_detect(nullptr, seq, list, /*observe_scan_out=*/false,
-                      /*all_ok=*/nullptr, det)) {
-    const auto trace = build_trace(nullptr, seq);
+  const auto trace = build_trace(nullptr, seq);
+  if (!wide_fp_detect(nullptr, seq, trace.get(), list,
+                      /*observe_scan_out=*/false, /*all_ok=*/nullptr, det)) {
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -241,9 +240,9 @@ FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
   const QueryScope scope("detect_scan_test");
   const std::vector<FaultClassId> list = collect(targets);
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
-  if (!wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true,
-                      /*all_ok=*/nullptr, det)) {
-    const auto trace = build_trace(&scan_in, seq);
+  const auto trace = build_trace(&scan_in, seq);
+  if (!wide_fp_detect(&scan_in, seq, trace.get(), list,
+                      /*observe_scan_out=*/true, /*all_ok=*/nullptr, det)) {
     for_each_group(exec_, list, policy(),
                    [&](GroupWorker& w, std::size_t g,
                        std::span<const FaultClassId> group) {
@@ -271,17 +270,17 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   const std::span<std::int64_t> first_po(times.first_po);
   const std::span<util::Bitset> state_diff(times.state_diff);
   const std::size_t nt = times.targets.size();
+  const auto trace = build_trace(&scan_in, seq);
   if (wide_fp_chunks(num_groups(nt), [&](BatchEngine& eng, std::size_t first,
                                          std::size_t n) {
         const std::size_t base = first * kGroupSize;
         const std::size_t cnt = std::min(n * kGroupSize, nt - base);
-        eng.times_groups(scan_in, seq, times.targets, first, n,
+        eng.times_groups(scan_in, seq, trace.get(), times.targets, first, n,
                          first_po.subspan(base, cnt),
                          state_diff.subspan(base, cnt), &cancel_);
       })) {
     return times;
   }
-  const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, times.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -306,10 +305,11 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   const std::span<std::int64_t> first_po(out.first_po);
   const std::size_t nt = out.targets.size();
   std::vector<std::uint64_t> det(num_groups(nt), 0);
+  const auto trace = build_trace(&scan_in, seq);
   if (wide_fp_chunks(det.size(), [&](BatchEngine& eng, std::size_t first,
                                      std::size_t n) {
         const std::size_t base = first * kGroupSize;
-        eng.prefix_groups(scan_in, seq, out.targets, first, n,
+        eng.prefix_groups(scan_in, seq, trace.get(), out.targets, first, n,
                           first_po.subspan(base,
                                            std::min(n * kGroupSize,
                                                     nt - base)),
@@ -319,7 +319,6 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
     reduce_masks(out.targets, det, out.detected);
     return out;
   }
-  const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, out.targets, policy(),
                  [&](GroupWorker& w, std::size_t g,
                      std::span<const FaultClassId> group) {
@@ -346,11 +345,11 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
   // genuinely fails.
   std::atomic<bool> all_ok{true};
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
-  if (wide_fp_detect(&scan_in, seq, list, /*observe_scan_out=*/true, &all_ok,
-                     det)) {
+  const auto trace = build_trace(&scan_in, seq);
+  if (wide_fp_detect(&scan_in, seq, trace.get(), list,
+                     /*observe_scan_out=*/true, &all_ok, det)) {
     return all_ok.load(std::memory_order_relaxed);
   }
-  const auto trace = build_trace(&scan_in, seq);
   for_each_group(exec_, list, policy(),
                  [&](GroupWorker& w, std::size_t /*g*/,
                      std::span<const FaultClassId> group) {
@@ -516,14 +515,17 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
   tdf_ = parent_->faults_->model().frame_gated();
   if (tdf_) {
     // Frame-gated: effects never persist, so only the fault-free machine
-    // state is tracked.  prev_site_ starts at X — the first step has no
-    // launch frame and activates nothing.
-    free_state_.assign(nff, sim::V3::X);
-    prev_site_.assign(targets_.size(), sim::V3::X);
+    // is tracked.  The last frame starts all-X: the first step has no
+    // launch frame, activates nothing and starts from the all-X state.
+    free_frame_.assign(parent_->circuit_->num_nodes(), sim::V3::X);
+    group_sites_.resize(num_groups_);
     for (std::size_t g = 0; g < num_groups_; ++g) {
       const std::size_t base = g * kGroupSize;
-      group_remaining_[g] = static_cast<std::uint32_t>(
-          std::min(kGroupSize, targets_.size() - base));
+      const std::size_t n = std::min(kGroupSize, targets_.size() - base);
+      group_sites_[g].build(
+          *parent_->faults_,
+          std::span<const FaultClassId>(targets_.data() + base, n));
+      group_remaining_[g] = static_cast<std::uint32_t>(n);
     }
     return;
   }
@@ -580,62 +582,50 @@ std::size_t FaultSimulator::Session::credit(std::size_t g,
 }
 
 std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
-  const std::size_t nff = parent_->circuit_->num_flip_flops();
+  // Fault-free frame: evaluate once from the state the last frame
+  // latched and record every node's value.
   sim::PackedSeqSim& sim = worker_->sim();
-  const FaultList& faults = *parent_->faults_;
-
-  // Fault-free frame: evaluate once, sample every target's stem value.
-  sim.reset(nullptr);
-  sim.load_state(free_state_, nullptr);
+  sim.load_state_after(free_frame_, nullptr);
   sim.apply_frame(pi, nullptr);
-  std::vector<sim::V3> cur_site(targets_.size());
-  for (std::size_t k = 0; k < targets_.size(); ++k) {
-    const Fault& f = faults.representative(targets_[k]);
-    cur_site[k] = sim::slot(sim.value(f.node), 0);
-  }
-  sim.latch(nullptr);
-  sim::Vector3 free_next(nff, sim::V3::X);
-  for (std::size_t i = 0; i < nff; ++i) {
-    free_next[i] = sim::slot(sim.captured(i), 0);
+  free_next_.resize(free_frame_.size());
+  for (netlist::NodeId id = 0; id < free_next_.size(); ++id) {
+    free_next_[id] = sim::slot(sim.value(id), 0);
   }
 
-  // Launch every active fault one-frame from the free state; effects do
-  // not persist, so the latched-effect fitness signal is recomputed per
-  // step from this frame's captures alone.
-  std::size_t newly = 0;
-  tdf_latched_ = 0;
+  // The groups that launch a transition and still have undetected
+  // faults, in group order.
+  jobs_.clear();
   for (std::size_t g = 0; g < num_groups_; ++g) {
-    const std::size_t base = g * kGroupSize;
-    const std::size_t n = std::min(kGroupSize, targets_.size() - base);
-    std::uint64_t act = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const Fault& f = faults.representative(targets_[base + j]);
-      if (tdf_launched(prev_site_[base + j], cur_site[base + j], f.value)) {
-        act |= 1ULL << (j + 1);
-      }
-    }
-    if (act == 0 || group_remaining_[g] == 0) continue;
+    if (group_remaining_[g] == 0) continue;
+    const std::uint64_t act =
+        group_sites_[g].activation(free_frame_, free_next_);
+    if (act == 0) continue;
     obs::add(obs::Counter::TdfActivations,
              static_cast<std::uint64_t>(std::popcount(act)));
-    sim::PackedInjectionMap& inj = worker_->injections();
-    inj.clear();
-    for_each_slot(act, [&](std::size_t j) {
-      const Fault& f = faults.representative(targets_[base + j]);
-      inj.add(f.node, sim::kStemPin, f.value, 1ULL << (j + 1));
-    });
-    sim.reset(&inj);
-    sim.load_state(free_state_, &inj);
-    sim.apply_frame(pi, &inj);
-    const std::uint64_t det = po_detections(sim);
-    sim.latch(&inj);
-    for (std::size_t i = 0; i < nff; ++i) {
-      tdf_latched_ += static_cast<std::size_t>(
-          std::popcount(sim::wide_detections(sim.captured(i))));
-    }
-    newly += credit(g, det);
+    jobs_.push_back(TdfLaunchJob{&group_sites_[g], act});
   }
-  free_state_.swap(free_next);
-  prev_site_.swap(cur_site);
+
+  // Launch them one-frame from the fault-free state, lanes() groups per
+  // frame; effects do not persist, so the latched-effect fitness signal
+  // is recomputed per step from this frame's captures alone.
+  std::size_t newly = 0;
+  tdf_latched_ = 0;
+  if (!jobs_.empty()) {
+    BatchEngine& eng = worker_->batch_engine(parent_->simd_config());
+    job_det_.resize(jobs_.size());
+    for (std::size_t c = 0; c < jobs_.size(); c += eng.lanes()) {
+      const std::size_t n = std::min(eng.lanes(), jobs_.size() - c);
+      tdf_latched_ += eng.tdf_session_frame(
+          free_frame_, pi, std::span<const TdfLaunchJob>(jobs_).subspan(c, n),
+          std::span<std::uint64_t>(job_det_).subspan(c, n));
+    }
+    for (std::size_t k = 0; k < jobs_.size(); ++k) {
+      const auto g =
+          static_cast<std::size_t>(jobs_[k].sites - group_sites_.data());
+      newly += credit(g, job_det_[k]);
+    }
+  }
+  free_frame_.swap(free_next_);
   return newly;
 }
 
@@ -653,16 +643,15 @@ std::size_t FaultSimulator::Session::latched_effects() const {
 }
 
 FaultSimulator::Session::Snapshot FaultSimulator::Session::snapshot() const {
-  return Snapshot{ff_values_,   detected_,  group_remaining_,
-                  free_state_,  prev_site_, tdf_latched_};
+  return Snapshot{ff_values_, detected_, group_remaining_, free_frame_,
+                  tdf_latched_};
 }
 
 void FaultSimulator::Session::restore(const Snapshot& snap) {
   ff_values_ = snap.ff_values;
   detected_ = snap.detected;
   group_remaining_ = snap.group_remaining;
-  free_state_ = snap.free_state;
-  prev_site_ = snap.prev_site;
+  free_frame_ = snap.free_frame;
   tdf_latched_ = snap.tdf_latched;
 }
 

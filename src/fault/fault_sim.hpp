@@ -14,15 +14,17 @@
 // serial run (see group_exec.hpp for the determinism argument).
 //
 // Kernel: every group pass evaluates the whole circuit on the
-// CSR-levelized schedule.  Stuck-at per-group queries (detect,
-// detects_all, detection_times, prefix_detection) with >= 2 groups pack
-// lanes() groups into one wide fault-parallel pass; batch queries pack
-// lanes() tests (detect_batch) or (test, group) pairs
-// (detects_all_batch) into one pass.  Under a frame-gated fault model
-// the passes read a fault-free trace (sim/node_trace.hpp) as activation
-// oracle: each query builds the trace of its test once, shares it
-// read-only across its groups and drops it on return, so a simulator
-// keeps no trace state between queries.
+// CSR-levelized schedule.  Per-group queries (detect, detects_all,
+// detection_times, prefix_detection) with >= 2 groups pack lanes()
+// groups into one wide fault-parallel pass under either fault model;
+// batch queries pack lanes() tests (detect_batch) or, under stuck-at,
+// (test, group) pairs (detects_all_batch) into one pass, and transition
+// Sessions pack lanes() launching groups into one frame.  Under a
+// frame-gated fault model the passes read a fault-free trace
+// (sim/node_trace.hpp) as activation oracle: each query builds the
+// trace of its test once, before it picks the wide or the one-lane
+// plan, shares it read-only across its groups and drops it on return,
+// so a simulator keeps no trace state between queries.
 //
 // Detection is conservative (standard for 3-valued simulation): a fault
 // is detected at an observation point only when both the fault-free and
@@ -47,7 +49,9 @@
 #include <span>
 #include <vector>
 
+#include "fault/batch_engine.hpp"
 #include "fault/fault_list.hpp"
+#include "fault/frame_common.hpp"
 #include "fault/group_exec.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/node_trace.hpp"
@@ -97,10 +101,11 @@ class FaultSimulator {
   }
 
   /// SIMD lane width for the wide passes (sim/simd.hpp): batch queries
-  /// pack lanes() tests per pass (PPSFP), and stuck-at detect queries
-  /// pack lanes() fault groups per pass.  Auto (default) picks
-  /// the widest ISA the CPU supports; W64 disables both wide paths.
-  /// Results are bit-identical across widths.
+  /// pack lanes() tests per pass (PPSFP), per-group queries pack lanes()
+  /// fault groups per pass, and transition Sessions lanes() groups per
+  /// frame.  Auto (default) picks the widest ISA the CPU supports; W64
+  /// runs everything one lane at a time.  Results are bit-identical
+  /// across widths.
   void set_lane_width(sim::LaneWidth w) noexcept { lane_width_ = w; }
   [[nodiscard]] sim::LaneWidth lane_width() const noexcept {
     return lane_width_;
@@ -255,8 +260,9 @@ class FaultSimulator {
   /// frame — and the lanes, sorted by test length, fill lanes() per
   /// pass; a trial passes iff each of its lanes detects its whole
   /// group.  Otherwise (W64, frame-gated models, a single lane) the
-  /// trials run one by one through detects_all.  A raised cancel token
-  /// makes interrupted trials conservatively false.
+  /// trials run one by one through detects_all, which itself takes the
+  /// wide fault-parallel pass when its trial has >= 2 groups.  A raised
+  /// cancel token makes interrupted trials conservatively false.
   [[nodiscard]] std::vector<bool> detects_all_batch(
       std::span<const Trial> trials);
 
@@ -276,6 +282,8 @@ class FaultSimulator {
   ///
   /// Sessions run on the parent's serial engine: step() is not
   /// parallelised and must not run concurrently with parent queries.
+  /// Under transition faults each step packs lanes() launching groups
+  /// per frame on that engine's batch engine.
   class Session {
    public:
     Session(FaultSimulator& parent, const FaultSet& targets);
@@ -300,8 +308,7 @@ class FaultSimulator {
       FaultSet detected;
       std::vector<std::uint32_t> group_remaining;
       // Frame-gated sessions only (empty / 0 under stuck-at):
-      sim::Vector3 free_state;         // fault-free machine state
-      std::vector<sim::V3> prev_site;  // per target: last site value
+      sim::Vector3 free_frame;  // fault-free node values, last frame
       std::size_t tdf_latched = 0;
     };
 
@@ -332,16 +339,19 @@ class FaultSimulator {
     std::vector<std::uint32_t> group_remaining_;
     // --- frame-gated (transition-delay) session state ------------------
     // Under a frame-gated model effects never persist, so the session
-    // tracks only the fault-free machine state entering the next frame
-    // (a scalar Vector3 — the free machine is slot-uniform): each step
-    // launches active faults one-frame from it via load_state, which
-    // applies FF-stem injections exactly like the batch passes.
-    // prev_site_ holds the free value of each target's stem from the
-    // previous frame (X before the first step: frame 0 never launches).
+    // tracks only the fault-free machine: the node values of the last
+    // frame it stepped (all X before the first step, so the first step
+    // has no launch frame and starts from the all-X state).  Each step
+    // evaluates the fault-free frame once, then runs the groups that
+    // launch and still have undetected faults, lanes() per frame, on the
+    // serial worker's batch engine (BatchEngine::tdf_session_frame).
     bool tdf_ = false;
-    sim::Vector3 free_state_;         // per FF, entering the next frame
-    std::vector<sim::V3> prev_site_;  // per target
-    std::size_t tdf_latched_ = 0;     // latched_effects() under TDF
+    std::vector<TdfSites> group_sites_;  // per group, built once
+    sim::Vector3 free_frame_;            // per node, the last frame
+    sim::Vector3 free_next_;             // per node, step() scratch
+    std::vector<TdfLaunchJob> jobs_;     // step() scratch
+    std::vector<std::uint64_t> job_det_;
+    std::size_t tdf_latched_ = 0;  // latched_effects() under TDF
   };
 
  private:
@@ -393,8 +403,8 @@ class FaultSimulator {
 
   /// Runs fn(engine, first_group, n) over the chunks of lanes()
   /// consecutive groups of an `ngroups`-group plan — the wide
-  /// fault-parallel pass — when it applies (frame-less model, >= 2
-  /// groups, wide lanes) and returns true; chunks are skipped once the
+  /// fault-parallel pass — when it applies (>= 2 groups, wide lanes;
+  /// either fault model) and returns true; chunks are skipped once the
   /// cancel token is raised.  Returns false untouched when the
   /// per-group 64-bit plan should run instead.
   template <class Fn>
@@ -402,10 +412,12 @@ class FaultSimulator {
 
   /// detect_no_scan / detect_scan_test / detects_all on the wide
   /// fault-parallel pass when wide_fp_chunks applies, filling det (one
-  /// mask per group).  With `all_ok` (detects_all) the plan stops
+  /// mask per group).  `trace` is the query's fault-free trace
+  /// (build_trace).  With `all_ok` (detects_all) the plan stops
   /// early: a chunk that misses a fault or sees the cancel token clears
   /// it, and pending chunks and in-flight passes then stop.
   bool wide_fp_detect(const sim::Vector3* scan_in, const sim::Sequence& seq,
+                      const sim::NodeTrace* trace,
                       std::span<const FaultClassId> list,
                       bool observe_scan_out, std::atomic<bool>* all_ok,
                       std::span<std::uint64_t> det);

@@ -1,16 +1,16 @@
 // Primitives every fault-simulation frame loop shares: partial-scan
-// masking of scan-in states, the transition launch test over cached
-// fault sites, and the per-pass frame counters.  GroupWorker, the wide
+// masking of scan-in states, the transition launch test over a fault
+// group's sites, and the per-pass frame counters.  GroupWorker, the wide
 // BatchEngine passes and FaultSimulator (trace acquisition, incremental
 // sessions) all use these single definitions; only the independent
 // scalar oracle (src/check) keeps its own copies.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "fault/fault_list.hpp"
 #include "sim/injection.hpp"
@@ -52,15 +52,6 @@ void for_each_slot(std::uint64_t bits, Fn fn) {
   return masked;
 }
 
-/// Transition launch test: the delayed transition away from `stale` is
-/// launched when the fault-free site value was `stale` in the previous
-/// frame and is the opposite binary value now.
-[[nodiscard]] constexpr bool tdf_launched(sim::V3 before, sim::V3 now,
-                                          bool stale) noexcept {
-  return before == (stale ? sim::V3::One : sim::V3::Zero) &&
-         now == (stale ? sim::V3::Zero : sim::V3::One);
-}
-
 /// One transition-fault activation site: a stem plus the stale value the
 /// delayed transition leaves behind (the representative's stuck value).
 struct TdfSite {
@@ -68,17 +59,37 @@ struct TdfSite {
   bool stale;
 };
 
-/// A fault group's activation sites (site j = group[j], slot j+1).
+/// A fault group's activation sites (site j = group[j], slot j+1).  The
+/// delayed transition away from `stale` is launched in a frame when the
+/// fault-free site value was `stale` in the previous frame and is the
+/// opposite binary value now.
 class TdfSites {
  public:
   void build(const FaultList& faults, std::span<const FaultClassId> group) {
-    sites_.clear();
-    sites_.reserve(group.size());
-    for (const FaultClassId id : group) {
-      const Fault& f = faults.representative(id);
+    assert(group.size() <= kGroupSize);
+    size_ = group.size();
+    for (std::size_t j = 0; j < size_; ++j) {
+      const Fault& f = faults.representative(group[j]);
       assert(f.pin == sim::kStemPin);
-      sites_.push_back(TdfSite{f.node, f.value});
+      nodes_[j] = f.node;
+      keys_[j] = launch_key(f.value);
     }
+  }
+
+  /// Slot mask of the sites launched across two consecutive fault-free
+  /// frames, each given as its NodeId-indexed node values.  Branch-free:
+  /// one key per site packs (before, now) and compares it with the
+  /// launching pair.
+  [[nodiscard]] std::uint64_t activation(std::span<const sim::V3> before,
+                                         std::span<const sim::V3> now) const {
+    std::uint64_t act = 0;
+    for (std::size_t j = 0; j < size_; ++j) {
+      const netlist::NodeId n = nodes_[j];
+      const unsigned key = static_cast<unsigned>(before[n]) |
+                           static_cast<unsigned>(now[n]) << 2;
+      act |= static_cast<std::uint64_t>(key == keys_[j]) << (j + 1);
+    }
+    return act;
   }
 
   /// Slot mask of the sites launched in frame `t` of `trace` (t >= 1;
@@ -86,24 +97,27 @@ class TdfSites {
   [[nodiscard]] std::uint64_t activation(const sim::NodeTrace& trace,
                                          std::size_t t) const {
     assert(t >= 1);
-    std::uint64_t act = 0;
-    for (std::size_t j = 0; j < sites_.size(); ++j) {
-      const TdfSite& s = sites_[j];
-      if (tdf_launched(trace.value(t - 1, s.node), trace.value(t, s.node),
-                       s.stale)) {
-        act |= 1ULL << (j + 1);
-      }
-    }
-    return act;
+    return activation(trace.frame(t - 1), trace.frame(t));
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return sites_.size(); }
-  [[nodiscard]] const TdfSite& operator[](std::size_t j) const {
-    return sites_[j];
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] TdfSite operator[](std::size_t j) const {
+    return TdfSite{nodes_[j], keys_[j] == launch_key(true)};
   }
 
  private:
-  std::vector<TdfSite> sites_;
+  /// (before, now) key of the launching pair: stale, then its opposite.
+  [[nodiscard]] static constexpr std::uint8_t launch_key(bool stale) {
+    const auto from = static_cast<unsigned>(stale ? sim::V3::One
+                                                  : sim::V3::Zero);
+    const auto to = static_cast<unsigned>(stale ? sim::V3::Zero
+                                                : sim::V3::One);
+    return static_cast<std::uint8_t>(from | to << 2);
+  }
+
+  std::size_t size_ = 0;
+  std::array<netlist::NodeId, kGroupSize> nodes_{};
+  std::array<std::uint8_t, kGroupSize> keys_{};
 };
 
 /// Batches one pass's frame counters into locals and publishes them once

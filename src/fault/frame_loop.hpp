@@ -25,12 +25,17 @@
 //
 // This header holds the policies both GroupWorker (one-lane word, all
 // three passes) and the wide fault-parallel BatchEngine passes (W lanes
-// of fault groups) run: FullEval<W> over SeqSim<W>, AlwaysActive and
-// the three observers DetectObs<W>, TimesObs<W> and PrefixObs<W>.  The
-// transition activation is one-lane only and lives in group_worker.cpp.
+// of fault groups) run: FullEval<W> over SeqSim<W>, the two activations
+// AlwaysActive (stuck-at) and TdfLaunch<W> (transition, lane l launching
+// its own group's sites), and the three observers DetectObs<W>,
+// TimesObs<W> and PrefixObs<W>.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <span>
 
@@ -82,9 +87,7 @@ class FullEval {
 
   void eval(std::size_t t) { sim_.apply_frame(seq_.frames[t], &inj_); }
   void latch() { sim_.latch(&inj_); }
-  void reload(std::size_t t) {
-    sim_.load_state(trace_->state_at_start(t), &inj_);
-  }
+  void reload(std::size_t t) { sim_.load_state(*trace_, t, &inj_); }
 
   [[nodiscard]] W po_detections() const { return fault::po_detections(sim_); }
   [[nodiscard]] W state_detections() const {
@@ -107,6 +110,114 @@ struct AlwaysActive {
   bool launch(std::size_t /*t*/, Eval& /*ev*/, FrameTally& /*tally*/) {
     return true;
   }
+};
+
+/// One lane of a transition-fault pass: a fault group's activation sites
+/// and the fault-free trace its launches are read from (nullptr when the
+/// caller sets the lane's launch mask itself).
+struct TdfLane {
+  const TdfSites* sites = nullptr;
+  const sim::NodeTrace* trace = nullptr;
+};
+
+/// Transition delay (frame-gated), on any word width: lane l carries one
+/// fault group, and its fault j is active in frame t >= 1 iff the site
+/// launches the delayed transition across frames t-1 -> t of the lane's
+/// fault-free trace.  An active frame is simulated one-frame from the
+/// fault-free state entering it, with each launched site stuck at its
+/// stale value in its own lane's slot only; effects never persist, so
+/// scan-out observes a fault only through an active final frame.  Frames
+/// where no lane launches are skipped whole (Counter::TdfFramesSkipped,
+/// one per lane).  Lane l evolves exactly as the one-lane pass over its
+/// group does.
+template <class W>
+class TdfLaunch {
+ public:
+  static constexpr bool kPersistent = false;
+  static constexpr std::size_t kLanes = sim::kWordLanes<W>;
+
+  TdfLaunch(sim::InjectionMap<W>& inj, std::span<const TdfLane> lanes)
+      : inj_(inj), n_(lanes.size()) {
+    assert(n_ >= 1 && n_ <= kLanes);
+    std::copy(lanes.begin(), lanes.end(), lanes_.begin());
+  }
+
+  template <class Eval>
+  bool launch(std::size_t t, Eval& ev, FrameTally& tally) {
+    if (!activate(t)) {
+      tally.tdf_skipped += n_;
+      return false;  // no launch: every machine follows the trace
+    }
+    tally.tdf_activations += activations();
+    inject();
+    ev.reload(t);
+    return true;
+  }
+
+  /// Sets every lane's launch mask for frame `t` from its trace (none in
+  /// frame 0, which has no launch frame, nor past the trace's end) and
+  /// returns whether any lane launches.
+  bool activate(std::size_t t) {
+    std::uint64_t any = 0;
+    for (std::size_t l = 0; l < n_; ++l) {
+      const TdfLane& lane = lanes_[l];
+      act_[l] = t == 0 || t >= lane.trace->length()
+                    ? 0
+                    : lane.sites->activation(*lane.trace, t);
+      any |= act_[l];
+    }
+    return any != 0;
+  }
+
+  /// Lane l's launch mask (slot j+1 = site j launched).
+  [[nodiscard]] std::uint64_t act(std::size_t l) const { return act_[l]; }
+  void set_act(std::size_t l, std::uint64_t act) { act_[l] = act; }
+
+  /// Launched sites over every lane.
+  [[nodiscard]] std::uint64_t activations() const {
+    std::uint64_t n = 0;
+    for (std::size_t l = 0; l < n_; ++l) {
+      n += static_cast<std::uint64_t>(std::popcount(act_[l]));
+    }
+    return n;
+  }
+
+  /// Rebuilds the injection map from the launch masks: each launched
+  /// site is a stem injection at its stale value in its lane's slot.
+  /// Lanes that share one site list (one group under several tests)
+  /// share one injection per site.
+  void inject() {
+    inj_.clear();
+    std::uint64_t done = 0;  // bit l: lane l injected
+    for (std::size_t l = 0; l < n_; ++l) {
+      if (act_[l] == 0 || (done >> l & 1) != 0) continue;
+      const TdfSites& sites = *lanes_[l].sites;
+      std::uint64_t share = 0;
+      std::uint64_t launched = 0;
+      for (std::size_t k = l; k < n_; ++k) {
+        if (lanes_[k].sites == &sites && act_[k] != 0) {
+          share |= 1ULL << k;
+          launched |= act_[k];
+        }
+      }
+      done |= share;
+      for_each_slot(launched, [&](std::size_t j) {
+        const std::uint64_t slot = 1ULL << (j + 1);
+        std::uint64_t m[kLanes] = {};
+        for (std::size_t k = l; k < n_; ++k) {
+          if ((share >> k & 1) != 0) m[k] = act_[k] & slot;
+        }
+        const TdfSite s = sites[j];
+        inj_.add(s.node, sim::kStemPin, s.stale, sim::load_lanes<W>(m));
+      });
+    }
+  }
+
+ private:
+  sim::InjectionMap<W>& inj_;
+  std::size_t n_;
+  std::array<TdfLane, kLanes> lanes_{};
+  std::array<std::uint64_t, kLanes> act_{};
 };
 
 /// Cooperative stop signals, polled once per frame, the latch hook most

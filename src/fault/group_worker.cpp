@@ -1,6 +1,5 @@
 #include "fault/group_worker.hpp"
 
-#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -30,51 +29,6 @@ BatchEngine& GroupWorker::batch_engine(const sim::SimdConfig& cfg) {
   return *batch_engine_;
 }
 
-// ---------------------------------------------------------------------
-// The one-lane policy of the frame loop (fault/frame_loop.hpp): the
-// transition activation.
-
-namespace {
-
-/// Transition delay (frame-gated): fault j is active in frame t >= 1 iff
-/// its site launches the delayed transition across frames t-1 -> t of
-/// the fault-free trace.  An active frame is simulated one-frame from the
-/// fault-free state entering it with the active sites stuck at their
-/// stale values; effects never persist, so scan-out observes a fault
-/// only through an active final frame.  Frames without any active fault
-/// are skipped whole (Counter::TdfFramesSkipped).
-class TdfLaunch {
- public:
-  static constexpr bool kPersistent = false;
-
-  TdfLaunch(const TdfSites& sites, sim::PackedInjectionMap& inj,
-            const sim::NodeTrace& trace)
-      : sites_(sites), inj_(inj), trace_(trace) {}
-
-  template <class Eval>
-  bool launch(std::size_t t, Eval& ev, FrameTally& tally) {
-    const std::uint64_t act = t == 0 ? 0 : sites_.activation(trace_, t);
-    if (act == 0) {
-      ++tally.tdf_skipped;
-      return false;  // no launch: every machine follows the trace
-    }
-    tally.tdf_activations += static_cast<std::uint64_t>(std::popcount(act));
-    inj_.clear();
-    for_each_slot(act, [&](std::size_t j) {
-      inj_.add(sites_[j].node, sim::kStemPin, sites_[j].stale, 1ULL << (j + 1));
-    });
-    ev.reload(t);
-    return true;
-  }
-
- private:
-  const TdfSites& sites_;
-  sim::PackedInjectionMap& inj_;
-  const sim::NodeTrace& trace_;
-};
-
-}  // namespace
-
 template <class Obs>
 void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
                       std::span<const FaultClassId> group,
@@ -86,7 +40,8 @@ void GroupWorker::run(const Vector3* scan_in, const Sequence& seq,
     assert(trace != nullptr && trace->length() == seq.length());
     tdf_sites_.build(*faults_, group);
     injections_.clear();
-    TdfLaunch act(tdf_sites_, injections_, *trace);
+    const TdfLane lane{&tdf_sites_, trace};
+    TdfLaunch<std::uint64_t> act(injections_, {&lane, 1});
     FullEval<std::uint64_t> ev(sim_, injections_, scan_mask_, seq, trace,
                                nullptr);
     frame_loop(ev, act, obs, seq.length());

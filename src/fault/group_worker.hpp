@@ -120,10 +120,11 @@ class GroupWorker {
                            const util::CancelToken* cancel = nullptr,
                            const sim::NodeTrace* trace = nullptr);
 
-  /// Worker-local wide batch engine for `cfg` (PPSFP and wide
-  /// fault-parallel passes), created on first use and rebuilt when the
-  /// resolved config changes.  Callers only pass configs with
-  /// cfg.lanes() > 1 — single-lane work stays on the one-lane passes.
+  /// Worker-local batch engine for `cfg` (PPSFP, wide fault-parallel
+  /// passes and transition Session frames), created on first use and
+  /// rebuilt when the resolved config changes.  Only the Session asks
+  /// for the one-lane engine (cfg.lanes() == 1); every other single-lane
+  /// query stays on the passes above.
   [[nodiscard]] BatchEngine& batch_engine(const sim::SimdConfig& cfg);
 
   // --- incremental primitives (FaultSimulator::Session) ---------------

@@ -21,17 +21,6 @@ NodeTrace::NodeTrace(const netlist::Circuit& c, const Vector3* scan_in)
   }
 }
 
-Vector3 NodeTrace::state_at_start(std::size_t k) const {
-  if (k == 0) return initial_state_;
-  const netlist::CsrSchedule& csr = circuit_->csr();
-  const auto ffs = circuit_->flip_flops();
-  Vector3 st(ffs.size(), V3::X);
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    st[i] = value(k - 1, csr.fanins(ffs[i])[0]);
-  }
-  return st;
-}
-
 void NodeTrace::extend(std::span<const Vector3> pi_frames) {
   NodeTrace* const self = this;
   extend_batch({&self, 1}, {&pi_frames, 1});
@@ -61,9 +50,13 @@ void NodeTrace::extend_batch(
   for (std::size_t k = 0; k < n; ++k) {
     NodeTrace& tr = *traces[k];
     assert(tr.circuit_ == &c);
-    const Vector3 st = tr.state_at_start(tr.length_);
+    // The state entering the next frame: the initial state, or the D
+    // fanin values of the last recorded frame.
     for (std::size_t i = 0; i < ffs.size(); ++i) {
-      set_slot(work[ffs[i]], static_cast<unsigned>(k), st[i]);
+      const V3 v = tr.length_ == 0
+                       ? tr.initial_state_[i]
+                       : tr.value(tr.length_ - 1, csr.fanins(ffs[i])[0]);
+      set_slot(work[ffs[i]], static_cast<unsigned>(k), v);
     }
     tr.vals_.reserve(tr.vals_.size() + pi_frames[k].size() * stride);
     max_len = std::max(max_len, pi_frames[k].size());

@@ -55,10 +55,6 @@ class NodeTrace {
     return {vals_.data() + t * stride_, stride_};
   }
 
-  /// FF state at the start of frame `k` (flip_flops() order); k ==
-  /// length() gives the final scan-out state, k == 0 the initial state.
-  [[nodiscard]] Vector3 state_at_start(std::size_t k) const;
-
   /// The (masked) scan-in state the trace started from; all-X when the
   /// test runs without scan-in.
   [[nodiscard]] const Vector3& initial_state() const noexcept {

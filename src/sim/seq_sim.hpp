@@ -8,8 +8,11 @@
 // 64-bit word is its one-lane case (PackedSeqSim).
 //
 // Frame protocol:
-//   1. reset(inj)               — all state X, constants set
-//   2. load_state(s, inj)       — optional scan-in (overwrites FF values)
+//   1. reset(inj)               — all state X, constants set (construction
+//                                 already leaves the simulator reset)
+//   2. load_state(s, inj)       — optional scan-in (overwrites FF values),
+//                                 or the fault-free state entering a frame
+//                                 of a NodeTrace, read in place
 //   3. for each time unit t:
 //        apply_frame(pi_t, inj) — set PIs, evaluate combinational logic
 //        ... observe PO values ...
@@ -38,6 +41,7 @@
 
 #include "netlist/circuit.hpp"
 #include "sim/injection.hpp"
+#include "sim/node_trace.hpp"
 #include "sim/packed.hpp"
 #include "sim/sequence.hpp"
 #include "sim/wide.hpp"
@@ -101,6 +105,24 @@ class SeqSim {
   void load_state(std::span<const Vector3* const> states,
                   const Injections* inj);
 
+  /// Loads, in every lane, the state latched at the end of a fault-free
+  /// frame whose node values are `frame` (NodeId-indexed, as
+  /// NodeTrace::frame): each FF takes its D fanin's value.  Stem
+  /// injections as load_state.
+  void load_state_after(std::span<const V3> frame, const Injections* inj);
+
+  /// Loads, in every lane, the fault-free state entering frame `t` of
+  /// `trace`: the D fanin values of trace frame t-1, or the trace's
+  /// initial state when t == 0.  Reads the trace in place.
+  void load_state(const NodeTrace& trace, std::size_t t,
+                  const Injections* inj);
+
+  /// Per-lane form: lane l takes the state entering frame `t` of
+  /// traces[l] (nullptr leaves the lane untouched), as the per-lane
+  /// scan-in load does.
+  void load_state(std::span<const NodeTrace* const> traces, std::size_t t,
+                  const Injections* inj);
+
   /// Sets the PI values (broadcast; PI stem injections applied) and
   /// evaluates all combinational gates in topological order with branch
   /// and stem injections.
@@ -154,6 +176,12 @@ class SeqSim {
     if (inj && inj->any(id)) v = apply_stem(v, inj->at(id));
     values_[id] = v;
   }
+  /// Loads lane l < n with has(l) from at(l, i) (FF i's value); lanes
+  /// without a state keep their values.  Stem injections are re-applied
+  /// to the whole word (idempotent on the untouched lanes).
+  template <class Has, class At>
+  void load_per_lane(std::size_t n, Has has, At at, const Injections* inj);
+
   /// Evaluates the combinational logic over the current source values
   /// (level-major CSR schedule: flat arrays on the inner loop).
   void eval_gates(const Injections* inj) {
@@ -162,6 +190,7 @@ class SeqSim {
   }
 
   const netlist::Circuit* circuit_;
+  std::vector<netlist::NodeId> d_fanin_;  // per FF: its D input node
   std::vector<Value> values_;
   std::vector<Value> captured_;    // clean latch contents (scan-out view)
   std::vector<Value> next_state_;  // scratch for simultaneous latch
@@ -175,7 +204,12 @@ SeqSim<W>::SeqSim(const netlist::Circuit& circuit)
     : circuit_(&circuit),
       values_(circuit.num_nodes(), wide_broadcast<W>(V3::X)),
       captured_(circuit.num_flip_flops(), wide_broadcast<W>(V3::X)),
-      next_state_(circuit.num_flip_flops()) {}
+      next_state_(circuit.num_flip_flops()) {
+  for (const netlist::NodeId ff : circuit.flip_flops()) {
+    d_fanin_.push_back(circuit.csr().fanins(ff)[0]);
+  }
+  reset();
+}
 
 template <class W>
 void SeqSim<W>::reset(const Injections* inj) {
@@ -207,24 +241,22 @@ void SeqSim<W>::load_state(const Vector3& state, const Injections* inj) {
 }
 
 template <class W>
-void SeqSim<W>::load_state(std::span<const Vector3* const> states,
-                           const Injections* inj) {
+template <class Has, class At>
+void SeqSim<W>::load_per_lane(std::size_t n, Has has, At at,
+                              const Injections* inj) {
   const auto ffs = circuit_->flip_flops();
-  assert(states.size() <= kLanes);
+  assert(n <= kLanes);
   // Each FF's lanes are staged in plain arrays and loaded once; `keep`
   // selects the lanes without a state, which retain their values.
   std::uint64_t sel[kLanes] = {};
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    assert(states[l] == nullptr || states[l]->size() == ffs.size());
-    sel[l] = states[l] != nullptr ? ~0ULL : 0;
-  }
+  for (std::size_t l = 0; l < n; ++l) sel[l] = has(l) ? ~0ULL : 0;
   const W keep = ~load_lanes<W>(sel);
   std::uint64_t is0[kLanes] = {};
   std::uint64_t is1[kLanes] = {};
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    for (std::size_t l = 0; l < states.size(); ++l) {
-      if (states[l] == nullptr) continue;
-      const auto bits = static_cast<std::uint8_t>((*states[l])[i]);
+    for (std::size_t l = 0; l < n; ++l) {
+      if (sel[l] == 0) continue;
+      const auto bits = static_cast<std::uint8_t>(at(l, i));
       is0[l] = (bits & 1) ? ~0ULL : 0;
       is1[l] = (bits & 2) ? ~0ULL : 0;
     }
@@ -235,6 +267,66 @@ void SeqSim<W>::load_state(std::span<const Vector3* const> states,
     captured_[i] = Value{(cap.is0 & keep) | s0, (cap.is1 & keep) | s1};
     set_source(ffs[i], Value{(v.is0 & keep) | s0, (v.is1 & keep) | s1},
                inj);
+  }
+}
+
+template <class W>
+void SeqSim<W>::load_state(std::span<const Vector3* const> states,
+                           const Injections* inj) {
+  load_per_lane(
+      states.size(), [&](std::size_t l) { return states[l] != nullptr; },
+      [&](std::size_t l, std::size_t i) {
+        assert(states[l]->size() == circuit_->num_flip_flops());
+        return (*states[l])[i];
+      },
+      inj);
+}
+
+template <class W>
+void SeqSim<W>::load_state_after(std::span<const V3> frame,
+                                 const Injections* inj) {
+  const auto ffs = circuit_->flip_flops();
+  assert(frame.size() == circuit_->num_nodes());
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    captured_[i] = wide_broadcast<W>(frame[d_fanin_[i]]);
+    set_source(ffs[i], captured_[i], inj);
+  }
+}
+
+template <class W>
+void SeqSim<W>::load_state(const NodeTrace& trace, std::size_t t,
+                           const Injections* inj) {
+  assert(t <= trace.length());
+  if (t == 0) {
+    load_state(trace.initial_state(), inj);
+  } else {
+    load_state_after(trace.frame(t - 1), inj);
+  }
+}
+
+template <class W>
+void SeqSim<W>::load_state(std::span<const NodeTrace* const> traces,
+                           std::size_t t, const Injections* inj) {
+  // Lane l reads trace frame t-1 (D fanin values) or, at t == 0, the
+  // initial state (FF positions) through one base pointer.
+  assert(traces.size() <= kLanes);
+  const V3* base[kLanes] = {};
+  for (std::size_t l = 0; l < traces.size(); ++l) {
+    if (traces[l] == nullptr) continue;
+    assert(t <= traces[l]->length());
+    base[l] = t == 0 ? traces[l]->initial_state().data()
+                     : traces[l]->frame(t - 1).data();
+  }
+  const auto has = [&](std::size_t l) { return base[l] != nullptr; };
+  if (t == 0) {
+    load_per_lane(
+        traces.size(), has,
+        [&](std::size_t l, std::size_t i) { return base[l][i]; }, inj);
+  } else {
+    load_per_lane(
+        traces.size(), has,
+        [&](std::size_t l, std::size_t i) { return base[l][d_fanin_[i]]; },
+        inj);
   }
 }
 

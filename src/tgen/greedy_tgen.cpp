@@ -43,12 +43,18 @@ GreedyTgenResult generate_test_sequence(const netlist::Circuit& circuit,
                                         const fault::FaultList& faults,
                                         const GreedyTgenOptions& options) {
   FaultSimulator fsim(circuit, faults);
+  return generate_test_sequence(fsim, options);
+}
+
+GreedyTgenResult generate_test_sequence(FaultSimulator& fsim,
+                                        const GreedyTgenOptions& options) {
+  const netlist::Circuit& circuit = fsim.circuit();
   FaultSet targets = fsim.all_faults();
   FaultSimulator::Session session(fsim, targets);
   util::Rng rng(options.seed ^ 0x9e3cafe5ULL);
 
   GreedyTgenResult result;
-  result.detected = FaultSet(faults.num_classes());
+  result.detected = FaultSet(fsim.num_classes());
 
   std::size_t stalled = 0;
   while (result.sequence.length() < options.max_length &&

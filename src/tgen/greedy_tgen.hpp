@@ -55,4 +55,9 @@ struct GreedyTgenResult {
     const netlist::Circuit& circuit, const fault::FaultList& faults,
     const GreedyTgenOptions& options = {});
 
+/// The same generation on a caller-configured simulator (for instance a
+/// lane width); the result does not depend on its configuration.
+[[nodiscard]] GreedyTgenResult generate_test_sequence(
+    fault::FaultSimulator& fsim, const GreedyTgenOptions& options = {});
+
 }  // namespace scanc::tgen

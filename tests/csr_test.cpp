@@ -133,13 +133,63 @@ TEST(NodeTrace, MatchesReferenceSimulators) {
       EXPECT_EQ(trace.value(t, pos[j]), packed.po_frames[t][j]);
       EXPECT_EQ(trace.value(t, pos[j]), scalar.po_frames[t][j]);
     }
-    // state_at_start(t + 1) is the state after latching frame t.
-    const Vector3 st = trace.state_at_start(t + 1);
+    // The state latched after frame t is its D fanin values.
+    Vector3 st(c.num_flip_flops());
+    for (std::size_t i = 0; i < st.size(); ++i) {
+      st[i] = trace.value(t, c.csr().fanins(c.flip_flops()[i])[0]);
+    }
     EXPECT_EQ(st, packed.states[t]);
     EXPECT_EQ(st, scalar.states[t]);
   }
-  EXPECT_EQ(trace.state_at_start(0), scan_in);
   EXPECT_EQ(trace.initial_state(), scan_in);
+}
+
+TEST(NodeTrace, SeqSimLoadsTraceStatesInPlace) {
+  // The trace-reading loads (broadcast, per lane, and from a frame's
+  // node values) install exactly the state entering each frame, the one
+  // simulate_fault_free latches.
+  const netlist::Circuit c = make_circuit(23);
+  util::Rng rng(5);
+  const Vector3 scan_a = sim::random_vector(c.num_flip_flops(), rng);
+  const Vector3 scan_b = sim::random_vector(c.num_flip_flops(), rng);
+  const Sequence seq = sim::random_sequence(c.num_inputs(), 9, rng);
+  sim::NodeTrace a(c, &scan_a);
+  a.extend(seq.frames);
+  sim::NodeTrace b(c, &scan_b);
+  b.extend(seq.frames);
+  const sim::Trace ref_a = sim::simulate_fault_free(c, &scan_a, seq);
+  const sim::Trace ref_b = sim::simulate_fault_free(c, &scan_b, seq);
+
+  // FF state of slot 0 of lane l, from the captured (scan-out) view.
+  const auto lane_state = [&](const auto& sim, std::size_t l) {
+    Vector3 st(c.num_flip_flops());
+    for (std::size_t i = 0; i < st.size(); ++i) {
+      std::uint64_t is0[sim::kWordLanes<sim::WideWord<4>>];
+      std::uint64_t is1[sim::kWordLanes<sim::WideWord<4>>];
+      sim::store_lanes(sim.captured(i).is0, is0);
+      sim::store_lanes(sim.captured(i).is1, is1);
+      st[i] = static_cast<V3>((is0[l] & 1) | (is1[l] & 1) << 1);
+    }
+    return st;
+  };
+  sim::PackedSeqSim one(c);
+  sim::SeqSim<sim::WideWord<4>> wide(c);
+  const sim::NodeTrace* lanes[] = {&a, nullptr, &b};
+  for (std::size_t t = 0; t <= seq.length(); ++t) {
+    const Vector3& want = t == 0 ? scan_a : ref_a.states[t - 1];
+    one.load_state(a, t, nullptr);
+    EXPECT_EQ(one.state_slot(0), want) << "frame " << t;
+    if (t > 0) {
+      one.load_state_after(a.frame(t - 1), nullptr);
+      EXPECT_EQ(one.state_slot(0), want) << "frame " << t;
+    }
+    wide.reset();
+    wide.load_state(lanes, t, nullptr);
+    EXPECT_EQ(lane_state(wide, 0), want) << "frame " << t;
+    EXPECT_EQ(lane_state(wide, 1), Vector3(c.num_flip_flops(), V3::X));
+    EXPECT_EQ(lane_state(wide, 2), t == 0 ? scan_b : ref_b.states[t - 1])
+        << "frame " << t;
+  }
 }
 
 TEST(NodeTrace, ExtendsIncrementally) {

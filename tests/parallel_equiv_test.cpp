@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_list.hpp"
@@ -125,11 +126,12 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
     return m;
   }
 
-  /// Under stuck-at with >= 2 target groups the per-group queries take
-  /// the wide fault-parallel pass on every simulator but serial_: the
-  /// pass counter must rise, so the comparison really is wide vs scalar.
+  /// Under either fault model with >= 2 target groups the per-group
+  /// queries take the wide fault-parallel pass on every simulator but
+  /// serial_: the pass counter must rise, so the comparison really is
+  /// wide vs scalar.
   void expect_wide_passes_since(std::uint64_t before) const {
-    if (GetParam().tdf || num_groups(targets_.count()) < 2) return;
+    if (num_groups(targets_.count()) < 2) return;
     EXPECT_GT(obs::value(obs::Counter::WideFpPasses), before);
   }
 
@@ -148,18 +150,56 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
 TEST_P(ParallelEquivalence, DetectNoScan) {
   const FaultSet all = serial_->detect_no_scan(seq_);
   const FaultSet sub = serial_->detect_no_scan(seq_, &targets_);
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
   for (FaultSimulator* other : others()) {
     EXPECT_EQ(all, other->detect_no_scan(seq_));
     EXPECT_EQ(sub, other->detect_no_scan(seq_, &targets_));
   }
+  expect_wide_passes_since(passes);
 }
 
 TEST_P(ParallelEquivalence, DetectScanTest) {
   const FaultSet all = serial_->detect_scan_test(scan_in_, seq_);
   const FaultSet sub = serial_->detect_scan_test(scan_in_, seq_, &targets_);
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
   for (FaultSimulator* other : others()) {
     EXPECT_EQ(all, other->detect_scan_test(scan_in_, seq_));
     EXPECT_EQ(sub, other->detect_scan_test(scan_in_, seq_, &targets_));
+  }
+  expect_wide_passes_since(passes);
+}
+
+TEST_P(ParallelEquivalence, SessionSteps) {
+  // An incremental session over the targets, stepped through seq_ with
+  // a snapshot/restore detour halfway: every step's new detections and
+  // latched effects, and the detected sets, must match the scalar
+  // session on every width (under transition faults the wide sessions
+  // pack lanes() launching groups per frame), and the detected set must
+  // equal detect_no_scan's.
+  const std::size_t cut = seq_.length() / 2;
+  const auto run = [&](FaultSimulator& fsim) {
+    std::vector<std::size_t> trail;
+    FaultSimulator::Session s(fsim, targets_);
+    for (std::size_t t = 0; t < seq_.length(); ++t) {
+      if (t == cut) {
+        const auto snap = s.snapshot();
+        for (std::size_t u = 0; u < 3; ++u) s.step(seq_.frames[u]);
+        s.restore(snap);
+      }
+      trail.push_back(s.step(seq_.frames[t]));
+      trail.push_back(s.latched_effects());
+    }
+    return std::make_pair(trail, s.detected());
+  };
+  const auto want = run(*serial_);
+  EXPECT_GT(want.second.count(), 0u);
+  // Every width's session runs on the batch engine; the per-group
+  // query passes are the independent reference.
+  EXPECT_EQ(want.second, serial_->detect_no_scan(seq_, &targets_));
+  for (FaultSimulator* other : others()) {
+    const auto got = run(*other);
+    EXPECT_EQ(want.first, got.first);
+    EXPECT_EQ(want.second, got.second);
   }
 }
 

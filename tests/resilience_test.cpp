@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -40,6 +41,7 @@
 #include "util/cancel.hpp"
 #include "util/store.hpp"
 #include "util/event_bus.hpp"
+#include "util/rng.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
 
@@ -233,9 +235,11 @@ TEST(CancelSim, MidQueryCancellationFromAnotherThreadIsClean) {
 // these cases run on s298.
 
 struct WideSimFixture {
-  explicit WideSimFixture(sim::LaneWidth width)
+  explicit WideSimFixture(
+      sim::LaneWidth width,
+      const fault::FaultModel& model = fault::FaultModel::stuck_at())
       : circuit(gen::build_suite_circuit(*gen::find_suite_entry("s298"))),
-        faults(fault::FaultList::build(circuit)),
+        faults(fault::FaultList::build(circuit, model)),
         fsim(circuit, faults) {
     fsim.set_lane_width(width);
   }
@@ -298,6 +302,90 @@ TEST(CancelSimWide, MidQueryCancellationKeepsSubsetW256) {
 
 TEST(CancelSimWide, MidQueryCancellationKeepsSubsetW512) {
   check_wide_mid_query_cancel(sim::LaneWidth::W512);
+}
+
+// The wide transition-fault passes under a token raised while their
+// first chunk runs: a second thread waits for the pass counter to move,
+// then raises the token.  Every cut leaves a partial result consistent
+// with the uncut one (records either match or are missing), detects_all
+// reads conservatively false, and clearing the token reruns bit for bit.
+void check_wide_tdf_cancel(sim::LaneWidth width) {
+  WideSimFixture fx(width, fault::FaultModel::transition());
+  ASSERT_GE(fault::num_groups(fx.fsim.num_classes()), 2u);
+  const sim::Sequence seq =
+      tgen::random_test_sequence(fx.circuit, 1024, /*seed=*/5);
+  util::Rng rng(9);
+  const sim::Vector3 si =
+      sim::random_vector(fx.circuit.num_flip_flops(), rng);
+  const fault::FaultSet all = fx.fsim.all_faults();
+  const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
+  const auto prefix = fx.fsim.prefix_detection(si, seq, all);
+  const auto times = fx.fsim.detection_times(si, seq, all);
+  ASSERT_GT(obs::value(obs::Counter::WideFpPasses), passes);  // wide plan
+  ASSERT_GT(prefix.detected.count(), 0u);
+  ASSERT_TRUE(fx.fsim.detects_all(si, seq, prefix.detected));
+
+  // Raises the token once the next wide pass has started.
+  const auto raise_in_pass = [](const util::CancelToken& token) {
+    const std::uint64_t start = obs::value(obs::Counter::WideFpPasses);
+    return std::thread([token, start] {
+      while (obs::value(obs::Counter::WideFpPasses) == start) {
+        std::this_thread::yield();
+      }
+      token.request_stop();
+    });
+  };
+  int partial = 0;
+  for (int round = 0; round < 4; ++round) {
+    auto token = util::CancelToken::make();
+    fx.fsim.set_cancel(token);
+    std::thread raiser = raise_in_pass(token);
+    const auto p = fx.fsim.prefix_detection(si, seq, all);
+    raiser.join();
+    ASSERT_EQ(p.targets, prefix.targets);
+    fault::FaultSet extra = p.detected;
+    extra -= prefix.detected;
+    EXPECT_TRUE(extra.none()) << "round " << round;
+    for (std::size_t k = 0; k < p.first_po.size(); ++k) {
+      EXPECT_TRUE(p.first_po[k] == -1 || p.first_po[k] == prefix.first_po[k])
+          << "round " << round << " target " << k;
+    }
+    partial += p.detected != prefix.detected;
+    EXPECT_FALSE(fx.fsim.detects_all(si, seq, prefix.detected));
+
+    token = util::CancelToken::make();
+    fx.fsim.set_cancel(token);
+    raiser = raise_in_pass(token);
+    const auto t = fx.fsim.detection_times(si, seq, all);
+    raiser.join();
+    ASSERT_EQ(t.targets, times.targets);
+    for (std::size_t k = 0; k < t.first_po.size(); ++k) {
+      EXPECT_TRUE(t.first_po[k] == -1 || t.first_po[k] == times.first_po[k])
+          << "round " << round << " target " << k;
+      util::Bitset more = t.state_diff[k];
+      more -= times.state_diff[k];
+      EXPECT_TRUE(more.none()) << "round " << round << " target " << k;
+    }
+    partial += t.first_po != times.first_po;
+  }
+  EXPECT_GT(partial, 0) << "no cut left a partial result";
+
+  fx.fsim.set_cancel({});
+  const auto p2 = fx.fsim.prefix_detection(si, seq, all);
+  EXPECT_EQ(p2.first_po, prefix.first_po);
+  EXPECT_EQ(p2.detected, prefix.detected);
+  const auto t2 = fx.fsim.detection_times(si, seq, all);
+  EXPECT_EQ(t2.first_po, times.first_po);
+  EXPECT_EQ(t2.state_diff, times.state_diff);
+  EXPECT_TRUE(fx.fsim.detects_all(si, seq, prefix.detected));
+}
+
+TEST(CancelSimWide, TransitionPassCutIsPartialAndResumesW256) {
+  check_wide_tdf_cancel(sim::LaneWidth::W256);
+}
+
+TEST(CancelSimWide, TransitionPassCutIsPartialAndResumesAuto) {
+  check_wide_tdf_cancel(sim::LaneWidth::Auto);
 }
 
 TEST(CancelSim, PipelineStopsAtIterateWithValidEmptyResult) {
@@ -772,10 +860,15 @@ TEST(RunnerResilience, KillResumeMetricsAreCumulativeAcrossAttempts) {
       static_cast<std::size_t>(obs::Counter::QueriesRun);
 
   // Uninterrupted baseline cost, as counter deltas (the suite shares the
-  // process-global registry, so absolute values mean nothing here).
+  // process-global registry, so absolute values mean nothing here), and
+  // its wall time.
   const expt::RunnerOptions base_opt = tiny_runner(dir.path + "/base");
   const obs::CounterSnapshot s0 = obs::snapshot_counters();
+  const auto started = std::chrono::steady_clock::now();
   const expt::CircuitRun baseline = expt::run_circuit(*entry, base_opt);
+  const double run_s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - started)
+                           .count();
   ASSERT_TRUE(baseline.completed);
   const obs::CounterSnapshot uninterrupted =
       obs::counter_delta(obs::snapshot_counters(), s0);
@@ -786,18 +879,23 @@ TEST(RunnerResilience, KillResumeMetricsAreCumulativeAcrossAttempts) {
   const std::string journal =
       expt::cache_entry_path(opt, "b02") + ".journal";
   std::vector<std::uint64_t> journaled_frames;
-  const useconds_t delays[] = {300,  800,  1500, 2500, 4000,
-                               6000, 9000, 13000, 20000, 30000};
-  for (const useconds_t delay : delays) {
+  // Kill points and the deadline backstop scale with the measured run:
+  // fixed delays can all miss a run of a few milliseconds (every kill
+  // before its first checkpoint, or after its end), leaving no journal
+  // to read.  The backstop cuts a child that outruns its kill at three
+  // quarters of a whole run, past the first checkpoint, so the journal
+  // survives for the in-process resume below.
+  const double fractions[] = {0.05, 0.1, 0.2, 0.3, 0.4,
+                              0.5,  0.6, 0.7, 0.85, 1.0};
+  for (const double fraction : fractions) {
+    const auto delay = static_cast<useconds_t>(fraction * run_s * 1e6);
     const pid_t child = fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
       try {
-        // Deadline backstop: even when the SIGKILL misses, the child is
-        // cut and the journal survives for the in-process resume below.
         expt::RunnerOptions copt = opt;
         copt.cancel =
-            util::CancelToken::make(util::Deadline::after(0.05));
+            util::CancelToken::make(util::Deadline::after(0.75 * run_s));
         const expt::CircuitRun run = expt::run_circuit(*entry, copt);
         _exit(run.completed ? 0 : 3);
       } catch (...) {

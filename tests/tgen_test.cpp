@@ -2,8 +2,10 @@
 
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/frame_common.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/embedded.hpp"
+#include "sim/simd.hpp"
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
 
@@ -118,6 +120,43 @@ TEST(GreedyTgen, DeterministicForSameSeed) {
   const GreedyTgenResult b = generate_test_sequence(c, fl, opt);
   EXPECT_EQ(a.sequence, b.sequence);
   EXPECT_EQ(a.detected, b.detected);
+}
+
+TEST(GreedyTgen, TransitionSequenceIsLaneWidthInvariant) {
+  // Under transition faults each Session step packs the launching fault
+  // groups lanes() per frame; the generated T0 and its detected set must
+  // not depend on the width.  The circuit has enough classes for more
+  // groups than one 512-bit frame holds.
+  gen::GenParams p;
+  p.name = "gt_tdf";
+  p.seed = 8;
+  p.num_inputs = 6;
+  p.num_outputs = 5;
+  p.num_flip_flops = 12;
+  p.num_gates = 400;
+  const Circuit c = gen::generate_circuit(p);
+  const FaultList fl = FaultList::build(c, fault::FaultModel::transition());
+  ASSERT_GT(fault::num_groups(fl.num_classes()), 8u);
+
+  GreedyTgenOptions opt;
+  opt.seed = 13;
+  opt.max_length = 300;
+  FaultSimulator w64(c, fl);
+  w64.set_lane_width(sim::LaneWidth::W64);
+  const GreedyTgenResult want = generate_test_sequence(w64, opt);
+  ASSERT_GT(want.detected.count(), 0u);
+  EXPECT_EQ(w64.detect_no_scan(want.sequence), want.detected);
+
+  const GreedyTgenResult dflt = generate_test_sequence(c, fl, opt);
+  EXPECT_EQ(dflt.sequence, want.sequence);
+  EXPECT_EQ(dflt.detected, want.detected);
+  for (const sim::LaneWidth w : {sim::LaneWidth::W256, sim::LaneWidth::W512}) {
+    FaultSimulator wide(c, fl);
+    wide.set_lane_width(w);
+    const GreedyTgenResult got = generate_test_sequence(wide, opt);
+    EXPECT_EQ(got.sequence, want.sequence) << sim::lane_width_name(w);
+    EXPECT_EQ(got.detected, want.detected) << sim::lane_width_name(w);
+  }
 }
 
 }  // namespace
