@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -13,12 +14,17 @@
 #include "netlist/circuit.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/sat_backend.hpp"
+#include "fault/batch_engine.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "fault/frame_common.hpp"
+#include "fault/group_worker.hpp"
 #include "fault/model.hpp"
 #include "gen/circuit_gen.hpp"
+#include "gen/suite.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/bench_writer.hpp"
+#include "sim/node_trace.hpp"
 #include "sim/seq_sim.hpp"
 #include "sim/simd.hpp"
 #include "tgen/random_seq.hpp"
@@ -158,7 +164,9 @@ netlist::Circuit tiled_circuit(std::size_t tiles) {
     p.num_flip_flops = 24;
     p.num_gates = 500;
     const netlist::Circuit sub = gen::generate_circuit(p);
-    const std::string prefix = "t" + std::to_string(k) + "_";
+    std::string prefix = "t";
+    prefix += std::to_string(k);
+    prefix += "_";
     const auto local = [&](netlist::NodeId id) -> std::string {
       const netlist::Node& n = sub.node(id);
       if (n.type == netlist::GateType::Input) {
@@ -340,6 +348,75 @@ void BM_KernelPPSFP(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelPPSFP)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// One s1423 frame on the compiled frame program — the fault-free state
+// load, the level op loops with their injection patches, and the latch —
+// through BatchEngine::tdf_session_frame at 64-bit lanes (bits = 64) or
+// the native width (bits = 0: LaneWidth::Auto).  `injected` gates carry
+// a transition launch (a stem injection on distinct gates, spread over
+// the lanes; one lane holds at most 63): about 80 of s1423's 672 gates
+// carry one in a wide stuck-at frame.  Time per iteration is ns/frame,
+// the layer number behind sim.ns_per_frame; reported, not gated.
+void BM_KernelFrame(benchmark::State& state) {
+  const netlist::Circuit c =
+      gen::build_suite_circuit(*gen::find_suite_entry("s1423"));
+  const fault::FaultList fl =
+      fault::FaultList::build(c, fault::FaultModel::transition());
+  const sim::SimdConfig cfg = sim::resolve_simd(
+      state.range(0) == 64 ? sim::LaneWidth::W64 : sim::LaneWidth::Auto);
+  const std::unique_ptr<fault::BatchEngine> eng = fault::make_batch_engine(
+      c, fl, util::Bitset(c.num_flip_flops(), true), cfg);
+  const auto want = static_cast<std::size_t>(state.range(1));
+  std::vector<fault::FaultClassId> sites;
+  std::vector<char> seen(c.num_nodes(), 0);
+  for (fault::FaultClassId id = 0;
+       id < fl.num_classes() && sites.size() < want; ++id) {
+    const netlist::NodeId n = fl.representative(id).node;
+    if (netlist::is_combinational(c.node(n).type) && seen[n] == 0) {
+      seen[n] = 1;
+      sites.push_back(id);
+    }
+  }
+  // Packed in CSR rank order, as FaultSimulator packs its groups.
+  std::sort(sites.begin(), sites.end(),
+            [&](fault::FaultClassId a, fault::FaultClassId b) {
+              return c.csr().rank[fl.representative(a).node] <
+                     c.csr().rank[fl.representative(b).node];
+            });
+  const std::size_t lanes = eng->lanes();
+  const std::size_t per_lane =
+      std::min(fault::kGroupSize, (sites.size() + lanes - 1) / lanes);
+  std::vector<fault::TdfSites> groups(lanes);
+  std::vector<fault::TdfLaunchJob> jobs(lanes);
+  std::size_t injected = 0;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::size_t begin = std::min(l * per_lane, sites.size());
+    const std::size_t n = std::min(per_lane, sites.size() - begin);
+    groups[l].build(fl, {sites.data() + begin, n});
+    jobs[l] = {&groups[l], fault::group_slot_mask(n)};
+    injected += n;
+  }
+  util::Rng rng(5);
+  const sim::Vector3 si = sim::random_vector(c.num_flip_flops(), rng);
+  const sim::Sequence seq = tgen::random_test_sequence(c, 2, 5);
+  sim::NodeTrace trace(c, &si);
+  trace.extend(seq.frames);
+  std::vector<std::uint64_t> det(lanes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        eng->tdf_session_frame(trace.frame(0), seq.frames[1], jobs, det));
+  }
+  state.counters["injected_gates"] =
+      benchmark::Counter(static_cast<double>(injected));
+  state.counters["lane_bits"] =
+      benchmark::Counter(static_cast<double>(cfg.bits));
+}
+BENCHMARK(BM_KernelFrame)
+    ->ArgNames({"bits", "injected"})
+    ->Args({64, 0})
+    ->Args({64, 80})
+    ->Args({0, 0})
+    ->Args({0, 80});
 
 void BM_PodemPerFault(benchmark::State& state) {
   const netlist::Circuit c = mid_circuit();

@@ -40,7 +40,8 @@ Circuit make_chain_circuit(std::size_t stages, bool invert_stages) {
   // combinational path out as well as the scan path.
   std::string acc = "ff0";
   for (std::size_t i = 1; i < stages; ++i) {
-    const std::string x = "x" + std::to_string(i);
+    std::string x = "x";
+    x += std::to_string(i);
     const std::string ff = "ff" + std::to_string(i);
     b.add_gate(GateType::Xor, x, {std::string_view(acc), std::string_view(ff)});
     acc = x;
@@ -58,7 +59,8 @@ Circuit make_fanout_circuit(std::size_t width) {
   b.add_input("pi0");
   b.add_input("pi1");
   for (std::size_t i = 0; i < width; ++i) {
-    const std::string g = "g" + std::to_string(i);
+    std::string g = "g";
+    g += std::to_string(i);
     const std::string ff = "ff" + std::to_string(i);
     const std::string ns = "ns" + std::to_string(i);
     if (i % 2 == 0) {
@@ -71,8 +73,10 @@ Circuit make_fanout_circuit(std::size_t width) {
   }
   std::string acc = "g0";
   for (std::size_t i = 1; i < width; ++i) {
-    const std::string x = "o" + std::to_string(i);
-    const std::string g = "g" + std::to_string(i);
+    std::string x = "o";
+    x += std::to_string(i);
+    std::string g = "g";
+    g += std::to_string(i);
     b.add_gate(GateType::Xor, x, {std::string_view(acc), std::string_view(g)});
     acc = x;
   }
@@ -94,7 +98,8 @@ Circuit make_constant_cone_circuit(std::size_t depth, bool use_one) {
   b.add_gate(use_one ? GateType::Const1 : GateType::Const0, "k", {});
   std::string prev = "k";
   for (std::size_t i = 0; i < depth; ++i) {
-    const std::string g = "c" + std::to_string(i);
+    std::string g = "c";
+    g += std::to_string(i);
     switch (i % 4) {
       case 0:
         b.add_gate(GateType::Buf, g, {std::string_view(prev)});
@@ -134,7 +139,8 @@ Circuit make_edge_chain_circuit(std::size_t stages) {
   }
   std::string acc = "pi0";
   for (std::size_t i = 0; i < stages; ++i) {
-    const std::string x = "e" + std::to_string(i);
+    std::string x = "e";
+    x += std::to_string(i);
     const std::string ff = "ff" + std::to_string(i);
     b.add_gate(GateType::Xor, x, {std::string_view(acc), std::string_view(ff)});
     acc = x;

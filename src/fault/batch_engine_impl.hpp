@@ -56,7 +56,7 @@ class BatchEngineImpl final : public BatchEngine {
         faults_(&faults),
         scan_mask_(std::move(scan_mask)),
         sim_(circuit),
-        inj_(circuit.num_nodes()),
+        inj_(circuit),
         state_scratch_(kLanes) {
     assert(scan_mask_.size() == circuit.num_flip_flops());
   }
@@ -102,6 +102,7 @@ class BatchEngineImpl final : public BatchEngine {
       full[l] = add_lane_group(l, jobs[l].group);
       tests[l] = jobs[l].test;
     }
+    inj_.compile();
     DetectLanes rec{sim::load_lanes<W>(full), /*observe_scan_out=*/true,
                     /*early_exit=*/true, cancel};
     run_batch({tests.data(), n}, rec);
@@ -274,6 +275,7 @@ class BatchEngineImpl final : public BatchEngine {
       for (std::size_t l = 0; l < ngroups; ++l) {
         add_lane_group(l, group_of(list, first_group + l));
       }
+      inj_.compile();
       FullEval<W> ev(sim_, inj_, scan_mask_, seq, nullptr, scan_in);
       AlwaysActive act;
       frame_loop(ev, act, obs, seq.length());
@@ -391,6 +393,7 @@ class BatchEngineImpl final : public BatchEngine {
       const W active = launch(tests, t, gated ? &tdf : nullptr, tally);
       if (!sim::any(active)) continue;
       sim_.apply_frame({pi_.data(), n}, &inj_);
+      tally.patched += inj_.patched_gates();
       rec.frame(active, po_detections(sim_));
       const W finals = active & lane_mask(n, [&](std::size_t l) {
                          return tests[l].seq->length() == t + 1;

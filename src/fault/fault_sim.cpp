@@ -536,7 +536,7 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
   for (std::size_t g = 0; g < num_groups_; ++g) {
     const std::size_t base = g * kGroupSize;
     const std::size_t n = std::min(kGroupSize, targets_.size() - base);
-    group_injections_.emplace_back(parent_->circuit_->num_nodes());
+    group_injections_.emplace_back(*parent_->circuit_);
     build_group_injections(
         *parent_->faults_,
         std::span<const FaultClassId>(targets_.data() + base, n),

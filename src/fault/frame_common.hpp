@@ -128,6 +128,7 @@ struct FrameTally {
   std::uint64_t simulated = 0;
   std::uint64_t tdf_activations = 0;
   std::uint64_t tdf_skipped = 0;
+  std::uint64_t patched = 0;
   ~FrameTally() {
     if (simulated != 0) obs::add(obs::Counter::FramesSimulated, simulated);
     if (tdf_activations != 0) {
@@ -136,6 +137,7 @@ struct FrameTally {
     if (tdf_skipped != 0) {
       obs::add(obs::Counter::TdfFramesSkipped, tdf_skipped);
     }
+    if (patched != 0) obs::add(obs::Counter::PatchedGateEvals, patched);
   }
 };
 

@@ -86,6 +86,10 @@ class FullEval {
   }
 
   void eval(std::size_t t) { sim_.apply_frame(seq_.frames[t], &inj_); }
+  /// Gates the injection patches evaluate per frame.
+  [[nodiscard]] std::size_t patched_gates() const {
+    return inj_.patched_gates();
+  }
   void latch() { sim_.latch(&inj_); }
   void reload(std::size_t t) { sim_.load_state(*trace_, t, &inj_); }
 
@@ -211,6 +215,7 @@ class TdfLaunch {
         inj_.add(s.node, sim::kStemPin, s.stale, sim::load_lanes<W>(m));
       });
     }
+    inj_.compile();
   }
 
  private:
@@ -345,6 +350,7 @@ void frame_loop(Eval& ev, Act& act, Obs& obs, std::size_t len) {
     if (!act.launch(t, ev, tally)) continue;
     ev.eval(t);
     tally.simulated += obs.lanes;
+    tally.patched += ev.patched_gates();
     obs.frame(t, ev);
     if (Act::kPersistent || obs.wants_state(last)) {
       ev.latch();

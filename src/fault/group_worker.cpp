@@ -17,7 +17,7 @@ GroupWorker::GroupWorker(const netlist::Circuit& circuit,
       faults_(&faults),
       scan_mask_(std::move(scan_mask)),
       sim_(circuit),
-      injections_(circuit.num_nodes()) {
+      injections_(circuit) {
   assert(scan_mask_.size() == circuit.num_flip_flops());
 }
 

@@ -64,6 +64,7 @@ void build_group_injections(const FaultList& faults,
     const Fault& f = faults.representative(group[j]);
     out.add(f.node, f.pin, f.value, sim::splat<W>(1ULL << (j + 1)));
   }
+  out.compile();
 }
 
 class GroupWorker {

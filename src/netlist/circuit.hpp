@@ -68,8 +68,8 @@ class Circuit {
     return primary_outputs_;
   }
 
-  /// D flip-flops (state variables), in declaration order.  For full-scan
-  /// circuits this is also the scan-chain order.
+  /// D flip-flops (state variables), in ascending NodeId order.  For
+  /// full-scan circuits this is also the scan-chain order.
   [[nodiscard]] std::span<const NodeId> flip_flops() const noexcept {
     return flip_flops_;
   }

@@ -6,9 +6,13 @@
 // vector.  A CsrSchedule flattens the whole connectivity into four
 // arrays (offsets + ids, fanin and fanout side) plus a level-major
 // evaluation order, so the hot loops index contiguous memory only.
-// Circuit precomputes one at build() time; every simulator runs off it.
+// It also holds the frame program (FrameOps): the gates compiled, level
+// by level, into flat op arrays per kind and arity, which the simulator
+// runs without a per-gate branch.  Circuit precomputes both at build()
+// time; every simulator runs off them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,6 +30,29 @@ class Circuit;
 /// Rank value for nodes outside the combinational evaluation order
 /// (sources: inputs, flip-flops, constants).
 inline constexpr std::uint32_t kNoRank = 0xffffffffu;
+
+/// One op of the frame program: word indices into a rail array (node n's
+/// is0 word at 2n, is1 at 2n + 1).  An AND-family op ORs its operands'
+/// words at `in` and ANDs those at `in ^ 1` into `out` and `out ^ 1`, so
+/// OR-type gates and inverted outputs are rail swaps baked into the
+/// indices.  An XOR op reads each operand's is0 word at `in`.
+template <std::size_t N>
+struct RailOp {
+  std::uint32_t out;
+  std::array<std::uint32_t, N> in;
+};
+
+/// The gates as flat op arrays per kind: level l's ops of kind k end at
+/// ends[l - 1][k] and start where level l - 1's end.
+struct FrameOps {
+  enum Kind : std::size_t { kAnd1, kAnd2, kAnd4, kXor2, kTail, kNumKinds };
+  std::vector<RailOp<1>> and1;  ///< BUF/NOT, 1-input AND family
+  std::vector<RailOp<2>> and2;  ///< 2-input AND family
+  std::vector<RailOp<4>> and4;  ///< 3-4 inputs, the last one repeated
+  std::vector<RailOp<2>> xor2;  ///< 2-input XOR/XNOR
+  std::vector<NodeId> tail;     ///< the rest (wide_eval_gate_at)
+  std::vector<std::array<std::size_t, kNumKinds>> ends;
+};
 
 /// Flat connectivity + levelized evaluation order.  All vectors are
 /// indexed by NodeId except `order`/`level_offsets`, which describe the
@@ -48,6 +75,8 @@ struct CsrSchedule {
   std::vector<std::uint32_t> level_offsets;
   /// Position of each node in `order`; kNoRank for sources.
   std::vector<std::uint32_t> rank;
+  /// The frame program over `order`'s levels.
+  FrameOps ops;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return types.size();

@@ -8,7 +8,6 @@
 
 namespace scanc::sim {
 
-using netlist::GateType;
 using netlist::NodeId;
 
 NodeTrace::NodeTrace(const netlist::Circuit& c, const Vector3* scan_in)
@@ -39,42 +38,38 @@ void NodeTrace::extend_batch(
   const std::size_t stride = traces[0]->stride_;
   const std::size_t n = traces.size();
 
-  // Working values: constants splat across all slots, then each trace's
-  // resume state in its own slot.
-  std::vector<PackedV3> work(stride, broadcast(V3::X));
-  for (NodeId id = 0; id < stride; ++id) {
-    if (csr.types[id] == GateType::Const0) work[id] = broadcast(V3::Zero);
-    if (csr.types[id] == GateType::Const1) work[id] = broadcast(V3::One);
-  }
+  // Trace k rides slot k of a one-lane simulator (constants set, the
+  // rest X), resuming from its initial state or the D fanin values of
+  // its last recorded frame.
+  PackedSeqSim sim(c);
+  std::vector<PackedV3> words(ffs.size(), broadcast(V3::X));
   std::size_t max_len = 0;
   for (std::size_t k = 0; k < n; ++k) {
     NodeTrace& tr = *traces[k];
     assert(tr.circuit_ == &c);
-    // The state entering the next frame: the initial state, or the D
-    // fanin values of the last recorded frame.
     for (std::size_t i = 0; i < ffs.size(); ++i) {
       const V3 v = tr.length_ == 0
                        ? tr.initial_state_[i]
                        : tr.value(tr.length_ - 1, csr.fanins(ffs[i])[0]);
-      set_slot(work[ffs[i]], static_cast<unsigned>(k), v);
+      set_slot(words[i], static_cast<unsigned>(k), v);
     }
     tr.vals_.reserve(tr.vals_.size() + pi_frames[k].size() * stride);
     max_len = std::max(max_len, pi_frames[k].size());
   }
+  sim.set_ff_values(words);
 
-  std::vector<PackedV3> next_state(ffs.size());
+  words.resize(pis.size());
   for (std::size_t t = 0; t < max_len; ++t) {
     for (std::size_t i = 0; i < pis.size(); ++i) {
-      PackedV3 v = broadcast(V3::X);
+      words[i] = broadcast(V3::X);
       for (std::size_t k = 0; k < n; ++k) {
         if (t < pi_frames[k].size()) {
           assert(pi_frames[k][t].size() == pis.size());
-          set_slot(v, static_cast<unsigned>(k), pi_frames[k][t][i]);
+          set_slot(words[i], static_cast<unsigned>(k), pi_frames[k][t][i]);
         }
       }
-      work[pis[i]] = v;
     }
-    eval_schedule<std::uint64_t>(csr, work.data(), nullptr);
+    sim.apply_frame_words(words);
     // Record the frame *before* latching, one slot extraction per trace
     // still inside its own sequence.
     for (std::size_t k = 0; k < n; ++k) {
@@ -83,14 +78,11 @@ void NodeTrace::extend_batch(
       const std::size_t off = tr.vals_.size();
       tr.vals_.resize(off + stride);
       for (NodeId id = 0; id < stride; ++id) {
-        tr.vals_[off + id] = slot(work[id], static_cast<unsigned>(k));
+        tr.vals_[off + id] = slot(sim.value(id), static_cast<unsigned>(k));
       }
       ++tr.length_;
     }
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      next_state[i] = work[csr.fanins(ffs[i])[0]];
-    }
-    for (std::size_t i = 0; i < ffs.size(); ++i) work[ffs[i]] = next_state[i];
+    sim.latch();
   }
 }
 

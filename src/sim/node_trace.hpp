@@ -1,8 +1,8 @@
 // Fault-free per-node value trace of a scan test.
 //
 // A NodeTrace records the three-valued fault-free value of *every* node
-// at *every* time unit of a test (scan_in, seq), computed once with the
-// packed CSR kernel (one trace per bit-slot, extend_batch) and then
+// at *every* time unit of a test (scan_in, seq), computed once on the
+// one-lane PackedSeqSim (one trace per bit-slot, extend_batch) and then
 // shared read-only across fault groups and worker threads.  Frame-gated
 // fault models (the transition model) read it as their activation
 // oracle and reload each active frame's state from it.

@@ -3,9 +3,9 @@
 // Slot semantics are defined by the caller (the fault simulator uses
 // slot 0 as the fault-free machine and slots 1..63 as faulty machines;
 // the fault-free trace builder uses slots as independent tests).  The
-// gate evaluator, injection primitive and detection word are the
-// word-generic ones of sim/wide.hpp; this header adds per-slot access
-// and the scalar reference evaluator.
+// gate evaluator and detection word are the word-generic ones of
+// sim/wide.hpp; this header adds per-slot access and the scalar
+// reference evaluator.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +43,6 @@ constexpr void set_slot(PackedV3& v, unsigned bit, V3 value) noexcept {
   const auto bits = static_cast<std::uint8_t>(value);
   v.is0 = (bits & 1) ? (v.is0 | mask) : (v.is0 & ~mask);
   v.is1 = (bits & 2) ? (v.is1 | mask) : (v.is1 & ~mask);
-}
-
-/// Slots whose three-valued code differs from slot 0's (slot 0 is the
-/// fault-free reference in the parallel-fault simulator).  Zero iff the
-/// word is slot-uniform.
-[[nodiscard]] constexpr std::uint64_t diverging_slots(PackedV3 v) noexcept {
-  const std::uint64_t r0 = (v.is0 & 1) ? ~0ULL : 0ULL;
-  const std::uint64_t r1 = (v.is1 & 1) ? ~0ULL : 0ULL;
-  return (v.is0 ^ r0) | (v.is1 ^ r1);
 }
 
 /// Slots where `v` holds a binary value that differs from the binary

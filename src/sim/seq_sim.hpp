@@ -7,6 +7,11 @@
 // simulator, the parallel-fault simulator and the wide batch passes; the
 // 64-bit word is its one-lane case (PackedSeqSim).
 //
+// The node values live in a rail array (node n's is0 word at 2n, its
+// is1 word at 2n + 1), which the frame program (netlist::FrameOps)
+// indexes directly: eval_schedule runs, per level, one branch-free loop
+// per op kind and then that level's injection patches.
+//
 // Frame protocol:
 //   1. reset(inj)               — all state X, constants set (construction
 //                                 already leaves the simulator reset)
@@ -34,6 +39,7 @@
 // copy the linker might prefer).
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -48,30 +54,99 @@
 
 namespace scanc::sim {
 
-/// Evaluates the combinational gates in the CSR schedule's level-major
-/// order into `values`, with branch and stem injections — the one gate
-/// loop of SeqSim and of the fault-free trace builder.
+/// Node `id`'s value in a rail array (is0 word at 2 id, is1 at 2 id + 1).
 template <class W>
-void eval_schedule(const netlist::CsrSchedule& csr, WideV3<W>* values,
-                   const InjectionMap<W>* inj) {
-  for (const netlist::NodeId id : csr.order) {
-    const std::span<const netlist::NodeId> fi = csr.fanins(id);
-    WideV3<W> out;
-    if (inj == nullptr || !inj->any(id)) {
-      // Fast path: no injections touch this gate.
-      out = wide_eval_gate_at<W>(csr.types[id], fi.size(),
-                                 [&](std::size_t i) { return values[fi[i]]; });
-    } else {
-      // Slow path: gather fanins with branch injections, then apply the
-      // stem injections to the computed output.
-      const std::span<const Injection<W>> injs = inj->at(id);
-      out = wide_eval_gate_at<W>(
-          csr.types[id], fi.size(), [&](std::size_t i) {
-            return apply_pin(values[fi[i]], static_cast<int>(i), injs);
-          });
-      out = apply_stem(out, injs);
+[[nodiscard]] inline WideV3<W> rail_value(const W* rails,
+                                          netlist::NodeId id) noexcept {
+  return {rails[2 * id], rails[2 * id + 1]};
+}
+template <class W>
+inline void set_rail_value(W* rails, netlist::NodeId id,
+                           const WideV3<W>& v) noexcept {
+  rails[2 * id] = v.is0;
+  rails[2 * id + 1] = v.is1;
+}
+
+/// Gate `id` evaluated generically, fanin i read through the branch
+/// patches in [b, e) on pin i.
+template <class W>
+[[nodiscard]] WideV3<W> eval_gate(const netlist::CsrSchedule& csr,
+                                  const W* rails, netlist::NodeId id,
+                                  const LinePatch<W>* b,
+                                  const LinePatch<W>* e) {
+  const std::span<const netlist::NodeId> fi = csr.fanins(id);
+  return wide_eval_gate_at<W>(csr.types[id], fi.size(), [&](std::size_t i) {
+    WideV3<W> x = rail_value(rails, fi[i]);
+    for (const LinePatch<W>* p = b; p != e; ++p) {
+      if (p->pin == static_cast<std::int32_t>(i)) x = w_inject(x, p->masks);
     }
-    values[id] = out;
+    return x;
+  });
+}
+
+/// Runs AND-family ops [begin, end): OR over the operands' words at `in`,
+/// AND over those at `in ^ 1`.
+template <class W, std::size_t N>
+inline void run_and_ops(const std::vector<netlist::RailOp<N>>& ops,
+                        std::size_t begin, std::size_t end, W* rails) {
+  for (std::size_t k = begin; k < end; ++k) {
+    const netlist::RailOp<N>& op = ops[k];
+    W lo = rails[op.in[0]];
+    W hi = rails[op.in[0] ^ 1];
+    for (std::size_t i = 1; i < N; ++i) {
+      lo = lo | rails[op.in[i]];
+      hi = hi & rails[op.in[i] ^ 1];
+    }
+    rails[op.out] = lo;
+    rails[op.out ^ 1] = hi;
+  }
+}
+
+/// Runs the frame program over a rail array: per level, one loop per op
+/// kind, then the level's gate patches (a gate's stem line first, then
+/// its branch lines, which re-evaluate it with masked fanins).
+template <class W>
+void eval_schedule(const netlist::CsrSchedule& csr, W* rails,
+                   const InjectionMap<W>* inj) {
+  using netlist::FrameOps;
+  const FrameOps& ops = csr.ops;
+  std::span<const LinePatch<W>> patches;
+  if (inj != nullptr) patches = inj->patches(PatchKind::Gate);
+  const LinePatch<W>* p = patches.data();
+  const LinePatch<W>* const last = p + patches.size();
+  std::array<std::size_t, FrameOps::kNumKinds> begin{};
+  for (std::size_t l = 0; l < ops.ends.size(); ++l) {
+    const std::array<std::size_t, FrameOps::kNumKinds>& end = ops.ends[l];
+    run_and_ops(ops.and1, begin[FrameOps::kAnd1], end[FrameOps::kAnd1], rails);
+    run_and_ops(ops.and2, begin[FrameOps::kAnd2], end[FrameOps::kAnd2], rails);
+    run_and_ops(ops.and4, begin[FrameOps::kAnd4], end[FrameOps::kAnd4], rails);
+    for (std::size_t k = begin[FrameOps::kXor2]; k < end[FrameOps::kXor2];
+         ++k) {
+      const netlist::RailOp<2>& op = ops.xor2[k];
+      const W a0 = rails[op.in[0]];
+      const W a1 = rails[op.in[0] ^ 1];
+      const W b0 = rails[op.in[1]];
+      const W b1 = rails[op.in[1] ^ 1];
+      rails[op.out] = (a0 & b0) | (a1 & b1);
+      rails[op.out ^ 1] = (a0 & b1) | (a1 & b0);
+    }
+    for (std::size_t k = begin[FrameOps::kTail]; k < end[FrameOps::kTail];
+         ++k) {
+      const netlist::NodeId id = ops.tail[k];
+      set_rail_value(rails, id,
+                     eval_gate<W>(csr, rails, id, nullptr, nullptr));
+    }
+    begin = end;
+    while (p != last && p->pos < csr.level_offsets[l + 1]) {
+      const netlist::NodeId id = p->node;
+      const LineMasks<W> stem = p->pin == kStemPin ? (p++)->masks
+                                                   : LineMasks<W>{};
+      const LinePatch<W>* const pins = p;
+      while (p != last && p->node == id) ++p;
+      const WideV3<W> v = pins == p ? rail_value(rails, id)
+                                    : eval_gate(csr, rails, id, pins, p);
+      set_rail_value(rails, id, w_inject(v, stem));
+    }
   }
 }
 
@@ -133,6 +208,16 @@ class SeqSim {
   void apply_frame(std::span<const Vector3* const> pis_per_lane,
                    const Injections* inj);
 
+  /// Sets the PI words directly (primary_inputs() order, no injections)
+  /// and evaluates the gates.
+  void apply_frame_words(std::span<const Value> pis) {
+    assert(pis.size() == circuit_->num_inputs());
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      set(circuit_->primary_inputs()[i], pis[i]);
+    }
+    eval_gates(nullptr);
+  }
+
   /// Samples every FF's next-state (its fanin value, with branch
   /// injections on the FF's data pin) and installs it as the new FF value
   /// (with FF stem injections).  All FFs update simultaneously.
@@ -152,8 +237,8 @@ class SeqSim {
   }
 
   /// Current value of a node.
-  [[nodiscard]] const Value& value(netlist::NodeId id) const {
-    return values_[id];
+  [[nodiscard]] Value value(netlist::NodeId id) const {
+    return rail_value(rails_.data(), id);
   }
 
   /// Copies the raw FF values (as the logic reads them, i.e. with any
@@ -171,10 +256,15 @@ class SeqSim {
   [[nodiscard]] Vector3 outputs_slot(unsigned slot_bit) const;
 
  private:
-  /// Installs a source value with its stem injections.
-  void set_source(netlist::NodeId id, Value v, const Injections* inj) {
-    if (inj && inj->any(id)) v = apply_stem(v, inj->at(id));
-    values_[id] = v;
+  void set(netlist::NodeId id, const Value& v) {
+    set_rail_value(rails_.data(), id, v);
+  }
+  /// Applies the stem patches of `inj`'s `kind` (sources) in place.
+  void patch_stems(const Injections* inj, PatchKind kind) {
+    if (inj == nullptr) return;
+    for (const LinePatch<W>& p : inj->patches(kind)) {
+      if (p.pin == kStemPin) set(p.node, w_inject(value(p.node), p.masks));
+    }
   }
   /// Loads lane l < n with has(l) from at(l, i) (FF i's value); lanes
   /// without a state keep their values.  Stem injections are re-applied
@@ -182,18 +272,17 @@ class SeqSim {
   template <class Has, class At>
   void load_per_lane(std::size_t n, Has has, At at, const Injections* inj);
 
-  /// Evaluates the combinational logic over the current source values
-  /// (level-major CSR schedule: flat arrays on the inner loop).
+  /// Applies the PI stem patches, then runs the frame program over the
+  /// current source values.
   void eval_gates(const Injections* inj) {
-    const netlist::CsrSchedule& csr = circuit_->csr();
-    eval_schedule(csr, values_.data(), inj);
+    patch_stems(inj, PatchKind::Input);
+    eval_schedule(circuit_->csr(), rails_.data(), inj);
   }
 
   const netlist::Circuit* circuit_;
   std::vector<netlist::NodeId> d_fanin_;  // per FF: its D input node
-  std::vector<Value> values_;
-  std::vector<Value> captured_;    // clean latch contents (scan-out view)
-  std::vector<Value> next_state_;  // scratch for simultaneous latch
+  std::vector<W> rails_;         // node n: is0 at 2n, is1 at 2n + 1
+  std::vector<Value> captured_;  // clean latch contents (scan-out view)
 };
 
 /// The one-lane (64-slot) simulator.
@@ -202,9 +291,8 @@ using PackedSeqSim = SeqSim<std::uint64_t>;
 template <class W>
 SeqSim<W>::SeqSim(const netlist::Circuit& circuit)
     : circuit_(&circuit),
-      values_(circuit.num_nodes(), wide_broadcast<W>(V3::X)),
-      captured_(circuit.num_flip_flops(), wide_broadcast<W>(V3::X)),
-      next_state_(circuit.num_flip_flops()) {
+      rails_(2 * circuit.num_nodes(), splat<W>(~0ULL)),
+      captured_(circuit.num_flip_flops(), wide_broadcast<W>(V3::X)) {
   for (const netlist::NodeId ff : circuit.flip_flops()) {
     d_fanin_.push_back(circuit.csr().fanins(ff)[0]);
   }
@@ -214,18 +302,17 @@ SeqSim<W>::SeqSim(const netlist::Circuit& circuit)
 template <class W>
 void SeqSim<W>::reset(const Injections* inj) {
   using netlist::GateType;
-  for (netlist::NodeId id = 0; id < values_.size(); ++id) {
+  for (netlist::NodeId id = 0; id < circuit_->num_nodes(); ++id) {
     const GateType t = circuit_->node(id).type;
     Value v = wide_broadcast<W>(V3::X);
     if (t == GateType::Const0) v = wide_broadcast<W>(V3::Zero);
     if (t == GateType::Const1) v = wide_broadcast<W>(V3::One);
-    if (netlist::is_source(t)) {
-      set_source(id, v, inj);
-    } else {
-      values_[id] = v;
-    }
+    set(id, v);
   }
   for (auto& cap : captured_) cap = wide_broadcast<W>(V3::X);
+  patch_stems(inj, PatchKind::Const);
+  patch_stems(inj, PatchKind::Input);
+  patch_stems(inj, PatchKind::FlipFlop);
 }
 
 template <class W>
@@ -236,8 +323,9 @@ void SeqSim<W>::load_state(const Vector3& state, const Injections* inj) {
     // Scan-in stores the clean value; the logic reads through the
     // (possibly stuck) Q.
     captured_[i] = wide_broadcast<W>(state[i]);
-    set_source(ffs[i], captured_[i], inj);
+    set(ffs[i], captured_[i]);
   }
+  patch_stems(inj, PatchKind::FlipFlop);
 }
 
 template <class W>
@@ -263,11 +351,11 @@ void SeqSim<W>::load_per_lane(std::size_t n, Has has, At at,
     const W s0 = load_lanes<W>(is0);
     const W s1 = load_lanes<W>(is1);
     const Value& cap = captured_[i];
-    const Value& v = values_[ffs[i]];
+    const Value v = value(ffs[i]);
     captured_[i] = Value{(cap.is0 & keep) | s0, (cap.is1 & keep) | s1};
-    set_source(ffs[i], Value{(v.is0 & keep) | s0, (v.is1 & keep) | s1},
-               inj);
+    set(ffs[i], Value{(v.is0 & keep) | s0, (v.is1 & keep) | s1});
   }
+  patch_stems(inj, PatchKind::FlipFlop);
 }
 
 template <class W>
@@ -289,8 +377,9 @@ void SeqSim<W>::load_state_after(std::span<const V3> frame,
   assert(frame.size() == circuit_->num_nodes());
   for (std::size_t i = 0; i < ffs.size(); ++i) {
     captured_[i] = wide_broadcast<W>(frame[d_fanin_[i]]);
-    set_source(ffs[i], captured_[i], inj);
+    set(ffs[i], captured_[i]);
   }
+  patch_stems(inj, PatchKind::FlipFlop);
 }
 
 template <class W>
@@ -335,7 +424,7 @@ void SeqSim<W>::apply_frame(const Vector3& pi, const Injections* inj) {
   const auto pis = circuit_->primary_inputs();
   assert(pi.size() == pis.size());
   for (std::size_t i = 0; i < pis.size(); ++i) {
-    set_source(pis[i], wide_broadcast<W>(pi[i]), inj);
+    set(pis[i], wide_broadcast<W>(pi[i]));
   }
   eval_gates(inj);
 }
@@ -358,42 +447,45 @@ void SeqSim<W>::apply_frame(std::span<const Vector3* const> pis_per_lane,
       is0[l] = (bits & 1) ? ~0ULL : 0;
       is1[l] = (bits & 2) ? ~0ULL : 0;
     }
-    set_source(pis[i], Value{load_lanes<W>(is0), load_lanes<W>(is1)}, inj);
+    set(pis[i], Value{load_lanes<W>(is0), load_lanes<W>(is1)});
   }
   eval_gates(inj);
 }
 
 template <class W>
 void SeqSim<W>::latch(const Injections* inj) {
-  const netlist::CsrSchedule& csr = circuit_->csr();
   const auto ffs = circuit_->flip_flops();
+  std::span<const LinePatch<W>> lines;  // ascending NodeId, as ffs
+  if (inj != nullptr) lines = inj->patches(PatchKind::FlipFlop);
+  // Every capture reads the frame's values before any FF is rewritten.
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    Value v = values_[csr.fanins(ffs[i])[0]];
-    if (inj && inj->any(ffs[i])) {
+    captured_[i] = value(d_fanin_[i]);
+    for (; !lines.empty() && lines.front().node == ffs[i];
+         lines = lines.subspan(1)) {
       // Branch fault on the D input corrupts the captured value itself.
-      v = apply_pin(v, 0, inj->at(ffs[i]));
+      if (lines.front().pin == 0) {
+        captured_[i] = w_inject(captured_[i], lines.front().masks);
+      }
     }
-    next_state_[i] = v;
   }
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    captured_[i] = next_state_[i];
-    // Stem fault on Q corrupts only what the logic reads next frame.
-    set_source(ffs[i], next_state_[i], inj);
-  }
+  assert(lines.empty());  // every FF line met its FF
+  for (std::size_t i = 0; i < ffs.size(); ++i) set(ffs[i], captured_[i]);
+  // Stem fault on Q corrupts only what the logic reads next frame.
+  patch_stems(inj, PatchKind::FlipFlop);
 }
 
 template <class W>
 void SeqSim<W>::get_ff_values(std::span<Value> out) const {
   const auto ffs = circuit_->flip_flops();
   assert(out.size() == ffs.size());
-  for (std::size_t i = 0; i < ffs.size(); ++i) out[i] = values_[ffs[i]];
+  for (std::size_t i = 0; i < ffs.size(); ++i) out[i] = value(ffs[i]);
 }
 
 template <class W>
 void SeqSim<W>::set_ff_values(std::span<const Value> vals) {
   const auto ffs = circuit_->flip_flops();
   assert(vals.size() == ffs.size());
-  for (std::size_t i = 0; i < ffs.size(); ++i) values_[ffs[i]] = vals[i];
+  for (std::size_t i = 0; i < ffs.size(); ++i) set(ffs[i], vals[i]);
 }
 
 template <class W>
@@ -401,7 +493,7 @@ Vector3 SeqSim<W>::state_slot(unsigned slot_bit) const {
   const auto ffs = circuit_->flip_flops();
   Vector3 s(ffs.size(), V3::X);
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    s[i] = slot(values_[ffs[i]], slot_bit);
+    s[i] = slot(value(ffs[i]), slot_bit);
   }
   return s;
 }
@@ -411,7 +503,7 @@ Vector3 SeqSim<W>::outputs_slot(unsigned slot_bit) const {
   const auto pos = circuit_->primary_outputs();
   Vector3 s(pos.size(), V3::X);
   for (std::size_t i = 0; i < pos.size(); ++i) {
-    s[i] = slot(values_[pos[i]], slot_bit);
+    s[i] = slot(value(pos[i]), slot_bit);
   }
   return s;
 }

@@ -267,16 +267,6 @@ template <class W>
           (a.is0 & b.is1) | (a.is1 & b.is0)};
 }
 
-/// Forces the slots selected by `mask` (per-lane 64-bit masks) to the
-/// stuck value, leaving other slots untouched — the fault-injection
-/// primitive.
-template <class W>
-[[nodiscard]] inline WideV3<W> w_inject(WideV3<W> v, W mask,
-                                        bool stuck_one) noexcept {
-  if (stuck_one) return {v.is0 & ~mask, v.is1 | mask};
-  return {v.is0 | mask, v.is1 & ~mask};
-}
-
 /// Per-lane detection mask: slots holding a binary value that differs
 /// from the lane's binary slot-0 reference, slot 0 cleared.  Lanes whose
 /// reference slot is X contribute nothing (conservative 3-valued
@@ -291,10 +281,10 @@ template <class W>
 }
 
 /// Evaluates an n-ary gate over fanin values produced by a callable
-/// (`at(i)` returns the WideV3 read through fanin pin i).  This is the
-/// single gate-evaluation loop of every kernel and width: the callable
-/// absorbs the difference between plain array reads and reads with
-/// branch injections applied.  `type` must be combinational.
+/// (`at(i)` returns the WideV3 read through fanin pin i): the frame
+/// program's generic tail (gates the op arrays do not cover) and the
+/// re-evaluation of a gate under branch injections (sim/seq_sim.hpp).
+/// `type` must be combinational.
 template <class W, class FaninAt>
 [[nodiscard]] inline WideV3<W> wide_eval_gate_at(netlist::GateType type,
                                                  std::size_t arity,

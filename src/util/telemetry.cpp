@@ -215,6 +215,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::AtpgPodemDecisions: return "atpg_podem_decisions";
     case Counter::AtpgPodemBacktracks: return "atpg_podem_backtracks";
     case Counter::AtpgPodemGateEvals: return "atpg_podem_gate_evals";
+    case Counter::PatchedGateEvals: return "patched_gate_evals";
     case Counter::kCount: break;
   }
   return "?";
@@ -473,6 +474,7 @@ void print_summary(std::ostream& out) {
   row("full passes", at(Counter::FullPasses));
   row("wide fault-parallel passes", at(Counter::WideFpPasses));
   row("fault-free traces built", at(Counter::TraceCacheMisses));
+  row("patched gate evals", at(Counter::PatchedGateEvals));
   out << " execution\n";
   row("queries run", at(Counter::QueriesRun));
   row("groups executed", at(Counter::GroupsExecuted));

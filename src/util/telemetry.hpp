@@ -113,6 +113,8 @@ enum class Counter : std::uint16_t {
   AtpgPodemDecisions,   ///< input decisions made (flips not included)
   AtpgPodemBacktracks,  ///< PodemResult::backtracks summed over runs
   AtpgPodemGateEvals,   ///< gate evaluations by implication
+  // Simulation kernel (fault/frame_common.hpp), appended.
+  PatchedGateEvals,     ///< gates evaluated through injection patches
   kCount
 };
 

@@ -84,7 +84,7 @@ constexpr obs::Counter kTimingDependent[] = {
 constexpr obs::Counter kThreadDependent[] = {
     obs::Counter::FramesSimulated, obs::Counter::FullPasses,
     obs::Counter::WideFpPasses, obs::Counter::TdfActivations,
-    obs::Counter::TdfFramesSkipped};
+    obs::Counter::TdfFramesSkipped, obs::Counter::PatchedGateEvals};
 
 struct Case {
   std::string circuit;

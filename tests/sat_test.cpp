@@ -294,7 +294,8 @@ TEST(SatBackendStuck, DetectsWideAndJustification) {
   netlist::CircuitBuilder b("wide_and");
   std::vector<std::string> ins;
   for (int i = 0; i < 10; ++i) {
-    ins.push_back("a" + std::to_string(i));
+    ins.emplace_back("a");
+    ins.back() += std::to_string(i);
     b.add_input(ins.back());
   }
   b.add_gate(GateType::And, "o", views(ins));
@@ -313,7 +314,8 @@ TEST(SatBackendStuck, DetectsWideXorPropagation) {
   b.add_input("a");
   std::vector<std::string> ins = {"a"};
   for (int i = 0; i < 10; ++i) {
-    ins.push_back("s" + std::to_string(i));
+    ins.emplace_back("s");
+    ins.back() += std::to_string(i);
     b.add_input(ins.back());
   }
   b.add_gate(GateType::Xor, "x", views(ins));
