@@ -29,7 +29,7 @@ EXPECTED_COUNTERS = [
     "atpg_sat_solve_calls", "atpg_sat_conflicts", "atpg_sat_proofs",
     "atpg_sat_fallbacks",
     "atpg_podem_decisions", "atpg_podem_backtracks", "atpg_podem_gate_evals",
-    "patched_gate_evals",
+    "patched_gate_evals", "session_frames", "session_lanes",
     "check_cases_run",
     "check_queries_compared", "check_divergences", "check_shrink_steps",
     "check_case_timeouts",

@@ -29,14 +29,22 @@
 //     or prefix observer.  Lane l's records are bit-identical to
 //     run_detect / run_times / run_prefix over group first_group + l.
 //
+//   session_frame  (stuck-at Session frame)
+//     one frame of an incremental stuck-at Session over a SessionChunk:
+//     lane l carries one fault group's injections (compiled once when
+//     the chunk is built) and its FF state, resident in the word between
+//     frames.  Lane l's detections and latch are bit-identical to a
+//     one-lane frame of that group from the same state.
+//
 //   tdf_session_frame  (transition Session frame)
 //     one frame of an incremental transition-fault Session, lane l
 //     carrying one launching fault group.
 //
 // Engines are created per worker thread (GroupWorker::batch_engine) and
 // reused across passes; construction is cheap (two node-indexed arrays).
-// The one-lane word (cfg.bits == 64) has an engine too; the Session uses
-// it at W64, every other pass runs on GroupWorker there.
+// The one-lane word (cfg.bits == 64) has an engine too; Sessions of
+// both fault models use it at W64, every other pass runs on GroupWorker
+// there.
 #pragma once
 
 #include <atomic>
@@ -48,6 +56,7 @@
 #include "fault/frame_common.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/node_trace.hpp"
+#include "sim/packed.hpp"
 #include "sim/sequence.hpp"
 #include "sim/simd.hpp"
 #include "util/bitset.hpp"
@@ -78,6 +87,28 @@ struct LaneJob {
 struct TdfLaunchJob {
   const TdfSites* sites = nullptr;
   std::uint64_t act = 0;
+};
+
+/// A stuck-at Session's fault groups on one engine word: lane l carries
+/// one group's stuck-line injections (compiled into one map when the
+/// chunk is built) and that group's FF state, which stays in the word
+/// between frames.  Built by BatchEngine::make_session_chunk and stepped
+/// by session_frame on an engine of the same SimdConfig; the FF state
+/// moves between the lanes and one-lane words without an engine, in the
+/// Session snapshot layout: lane l's state at ff[l * F] .. ff[l * F +
+/// F - 1] in flip_flops() order, F = the circuit's flip-flop count.
+class SessionChunk {
+ public:
+  virtual ~SessionChunk() = default;
+
+  /// Loads the state of lanes 0 .. ff.size() / F - 1 from `ff`; later
+  /// lanes are set to X.
+  virtual void load(std::span<const sim::PackedV3> ff) = 0;
+
+  /// Stores the state of every lane l whose bit l is set in `lanes` into
+  /// `ff` (which must reach that lane's slice).
+  virtual void store(std::span<sim::PackedV3> ff,
+                     std::uint64_t lanes) const = 0;
 };
 
 class BatchEngine {
@@ -147,6 +178,23 @@ class BatchEngine {
                              std::size_t first_group, std::size_t ngroups,
                              std::span<std::int64_t> first_po,
                              const util::CancelToken* cancel,
+                             std::span<std::uint64_t> det) = 0;
+
+  /// A stuck-at Session chunk whose lane l carries group groups[l] of
+  /// `list` (1..lanes() groups; group g = the <= kGroupSize classes from
+  /// g * kGroupSize on).  Every lane starts in the state a reset
+  /// simulator holds: all X, with its group's FF stem injections.
+  [[nodiscard]] virtual std::unique_ptr<SessionChunk> make_session_chunk(
+      std::span<const FaultClassId> list,
+      std::span<const std::uint32_t> groups) = 0;
+
+  /// One frame of a stuck-at Session: every lane of `chunk` (built by an
+  /// engine of this engine's SimdConfig) applies `pi` from its resident
+  /// FF state under its group's injections, with the constants and
+  /// their stem injections rewritten first, and latches the next state
+  /// in place.  det[l] receives lane l's PO detection mask (det.size()
+  /// <= lanes(); later lanes are not reported).
+  virtual void session_frame(SessionChunk& chunk, const sim::Vector3& pi,
                              std::span<std::uint64_t> det) = 0;
 
   /// One frame of a transition-fault Session: every lane starts from the

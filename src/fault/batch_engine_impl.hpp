@@ -23,6 +23,11 @@
 // active frames) and dead lanes keep evolving on all-X inputs; that is
 // garbage by design and harmless because the masks keep it unobserved.
 //
+// The Session frames (session_frame, tdf_session_frame) step one frame
+// per call; the Session owns the state between calls (a SessionChunkImpl
+// per chunk of stuck-at groups, the fault-free frame under transition
+// faults).
+//
 // The wide fault-parallel passes (detect_groups, times_groups,
 // prefix_groups) have no loop of their own: they run GroupWorker's
 // frame_loop (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive or
@@ -35,6 +40,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "fault/batch_engine.hpp"
 #include "fault/frame_common.hpp"
@@ -44,6 +51,52 @@
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
+
+/// BatchEngineImpl<W>'s SessionChunk: the compiled injections of its
+/// groups and their FF state, one word pair per flip-flop.
+template <class W>
+class SessionChunkImpl final : public SessionChunk {
+ public:
+  static constexpr std::size_t kLanes = sim::kWordLanes<W>;
+  static_assert(kLanes <= 64, "store() takes a 64-bit lane mask");
+
+  explicit SessionChunkImpl(const netlist::Circuit& circuit)
+      : inj(circuit), ff(circuit.num_flip_flops()) {}
+
+  void load(std::span<const sim::PackedV3> src) override {
+    const std::size_t nff = ff.size();
+    const std::size_t n = nff == 0 ? 0 : src.size() / nff;
+    assert(n <= kLanes);
+    std::uint64_t is0[kLanes];
+    std::uint64_t is1[kLanes];
+    std::fill_n(is0, kLanes, ~0ULL);  // unused lanes: X
+    std::fill_n(is1, kLanes, ~0ULL);
+    for (std::size_t i = 0; i < nff; ++i) {
+      for (std::size_t l = 0; l < n; ++l) {
+        is0[l] = src[l * nff + i].is0;
+        is1[l] = src[l * nff + i].is1;
+      }
+      ff[i] = {sim::load_lanes<W>(is0), sim::load_lanes<W>(is1)};
+    }
+  }
+
+  void store(std::span<sim::PackedV3> dst,
+             std::uint64_t lanes) const override {
+    const std::size_t nff = ff.size();
+    std::uint64_t is0[kLanes];
+    std::uint64_t is1[kLanes];
+    for (std::size_t i = 0; i < nff; ++i) {
+      sim::store_lanes(ff[i].is0, is0);
+      sim::store_lanes(ff[i].is1, is1);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        if ((lanes >> l & 1) != 0) dst[l * nff + i] = {is0[l], is1[l]};
+      }
+    }
+  }
+
+  sim::InjectionMap<W> inj;
+  std::vector<sim::WideV3<W>> ff;  // per FF, as the logic reads it
+};
 
 template <class W>
 class BatchEngineImpl final : public BatchEngine {
@@ -99,7 +152,7 @@ class BatchEngineImpl final : public BatchEngine {
     std::uint64_t full[kLanes] = {};
     std::array<BatchTestRef, kLanes> tests{};
     for (std::size_t l = 0; l < n; ++l) {
-      full[l] = add_lane_group(l, jobs[l].group);
+      full[l] = add_lane_group(inj_, l, jobs[l].group);
       tests[l] = jobs[l].test;
     }
     inj_.compile();
@@ -150,6 +203,38 @@ class BatchEngineImpl final : public BatchEngine {
                      first_po};
     run_groups(&scan_in, seq, trace, list, first_group, obs);
     store_det(obs.det, det);
+  }
+
+  std::unique_ptr<SessionChunk> make_session_chunk(
+      std::span<const FaultClassId> list,
+      std::span<const std::uint32_t> groups) override {
+    assert(!groups.empty() && groups.size() <= kLanes);
+    assert(!faults_->model().frame_gated());
+    auto chunk = std::make_unique<SessionChunkImpl<W>>(*circuit_);
+    for (std::size_t l = 0; l < groups.size(); ++l) {
+      add_lane_group(chunk->inj, l, group_of(list, groups[l]));
+    }
+    chunk->inj.compile();
+    sim_.reset(&chunk->inj);
+    sim_.get_ff_values(chunk->ff);
+    return chunk;
+  }
+
+  void session_frame(SessionChunk& c, const sim::Vector3& pi,
+                     std::span<std::uint64_t> det) override {
+    assert(det.size() <= kLanes);
+    assert(dynamic_cast<SessionChunkImpl<W>*>(&c) != nullptr);
+    auto& chunk = static_cast<SessionChunkImpl<W>&>(c);
+    // sim_ is shared with this engine's other passes and with other
+    // chunks, so every frame installs the whole state it reads: the FF
+    // values, and the constants with this chunk's constant-stem
+    // injections (the frame rewrites the PIs and every gate).
+    sim_.set_ff_values(chunk.ff);
+    sim_.load_constants(&chunk.inj);
+    sim_.apply_frame(pi, &chunk.inj);
+    store_det(po_detections(sim_), det);
+    sim_.latch(&chunk.inj);
+    sim_.get_ff_values(chunk.ff);
   }
 
   std::size_t tdf_session_frame(std::span<const sim::V3> prev,
@@ -212,15 +297,15 @@ class BatchEngineImpl final : public BatchEngine {
     return fault::state_detections(sim_, scan_mask_);
   }
 
-  /// Registers `group`'s stuck-line injections in lane l only (slot j+1
-  /// = group[j]) and returns the lane's slot mask.
-  std::uint64_t add_lane_group(std::size_t l,
-                               std::span<const FaultClassId> group) {
+  /// Registers `group`'s stuck-line injections in lane l of `inj` only
+  /// (slot j+1 = group[j]) and returns the lane's slot mask.
+  std::uint64_t add_lane_group(sim::InjectionMap<W>& inj, std::size_t l,
+                               std::span<const FaultClassId> group) const {
     std::uint64_t m[kLanes] = {};
     for (std::size_t j = 0; j < group.size(); ++j) {
       const Fault& f = faults_->representative(group[j]);
       m[l] = 1ULL << (j + 1);
-      inj_.add(f.node, f.pin, f.value, sim::load_lanes<W>(m));
+      inj.add(f.node, f.pin, f.value, sim::load_lanes<W>(m));
     }
     return group_slot_mask(group.size());
   }
@@ -273,7 +358,7 @@ class BatchEngineImpl final : public BatchEngine {
       frame_loop(ev, act, obs, seq.length());
     } else {
       for (std::size_t l = 0; l < ngroups; ++l) {
-        add_lane_group(l, group_of(list, first_group + l));
+        add_lane_group(inj_, l, group_of(list, first_group + l));
       }
       inj_.compile();
       FullEval<W> ev(sim_, inj_, scan_mask_, seq, nullptr, scan_in);

@@ -510,60 +510,119 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
       targets_(parent.collect(&targets)),
       detected_(parent.num_classes()) {
   num_groups_ = fault::num_groups(targets_.size());
-  const std::size_t nff = parent_->circuit_->num_flip_flops();
   group_remaining_.resize(num_groups_);
+  for (std::size_t g = 0; g < num_groups_; ++g) {
+    group_remaining_[g] = static_cast<std::uint32_t>(
+        std::min(kGroupSize, targets_.size() - g * kGroupSize));
+  }
   tdf_ = parent_->faults_->model().frame_gated();
   if (tdf_) {
     // Frame-gated: effects never persist, so only the fault-free machine
     // is tracked.  The last frame starts all-X: the first step has no
     // launch frame, activates nothing and starts from the all-X state.
+    free_sim_.emplace(*parent_->circuit_);
     free_frame_.assign(parent_->circuit_->num_nodes(), sim::V3::X);
     group_sites_.resize(num_groups_);
     for (std::size_t g = 0; g < num_groups_; ++g) {
       const std::size_t base = g * kGroupSize;
-      const std::size_t n = std::min(kGroupSize, targets_.size() - base);
       group_sites_[g].build(
           *parent_->faults_,
-          std::span<const FaultClassId>(targets_.data() + base, n));
-      group_remaining_[g] = static_cast<std::uint32_t>(n);
+          std::span<const FaultClassId>(targets_).subspan(
+              base, group_remaining_[g]));
     }
     return;
   }
-  ff_values_.resize(num_groups_ * nff);
-  // Build each group's injection map once; step() reuses them every
-  // frame instead of re-registering the group's faults per frame.
-  group_injections_.reserve(num_groups_);
-  for (std::size_t g = 0; g < num_groups_; ++g) {
-    const std::size_t base = g * kGroupSize;
-    const std::size_t n = std::min(kGroupSize, targets_.size() - base);
-    group_injections_.emplace_back(*parent_->circuit_);
-    build_group_injections(
-        *parent_->faults_,
-        std::span<const FaultClassId>(targets_.data() + base, n),
-        group_injections_.back());
-    worker_->sim().reset(&group_injections_[g]);
-    worker_->sim().get_ff_values(
-        std::span<sim::PackedV3>(ff_values_.data() + g * nff, nff));
-    group_remaining_[g] = static_cast<std::uint32_t>(n);
+  // Every group starts in the state its chunk lane is built with (all
+  // X, FF stem injections applied); store it as the group's saved state.
+  ff_values_.resize(num_groups_ * parent_->circuit_->num_flip_flops());
+  prepare_chunks();
+  store_chunks();
+}
+
+BatchEngine& FaultSimulator::Session::prepare_chunks() {
+  const sim::SimdConfig cfg = parent_->simd_config();
+  BatchEngine& eng = worker_->batch_engine(cfg);
+  const std::size_t nff = parent_->circuit_->num_flip_flops();
+  if (chunk_cfg_ != cfg) {
+    // The first build leaves every lane in the reset state, which the
+    // constructor stores as its group's saved state; a rebuild for a new
+    // lane width gathers the saved state below.
+    store_chunks();
+    resident_ = !chunk_cfg_.has_value();
+    chunks_.clear();
+    std::vector<std::uint32_t> groups;
+    for (std::uint32_t g = 0; g < num_groups_; ++g) {
+      groups.push_back(g);
+      if (groups.size() == eng.lanes() || g + 1 == num_groups_) {
+        chunks_.push_back(eng.make_session_chunk(targets_, groups));
+        groups.clear();
+      }
+    }
+    chunk_cfg_ = cfg;
+    det_.assign(eng.lanes(), 0);
   }
+  if (!resident_) {
+    // Gather: each chunk lane takes its group's saved state.
+    const std::span<const sim::PackedV3> saved(ff_values_);
+    const std::size_t stride = eng.lanes() * nff;
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      chunks_[c]->load(saved.subspan(
+          c * stride, std::min(stride, saved.size() - c * stride)));
+    }
+    resident_ = true;
+  }
+  return eng;
+}
+
+void FaultSimulator::Session::store_chunks() const {
+  if (!resident_) return;
+  const std::size_t lanes = chunk_cfg_->lanes();
+  const std::size_t nff = parent_->circuit_->num_flip_flops();
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    chunks_[c]->store(std::span(ff_values_).subspan(c * lanes * nff),
+                      live_lanes(c * lanes, lanes));
+  }
+}
+
+std::uint64_t FaultSimulator::Session::live_lanes(std::size_t first,
+                                                  std::size_t lanes) const {
+  std::uint64_t live = 0;
+  for (std::size_t l = 0; l < lanes && first + l < num_groups_; ++l) {
+    if (group_remaining_[first + l] != 0) live |= 1ULL << l;
+  }
+  return live;
 }
 
 std::size_t FaultSimulator::Session::step(const sim::Vector3& pi) {
   parent_->check_pi(pi);
   if (tdf_) return step_tdf(pi);
+  BatchEngine& eng = prepare_chunks();
+  const std::size_t lanes = eng.lanes();
   const std::size_t nff = parent_->circuit_->num_flip_flops();
   std::size_t newly = 0;
-  for (std::size_t g = 0; g < num_groups_; ++g) {
-    if (group_remaining_[g] == 0) continue;  // group fully detected
-    worker_->sim().set_ff_values(
-        std::span<const sim::PackedV3>(ff_values_.data() + g * nff, nff));
-    worker_->sim().apply_frame(pi, &group_injections_[g]);
-    const std::uint64_t det = po_detections(worker_->sim());
-    worker_->sim().latch(&group_injections_[g]);
-    worker_->sim().get_ff_values(
-        std::span<sim::PackedV3>(ff_values_.data() + g * nff, nff));
-    newly += credit(g, det);
+  std::size_t frames = 0;
+  std::size_t carried = 0;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::size_t first = c * lanes;
+    const std::uint64_t live = live_lanes(first, lanes);
+    if (live == 0) continue;  // every group of the chunk fully detected
+    const std::size_t n = std::min(lanes, num_groups_ - first);
+    eng.session_frame(*chunks_[c], pi, std::span(det_).first(n));
+    ++frames;
+    std::uint64_t frozen = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      if ((live >> l & 1) == 0) continue;  // frozen lane
+      ++carried;
+      newly += credit(first + l, det_[l]);
+      if (group_remaining_[first + l] == 0) frozen |= 1ULL << l;
+    }
+    // A fully detected group's state freezes at this latch.
+    if (frozen != 0) {
+      chunks_[c]->store(std::span(ff_values_).subspan(first * nff), frozen);
+    }
   }
+  obs::add(obs::Counter::SessionFrames, frames);
+  obs::add(obs::Counter::SessionLanes, carried);
   return newly;
 }
 
@@ -584,7 +643,7 @@ std::size_t FaultSimulator::Session::credit(std::size_t g,
 std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
   // Fault-free frame: evaluate once from the state the last frame
   // latched and record every node's value.
-  sim::PackedSeqSim& sim = worker_->sim();
+  sim::PackedSeqSim& sim = *free_sim_;
   sim.load_state_after(free_frame_, nullptr);
   sim.apply_frame(pi, nullptr);
   free_next_.resize(free_frame_.size());
@@ -619,6 +678,9 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
           free_frame_, pi, std::span<const TdfLaunchJob>(jobs_).subspan(c, n),
           std::span<std::uint64_t>(job_det_).subspan(c, n));
     }
+    obs::add(obs::Counter::SessionFrames,
+             (jobs_.size() + eng.lanes() - 1) / eng.lanes());
+    obs::add(obs::Counter::SessionLanes, jobs_.size());
     for (std::size_t k = 0; k < jobs_.size(); ++k) {
       const auto g =
           static_cast<std::size_t>(jobs_[k].sites - group_sites_.data());
@@ -631,18 +693,17 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
 
 std::size_t FaultSimulator::Session::latched_effects() const {
   if (tdf_) return tdf_latched_;
-  const std::size_t nff = parent_->circuit_->num_flip_flops();
+  store_chunks();
   std::size_t effects = 0;
-  for (std::size_t g = 0; g < num_groups_; ++g) {
-    for (std::size_t i = 0; i < nff; ++i) {
-      effects += static_cast<std::size_t>(
-          std::popcount(sim::wide_detections(ff_values_[g * nff + i])));
-    }
+  for (const sim::PackedV3& v : ff_values_) {
+    effects += static_cast<std::size_t>(
+        std::popcount(sim::wide_detections(v)));
   }
   return effects;
 }
 
 FaultSimulator::Session::Snapshot FaultSimulator::Session::snapshot() const {
+  store_chunks();
   return Snapshot{ff_values_, detected_, group_remaining_, free_frame_,
                   tdf_latched_};
 }
@@ -653,6 +714,7 @@ void FaultSimulator::Session::restore(const Snapshot& snap) {
   group_remaining_ = snap.group_remaining;
   free_frame_ = snap.free_frame;
   tdf_latched_ = snap.tdf_latched;
+  resident_ = false;  // the next step gathers the restored state
 }
 
 }  // namespace scanc::fault

@@ -18,8 +18,8 @@
 // detection_times, prefix_detection) with >= 2 groups pack lanes()
 // groups into one wide fault-parallel pass under either fault model;
 // batch queries pack lanes() tests (detect_batch) or, under stuck-at,
-// (test, group) pairs (detects_all_batch) into one pass, and transition
-// Sessions pack lanes() launching groups into one frame.  Under a
+// (test, group) pairs (detects_all_batch) into one pass, and Sessions
+// pack lanes() groups into one frame under either fault model.  Under a
 // frame-gated fault model the passes read a fault-free trace
 // (sim/node_trace.hpp) as activation oracle: each query builds the
 // trace of its test once, before it picks the wide or the one-lane
@@ -102,9 +102,9 @@ class FaultSimulator {
 
   /// SIMD lane width for the wide passes (sim/simd.hpp): batch queries
   /// pack lanes() tests per pass (PPSFP), per-group queries pack lanes()
-  /// fault groups per pass, and transition Sessions lanes() groups per
-  /// frame.  Auto (default) picks the widest ISA the CPU supports; W64
-  /// runs everything one lane at a time.  Results are bit-identical
+  /// fault groups per pass, and Sessions lanes() groups per frame.
+  /// Auto (default) picks the widest ISA the CPU supports; W64 runs
+  /// everything one lane at a time.  Results are bit-identical
   /// across widths.
   void set_lane_width(sim::LaneWidth w) noexcept { lane_width_ = w; }
   [[nodiscard]] sim::LaneWidth lane_width() const noexcept {
@@ -282,8 +282,11 @@ class FaultSimulator {
   ///
   /// Sessions run on the parent's serial engine: step() is not
   /// parallelised and must not run concurrently with parent queries.
-  /// Under transition faults each step packs lanes() launching groups
-  /// per frame on that engine's batch engine.
+  /// Each step packs lanes() fault groups per frame on that engine's
+  /// batch engine (the one-lane engine at W64): under stuck-at every
+  /// group in a fixed lane, each lane carrying its group's FF state,
+  /// and a frame runs while any of its groups has undetected faults;
+  /// under transition faults the groups that launch.
   class Session {
    public:
     Session(FaultSimulator& parent, const FaultSet& targets);
@@ -299,7 +302,9 @@ class FaultSimulator {
 
     /// Number of (fault, flip-flop) pairs currently holding a latched
     /// fault effect (binary difference vs the fault-free machine) — a
-    /// propagation-potential fitness signal.
+    /// propagation-potential fitness signal.  A fully detected group
+    /// keeps counting the effects it held when its last fault was
+    /// detected.
     [[nodiscard]] std::size_t latched_effects() const;
 
     /// Opaque saved state of the whole session.
@@ -319,6 +324,20 @@ class FaultSimulator {
     /// Advances a frame-gated session (see step()).
     std::size_t step_tdf(const sim::Vector3& pi);
 
+    /// Readies the stuck-at chunks for a frame on the engine it returns:
+    /// rebuilds them when the lane width changed, then loads any state
+    /// not resident.
+    BatchEngine& prepare_chunks();
+
+    /// Stores the resident state of every group with undetected faults
+    /// into ff_values_ (no-op unless resident_).
+    void store_chunks() const;
+
+    /// The lane mask of groups first .. first + lanes - 1 that have
+    /// undetected faults.
+    [[nodiscard]] std::uint64_t live_lanes(std::size_t first,
+                                           std::size_t lanes) const;
+
     /// Marks group g's PO-detected slots `det` detected; returns how many
     /// were new.
     std::size_t credit(std::size_t g, std::uint64_t det);
@@ -327,16 +346,23 @@ class FaultSimulator {
     GroupWorker* worker_;  // the parent's serial engine
     std::vector<FaultClassId> targets_;
     std::size_t num_groups_ = 0;
-    std::vector<sim::PackedV3> ff_values_;  // num_groups x num_ffs
-    /// Per-group injection maps, built once at construction — step()
-    /// re-installs simulation state per group every frame, but the
-    /// injections never change for a fixed target set.  Unused (empty)
-    /// under a frame-gated model, where injections depend on the frame.
-    std::vector<sim::PackedInjectionMap> group_injections_;
+    /// Per group x per FF: the saved FF state (the Snapshot layout).
+    /// While resident_, a live group's current state is its chunk lane's
+    /// instead; store_chunks() copies it here on demand, hence mutable.
+    mutable std::vector<sim::PackedV3> ff_values_;
     FaultSet detected_;
     /// Undetected faults left per group; fully-detected groups are
     /// skipped by step().
     std::vector<std::uint32_t> group_remaining_;
+    // --- stuck-at session state -----------------------------------------
+    // Chunk c carries groups c * L .. c * L + L - 1 (L = the lanes of
+    // chunk_cfg_), one per lane, and runs while any of them has
+    // undetected faults.  A fully detected group's state is stored at the
+    // latch that detected its last fault, and its lane is ignored after.
+    std::vector<std::unique_ptr<SessionChunk>> chunks_;
+    std::optional<sim::SimdConfig> chunk_cfg_;  // the word of chunks_
+    bool resident_ = false;  // chunk lanes hold their groups' state
+    std::vector<std::uint64_t> det_;  // step() scratch, one per lane
     // --- frame-gated (transition-delay) session state ------------------
     // Under a frame-gated model effects never persist, so the session
     // tracks only the fault-free machine: the node values of the last
@@ -347,6 +373,7 @@ class FaultSimulator {
     // serial worker's batch engine (BatchEngine::tdf_session_frame).
     bool tdf_ = false;
     std::vector<TdfSites> group_sites_;  // per group, built once
+    std::optional<sim::PackedSeqSim> free_sim_;  // the fault-free frame
     sim::Vector3 free_frame_;            // per node, the last frame
     sim::Vector3 free_next_;             // per node, step() scratch
     std::vector<TdfLaunchJob> jobs_;     // step() scratch

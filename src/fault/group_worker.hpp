@@ -53,8 +53,7 @@ namespace scanc::fault {
 
 /// Registers `group`'s stuck-line injections into `out` (slot j+1 =
 /// group[j], the same group in every lane).  Shared by GroupWorker
-/// passes, the incremental Session (which caches one map per group) and
-/// the PPSFP batch passes.
+/// passes and the PPSFP batch passes.
 template <class W>
 void build_group_injections(const FaultList& faults,
                             std::span<const FaultClassId> group,
@@ -122,18 +121,11 @@ class GroupWorker {
                            const sim::NodeTrace* trace = nullptr);
 
   /// Worker-local batch engine for `cfg` (PPSFP, wide fault-parallel
-  /// passes and transition Session frames), created on first use and
-  /// rebuilt when the resolved config changes.  Only the Session asks
-  /// for the one-lane engine (cfg.lanes() == 1); every other single-lane
-  /// query stays on the passes above.
+  /// passes and Session frames), created on first use and rebuilt when
+  /// the resolved config changes.  Only Sessions ask for the one-lane
+  /// engine (cfg.lanes() == 1); every other single-lane query stays on
+  /// the passes above.
   [[nodiscard]] BatchEngine& batch_engine(const sim::SimdConfig& cfg);
-
-  // --- incremental primitives (FaultSimulator::Session) ---------------
-
-  [[nodiscard]] sim::PackedSeqSim& sim() noexcept { return sim_; }
-  [[nodiscard]] sim::PackedInjectionMap& injections() noexcept {
-    return injections_;
-  }
 
  private:
   /// The one frame loop's dispatcher: picks the Activation policy from

@@ -39,6 +39,7 @@
 // copy the linker might prefer).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -168,6 +169,12 @@ class SeqSim {
   /// to X.  Stem injections on sources (constants, PIs, FFs) are applied.
   void reset(const Injections* inj = nullptr);
 
+  /// Rewrites the constant nodes as reset() leaves them: their values,
+  /// then `inj`'s constant stem injections.  No other pass writes a
+  /// constant, so a caller that switches injection maps without a
+  /// reset() (the stuck-at Session frame) calls this instead.
+  void load_constants(const Injections* inj);
+
   /// Overwrites the FF values with `state` (indexed in flip_flops()
   /// order) in every lane, then applies FF stem injections.  Models
   /// scan-in.
@@ -281,6 +288,7 @@ class SeqSim {
 
   const netlist::Circuit* circuit_;
   std::vector<netlist::NodeId> d_fanin_;  // per FF: its D input node
+  std::vector<netlist::NodeId> consts_;   // the Const0/Const1 nodes
   std::vector<W> rails_;         // node n: is0 at 2n, is1 at 2n + 1
   std::vector<Value> captured_;  // clean latch contents (scan-out view)
 };
@@ -296,23 +304,31 @@ SeqSim<W>::SeqSim(const netlist::Circuit& circuit)
   for (const netlist::NodeId ff : circuit.flip_flops()) {
     d_fanin_.push_back(circuit.csr().fanins(ff)[0]);
   }
+  for (netlist::NodeId id = 0; id < circuit.num_nodes(); ++id) {
+    const netlist::GateType t = circuit.node(id).type;
+    if (t == netlist::GateType::Const0 || t == netlist::GateType::Const1) {
+      consts_.push_back(id);
+    }
+  }
   reset();
 }
 
 template <class W>
 void SeqSim<W>::reset(const Injections* inj) {
-  using netlist::GateType;
-  for (netlist::NodeId id = 0; id < circuit_->num_nodes(); ++id) {
-    const GateType t = circuit_->node(id).type;
-    Value v = wide_broadcast<W>(V3::X);
-    if (t == GateType::Const0) v = wide_broadcast<W>(V3::Zero);
-    if (t == GateType::Const1) v = wide_broadcast<W>(V3::One);
-    set(id, v);
-  }
+  std::fill(rails_.begin(), rails_.end(), splat<W>(~0ULL));  // all X
   for (auto& cap : captured_) cap = wide_broadcast<W>(V3::X);
-  patch_stems(inj, PatchKind::Const);
+  load_constants(inj);
   patch_stems(inj, PatchKind::Input);
   patch_stems(inj, PatchKind::FlipFlop);
+}
+
+template <class W>
+void SeqSim<W>::load_constants(const Injections* inj) {
+  for (const netlist::NodeId id : consts_) {
+    const bool one = circuit_->node(id).type == netlist::GateType::Const1;
+    set(id, wide_broadcast<W>(one ? V3::One : V3::Zero));
+  }
+  patch_stems(inj, PatchKind::Const);
 }
 
 template <class W>

@@ -216,6 +216,8 @@ const char* counter_name(Counter c) noexcept {
     case Counter::AtpgPodemBacktracks: return "atpg_podem_backtracks";
     case Counter::AtpgPodemGateEvals: return "atpg_podem_gate_evals";
     case Counter::PatchedGateEvals: return "patched_gate_evals";
+    case Counter::SessionFrames: return "session_frames";
+    case Counter::SessionLanes: return "session_lanes";
     case Counter::kCount: break;
   }
   return "?";
@@ -475,6 +477,8 @@ void print_summary(std::ostream& out) {
   row("wide fault-parallel passes", at(Counter::WideFpPasses));
   row("fault-free traces built", at(Counter::TraceCacheMisses));
   row("patched gate evals", at(Counter::PatchedGateEvals));
+  row("session frames", at(Counter::SessionFrames));
+  row("session lanes", at(Counter::SessionLanes));
   out << " execution\n";
   row("queries run", at(Counter::QueriesRun));
   row("groups executed", at(Counter::GroupsExecuted));

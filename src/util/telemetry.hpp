@@ -115,6 +115,9 @@ enum class Counter : std::uint16_t {
   AtpgPodemGateEvals,   ///< gate evaluations by implication
   // Simulation kernel (fault/frame_common.hpp), appended.
   PatchedGateEvals,     ///< gates evaluated through injection patches
+  // Incremental Sessions (fault/fault_sim.cpp), appended.
+  SessionFrames,        ///< engine frames Session steps ran (both models)
+  SessionLanes,         ///< group-frames those frames carried
   kCount
 };
 

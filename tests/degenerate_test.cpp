@@ -13,6 +13,7 @@
 #include "fault/fault_sim.hpp"
 #include "gen/circuit_gen.hpp"
 #include "tcomp/pipeline.hpp"
+#include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
 
 namespace scanc {
@@ -96,6 +97,14 @@ TEST(Degenerate, NoFlipFlopCircuitThroughScanPipeline) {
   const FaultSet scan_det = fsim.detect_scan_test(empty_si, seq);
   const FaultSet po_det = fsim.detect_no_scan(seq);
   EXPECT_EQ(scan_det, po_det);  // no state to observe at scan-out
+
+  // The generator's Session saves, restores and counts no FF state.
+  tgen::GreedyTgenOptions gopt;
+  gopt.max_length = 40;
+  const tgen::GreedyTgenResult greedy =
+      tgen::generate_test_sequence(fsim, gopt);
+  EXPECT_GT(greedy.sequence.length(), 0u);
+  EXPECT_EQ(fsim.detect_no_scan(greedy.sequence), greedy.detected);
 
   atpg::CombTestSetOptions copt;
   copt.seed = 5;

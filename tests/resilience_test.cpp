@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 #include "tcomp/combine.hpp"
 #include "tcomp/iterate.hpp"
 #include "tcomp/pipeline.hpp"
+#include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
 #include "util/cancel.hpp"
 #include "util/store.hpp"
@@ -703,6 +705,101 @@ TEST(RunnerResilience, DeadlineInterruptsThenResumeIsBitIdentical) {
   // The harness must actually have interrupted runs, not just completed
   // them on the first try.
   EXPECT_GE(total_partials, 12);
+}
+
+/// Raises `token` from a second thread as soon as a Session steps a
+/// frame after this call: inside a greedy round, which polls the token
+/// only between rounds (the first poll precedes the first frame, so at
+/// least one round completes).  `missed` is set when no frame ran within
+/// 60 s; the token is raised then anyway, so a miss fails the test
+/// rather than hanging it.
+std::thread raise_mid_round(const util::CancelToken& token,
+                            std::atomic<bool>& missed) {
+  const std::uint64_t start = obs::value(obs::Counter::SessionFrames);
+  missed = false;
+  return std::thread([token, start, &missed] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (obs::value(obs::Counter::SessionFrames) == start) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        missed = true;
+        break;
+      }
+      std::this_thread::yield();
+    }
+    token.request_stop();
+  });
+}
+
+TEST(RunnerResilience, GreedyT0CutMidRoundIsDiscardedThenResumeIsBitIdentical) {
+  // A token raised while a greedy round steps its candidates (default
+  // lanes): the round completes and generation stops with a strict
+  // prefix of the full T0.  The runner discards that partial T0 (the run
+  // stops in setup, runs no pipeline on it and caches nothing), and the
+  // resumed run equals the uninterrupted one.  The raise comes from a
+  // second thread, so it can land only after generation has finished;
+  // such an attempt still must not change the results and is retried.
+  constexpr int kAttempts = 5;
+  const auto entry = gen::find_suite_entry("s298");
+  ASSERT_TRUE(entry.has_value());
+  const netlist::Circuit circuit = gen::build_suite_circuit(*entry);
+  const fault::FaultList faults = fault::FaultList::build(circuit);
+  ASSERT_GE(fault::num_groups(faults.num_classes()), 2u);
+
+  tgen::GreedyTgenOptions gopt;
+  gopt.max_length = 1024;
+  const tgen::GreedyTgenResult full =
+      tgen::generate_test_sequence(circuit, faults, gopt);
+  std::atomic<bool> missed{false};
+  bool cut_inside = false;
+  for (int attempt = 0; attempt < kAttempts && !cut_inside; ++attempt) {
+    gopt.cancel = util::CancelToken::make();
+    std::thread raiser = raise_mid_round(gopt.cancel, missed);
+    const tgen::GreedyTgenResult cut =
+        tgen::generate_test_sequence(circuit, faults, gopt);
+    raiser.join();
+    ASSERT_FALSE(missed) << "no Session frame ran";
+    ASSERT_GT(cut.sequence.length(), 0u);  // the cut round completed
+    ASSERT_LE(cut.sequence.length(), full.sequence.length());
+    EXPECT_TRUE(std::equal(cut.sequence.frames.begin(),
+                           cut.sequence.frames.end(),
+                           full.sequence.frames.begin()));
+    cut_inside = cut.sequence.length() < full.sequence.length();
+  }
+  EXPECT_TRUE(cut_inside) << "every raise landed after generation";
+
+  ScratchDir dir("greedy_cut");
+  const std::uint64_t frames0 = obs::value(obs::Counter::SessionFrames);
+  const expt::CircuitRun baseline =
+      expt::run_circuit(*entry, tiny_runner(dir.path + "/base"));
+  ASSERT_TRUE(baseline.completed);
+  const std::uint64_t full_frames =
+      obs::value(obs::Counter::SessionFrames) - frames0;
+
+  cut_inside = false;
+  for (int attempt = 0; attempt < kAttempts && !cut_inside; ++attempt) {
+    expt::RunnerOptions opt =
+        tiny_runner(dir.path + "/cut" + std::to_string(attempt));
+    opt.cancel = util::CancelToken::make();
+    const std::uint64_t frames1 = obs::value(obs::Counter::SessionFrames);
+    std::thread raiser = raise_mid_round(opt.cancel, missed);
+    const expt::CircuitRun partial = expt::run_circuit(*entry, opt);
+    raiser.join();
+    ASSERT_FALSE(missed) << "no Session frame ran";
+    // A late raise stops a later phase (or none); the resumed run below
+    // must match either way.
+    if (partial.stopped_at == "setup") {
+      EXPECT_FALSE(partial.completed);
+      EXPECT_FALSE(fs::exists(expt::cache_entry_path(opt, "s298")));
+      cut_inside = obs::value(obs::Counter::SessionFrames) - frames1 <
+                   full_frames;
+    }
+    opt.cancel = {};
+    const expt::CircuitRun resumed = expt::run_circuit(*entry, opt);
+    ASSERT_TRUE(resumed.completed);
+    EXPECT_EQ(measured_numbers(resumed), measured_numbers(baseline));
+  }
+  EXPECT_TRUE(cut_inside) << "every raise landed after greedy T0";
 }
 
 TEST(RunnerResilience, PartialRunReportsPhaseAndIsNeverCached) {
