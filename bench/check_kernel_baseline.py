@@ -20,6 +20,12 @@ the frame-gated transition kernel (BM_KernelTDF): tdf_skip_ratio pins
 the activation-aware whole-frame skipping, so a change that keeps wall
 time but destroys it still fails.
 
+Each value is read from the benchmark's ``_median`` aggregate when the
+artifact has aggregates (CI runs ``--benchmark_repetitions=5
+--benchmark_report_aggregates_only=true``), so one contended repetition
+on a shared host cannot trip the gate; an artifact without aggregates
+(a single run) is read entry by entry.
+
 Every missing benchmark, field, or baseline key is reported by name
 instead of surfacing as a traceback.
 """
@@ -45,18 +51,33 @@ def load_json(path):
 
 
 def kernel_benchmarks(path):
-    """Returns {name: benchmark-entry} for the BM_Kernel* benchmarks."""
+    """Returns {name: benchmark-entry} for the BM_Kernel* benchmarks.
+
+    With aggregates present, the entry of each benchmark is its median
+    aggregate, keyed by the plain run name; otherwise the plain entries.
+    """
     data = load_json(path)
     if "benchmarks" not in data:
         fail(f"{path} has no 'benchmarks' array - not google-benchmark "
              "JSON output?")
-    out = {}
+    plain = {}
+    medians = {}
     for bench in data["benchmarks"]:
         name = bench.get("name", "")
+        if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") != "median":
+                continue
+            name = bench.get("run_name") or name.removesuffix("_median")
+            target = medians
+        else:
+            target = plain
         if name.startswith("BM_Kernel") and "/" in name:
-            out[name] = bench
+            target[name] = bench
+    out = medians or plain
     if not out:
         fail(f"{path} contains no BM_Kernel*/N benchmarks")
+    print(f"reading {'median aggregates' if medians else 'single runs'} "
+          f"from {path}")
     return out
 
 

@@ -18,7 +18,6 @@
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/frame_common.hpp"
-#include "fault/group_worker.hpp"
 #include "fault/model.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/suite.hpp"

@@ -1,33 +1,35 @@
-// Wide batch simulation engine: pattern-parallel (PPSFP), lane-batched
-// and wide fault-parallel passes.
+// Batch simulation engine: the fault-parallel, pattern-parallel (PPSFP)
+// and lane-batched passes every FaultSimulator query runs.
 //
-// A BatchEngine owns one SeqSim<W> (sim/seq_sim.hpp — the simulator the
-// one-lane GroupWorker passes run, instantiated on a multi-lane word W:
-// portable WideWord<NW>, Avx2Word, or Avx512Word) behind a virtual
-// interface, so the dispatch on lane width/ISA happens once per engine
-// construction, never on the per-gate path.  Four pass shapes:
+// A BatchEngine owns one SeqSim<W> (sim/seq_sim.hpp) on a word W of one
+// or more 64-bit lanes — std::uint64_t (the one-lane engine), portable
+// WideWord<NW>, Avx2Word, or Avx512Word — behind a virtual interface, so
+// the dispatch on lane width/ISA happens once per engine construction,
+// never on the per-gate path.  Every lane's results are bit-identical
+// to the one-lane engine's pass over that lane's work alone — lanes
+// never interact.  The pass shapes:
+//
+//   detect_groups / times_groups / prefix_groups  (fault-parallel)
+//     one scan test broadcast to every lane, lanes() consecutive fault
+//     groups with per-lane injection masks (stuck-at) or per-lane
+//     transition launches (TdfLaunch<W>), run on the shared frame loop
+//     (fault/frame_loop.hpp) with the detection, detection-time or
+//     prefix observer.  Lane l's records are those of the one-lane pass
+//     over group first_group + l; on the one-lane engine this is the
+//     per-group pass itself.
 //
 //   detect_batch  (PPSFP)
 //     lanes() scan tests in the bit-lanes of one pass, one fault group
 //     replicated across lanes (splat injection masks, per-lane
 //     stimulus; under transition faults per-lane launches from each
-//     test's trace).  Lane l's result is bit-identical to the
-//     corresponding 64-bit per-test GroupWorker pass — lanes never
-//     interact.
+//     test's trace).  Lane l's result is bit-identical to
+//     detect_groups over that group on test l alone.
 //
 //   detect_lanes  (lane-batched, stuck-at)
 //     the PPSFP loop with a (test, group) pair per lane: per-lane
 //     scan-in, stimulus and injection masks, each lane observed up to
-//     its own last frame.  Lane l's mask is bit-identical to run_detect
-//     of its group on its test.
-//
-//   detect_groups / times_groups / prefix_groups  (wide fault-parallel)
-//     one scan test broadcast to every lane, lanes() consecutive fault
-//     groups with per-lane injection masks (stuck-at) or per-lane
-//     transition launches (TdfLaunch<W>), run on GroupWorker's frame
-//     loop (fault/frame_loop.hpp) with the detection, detection-time
-//     or prefix observer.  Lane l's records are bit-identical to
-//     run_detect / run_times / run_prefix over group first_group + l.
+//     its own last frame.  Lane l's mask is bit-identical to
+//     detect_groups of its group on its test.
 //
 //   session_frame  (stuck-at Session frame)
 //     one frame of an incremental stuck-at Session over a SessionChunk:
@@ -40,11 +42,10 @@
 //     one frame of an incremental transition-fault Session, lane l
 //     carrying one launching fault group.
 //
-// Engines are created per worker thread (GroupWorker::batch_engine) and
-// reused across passes; construction is cheap (two node-indexed arrays).
-// The one-lane word (cfg.bits == 64) has an engine too; Sessions of
-// both fault models use it at W64, every other pass runs on GroupWorker
-// there.
+// Engines are created per worker thread (GroupExecutor, one one-lane
+// engine and one for the current config; at 64-bit lanes they are the
+// same object) and reused across passes; construction is cheap (two
+// node-indexed arrays).
 #pragma once
 
 #include <atomic>
@@ -121,8 +122,8 @@ class BatchEngine {
 
   /// PPSFP detection: simulates `group` (<= 63 classes) against
   /// tests[l] in lane l.  det[l] receives the detection mask of test l
-  /// (bit j+1 = group[j]), bit-identical to GroupWorker::run_detect on
-  /// that test.  tests.size() <= lanes(); shorter/empty tests simply
+  /// (bit j+1 = group[j]), bit-identical to detect_groups over `group`
+  /// on that test alone.  tests.size() <= lanes(); shorter/empty tests simply
   /// stop being observed (ragged batches are fine).
   virtual void detect_batch(std::span<const BatchTestRef> tests,
                             std::span<const FaultClassId> group,
@@ -131,7 +132,7 @@ class BatchEngine {
 
   /// Lane-batched detection: jobs[l] (<= lanes() jobs) runs in lane l.
   /// det[l] receives its group's detection mask, bit-identical to
-  /// GroupWorker::run_detect(scan_in, seq, group, observe_scan_out =
+  /// detect_groups over its group on its test (observe_scan_out =
   /// true, early_exit = true).  `cancel` is polled per frame; a raised
   /// token leaves partial masks.  Stuck-at models only: transition
   /// trials run one by one (FaultSimulator::detects_all_batch).
@@ -139,13 +140,19 @@ class BatchEngine {
                             const util::CancelToken* cancel,
                             std::span<std::uint64_t> det) = 0;
 
-  /// Wide fault-parallel detection: `ngroups` (<= lanes()) consecutive
+  /// Fault-parallel detection: `ngroups` (<= lanes()) consecutive
   /// groups of `list` starting at group index `first_group`, one test
   /// broadcast to every lane.  det[l] receives group first_group + l's
-  /// mask.  `scan_in` is masked internally (mirrors run_detect).
-  /// `trace` is the test's fault-free trace, as BatchTestRef::trace.
-  /// keep_going / cancel are polled per frame with the same partial-mask
-  /// contract as GroupWorker::run_detect.
+  /// mask (bit j+1 = its member j detected).  `scan_in` (nullptr = the
+  /// all-X start, no scan) is masked for partial scan internally.
+  /// `trace`, in every fault-parallel pass, is the fault-free trace of
+  /// (masked scan_in, seq), exactly seq.length() frames long: required
+  /// under a frame-gated fault model, where it is the activation oracle,
+  /// and ignored otherwise.  With `early_exit` the pass stops once every
+  /// fault of every lane is PO-detected.  `keep_going` and `cancel`, when
+  /// given, are polled every frame: once keep_going reads false or the
+  /// token is raised the pass aborts with partial masks, which callers
+  /// must treat as incomplete.
   virtual void detect_groups(const sim::Vector3* scan_in,
                              const sim::Sequence& seq,
                              const sim::NodeTrace* trace,
@@ -156,10 +163,13 @@ class BatchEngine {
                              const util::CancelToken* cancel,
                              std::span<std::uint64_t> det) = 0;
 
-  /// Wide fault-parallel GroupWorker::run_times over the same lane
-  /// layout as detect_groups.  first_po / state_diff hold the records of
-  /// the ngroups groups' targets (list positions from first_group *
-  /// kGroupSize on), initialised as run_times requires.
+  /// Fault-parallel detection times over the same lane layout as
+  /// detect_groups.  first_po / state_diff hold the records of the
+  /// ngroups groups' targets (list positions from first_group *
+  /// kGroupSize on): first_po (init to -1 by the caller) receives each
+  /// fault's earliest PO detection time, state_diff (each pre-sized to
+  /// seq.length()) the time units whose scan-out would detect it.  A
+  /// raised `cancel` aborts at the next frame, leaving partial records.
   virtual void times_groups(const sim::Vector3& scan_in,
                             const sim::Sequence& seq,
                             const sim::NodeTrace* trace,
@@ -169,8 +179,10 @@ class BatchEngine {
                             std::span<util::Bitset> state_diff,
                             const util::CancelToken* cancel) = 0;
 
-  /// Wide fault-parallel GroupWorker::run_prefix: first_po as in
-  /// times_groups, det[l] = group first_group + l's detection mask.
+  /// Fault-parallel prefix coverage: first_po as in times_groups, det[l]
+  /// = group first_group + l's detection mask over the complete test,
+  /// final scan-out included.  Stops early once every fault of every
+  /// lane is PO-detected; a raised `cancel` aborts with partial masks.
   virtual void prefix_groups(const sim::Vector3& scan_in,
                              const sim::Sequence& seq,
                              const sim::NodeTrace* trace,

@@ -1,10 +1,14 @@
 // BatchEngine implementation template, instantiated once per word type
 // by the per-ISA translation units (batch_engine.cpp and the
 // -mavx2/-mavx512f TUs).  Include this header only from those TUs.
+// BatchEngineImpl<std::uint64_t> is the one-lane engine: every
+// per-group query pass on a single group, and every pass at 64-bit
+// lanes, runs on it.  Each lane of a wider instance is bit-identical to
+// the one-lane engine's pass over that lane's group (or test) alone.
 //
 // The PPSFP passes (detect_batch, detect_lanes) run one lane-masked
-// frame loop, run_batch, on the same Activation idea as GroupWorker's
-// frame loop (group_worker.cpp):
+// frame loop, run_batch, on the same Activation idea as the shared
+// frame loop (fault/frame_loop.hpp):
 //
 //   stuck-at   injections built once — one group splat across the lanes
 //              (detect_batch) or one group per lane (detect_lanes) —
@@ -15,24 +19,24 @@
 //              rebuilt and state reloaded per frame, latching only where
 //              the observer needs it (detect_batch only)
 //
-// and a lane observer (per-lane detection masks).  Bit
-// identity: lane l replicates the control flow of the GroupWorker
-// full-kernel pass on test l, because every observation is masked with
-// the lanes the per-test pass would observe *this frame* — inactive
-// lanes carry stale diverged values (their state is only reloaded on
-// active frames) and dead lanes keep evolving on all-X inputs; that is
-// garbage by design and harmless because the masks keep it unobserved.
+// and a lane observer (per-lane detection masks).  Bit identity: lane
+// l replicates the control flow of the one-lane fault-parallel pass on
+// test l, because every observation is masked with the lanes that pass
+// would observe *this frame* — inactive lanes carry stale diverged
+// values (their state is only reloaded on active frames) and dead lanes
+// keep evolving on all-X inputs; that is garbage by design and harmless
+// because the masks keep it unobserved.
 //
 // The Session frames (session_frame, tdf_session_frame) step one frame
 // per call; the Session owns the state between calls (a SessionChunkImpl
 // per chunk of stuck-at groups, the fault-free frame under transition
 // faults).
 //
-// The wide fault-parallel passes (detect_groups, times_groups,
-// prefix_groups) have no loop of their own: they run GroupWorker's
-// frame_loop (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive or
-// TdfLaunch<W>, and DetectObs<W> / TimesObs<W> / PrefixObs<W>, lane l
-// carrying fault group first_group + l under the broadcast test.
+// The fault-parallel passes (detect_groups, times_groups,
+// prefix_groups) have no loop of their own: they run frame_loop
+// (fault/frame_loop.hpp) with FullEval<W>, AlwaysActive or TdfLaunch<W>,
+// and DetectObs<W> / TimesObs<W> / PrefixObs<W>, lane l carrying fault
+// group first_group + l under the broadcast test.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +50,6 @@
 #include "fault/batch_engine.hpp"
 #include "fault/frame_common.hpp"
 #include "fault/frame_loop.hpp"
-#include "fault/group_exec.hpp"
-#include "fault/group_worker.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::fault {
@@ -310,13 +312,6 @@ class BatchEngineImpl final : public BatchEngine {
     return group_slot_mask(group.size());
   }
 
-  /// Group g of `list` (<= kGroupSize classes from g * kGroupSize on).
-  [[nodiscard]] static std::span<const FaultClassId> group_of(
-      std::span<const FaultClassId> list, std::size_t g) {
-    const std::size_t base = g * kGroupSize;
-    return list.subspan(base, std::min(kGroupSize, list.size() - base));
-  }
-
   /// Slot masks of the ngroups groups from first_group on, lane l =
   /// group first_group + l (lanes >= ngroups empty).
   [[nodiscard]] static W lane_slots(std::span<const FaultClassId> list,
@@ -330,10 +325,10 @@ class BatchEngineImpl final : public BatchEngine {
     return sim::load_lanes<W>(full);
   }
 
-  /// The wide fault-parallel pass: lane l carries group first_group + l
-  /// of `list` (obs.lanes groups) through one broadcast test on the
-  /// shared frame loop under `obs` — stuck-at injections registered once
-  /// per pass, or the transition launch read from `trace`.
+  /// The fault-parallel pass: lane l carries group first_group + l of
+  /// `list` (obs.lanes groups) through one broadcast test on the shared
+  /// frame loop under `obs` — stuck-at injections registered once per
+  /// pass, or the transition launch read from `trace`.
   template <class Obs>
   void run_groups(const sim::Vector3* scan_in, const sim::Sequence& seq,
                   const sim::NodeTrace* trace,
@@ -341,7 +336,7 @@ class BatchEngineImpl final : public BatchEngine {
                   std::size_t first_group, Obs& obs) {
     const std::size_t ngroups = obs.lanes;
     assert(ngroups >= 1 && ngroups <= kLanes);
-    obs::add(obs::Counter::WideFpPasses);
+    if constexpr (kLanes > 1) obs::add(obs::Counter::WideFpPasses);
     obs::add(obs::Counter::FullPasses, ngroups);
     inj_.clear();
     if (faults_->model().frame_gated()) {

@@ -158,33 +158,26 @@ std::vector<sim::NodeTrace> FaultSimulator::build_traces(
 }
 
 template <class Fn>
-bool FaultSimulator::wide_fp_chunks(std::size_t ngroups, Fn fn) {
-  const sim::SimdConfig cfg = simd_config();
-  if (cfg.lanes() <= 1 || ngroups < 2) return false;
-  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-  obs::add(obs::Counter::GroupsExecuted, ngroups);
-  const std::size_t lanes = cfg.lanes();
-  const std::size_t nchunks = (ngroups + lanes - 1) / lanes;
-  exec_.for_each_chunk(nchunks, policy(),
-                       [&](GroupWorker& w, std::size_t c) {
+void FaultSimulator::group_chunks(std::size_t ngroups, Fn fn) {
+  // Wide lanes pay off only with two groups to pack; otherwise every
+  // chunk is one group on the one-lane word.
+  const sim::SimdConfig cfg = ngroups >= 2 ? simd_config() : sim::SimdConfig{};
+  exec_.for_each_chunk(ngroups, cfg.lanes(), cfg, policy(),
+                       [&](BatchEngine& eng, std::size_t first,
+                           std::size_t n) {
                          if (cancel_.stop_requested()) return;  // skip
-                         const std::size_t first = c * lanes;
-                         fn(w.batch_engine(cfg), first,
-                            std::min(lanes, ngroups - first));
+                         fn(eng, first, n);
                        });
-  return true;
 }
 
-bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
-                                    const Sequence& seq,
-                                    const sim::NodeTrace* trace,
-                                    std::span<const FaultClassId> list,
-                                    bool observe_scan_out,
-                                    std::atomic<bool>* all_ok,
-                                    std::span<std::uint64_t> det) {
-  const bool wide = wide_fp_chunks(det.size(), [&](BatchEngine& eng,
-                                                   std::size_t first,
-                                                   std::size_t n) {
+void FaultSimulator::detect_plan(const Vector3* scan_in, const Sequence& seq,
+                                 const sim::NodeTrace* trace,
+                                 std::span<const FaultClassId> list,
+                                 bool observe_scan_out,
+                                 std::atomic<bool>* all_ok,
+                                 std::span<std::uint64_t> det) {
+  group_chunks(det.size(), [&](BatchEngine& eng, std::size_t first,
+                               std::size_t n) {
     if (all_ok != nullptr && !all_ok->load(std::memory_order_relaxed)) {
       return;
     }
@@ -194,69 +187,43 @@ bool FaultSimulator::wide_fp_detect(const Vector3* scan_in,
     if (all_ok == nullptr) return;
     // Each chunk checks its lanes so later chunks still exit early.
     for (std::size_t g = first; g < first + n; ++g) {
-      const std::size_t gn = std::min(kGroupSize, list.size() - g * kGroupSize);
-      if (det[g] != group_slot_mask(gn)) {
+      if (det[g] != group_slot_mask(group_of(list, g).size())) {
         all_ok->store(false, std::memory_order_relaxed);
       }
     }
   });
   // detects_all: a cancelled plan (chunks skipped or cut) reads
   // conservatively false.
-  if (wide && all_ok != nullptr && cancel_.stop_requested()) {
+  if (all_ok != nullptr && cancel_.stop_requested()) {
     all_ok->store(false, std::memory_order_relaxed);
   }
-  return wide;
+}
+
+FaultSet FaultSimulator::detect(const char* query, const Vector3* scan_in,
+                                const Sequence& seq,
+                                const FaultSet* targets) {
+  check_test(scan_in, seq);
+  const QueryScope scope(query);
+  const std::vector<FaultClassId> list = collect(targets);
+  std::vector<std::uint64_t> det(num_groups(list.size()), 0);
+  const auto trace = build_trace(scan_in, seq);
+  detect_plan(scan_in, seq, trace.get(), list,
+              /*observe_scan_out=*/scan_in != nullptr, /*all_ok=*/nullptr,
+              det);
+  FaultSet detected(num_classes());
+  reduce_masks(list, det, detected);
+  return detected;
 }
 
 FaultSet FaultSimulator::detect_no_scan(const Sequence& seq,
                                         const FaultSet* targets) {
-  check_test(nullptr, seq);
-  const QueryScope scope("detect_no_scan");
-  const std::vector<FaultClassId> list = collect(targets);
-  std::vector<std::uint64_t> det(num_groups(list.size()), 0);
-  const auto trace = build_trace(nullptr, seq);
-  if (!wide_fp_detect(nullptr, seq, trace.get(), list,
-                      /*observe_scan_out=*/false, /*all_ok=*/nullptr, det)) {
-    for_each_group(exec_, list, policy(),
-                   [&](GroupWorker& w, std::size_t g,
-                       std::span<const FaultClassId> group) {
-                     if (cancel_.stop_requested()) return;  // skip group
-                     det[g] = w.run_detect(nullptr, seq, group,
-                                           /*observe_scan_out=*/false,
-                                           /*early_exit=*/true,
-                                           /*keep_going=*/nullptr, &cancel_,
-                                           trace.get());
-                   });
-  }
-  FaultSet detected(num_classes());
-  reduce_masks(list, det, detected);
-  return detected;
+  return detect("detect_no_scan", nullptr, seq, targets);
 }
 
 FaultSet FaultSimulator::detect_scan_test(const Vector3& scan_in,
                                           const Sequence& seq,
                                           const FaultSet* targets) {
-  check_test(&scan_in, seq);
-  const QueryScope scope("detect_scan_test");
-  const std::vector<FaultClassId> list = collect(targets);
-  std::vector<std::uint64_t> det(num_groups(list.size()), 0);
-  const auto trace = build_trace(&scan_in, seq);
-  if (!wide_fp_detect(&scan_in, seq, trace.get(), list,
-                      /*observe_scan_out=*/true, /*all_ok=*/nullptr, det)) {
-    for_each_group(exec_, list, policy(),
-                   [&](GroupWorker& w, std::size_t g,
-                       std::span<const FaultClassId> group) {
-                     if (cancel_.stop_requested()) return;  // skip group
-                     det[g] = w.run_detect(&scan_in, seq, group,
-                                           /*observe_scan_out=*/true,
-                                           /*early_exit=*/true,
-                                           /*keep_going=*/nullptr, &cancel_,
-                                           trace.get());
-                   });
-  }
-  FaultSet detected(num_classes());
-  reduce_masks(list, det, detected);
-  return detected;
+  return detect("detect_scan_test", &scan_in, seq, targets);
 }
 
 FaultSimulator::DetectionTimes FaultSimulator::detection_times(
@@ -271,26 +238,14 @@ FaultSimulator::DetectionTimes FaultSimulator::detection_times(
   const std::span<util::Bitset> state_diff(times.state_diff);
   const std::size_t nt = times.targets.size();
   const auto trace = build_trace(&scan_in, seq);
-  if (wide_fp_chunks(num_groups(nt), [&](BatchEngine& eng, std::size_t first,
-                                         std::size_t n) {
-        const std::size_t base = first * kGroupSize;
-        const std::size_t cnt = std::min(n * kGroupSize, nt - base);
-        eng.times_groups(scan_in, seq, trace.get(), times.targets, first, n,
-                         first_po.subspan(base, cnt),
-                         state_diff.subspan(base, cnt), &cancel_);
-      })) {
-    return times;
-  }
-  for_each_group(exec_, times.targets, policy(),
-                 [&](GroupWorker& w, std::size_t g,
-                     std::span<const FaultClassId> group) {
-                   if (cancel_.stop_requested()) return;  // skip group
-                   const std::size_t base = g * kGroupSize;
-                   w.run_times(scan_in, seq, group,
-                               first_po.subspan(base, group.size()),
-                               state_diff.subspan(base, group.size()),
-                               &cancel_, trace.get());
-                 });
+  group_chunks(num_groups(nt), [&](BatchEngine& eng, std::size_t first,
+                                   std::size_t n) {
+    const std::size_t base = first * kGroupSize;
+    const std::size_t cnt = std::min(n * kGroupSize, nt - base);
+    eng.times_groups(scan_in, seq, trace.get(), times.targets, first, n,
+                     first_po.subspan(base, cnt),
+                     state_diff.subspan(base, cnt), &cancel_);
+  });
   return times;
 }
 
@@ -306,29 +261,15 @@ FaultSimulator::PrefixDetection FaultSimulator::prefix_detection(
   const std::size_t nt = out.targets.size();
   std::vector<std::uint64_t> det(num_groups(nt), 0);
   const auto trace = build_trace(&scan_in, seq);
-  if (wide_fp_chunks(det.size(), [&](BatchEngine& eng, std::size_t first,
-                                     std::size_t n) {
-        const std::size_t base = first * kGroupSize;
-        eng.prefix_groups(scan_in, seq, trace.get(), out.targets, first, n,
-                          first_po.subspan(base,
-                                           std::min(n * kGroupSize,
-                                                    nt - base)),
-                          &cancel_,
-                          std::span<std::uint64_t>(det).subspan(first, n));
-      })) {
-    reduce_masks(out.targets, det, out.detected);
-    return out;
-  }
-  for_each_group(exec_, out.targets, policy(),
-                 [&](GroupWorker& w, std::size_t g,
-                     std::span<const FaultClassId> group) {
-                   if (cancel_.stop_requested()) return;  // skip group
-                   const std::size_t base = g * kGroupSize;
-                   det[g] = w.run_prefix(scan_in, seq, group,
-                                         first_po.subspan(base,
-                                                          group.size()),
-                                         &cancel_, trace.get());
-                 });
+  group_chunks(det.size(), [&](BatchEngine& eng, std::size_t first,
+                               std::size_t n) {
+    const std::size_t base = first * kGroupSize;
+    eng.prefix_groups(scan_in, seq, trace.get(), out.targets, first, n,
+                      first_po.subspan(base,
+                                       std::min(n * kGroupSize, nt - base)),
+                      &cancel_,
+                      std::span<std::uint64_t>(det).subspan(first, n));
+  });
   reduce_masks(out.targets, det, out.detected);
   return out;
 }
@@ -338,37 +279,16 @@ bool FaultSimulator::detects_all(const Vector3& scan_in, const Sequence& seq,
   check_test(&scan_in, seq);
   const QueryScope scope("detects_all");
   const std::vector<FaultClassId> list = collect(&required);
-  // Cooperative early exit: the first group that misses a fault flips
-  // the flag; pending groups are skipped and in-flight groups abort at
+  // Cooperative early exit: the first chunk that misses a fault flips
+  // the flag; pending chunks are skipped and in-flight passes abort at
   // their next frame boundary.  The answer never depends on the races —
   // the flag only ever moves true -> false, and it moves iff some group
-  // genuinely fails.
+  // genuinely fails (or the query is cancelled).
   std::atomic<bool> all_ok{true};
   std::vector<std::uint64_t> det(num_groups(list.size()), 0);
   const auto trace = build_trace(&scan_in, seq);
-  if (wide_fp_detect(&scan_in, seq, trace.get(), list,
-                     /*observe_scan_out=*/true, &all_ok, det)) {
-    return all_ok.load(std::memory_order_relaxed);
-  }
-  for_each_group(exec_, list, policy(),
-                 [&](GroupWorker& w, std::size_t /*g*/,
-                     std::span<const FaultClassId> group) {
-                   if (!all_ok.load(std::memory_order_relaxed)) return;
-                   if (cancel_.stop_requested()) {
-                     // Cancelled: give up on the remaining groups and
-                     // report false (conservative — see set_cancel).
-                     all_ok.store(false, std::memory_order_relaxed);
-                     return;
-                   }
-                   const std::uint64_t det =
-                       w.run_detect(&scan_in, seq, group,
-                                    /*observe_scan_out=*/true,
-                                    /*early_exit=*/true, &all_ok, &cancel_,
-                                    trace.get());
-                   if (det != group_slot_mask(group.size())) {
-                     all_ok.store(false, std::memory_order_relaxed);
-                   }
-                 });
+  detect_plan(&scan_in, seq, trace.get(), list, /*observe_scan_out=*/true,
+              &all_ok, det);
   return all_ok.load(std::memory_order_relaxed);
 }
 
@@ -403,8 +323,6 @@ std::vector<bool> FaultSimulator::detects_all_batch(
     return out;
   }
   const QueryScope scope("detects_all_batch");
-  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-  obs::add(obs::Counter::GroupsExecuted, lanes.size());
   // Length-sorted packing keeps long trials from stretching the passes
   // of short ones; stable, so the plan is a function of the trials.
   std::stable_sort(lanes.begin(), lanes.end(),
@@ -412,30 +330,25 @@ std::vector<bool> FaultSimulator::detects_all_batch(
                      return trials[a.trial].seq->length() <
                             trials[b.trial].seq->length();
                    });
-  const auto group_of = [&](const Lane& l) {
-    const std::span<const FaultClassId> list(lists[l.trial]);
-    const std::size_t base = l.group * kGroupSize;
-    return list.subspan(base, std::min(kGroupSize, list.size() - base));
+  const auto lane_group = [&](const Lane& l) {
+    return group_of(lists[l.trial], l.group);
   };
-  const std::size_t width = cfg.lanes();
   std::vector<std::uint64_t> det(lanes.size(), 0);
   exec_.for_each_chunk(
-      (lanes.size() + width - 1) / width, policy(),
-      [&](GroupWorker& w, std::size_t c) {
+      lanes.size(), cfg.lanes(), cfg, policy(),
+      [&](BatchEngine& eng, std::size_t first, std::size_t n) {
         if (cancel_.stop_requested()) return;  // skip chunk
-        const std::size_t first = c * width;
-        const std::size_t n = std::min(width, lanes.size() - first);
         std::vector<LaneJob> jobs(n);
         for (std::size_t l = 0; l < n; ++l) {
           const Lane& lane = lanes[first + l];
           const Trial& t = trials[lane.trial];
-          jobs[l] = LaneJob{{t.scan_in, t.seq, nullptr}, group_of(lane)};
+          jobs[l] = LaneJob{{t.scan_in, t.seq, nullptr}, lane_group(lane)};
         }
-        w.batch_engine(cfg).detect_lanes(
-            jobs, &cancel_, std::span<std::uint64_t>(det).subspan(first, n));
+        eng.detect_lanes(jobs, &cancel_,
+                         std::span<std::uint64_t>(det).subspan(first, n));
       });
   for (std::size_t j = 0; j < lanes.size(); ++j) {
-    if (det[j] != group_slot_mask(group_of(lanes[j]).size())) {
+    if (det[j] != group_slot_mask(lane_group(lanes[j]).size())) {
       out[lanes[j].trial] = false;
     }
   }
@@ -466,7 +379,6 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
     return out;
   }
   const QueryScope scope("detect_batch");
-  obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
   obs::set_gauge(obs::Gauge::PpsfpTestsPerPass, cfg.lanes());
   const std::vector<FaultClassId> list = collect(targets);
   const auto traces = build_traces(tests);
@@ -479,11 +391,10 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
   const std::size_t lanes = cfg.lanes();
   // det[g * num_tests + i] = group g's mask under test i.
   std::vector<std::uint64_t> det(ng * num_tests, 0);
-  for_each_group(
-      exec_, list, policy(),
-      [&](GroupWorker& w, std::size_t g,
-          std::span<const FaultClassId> group) {
-        BatchEngine& eng = w.batch_engine(cfg);
+  exec_.for_each_chunk(
+      ng, 1, cfg, policy(),
+      [&](BatchEngine& eng, std::size_t g, std::size_t /*n*/) {
+        const std::span<const FaultClassId> group = group_of(list, g);
         for (std::size_t c = 0; c < num_tests; c += lanes) {
           if (cancel_.stop_requested()) return;  // skip rest of group
           const std::size_t n = std::min(lanes, num_tests - c);
@@ -506,14 +417,13 @@ std::vector<FaultSet> FaultSimulator::detect_batch(
 FaultSimulator::Session::Session(FaultSimulator& parent,
                                  const FaultSet& targets)
     : parent_(&parent),
-      worker_(&parent.exec_.serial_worker()),
       targets_(parent.collect(&targets)),
       detected_(parent.num_classes()) {
   num_groups_ = fault::num_groups(targets_.size());
   group_remaining_.resize(num_groups_);
   for (std::size_t g = 0; g < num_groups_; ++g) {
-    group_remaining_[g] = static_cast<std::uint32_t>(
-        std::min(kGroupSize, targets_.size() - g * kGroupSize));
+    group_remaining_[g] =
+        static_cast<std::uint32_t>(group_of(targets_, g).size());
   }
   tdf_ = parent_->faults_->model().frame_gated();
   if (tdf_) {
@@ -524,11 +434,7 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
     free_frame_.assign(parent_->circuit_->num_nodes(), sim::V3::X);
     group_sites_.resize(num_groups_);
     for (std::size_t g = 0; g < num_groups_; ++g) {
-      const std::size_t base = g * kGroupSize;
-      group_sites_[g].build(
-          *parent_->faults_,
-          std::span<const FaultClassId>(targets_).subspan(
-              base, group_remaining_[g]));
+      group_sites_[g].build(*parent_->faults_, group_of(targets_, g));
     }
     return;
   }
@@ -541,7 +447,7 @@ FaultSimulator::Session::Session(FaultSimulator& parent,
 
 BatchEngine& FaultSimulator::Session::prepare_chunks() {
   const sim::SimdConfig cfg = parent_->simd_config();
-  BatchEngine& eng = worker_->batch_engine(cfg);
+  BatchEngine& eng = parent_->exec_.serial_engine(cfg);
   const std::size_t nff = parent_->circuit_->num_flip_flops();
   if (chunk_cfg_ != cfg) {
     // The first build leaves every lane in the reset state, which the
@@ -670,7 +576,7 @@ std::size_t FaultSimulator::Session::step_tdf(const sim::Vector3& pi) {
   std::size_t newly = 0;
   tdf_latched_ = 0;
   if (!jobs_.empty()) {
-    BatchEngine& eng = worker_->batch_engine(parent_->simd_config());
+    BatchEngine& eng = parent_->exec_.serial_engine(parent_->simd_config());
     job_det_.resize(jobs_.size());
     for (std::size_t c = 0; c < jobs_.size(); c += eng.lanes()) {
       const std::size_t n = std::min(eng.lanes(), jobs_.size() - c);

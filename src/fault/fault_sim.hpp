@@ -6,25 +6,26 @@
 // each collapsed class.
 //
 // Layering (docs/execution.md):
-//   engine     fault::GroupWorker      — worker-local mutable state
-//   execution  fault::for_each_group   — group partitioning + thread pool
-//   call-site  FaultSimulator queries  — this file; paper-facing API
-// Every query routes through the same group plan, so set_num_threads(n)
+//   engine     fault::BatchEngine       — worker-local mutable state
+//   execution  fault::GroupExecutor     — chunk plan + thread pool
+//   call-site  FaultSimulator queries   — this file; paper-facing API
+// Every query routes through the same chunk plan, so set_num_threads(n)
 // parallelises all of them while keeping results bit-identical to a
 // serial run (see group_exec.hpp for the determinism argument).
 //
-// Kernel: every group pass evaluates the whole circuit on the
-// CSR-levelized schedule.  Per-group queries (detect, detects_all,
-// detection_times, prefix_detection) with >= 2 groups pack lanes()
-// groups into one wide fault-parallel pass under either fault model;
-// batch queries pack lanes() tests (detect_batch) or, under stuck-at,
-// (test, group) pairs (detects_all_batch) into one pass, and Sessions
-// pack lanes() groups into one frame under either fault model.  Under a
-// frame-gated fault model the passes read a fault-free trace
+// Kernel: every pass evaluates the whole circuit on the CSR-levelized
+// schedule.  Per-group queries (detect, detects_all, detection_times,
+// prefix_detection) run one chunk plan: lanes() groups per pass when
+// the query has >= 2 groups and the lanes are wide, else one group per
+// pass on the one-lane instance of the same engine, under either fault
+// model.  Batch queries pack lanes() tests (detect_batch) or, under
+// stuck-at, (test, group) pairs (detects_all_batch) into one pass, and
+// Sessions pack lanes() groups into one frame under either fault model.
+// Under a frame-gated fault model the passes read a fault-free trace
 // (sim/node_trace.hpp) as activation oracle: each query builds the
-// trace of its test once, before it picks the wide or the one-lane
-// plan, shares it read-only across its groups and drops it on return,
-// so a simulator keeps no trace state between queries.
+// trace of its test once, shares it read-only across its groups and
+// drops it on return, so a simulator keeps no trace state between
+// queries.
 //
 // Detection is conservative (standard for 3-valued simulation): a fault
 // is detected at an observation point only when both the fault-free and
@@ -343,7 +344,6 @@ class FaultSimulator {
     std::size_t credit(std::size_t g, std::uint64_t det);
 
     FaultSimulator* parent_;
-    GroupWorker* worker_;  // the parent's serial engine
     std::vector<FaultClassId> targets_;
     std::size_t num_groups_ = 0;
     /// Per group x per FF: the saved FF state (the Snapshot layout).
@@ -370,7 +370,7 @@ class FaultSimulator {
     // has no launch frame and starts from the all-X state).  Each step
     // evaluates the fault-free frame once, then runs the groups that
     // launch and still have undetected faults, lanes() per frame, on the
-    // serial worker's batch engine (BatchEngine::tdf_session_frame).
+    // executor's serial engine (BatchEngine::tdf_session_frame).
     bool tdf_ = false;
     std::vector<TdfSites> group_sites_;  // per group, built once
     std::optional<sim::PackedSeqSim> free_sim_;  // the fault-free frame
@@ -428,26 +428,30 @@ class FaultSimulator {
     return num_tests > 1 && cfg.lanes() > 1;
   }
 
-  /// Runs fn(engine, first_group, n) over the chunks of lanes()
-  /// consecutive groups of an `ngroups`-group plan — the wide
-  /// fault-parallel pass — when it applies (>= 2 groups, wide lanes;
-  /// either fault model) and returns true; chunks are skipped once the
-  /// cancel token is raised.  Returns false untouched when the
-  /// per-group 64-bit plan should run instead.
+  /// The one chunk plan of the per-group queries: runs fn(engine,
+  /// first_group, n) over chunks of consecutive groups of an
+  /// `ngroups`-group plan, lanes() groups per chunk on the config's
+  /// engine when the plan has >= 2 groups and the config more than one
+  /// lane, else one group per chunk on the one-lane engine.  Chunks are
+  /// skipped once the cancel token is raised.
   template <class Fn>
-  bool wide_fp_chunks(std::size_t ngroups, Fn fn);
+  void group_chunks(std::size_t ngroups, Fn fn);
 
-  /// detect_no_scan / detect_scan_test / detects_all on the wide
-  /// fault-parallel pass when wide_fp_chunks applies, filling det (one
-  /// mask per group).  `trace` is the query's fault-free trace
-  /// (build_trace).  With `all_ok` (detects_all) the plan stops
-  /// early: a chunk that misses a fault or sees the cancel token clears
-  /// it, and pending chunks and in-flight passes then stop.
-  bool wide_fp_detect(const sim::Vector3* scan_in, const sim::Sequence& seq,
-                      const sim::NodeTrace* trace,
-                      std::span<const FaultClassId> list,
-                      bool observe_scan_out, std::atomic<bool>* all_ok,
-                      std::span<std::uint64_t> det);
+  /// detect_no_scan / detect_scan_test / detects_all on group_chunks,
+  /// filling det (one mask per group).  `trace` is the query's
+  /// fault-free trace (build_trace).  With `all_ok` (detects_all) the
+  /// plan stops early: a chunk that misses a fault or sees the cancel
+  /// token clears it, and pending chunks and in-flight passes then stop.
+  void detect_plan(const sim::Vector3* scan_in, const sim::Sequence& seq,
+                   const sim::NodeTrace* trace,
+                   std::span<const FaultClassId> list, bool observe_scan_out,
+                   std::atomic<bool>* all_ok, std::span<std::uint64_t> det);
+
+  /// The body of detect_no_scan (scan_in == nullptr) and
+  /// detect_scan_test, under the query span `query`; scan-out is
+  /// observed iff there is a scan-in.
+  FaultSet detect(const char* query, const sim::Vector3* scan_in,
+                  const sim::Sequence& seq, const FaultSet* targets);
 
   const netlist::Circuit* circuit_;
   const FaultList* faults_;

@@ -1,11 +1,13 @@
-// Primitives every fault-simulation frame loop shares: partial-scan
-// masking of scan-in states, the transition launch test over a fault
-// group's sites, and the per-pass frame counters.  GroupWorker, the wide
-// BatchEngine passes and FaultSimulator (trace acquisition, incremental
-// sessions) all use these single definitions; only the independent
-// scalar oracle (src/check) keeps its own copies.
+// Primitives every fault-simulation frame loop shares: fault groups and
+// their slot masks and injections, partial-scan masking of scan-in
+// states, the transition launch test over a fault group's sites, and the
+// per-pass frame counters.  The BatchEngine passes and FaultSimulator
+// (query plans, trace acquisition, incremental sessions) all use these
+// single definitions; only the independent scalar oracle (src/check)
+// keeps its own copies.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -27,6 +29,33 @@ inline constexpr std::size_t kGroupSize = 63;
 [[nodiscard]] constexpr std::size_t num_groups(
     std::size_t num_targets) noexcept {
   return (num_targets + kGroupSize - 1) / kGroupSize;
+}
+
+/// Group g of `list`: the <= kGroupSize classes from g * kGroupSize on.
+[[nodiscard]] inline std::span<const FaultClassId> group_of(
+    std::span<const FaultClassId> list, std::size_t g) {
+  const std::size_t base = g * kGroupSize;
+  return list.subspan(base, std::min(kGroupSize, list.size() - base));
+}
+
+/// Fault slots occupied by a group of size n: bits 1..n (slot 0 is the
+/// fault-free reference machine).
+[[nodiscard]] constexpr std::uint64_t group_slot_mask(std::size_t n) noexcept {
+  return n >= 63 ? ~1ULL : ((1ULL << (n + 1)) - 2);
+}
+
+/// Registers `group`'s stuck-line injections into `out` (slot j+1 =
+/// group[j], the same group in every lane).
+template <class W>
+void build_group_injections(const FaultList& faults,
+                            std::span<const FaultClassId> group,
+                            sim::InjectionMap<W>& out) {
+  out.clear();
+  for (std::size_t j = 0; j < group.size(); ++j) {
+    const Fault& f = faults.representative(group[j]);
+    out.add(f.node, f.pin, f.value, sim::splat<W>(1ULL << (j + 1)));
+  }
+  out.compile();
 }
 
 /// Calls fn(j) for every group member j whose slot bit j+1 is set in

@@ -23,12 +23,12 @@
 //               final state (valid: the evaluator holds it, else every
 //               machine scans out the fault-free state).
 //
-// This header holds the policies both GroupWorker (one-lane word, all
-// three passes) and the wide fault-parallel BatchEngine passes (W lanes
-// of fault groups) run: FullEval<W> over SeqSim<W>, the two activations
-// AlwaysActive (stuck-at) and TdfLaunch<W> (transition, lane l launching
-// its own group's sites), and the three observers DetectObs<W>,
-// TimesObs<W> and PrefixObs<W>.
+// This header holds the policies the fault-parallel BatchEngine passes
+// run on every word width (W lanes of fault groups; the one-lane word
+// std::uint64_t is the one-group case): FullEval<W> over SeqSim<W>, the
+// two activations AlwaysActive (stuck-at) and TdfLaunch<W> (transition,
+// lane l launching its own group's sites), and the three observers
+// DetectObs<W>, TimesObs<W> and PrefixObs<W>.
 #pragma once
 
 #include <algorithm>

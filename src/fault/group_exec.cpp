@@ -14,23 +14,33 @@ GroupExecutor::GroupExecutor(const netlist::Circuit& circuit,
                              const FaultList& faults, util::Bitset scan_mask)
     : circuit_(&circuit), faults_(&faults), scan_mask_(std::move(scan_mask)) {}
 
-GroupWorker& GroupExecutor::worker(std::size_t i) {
-  while (workers_.size() <= i) {
-    workers_.push_back(
-        std::make_unique<GroupWorker>(*circuit_, *faults_, scan_mask_));
+BatchEngine& GroupExecutor::engine(std::size_t i, const sim::SimdConfig& cfg) {
+  if (workers_.size() <= i) workers_.resize(i + 1);
+  Worker& w = workers_[i];
+  if (cfg.lanes() <= 1) {
+    if (w.one_lane == nullptr) {
+      w.one_lane =
+          make_batch_engine(*circuit_, *faults_, scan_mask_, sim::SimdConfig{});
+    }
+    return *w.one_lane;
   }
-  return *workers_[i];
+  if (w.wide == nullptr || !(w.wide_cfg == cfg)) {
+    w.wide = make_batch_engine(*circuit_, *faults_, scan_mask_, cfg);
+    w.wide_cfg = cfg;
+  }
+  return *w.wide;
 }
 
-void GroupExecutor::for_each_group(std::span<const FaultClassId> targets,
+void GroupExecutor::for_each_chunk(std::size_t ngroups, std::size_t width,
+                                   const sim::SimdConfig& cfg,
                                    const ExecPolicy& policy,
-                                   const GroupFn& fn) {
-  const std::size_t ng = num_groups(targets.size());
-  if (ng == 0) return;
-  obs::add(obs::Counter::GroupsExecuted, ng);
+                                   const ChunkFn& fn) {
+  if (ngroups == 0) return;
+  obs::add(obs::Counter::GroupsExecuted, ngroups);
+  if (cfg.lanes() > 1) obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
   // Periodic execution snapshot for live watchers, throttled so even a
   // query storm publishes at most ~20 events/s per thread; the counter
-  // itself stays exact above.  for_each_group runs on the caller (job)
+  // itself stays exact above.  The fan-out runs on the caller (job)
   // thread, so the event carries the job scope.
   if (obs::events_enabled()) {
     constexpr std::uint64_t kThrottleMicros = 50'000;
@@ -39,43 +49,33 @@ void GroupExecutor::for_each_group(std::span<const FaultClassId> targets,
     if (now - last_publish_us >= kThrottleMicros) {
       last_publish_us = now;
       obs::publish_event(obs::EventKind::Counters, "exec",
-                         obs::value(obs::Counter::GroupsExecuted), ng);
+                         obs::value(obs::Counter::GroupsExecuted), ngroups);
     }
   }
-  const auto group_at = [targets](std::size_t g) {
-    const std::size_t base = g * kGroupSize;
-    return targets.subspan(base,
-                           std::min(kGroupSize, targets.size() - base));
+  const std::size_t num_chunks = (ngroups + width - 1) / width;
+  const auto run = [&](std::size_t wi, std::size_t c) {
+    const std::size_t first = c * width;
+    fn(engine(wi, cfg), first, std::min(width, ngroups - first));
   };
-  for_each_chunk(ng, policy, [&](GroupWorker& w, std::size_t g) {
-    fn(w, g, group_at(g));
-  });
-}
-
-void GroupExecutor::for_each_chunk(std::size_t num_chunks,
-                                   const ExecPolicy& policy,
-                                   const ChunkFn& fn) {
-  if (num_chunks == 0) return;
   const std::size_t threads = std::min(
       util::ThreadPool::resolve_threads(policy.num_threads), num_chunks);
   if (threads <= 1) {
-    GroupWorker& w = worker(0);
-    for (std::size_t c = 0; c < num_chunks; ++c) fn(w, c);
+    for (std::size_t c = 0; c < num_chunks; ++c) run(0, c);
     return;
   }
 
   // One worker per executing thread, created before the fan-out so the
-  // worker vector is never mutated concurrently.
-  static_cast<void>(worker(threads - 1));
+  // worker vector is never mutated concurrently; each thread builds its
+  // own engine on its first chunk.
+  if (workers_.size() < threads) workers_.resize(threads);
   if (pool_ == nullptr || pool_->size() < threads) {
     pool_ = std::make_unique<util::ThreadPool>(threads);
   }
   std::atomic<std::size_t> next{0};
   pool_->parallel_for(threads, [&](std::size_t wi) {
-    GroupWorker& w = *workers_[wi];
     for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
          c < num_chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(w, c);
+      run(wi, c);
     }
   });
 }

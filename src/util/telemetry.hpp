@@ -46,17 +46,17 @@ namespace scanc::obs {
 // Counters.
 
 enum class Counter : std::uint16_t {
-  // Simulation kernel (fault/group_worker.cpp, fault/frame_loop.hpp).
+  // Simulation kernel (fault/batch_engine_impl.hpp, fault/frame_loop.hpp).
   FramesSimulated,      ///< frames evaluated (lane-frames on wide passes)
   FramesSkipped,        ///< retired: always 0 (the cone kernel is gone)
   ConePasses,           ///< retired: always 0 (the cone kernel is gone)
-  FullPasses,           ///< one-lane group passes (wide: one per lane)
+  FullPasses,           ///< group passes, one per lane run
   TdfActivations,       ///< transition-fault launch frames injected
   TdfFramesSkipped,     ///< frames skipped activation-aware (no launch)
   // Wide batch engine (fault/batch_engine.cpp).
   PpsfpBatches,         ///< pattern-parallel batch passes run
   PpsfpTestsPacked,     ///< scan tests packed into PPSFP lanes (sum)
-  WideFpPasses,         ///< wide fault-parallel passes (lanes = groups)
+  WideFpPasses,         ///< fault-parallel passes on a word of > 1 lane
   // Fault-free traces (fault/fault_sim.cpp).  The names are kept from
   // the deleted trace cache: every frame-gated query builds its traces.
   TraceCacheHits,       ///< retired: always 0 (the trace cache is gone)
@@ -67,7 +67,7 @@ enum class Counter : std::uint16_t {
   PoolTasksRun,
   PoolQueueWaitNanos,   ///< summed submit -> dequeue latency
   PoolBusyNanos,        ///< summed task execution time
-  GroupsExecuted,       ///< fault groups dispatched by for_each_group
+  GroupsExecuted,       ///< fault groups of the executor's chunk plans
   QueriesRun,           ///< FaultSimulator queries issued
   // Compaction pipeline (tcomp/pipeline.cpp, tcomp/iterate.cpp).
   FaultsDetected,       ///< cumulative per-phase detection deltas

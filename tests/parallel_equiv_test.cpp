@@ -93,6 +93,20 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
       if (rng.below(2) == 0) targets_.set(i);
     }
     if (targets_.none()) targets_.set(faults_->num_classes() / 2);
+    one_group_ = first_group(targets_);
+  }
+
+  /// The first <= kGroupSize members of `from`: a one-group target set.
+  /// The random targets above always span several groups, so this is
+  /// the input that sends every simulator, whatever its width, to the
+  /// one-lane plan.
+  static FaultSet first_group(const FaultSet& from) {
+    FaultSet out(from.size());
+    std::size_t n = 0;
+    from.for_each([&](std::size_t i) {
+      if (n++ < kGroupSize) out.set(i);
+    });
+    return out;
   }
 
   /// The simulators that must agree with `serial_` (scalar lanes) on
@@ -135,6 +149,18 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
     EXPECT_GT(obs::value(obs::Counter::WideFpPasses), before);
   }
 
+  /// Runs `leg` on every simulator of others() and checks that it ran no
+  /// wide pass: a one-group query takes the one-lane plan on every
+  /// width, so the wide simulators are compared with serial_ on the
+  /// one-lane engine.
+  template <class Leg>
+  void expect_one_lane_leg(Leg leg) {
+    ASSERT_EQ(num_groups(one_group_.count()), 1u);
+    const std::uint64_t passes = obs::value(obs::Counter::WideFpPasses);
+    for (FaultSimulator* other : others()) leg(*other);
+    EXPECT_EQ(obs::value(obs::Counter::WideFpPasses), passes);
+  }
+
   std::optional<netlist::Circuit> circuit_;
   std::optional<FaultList> faults_;
   util::Bitset scan_mask_;
@@ -145,6 +171,7 @@ class ParallelEquivalence : public ::testing::TestWithParam<Case> {
   Sequence seq_;
   Vector3 scan_in_;
   FaultSet targets_;
+  FaultSet one_group_;  ///< first_group(targets_)
 };
 
 TEST_P(ParallelEquivalence, DetectNoScan) {
@@ -156,6 +183,10 @@ TEST_P(ParallelEquivalence, DetectNoScan) {
     EXPECT_EQ(sub, other->detect_no_scan(seq_, &targets_));
   }
   expect_wide_passes_since(passes);
+  const FaultSet one = serial_->detect_no_scan(seq_, &one_group_);
+  expect_one_lane_leg([&](FaultSimulator& other) {
+    EXPECT_EQ(one, other.detect_no_scan(seq_, &one_group_));
+  });
 }
 
 TEST_P(ParallelEquivalence, DetectScanTest) {
@@ -167,6 +198,10 @@ TEST_P(ParallelEquivalence, DetectScanTest) {
     EXPECT_EQ(sub, other->detect_scan_test(scan_in_, seq_, &targets_));
   }
   expect_wide_passes_since(passes);
+  const FaultSet one = serial_->detect_scan_test(scan_in_, seq_, &one_group_);
+  expect_one_lane_leg([&](FaultSimulator& other) {
+    EXPECT_EQ(one, other.detect_scan_test(scan_in_, seq_, &one_group_));
+  });
 }
 
 TEST_P(ParallelEquivalence, SessionSteps) {
@@ -216,6 +251,13 @@ TEST_P(ParallelEquivalence, DetectionTimes) {
     }
   }
   expect_wide_passes_since(passes);
+  const auto one = serial_->detection_times(scan_in_, seq_, one_group_);
+  expect_one_lane_leg([&](FaultSimulator& other) {
+    const auto b = other.detection_times(scan_in_, seq_, one_group_);
+    EXPECT_EQ(one.targets, b.targets);
+    EXPECT_EQ(one.first_po, b.first_po);
+    EXPECT_EQ(one.state_diff, b.state_diff);
+  });
 }
 
 TEST_P(ParallelEquivalence, PrefixDetection) {
@@ -229,6 +271,13 @@ TEST_P(ParallelEquivalence, PrefixDetection) {
     EXPECT_EQ(a.all_detected(), b.all_detected());
   }
   expect_wide_passes_since(passes);
+  const auto one = serial_->prefix_detection(scan_in_, seq_, one_group_);
+  expect_one_lane_leg([&](FaultSimulator& other) {
+    const auto b = other.prefix_detection(scan_in_, seq_, one_group_);
+    EXPECT_EQ(one.targets, b.targets);
+    EXPECT_EQ(one.first_po, b.first_po);
+    EXPECT_EQ(one.detected, b.detected);
+  });
 }
 
 TEST_P(ParallelEquivalence, DetectsAllBatch) {
@@ -309,6 +358,17 @@ TEST_P(ParallelEquivalence, DetectsAll) {
   if (!covered.none()) {
     EXPECT_TRUE(serial_->detects_all(scan_in_, seq_, covered));
   }
+  // One group: a covered set (true) and the first group of the
+  // universe (false unless the test detects all of it).
+  const FaultSet one_covered = first_group(covered);
+  const FaultSet one_all = first_group(all);
+  const bool one_all_covered = serial_->detects_all(scan_in_, seq_, one_all);
+  expect_one_lane_leg([&](FaultSimulator& other) {
+    if (!one_covered.none()) {
+      EXPECT_TRUE(other.detects_all(scan_in_, seq_, one_covered));
+    }
+    EXPECT_EQ(one_all_covered, other.detects_all(scan_in_, seq_, one_all));
+  });
 }
 
 TEST_P(ParallelEquivalence, BatchDetect) {

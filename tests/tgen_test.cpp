@@ -11,7 +11,6 @@
 #include "fault/fault_sim.hpp"
 #include "fault/frame_common.hpp"
 #include "fault/frame_loop.hpp"
-#include "fault/group_worker.hpp"
 #include "gen/circuit_gen.hpp"
 #include "gen/embedded.hpp"
 #include "sim/simd.hpp"
