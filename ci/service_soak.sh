@@ -7,13 +7,7 @@
 #   - load_gen exits 0 (daemon alive at the end, every accepted job
 #     observed in a terminal state — nothing lost across the restart),
 #   - the load report passes bench/check_service_baseline.py's
-#     invariant gates,
-#   - a scanc-top watch subscriber attached for the whole of
-#     generation 1 exits 0 when the drain ends its stream (live
-#     introspection under load + mid-drain), and
-#   - both generations' --event-log JSONL files pass
-#     bench/check_events_schema.py (schema-complete events, per-job
-#     monotone sequences).
+#     invariant gates.
 #
 # Usage: ci/service_soak.sh [BUILD_DIR] [OUT_DIR]
 # Tunables (env): SOAK_JOBS SOAK_CLIENTS SOAK_HOSTILE_PCT
@@ -30,8 +24,7 @@ SEED="${SOAK_SEED:-11}"
 
 SERVE="$BUILD_DIR/src/svc/scanc-serve"
 LOAD_GEN="$BUILD_DIR/bench/load_gen"
-TOP="$BUILD_DIR/examples/scanc_top"
-for bin in "$SERVE" "$LOAD_GEN" "$TOP"; do
+for bin in "$SERVE" "$LOAD_GEN"; do
   [ -x "$bin" ] || { echo "[soak] missing binary: $bin" >&2; exit 2; }
 done
 
@@ -43,20 +36,17 @@ SOCK_DIR="$(mktemp -d /tmp/scanc-soak-XXXXXX)"
 SOCK="$SOCK_DIR/serve.sock"
 SERVE_PID=""
 LOAD_PID=""
-TOP_PID=""
 
 cleanup() {
   [ -n "$SERVE_PID" ] && kill -KILL "$SERVE_PID" 2>/dev/null || true
   [ -n "$LOAD_PID" ] && kill -KILL "$LOAD_PID" 2>/dev/null || true
-  [ -n "$TOP_PID" ] && kill -KILL "$TOP_PID" 2>/dev/null || true
   rm -rf "$SOCK_DIR"
 }
 trap cleanup EXIT
 
-start_daemon() { # $1 = metrics output path, $2 = event-log path
+start_daemon() { # $1 = metrics output path
   "$SERVE" --socket="$SOCK" --state-dir="$STATE_DIR" \
-      --executors=4 --max-queue=32 --metrics-out="$1" \
-      --event-log="$2" &
+      --executors=4 --max-queue=32 --metrics-out="$1" &
   SERVE_PID=$!
   for _ in $(seq 1 100); do
     [ -S "$SOCK" ] && return 0
@@ -80,15 +70,7 @@ stop_daemon() { # clean SIGTERM drain; daemon must exit 0
 
 echo "[soak] generation 1 up; driving $JOBS jobs / $CLIENTS clients" \
      "at ${HOSTILE_PCT}% hostile (seed $SEED)"
-start_daemon "$OUT_DIR/serve_metrics_gen1.json" \
-             "$OUT_DIR/events_gen1.jsonl"
-
-# Live watch subscriber for the whole of generation 1: scanc-top rides
-# the op:"watch" all-jobs stream under full load and must exit 0 when
-# the drain ends the stream (introspection never wedges the daemon).
-"$TOP" --socket="$SOCK" --interval=2 --plain \
-    > "$OUT_DIR/scanc_top_gen1.txt" &
-TOP_PID=$!
+start_daemon "$OUT_DIR/serve_metrics_gen1.json"
 
 "$LOAD_GEN" --socket="$SOCK" --jobs="$JOBS" --clients="$CLIENTS" \
     --hostile-pct="$HOSTILE_PCT" --seed="$SEED" \
@@ -103,17 +85,8 @@ if ! kill -0 "$LOAD_PID" 2>/dev/null; then
 fi
 echo "[soak] mid-run SIGTERM: draining generation 1"
 stop_daemon
-top_rc=0
-wait "$TOP_PID" || top_rc=$?
-TOP_PID=""
-if [ "$top_rc" -ne 0 ]; then
-  echo "[soak] scanc-top exited $top_rc (watch stream broke instead of" \
-       "ending with the drain)" >&2
-  exit 1
-fi
 echo "[soak] generation 2 up: resuming on the same state dir"
-start_daemon "$OUT_DIR/serve_metrics_gen2.json" \
-             "$OUT_DIR/events_gen2.jsonl"
+start_daemon "$OUT_DIR/serve_metrics_gen2.json"
 
 load_rc=0
 wait "$LOAD_PID" || load_rc=$?
@@ -127,5 +100,4 @@ echo "[soak] final drain of generation 2"
 stop_daemon
 
 python3 bench/check_service_baseline.py "$OUT_DIR/load.json"
-python3 bench/check_events_schema.py "$OUT_DIR"/events_gen*.jsonl
 echo "[soak] PASS"

@@ -11,7 +11,6 @@
 //   --baseline             also run and report the [4] baseline
 //   --trace-out=FILE       write a Chrome trace of phase/query spans
 //   --metrics-out=FILE     write the run metrics snapshot (JSON)
-//   --event-log=FILE       write the structured JSONL event stream
 //   --verbose-metrics      print the metrics summary table on stderr
 //   --heartbeat=S          progress line every S seconds on stderr
 //
@@ -33,7 +32,6 @@
 #include "tcomp/pipeline.hpp"
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
-#include "util/event_bus.hpp"
 #include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
@@ -45,7 +43,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string trace_path;
   std::string metrics_path;
-  std::string event_log_path;
   std::size_t t0_length = 1024;
   std::uint64_t seed = 1;
   bool baseline = false;
@@ -71,8 +68,6 @@ int main(int argc, char** argv) {
       trace_path = arg.substr(12);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_path = arg.substr(14);
-    } else if (arg.rfind("--event-log=", 0) == 0) {
-      event_log_path = arg.substr(12);
     } else if (arg == "--verbose-metrics") {
       verbose_metrics = true;
     } else if (arg.rfind("--heartbeat=", 0) == 0 &&
@@ -90,19 +85,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: cannot open trace file %s\n",
                  trace_path.c_str());
   }
-  if (!event_log_path.empty() && !obs::open_event_log(event_log_path)) {
-    std::fprintf(stderr, "warning: cannot open event log %s\n",
-                 event_log_path.c_str());
-  }
   obs::Heartbeat heartbeat;
   if (heartbeat_seconds > 0.0) heartbeat.start(heartbeat_seconds);
   // Flush telemetry on every exit path (including errors), so partial
-  // runs still leave a loadable trace and snapshot.  Event log closes
-  // before the trace (obs::shutdown_sinks) so the last published
-  // phase-end events always reach disk.
+  // runs still leave a loadable trace and snapshot.
   const auto flush_obs = [&] {
     heartbeat.stop();
-    obs::shutdown_sinks();
+    obs::close_trace();
     if (!metrics_path.empty() && !obs::write_metrics_file(metrics_path)) {
       std::fprintf(stderr, "warning: cannot write metrics file %s\n",
                    metrics_path.c_str());

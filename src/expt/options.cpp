@@ -8,7 +8,6 @@
 
 #include "gen/suite.hpp"
 #include "util/cancel.hpp"
-#include "util/event_bus.hpp"
 #include "util/parse.hpp"
 #include "util/telemetry.hpp"
 
@@ -109,9 +108,6 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
   }
   if (const char* v = std::getenv("SCANC_TRACE")) cfg.trace_path = v;
   if (const char* v = std::getenv("SCANC_METRICS")) cfg.metrics_path = v;
-  if (const char* v = std::getenv("SCANC_EVENT_LOG")) {
-    cfg.event_log_path = v;
-  }
   cfg.verbose_metrics = env_flag("SCANC_VERBOSE_METRICS");
   if (const char* v = std::getenv("SCANC_HEARTBEAT")) {
     cfg.heartbeat_seconds = parse_seconds("SCANC_HEARTBEAT", v);
@@ -151,8 +147,6 @@ BenchConfig parse_bench_args(int argc, const char* const* argv) {
       cfg.trace_path = arg.substr(12);
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       cfg.metrics_path = arg.substr(14);
-    } else if (arg.rfind("--event-log=", 0) == 0) {
-      cfg.event_log_path = arg.substr(12);
     } else if (arg == "--verbose-metrics") {
       cfg.verbose_metrics = true;
     } else if (arg.rfind("--heartbeat=", 0) == 0) {
@@ -178,11 +172,6 @@ std::vector<CircuitRun> run_configured(const BenchConfig& config) {
     std::cerr << "warning: cannot open trace file " << config.trace_path
               << "\n";
   }
-  if (!config.event_log_path.empty() &&
-      !obs::open_event_log(config.event_log_path)) {
-    std::cerr << "warning: cannot open event log " << config.event_log_path
-              << "\n";
-  }
   obs::Heartbeat heartbeat;
   if (config.heartbeat_seconds > 0.0) {
     heartbeat.start(config.heartbeat_seconds);
@@ -201,9 +190,7 @@ std::vector<CircuitRun> run_configured(const BenchConfig& config) {
   }
 
   heartbeat.stop();
-  // Event log before trace: the final phase-end events published above
-  // must be flushed before any sink teardown seals the run.
-  obs::shutdown_sinks();
+  obs::close_trace();
   if (!config.metrics_path.empty() &&
       !obs::write_metrics_file(config.metrics_path)) {
     std::cerr << "warning: cannot write metrics file "

@@ -66,7 +66,6 @@ struct BenchConfig {
   RunnerOptions runner;
   std::string trace_path;      ///< --trace-out (empty = no trace)
   std::string metrics_path;    ///< --metrics-out (empty = no snapshot)
-  std::string event_log_path;  ///< --event-log (empty = no event log)
   bool verbose_metrics = false;   ///< --verbose-metrics
   double heartbeat_seconds = 0.0; ///< --heartbeat (0 = off)
 };

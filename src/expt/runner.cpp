@@ -20,7 +20,6 @@
 #include "tcomp/pipeline.hpp"
 #include "tgen/greedy_tgen.hpp"
 #include "tgen/random_seq.hpp"
-#include "util/event_bus.hpp"
 #include "util/rng.hpp"
 #include "util/store.hpp"
 #include "util/telemetry.hpp"
@@ -423,8 +422,7 @@ CircuitRun run_circuit(const gen::SuiteEntry& entry,
       }
     };
   }
-  const obs::EventJobScope scope(obs::current_event_job(),
-                                 std::move(progress));
+  const obs::ProgressScope scope(std::move(progress));
   // Opened after the journal credit, so the root record's counter
   // delta and seconds are this call's work only.
   const obs::Phase root("run_circuit", "run");

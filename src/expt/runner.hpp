@@ -147,7 +147,7 @@ struct RunnerOptions {
   /// Optional machine progress hook: called with a short note on entry
   /// to every runner stage and pipeline phase that has one (the strings
   /// --verbose prints; run_circuit installs it as the thread's
-  /// obs::EventJobScope hook).  The service watchdog uses it as a
+  /// obs::ProgressScope hook).  The service watchdog uses it as a
   /// per-job liveness stamp.  Must not throw.
   std::function<void(const char*)> progress;
   /// Cooperative cancellation for the whole run: raised explicitly

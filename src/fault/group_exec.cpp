@@ -4,9 +4,7 @@
 #include <atomic>
 #include <utility>
 
-#include "util/event_bus.hpp"
 #include "util/telemetry.hpp"
-#include "util/trace_writer.hpp"
 
 namespace scanc::fault {
 
@@ -38,20 +36,6 @@ void GroupExecutor::for_each_chunk(std::size_t ngroups, std::size_t width,
   if (ngroups == 0) return;
   obs::add(obs::Counter::GroupsExecuted, ngroups);
   if (cfg.lanes() > 1) obs::set_gauge(obs::Gauge::SimdLaneWidth, cfg.bits);
-  // Periodic execution snapshot for live watchers, throttled so even a
-  // query storm publishes at most ~20 events/s per thread; the counter
-  // itself stays exact above.  The fan-out runs on the caller (job)
-  // thread, so the event carries the job scope.
-  if (obs::events_enabled()) {
-    constexpr std::uint64_t kThrottleMicros = 50'000;
-    thread_local std::uint64_t last_publish_us = 0;
-    const std::uint64_t now = obs::now_micros();
-    if (now - last_publish_us >= kThrottleMicros) {
-      last_publish_us = now;
-      obs::publish_event(obs::EventKind::Counters, "exec",
-                         obs::value(obs::Counter::GroupsExecuted), ngroups);
-    }
-  }
   const std::size_t num_chunks = (ngroups + width - 1) / width;
   const auto run = [&](std::size_t wi, std::size_t c) {
     const std::size_t first = c * width;

@@ -69,53 +69,6 @@ Json Client::stats(double timeout_seconds) {
   return request(req, timeout_seconds);
 }
 
-Json Client::events(const std::string& id, double timeout_seconds) {
-  Json req = Json::object();
-  req.set("op", Json::string("events"));
-  req.set("id", Json::string(id));
-  return request(req, timeout_seconds);
-}
-
-Json Client::watch_start(const std::string& id, double timeout_seconds) {
-  Json req = Json::object();
-  req.set("op", Json::string("watch"));
-  req.set("id", Json::string(id));
-  // Not request(): the reply is the stream's ack frame, and an error
-  // must not tear down the fd the stream lives on unless the transport
-  // itself failed.
-  if (fd_ < 0) throw WireError(WireError::Kind::Io, "not connected");
-  const util::Deadline deadline = util::Deadline::after(timeout_seconds);
-  try {
-    write_frame(fd_, req.dump(), deadline);
-    std::string payload;
-    if (!read_frame(fd_, payload, deadline)) {
-      throw WireError(WireError::Kind::Eof, "server closed the connection");
-    }
-    return Json::parse(payload, 32, kMaxFrameBytes);
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-std::optional<Json> Client::next_frame(double timeout_seconds) {
-  if (fd_ < 0) throw WireError(WireError::Kind::Io, "not connected");
-  try {
-    // Poll first: a read_frame timeout mid-prefix would consume bytes
-    // and desync the stream, so only start reading once bytes are
-    // pending, then allow a generous whole-frame deadline.
-    if (!poll_readable(fd_, timeout_seconds)) return std::nullopt;
-    std::string payload;
-    if (!read_frame(fd_, payload, util::Deadline::after(30.0))) {
-      throw WireError(WireError::Kind::Eof, "server closed the stream");
-    }
-    return Json::parse(payload, 32, kMaxFrameBytes);
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
 bool Client::ping() {
   try {
     Json req = Json::object();

@@ -6,7 +6,6 @@
 // close the connection, after which connect() may be called again.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "svc/job.hpp"
@@ -43,23 +42,8 @@ class Client {
   /// Blocks server-side until the job is terminal (or `wait_seconds`).
   Json wait(const std::string& id, double wait_seconds = 60.0);
   Json stats(double timeout_seconds = 30.0);
-  /// Bounded replay of a job's retained event ring (op:"events").
-  Json events(const std::string& id, double timeout_seconds = 30.0);
   [[nodiscard]] bool ping();
   void shutdown_server();
-
-  /// Starts an op:"watch" stream for `id` ("*" = all jobs) and returns
-  /// the ack frame.  After this the connection carries stream frames —
-  /// read them with next_frame() until one has "end" (or an error frame
-  /// arrives); ordinary requests work again after the end frame.
-  Json watch_start(const std::string& id, double timeout_seconds = 5.0);
-
-  /// Reads one stream frame, waiting up to `timeout_seconds` for it to
-  /// begin (then a generous transport deadline for the bytes, so a poll
-  /// timeout never desyncs the frame boundary).  Returns nullopt when no
-  /// frame arrived within the timeout; throws WireError when the server
-  /// closed or the transport failed.
-  std::optional<Json> next_frame(double timeout_seconds = 1.0);
 
  private:
   int fd_ = -1;

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "svc/wire.hpp"
-#include "util/event_bus.hpp"
 #include "util/store.hpp"
 #include "util/telemetry.hpp"
 
@@ -48,61 +47,6 @@ std::string required_string(const Json& req, const char* key) {
                    std::string("missing string field \"") + key + '"');
   }
   return v->as_string();
-}
-
-Json event_to_json(const obs::Event& e) {
-  Json j = Json::object();
-  j.set("kind", Json::string(obs::to_string(e.kind)));
-  j.set("job", Json::string(e.job));
-  j.set("phase", Json::string(e.phase));
-  j.set("seq", Json::integer(e.seq));
-  j.set("t_us", Json::integer(e.t_us));
-  j.set("faults", Json::integer(e.faults));
-  j.set("value", Json::integer(e.value));
-  j.set("note", Json::string(e.note));
-  return j;
-}
-
-/// Inverse of event_to_json for snapshot reload; returns nullopt for a
-/// malformed entry (that event is lost, not the snapshot).
-std::optional<obs::Event> event_from_json(const Json& j) {
-  try {
-    obs::Event e;
-    const Json* kind = j.find("kind");
-    if (kind == nullptr || !kind->is_string()) return std::nullopt;
-    e.kind = obs::event_kind_from(kind->as_string());
-    if (e.kind == obs::EventKind::kCount) return std::nullopt;
-    if (const Json* v = j.find("job"); v != nullptr && v->is_string()) {
-      e.job = v->as_string();
-    }
-    if (const Json* v = j.find("phase"); v != nullptr && v->is_string()) {
-      e.phase = v->as_string();
-    }
-    if (const Json* v = j.find("note"); v != nullptr && v->is_string()) {
-      e.note = v->as_string();
-    }
-    if (const Json* v = j.find("seq")) e.seq = v->as_u64();
-    if (const Json* v = j.find("t_us")) e.t_us = v->as_u64();
-    if (const Json* v = j.find("faults")) e.faults = v->as_u64();
-    if (const Json* v = j.find("value")) e.value = v->as_u64();
-    return e;
-  } catch (const JsonError&) {
-    return std::nullopt;
-  }
-}
-
-/// One {"event":{...}} stream frame.
-std::string event_frame(const obs::Event& e) {
-  Json j = Json::object();
-  j.set("event", event_to_json(e));
-  return j.dump();
-}
-
-/// One {"dropped":N} slow-consumer / overflow marker frame.
-std::string dropped_frame(std::uint64_t n) {
-  Json j = Json::object();
-  j.set("dropped", Json::integer(n));
-  return j.dump();
 }
 
 }  // namespace
@@ -149,9 +93,6 @@ void Daemon::finish(Job& job, JobState state) {
     default: break;
   }
   obs::record(obs::Histogram::JobLatencyNanos, now_ns() - job.submit_ns);
-  obs::publish_job_event(job.spec.id, obs::EventKind::JobState, "svc", 0,
-                         static_cast<std::uint64_t>(job.attempts),
-                         to_string(state));
   update_gauges();
   done_cv_.notify_all();
 }
@@ -215,8 +156,6 @@ Json Daemon::op_submit(const Json& request) {
   queue_.push_back(job.get());
   jobs_.emplace(spec.id, std::move(job));
   obs::add(obs::Counter::JobsAccepted);
-  obs::publish_job_event(spec.id, obs::EventKind::JobState, "svc", 0, 0,
-                         "queued");
   update_gauges();
   work_cv_.notify_one();
 
@@ -296,148 +235,6 @@ Json Daemon::op_stats() {
   return resp;
 }
 
-Json Daemon::op_events(const Json& request) {
-  const std::string id = required_string(request, "id");
-  bool known;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    known = jobs_.count(id) != 0;
-  }
-  const obs::EventHistory history = obs::event_history(id);
-  // A job can be known only through its persisted ring (previous daemon
-  // generation); unknown both ways is a typed miss.
-  if (!known && history.events.empty() && history.dropped == 0) {
-    return fail_resp("not_found", "unknown job " + id);
-  }
-  Json resp = ok_resp("events");
-  resp.set("id", Json::string(id));
-  resp.set("dropped", Json::integer(history.dropped));
-  Json arr = Json::array();
-  for (const obs::Event& e : history.events) {
-    arr.push_back(event_to_json(e));
-  }
-  resp.set("events", std::move(arr));
-  return resp;
-}
-
-bool Daemon::serve_watch(int fd, const Json& request) {
-  std::string id;
-  try {
-    id = required_string(request, "id");
-  } catch (const JobError& e) {
-    try {
-      write_frame(fd, fail_resp(to_string(e.kind()), e.what()).dump(),
-                  util::Deadline::after(1.0));
-      return true;
-    } catch (const WireError&) {
-      return false;
-    }
-  }
-
-  const bool all_jobs = id == "*";
-  bool terminal_at_start = false;
-  std::string end_state;
-  if (!all_jobs) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      // Unknown live, but a previous generation's ring may replay.
-      const obs::EventHistory h = obs::event_history(id);
-      if (h.events.empty() && h.dropped == 0) {
-        try {
-          write_frame(fd, fail_resp("not_found", "unknown job " + id).dump(),
-                      util::Deadline::after(1.0));
-          return true;
-        } catch (const WireError&) {
-          return false;
-        }
-      }
-      terminal_at_start = true;
-    } else {
-      terminal_at_start = is_terminal(it->second->state);
-      if (terminal_at_start) end_state = to_string(it->second->state);
-    }
-  }
-
-  // Subscribe before reading the replay ring so no event can fall in the
-  // gap; live events also present in the replay are deduplicated below
-  // via their per-job sequence numbers.
-  const auto sub =
-      obs::subscribe(all_jobs ? "" : id, options_.watch_queue_capacity);
-  obs::EventHistory replay;
-  if (!all_jobs) replay = obs::event_history(id);
-
-  const auto write_deadline = [] { return util::Deadline::after(5.0); };
-  std::uint64_t last_seq = 0;
-  try {
-    Json ack = ok_resp("watch");
-    ack.set("id", Json::string(id));
-    ack.set("live", Json::boolean(!terminal_at_start));
-    ack.set("replay", Json::integer(replay.events.size()));
-    write_frame(fd, ack.dump(), write_deadline());
-    if (replay.dropped != 0) {
-      write_frame(fd, dropped_frame(replay.dropped), write_deadline());
-    }
-    for (const obs::Event& e : replay.events) {
-      write_frame(fd, event_frame(e), write_deadline());
-      last_seq = e.seq;
-    }
-
-    // A finished (or resumed-terminal) job has no live tail: replay is
-    // the whole stream.
-    bool end_after_flush = terminal_at_start;
-    std::vector<obs::Event> batch;
-    while (true) {
-      std::uint64_t dropped = 0;
-      batch.clear();
-      sub->poll(batch, end_after_flush ? 0.0 : 0.25, &dropped);
-      if (dropped != 0) {
-        // Slow consumer: the subscription shed events; the marker keeps
-        // the stream honest about the gap.
-        write_frame(fd, dropped_frame(dropped), write_deadline());
-      }
-      for (const obs::Event& e : batch) {
-        if (!all_jobs && e.seq <= last_seq) continue;  // replay overlap
-        write_frame(fd, event_frame(e), write_deadline());
-        last_seq = e.seq;
-      }
-      if (end_after_flush) break;
-
-      std::string reason;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (draining_) {
-          reason = "draining";
-        } else if (!all_jobs) {
-          const auto it = jobs_.find(id);
-          if (it != jobs_.end() && is_terminal(it->second->state)) {
-            end_state = to_string(it->second->state);
-          }
-        }
-      }
-      if (!reason.empty()) {
-        Json end = Json::object();
-        end.set("end", Json::boolean(true));
-        end.set("reason", Json::string(reason));
-        write_frame(fd, end.dump(), write_deadline());
-        return true;
-      }
-      // Terminal: one more zero-timeout flush drains events published
-      // before the state flipped, then the end frame closes the stream.
-      if (!end_state.empty()) end_after_flush = true;
-    }
-    Json end = Json::object();
-    end.set("end", Json::boolean(true));
-    if (!end_state.empty()) end.set("state", Json::string(end_state));
-    write_frame(fd, end.dump(), write_deadline());
-    return true;
-  } catch (const WireError&) {
-    // Subscriber vanished mid-stream (or stalled past the write
-    // deadline): drop the stream; the job runs on regardless.
-    return false;
-  }
-}
-
 Json Daemon::handle_request(const Json& request) {
   try {
     if (!request.is_object()) {
@@ -449,7 +246,6 @@ Json Daemon::handle_request(const Json& request) {
     if (op == "status") return op_status(request);
     if (op == "wait") return op_wait(request);
     if (op == "stats") return op_stats();
-    if (op == "events") return op_events(request);
     if (op == "shutdown") {
       shutdown_.request_stop();
       return ok_resp("shutdown");
@@ -490,16 +286,7 @@ void Daemon::serve_connection(int fd) {
 
     Json response;
     try {
-      const Json request = Json::parse(payload, 32, kMaxFrameBytes);
-      // `watch` is a stream, not a request/response: it owns the
-      // connection until its end frame, then the request loop resumes
-      // (a client can watch, then submit, on one connection).
-      const Json* op = request.is_object() ? request.find("op") : nullptr;
-      if (op != nullptr && op->is_string() && op->as_string() == "watch") {
-        if (!serve_watch(fd, request)) break;
-        continue;
-      }
-      response = handle_request(request);
+      response = handle_request(Json::parse(payload, 32, kMaxFrameBytes));
     } catch (const JsonError& e) {
       obs::add(obs::Counter::SvcProtocolErrors);
       response = fail_resp("protocol", e.what());
@@ -554,9 +341,6 @@ void Daemon::executor_loop() {
     best->attempts++;
     running_++;
     obs::add(obs::Counter::JobsStarted);
-    obs::publish_job_event(best->spec.id, obs::EventKind::JobState, "svc", 0,
-                           static_cast<std::uint64_t>(best->attempts),
-                           "running");
     if (!best->started_once) {
       best->started_once = true;
       obs::record(obs::Histogram::JobQueueNanos,
@@ -577,9 +361,6 @@ void Daemon::executor_loop() {
 void Daemon::execute_attempt(Job& job) {
   std::string result;
   std::optional<JobError> failure;
-  // Pipeline events published from this thread (phase begin/end, round
-  // deltas, executor snapshots) carry the owning job's id.
-  const obs::EventJobScope event_scope(job.spec.id);
   // Exception barrier: nothing a job does — spec resolution, registry
   // build, simulation — escapes this attempt as anything but a JobError.
   try {
@@ -634,9 +415,6 @@ void Daemon::execute_attempt(Job& job) {
     job.state = JobState::Queued;
     job.not_before = 0.0;
     queue_.push_back(&job);
-    obs::publish_job_event(job.spec.id, obs::EventKind::JobState, "svc", 0,
-                           static_cast<std::uint64_t>(job.attempts),
-                           "requeued_for_drain");
     update_gauges();
   } else if (failure->kind() == JobErrorKind::DeadlineExceeded) {
     obs::add(obs::Counter::JobsDeadlineCut);
@@ -665,9 +443,6 @@ void Daemon::execute_attempt(Job& job) {
     job.error = failure->what();
     job.error_kind = to_string(failure->kind());
     queue_.push_back(&job);
-    obs::publish_job_event(job.spec.id, obs::EventKind::JobState, "svc", 0,
-                           static_cast<std::uint64_t>(job.attempts),
-                           "retry_backoff");
     update_gauges();
   }
 }
@@ -736,18 +511,6 @@ void Daemon::write_snapshot() {
       if (job->state == JobState::Done && !job->result_json.empty()) {
         j.set("result", Json::parse(job->result_json));
       }
-      // The job's retained event ring rides along so a restarted daemon
-      // can answer `events`/`watch` replay for pre-drain work (the
-      // loader ignores unknown keys, so v stays 1).
-      const obs::EventHistory history = obs::event_history(job->spec.id);
-      if (!history.events.empty() || history.dropped != 0) {
-        Json ev = Json::array();
-        for (const obs::Event& e : history.events) {
-          ev.push_back(event_to_json(e));
-        }
-        j.set("events", std::move(ev));
-        j.set("events_dropped", Json::integer(history.dropped));
-      }
       arr.push_back(std::move(j));
     }
   }
@@ -778,22 +541,8 @@ std::size_t Daemon::load_snapshot() {
         continue;  // a corrupt entry loses that job, not the snapshot
       }
       if (jobs_.count(spec.id) != 0) continue;
-      if (const Json* ev = item.find("events")) {
-        std::vector<obs::Event> events;
-        for (const Json& e : ev->items()) {
-          if (auto parsed = event_from_json(e)) {
-            events.push_back(std::move(*parsed));
-          }
-        }
-        std::uint64_t dropped = 0;
-        if (const Json* d = item.find("events_dropped")) {
-          try {
-            dropped = d->as_u64();
-          } catch (const JsonError&) {
-          }
-        }
-        obs::seed_event_history(spec.id, std::move(events), dropped);
-      }
+      // Unknown keys are ignored: older snapshots also carry each job's
+      // retained `events` ring.
       auto job = std::make_unique<Job>();
       job->spec = spec;
       job->seq = next_seq_++;
@@ -830,9 +579,6 @@ std::size_t Daemon::load_snapshot() {
         job->state = JobState::Queued;
         queue_.push_back(job.get());
         obs::add(obs::Counter::JobsResumed);
-        obs::publish_job_event(spec.id, obs::EventKind::JobState, "svc", 0,
-                               static_cast<std::uint64_t>(job->attempts),
-                               "resumed");
         ++resumed;
       }
       jobs_.emplace(spec.id, std::move(job));
@@ -849,9 +595,6 @@ std::size_t Daemon::load_snapshot() {
 
 std::size_t Daemon::run(const util::CancelToken& shutdown) {
   shutdown_ = shutdown;
-  // Event retention must be on before the snapshot loads so persisted
-  // rings can be re-seeded (seed_event_history is a no-op otherwise).
-  obs::set_event_history(options_.event_history);
   load_snapshot();
 
   const int listen_fd = listen_unix(options_.socket_path);

@@ -76,13 +76,6 @@ struct DaemonOptions {
   /// phase — it is a wedge detector, not a deadline (use the job's
   /// deadline_seconds for budgets).
   double stall_seconds = 300.0;
-  /// Per-subscriber bound on the `watch` stream's event queue; a
-  /// consumer falling further behind than this is shed (its stream gets
-  /// a `dropped` marker frame instead of the lost events).
-  std::size_t watch_queue_capacity = 256;
-  /// Events retained per job for the `events` replay verb and the drain
-  /// snapshot (0 disables retention).
-  std::size_t event_history = 128;
   SharedRegistry::Limits registry;
 };
 
@@ -124,11 +117,6 @@ class Daemon {
   Json op_status(const Json& request);
   Json op_wait(const Json& request);
   Json op_stats();
-  Json op_events(const Json& request);
-  /// Streams a job's event feed over `fd` (the `watch` verb).  Returns
-  /// true when the connection is still usable for further requests
-  /// (stream ended with an `end` frame), false on a write failure.
-  bool serve_watch(int fd, const Json& request);
 
   void executor_loop();
   void execute_attempt(Job& job);

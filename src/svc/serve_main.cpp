@@ -3,8 +3,7 @@
 //   scanc-serve --socket=PATH [--state-dir=DIR] [--executors=N]
 //               [--max-queue=N] [--max-retries=N] [--stall-seconds=S]
 //               [--deadline-check-seconds=S] [--metrics-out=PATH]
-//               [--trace-out=PATH] [--event-log=PATH]
-//               [--event-log-max-bytes=N] [--heartbeat=SECS] [--quiet]
+//               [--trace-out=PATH] [--heartbeat=SECS] [--quiet]
 //
 // Serves length-prefixed JSON requests on the AF_UNIX socket until
 // SIGINT/SIGTERM (or a client "shutdown" request), then drains: stops
@@ -21,7 +20,6 @@
 
 #include "svc/daemon.hpp"
 #include "util/cancel.hpp"
-#include "util/event_bus.hpp"
 #include "util/parse.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
@@ -32,8 +30,6 @@ struct Options {
   scanc::svc::DaemonOptions daemon;
   std::string metrics_out;
   std::string trace_out;
-  std::string event_log;
-  std::uint64_t event_log_max_bytes = 8u << 20;
   double heartbeat = 0.0;
   bool quiet = false;
 };
@@ -72,11 +68,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.metrics_out = value("--metrics-out=");
     } else if (a.rfind("--trace-out=", 0) == 0) {
       opt.trace_out = value("--trace-out=");
-    } else if (a.rfind("--event-log=", 0) == 0) {
-      opt.event_log = value("--event-log=");
-    } else if (a.rfind("--event-log-max-bytes=", 0) == 0 &&
-               (n = scanc::util::parse_uint(value("--event-log-max-bytes=")))) {
-      opt.event_log_max_bytes = *n;
     } else if (a.rfind("--heartbeat=", 0) == 0 &&
                (d = scanc::util::parse_finite(value("--heartbeat=")))) {
       opt.heartbeat = *d;
@@ -119,11 +110,6 @@ int main(int argc, char** argv) {
     std::cerr << "scanc-serve: cannot open trace file " << opt.trace_out
               << "\n";
   }
-  if (!opt.event_log.empty() &&
-      !scanc::obs::open_event_log(opt.event_log, opt.event_log_max_bytes)) {
-    std::cerr << "scanc-serve: cannot open event log " << opt.event_log
-              << "\n";
-  }
 
   if (!opt.quiet) {
     std::cerr << "scanc-serve: listening on " << opt.daemon.socket_path
@@ -138,10 +124,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   heartbeat.stop();
-  // SIGTERM drain ordering: the daemon has already published its final
-  // job-state events, so flush+close the event log before the trace is
-  // sealed — shutdown_sinks() pins that order (tests/resilience_test.cpp).
-  scanc::obs::shutdown_sinks();
+  scanc::obs::close_trace();
 
   if (!opt.metrics_out.empty()) {
     if (!scanc::obs::write_metrics_file(opt.metrics_out)) {

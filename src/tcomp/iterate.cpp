@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/event_bus.hpp"
 #include "util/telemetry.hpp"
 
 namespace scanc::tcomp {
@@ -71,11 +70,6 @@ IterateResult iterate_phases(FaultSimulator& fsim, const Sequence& t0,
     obs::add(obs::Counter::IterateRounds);
     result.iterations.push_back(IterationRecord{
         p1.chosen_candidate, detected.count(), tau.seq.length(), omitted});
-    // Live coverage delta: one event per complete round, carrying the
-    // round's detection count and index (watchers derive coverage % and
-    // the drop-rate curve from the stream without polling).
-    obs::publish_event(obs::EventKind::Round, "phase1+2", detected.count(),
-                       iter);
 
     // Keep the best test seen: more detections, then shorter sequence.
     const bool better =

@@ -42,15 +42,14 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
 
   // Step 1: faults detected by T0 alone (all-X state, PO observation).
   {
-    obs::Phase step("phase1/step1", "step");
+    const obs::Phase step("phase1/step1", "step");
     result.f0 = fsim.detect_no_scan(t0);
-    step.report(result.f0.count());
   }
 
   // Step 2: candidate scan-in states are the state parts of C.  Simulate
   // only F - F0: faults in F0 are detected for any scan-in choice.
   {
-    obs::Phase step("phase1/step2", "step", nullptr, 0, comb.size());
+    const obs::Phase step("phase1/step2", "step");
     FaultSet remaining = fsim.all_faults();
     remaining -= result.f0;
 
@@ -121,7 +120,6 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
     result.chosen_candidate = best;
     result.chose_selected = best_selected;
     result.f_si = result.f0 | best_det;
-    step.report(result.f_si.count());
   }
 
   const sim::Vector3& si = comb[result.chosen_candidate].state;
@@ -129,7 +127,7 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
   // Step 3: scan-out time selection from one detection-time recording of
   // (SI, T0) over all faults.  tau_SO,u detects f iff f is PO-detected at
   // some time <= u or the faulty state differs observably after time u.
-  obs::Phase step3("phase1/step3", "step");
+  const obs::Phase step3("phase1/step3", "step");
   const FaultSet all = fsim.all_faults();
   const auto times = fsim.detection_times(si, t0, all);
 
@@ -187,7 +185,6 @@ Phase1Result run_phase1(FaultSimulator& fsim, const Sequence& t0,
       result.f_so.set(times.targets[k]);
     }
   }
-  step3.report(result.f_so.count());
   return result;
 }
 

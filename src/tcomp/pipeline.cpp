@@ -52,9 +52,7 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
                             std::span<const atpg::CombTest> comb,
                             const PipelineOptions& options) {
   PipelineResult result;
-  // The begin event carries the fault universe size (value) so live
-  // watchers can turn per-round detection counts into coverage %.
-  obs::Phase pipeline("pipeline", "phase", nullptr, 0, fsim.num_classes());
+  const obs::Phase pipeline("pipeline");
   // Every exit (including cancellation) reports N_cyc for whatever test
   // sets it is returning, all via the one shared cost-model helper.
   const auto finish = [&]() -> PipelineResult& {
@@ -63,7 +61,6 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
     result.num_chains = chains;
     result.initial_cycles = clock_cycles(result.initial, nsv, chains);
     result.compacted_cycles = clock_cycles(result.compacted, nsv, chains);
-    pipeline.report(result.final_coverage.count());
     return result;
   };
   // The caller's token/threads are restored on every exit path (see
@@ -117,8 +114,7 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   undetected -= result.f_seq;
   TopOffResult topoff;
   {
-    obs::Phase phase("phase3", "phase", "phase 3 (top-off)",
-                     undetected.count());
+    obs::Phase phase("phase3", "phase", "phase 3 (top-off)");
     topoff = top_off(fsim, comb, undetected);
     phase.credit(undetected.count() - topoff.uncoverable.count());
   }
@@ -150,8 +146,7 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
 
   // Phase 4: static compaction by combining.
   if (options.run_phase4) {
-    const obs::Phase phase("phase4", "phase", "phase 4 (combining)", 0,
-                           result.initial.tests.size());
+    const obs::Phase phase("phase4", "phase", "phase 4 (combining)");
     CombineOptions copt = options.combine;
     if (!copt.cancel.valid()) copt.cancel = options.cancel;
     CombineResult comp = combine_tests(fsim, result.initial, copt);
@@ -171,9 +166,8 @@ PipelineResult run_pipeline(FaultSimulator& fsim, const sim::Sequence& t0,
   }
 
   {
-    obs::Phase phase("coverage");
+    const obs::Phase phase("coverage");
     result.final_coverage = coverage(fsim, result.compacted);
-    phase.report(result.final_coverage.count());
   }
   if (options.cancel.stop_requested()) {
     // The coverage simulation itself was interrupted; fall back to the

@@ -11,8 +11,7 @@
 #include <mutex>
 #include <ostream>
 #include <thread>
-
-#include "util/event_bus.hpp"
+#include <utility>
 
 namespace scanc::obs {
 namespace {
@@ -340,11 +339,22 @@ Span::~Span() {
   trace_event(name_, category_, start_us_, end - start_us_);
 }
 
-Phase::Phase(const char* name, const char* category, const char* note,
-             std::uint64_t faults, std::uint64_t value)
+namespace {
+thread_local const ProgressScope* t_progress = nullptr;
+}  // namespace
+
+ProgressScope::ProgressScope(ProgressHook hook) noexcept
+    : hook_(std::move(hook)), previous_(t_progress) {
+  t_progress = this;
+}
+
+ProgressScope::~ProgressScope() { t_progress = previous_; }
+
+Phase::Phase(const char* name, const char* category, const char* note)
     : span_(name, category), name_(name), previous_(current_phase()) {
-  if (note != nullptr) progress_note(note);
-  publish_event(EventKind::PhaseBegin, name, faults, value);
+  if (note != nullptr && t_progress != nullptr && t_progress->hook_) {
+    t_progress->hook_(note);
+  }
   g_current_phase.store(name, std::memory_order_relaxed);
   start_ns_ = now_nanos();
   entry_ = snapshot_counters();
@@ -353,7 +363,6 @@ Phase::Phase(const char* name, const char* category, const char* note,
 Phase::~Phase() {
   const std::uint64_t elapsed_ns = now_nanos() - start_ns_;
   if (credited_ != 0) add(Counter::FaultsDetected, credited_);
-  publish_event(EventKind::PhaseEnd, name_, faults_, elapsed_ns / 1'000'000);
   g_current_phase.store(previous_, std::memory_order_relaxed);
   try {
     Registry::instance().record_phase(

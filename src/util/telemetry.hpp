@@ -19,9 +19,10 @@
 //   Span       RAII trace span: emits one Chrome trace-event when a
 //              trace file is installed (util/trace_writer.hpp), else
 //              costs one relaxed load and allocates nothing.
-//   Phase      the one phase hook: a Span plus the phase begin/end
-//              events, the heartbeat's current phase, the progress note
-//              and one aggregated phase record with counter deltas.
+//   Phase      the one phase hook: a Span plus the heartbeat's current
+//              phase, the progress note and one aggregated phase record
+//              with counter deltas.
+//   ProgressScope  the thread-local hook that receives Phase notes.
 //   Heartbeat  optional background thread printing one progress line
 //              (phase, faults detected, frames/s) per interval.
 //
@@ -34,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -259,37 +261,51 @@ class Span {
 
 /// RAII phase, the one way code marks a phase.  Entry opens a span of
 /// `category`, hands `note` (if any) to the thread's progress hook
-/// (EventJobScope), publishes phase_begin(`faults`, `value`) and sets the
-/// heartbeat phase.  Exit, by any path, publishes phase_end (reported
-/// faults, wall ms), restores the heartbeat phase and folds the wall
-/// time, credited faults and counter deltas (snapshotted only at these
-/// two boundaries) into the record of `name`.  Strings must be literals.
+/// (ProgressScope) and sets the heartbeat phase.  Exit, by any path,
+/// restores the heartbeat phase and folds the wall time, credited faults
+/// and counter deltas (snapshotted only at these two boundaries) into
+/// the record of `name`.  Strings must be literals.
 class Phase {
  public:
   explicit Phase(const char* name, const char* category = "phase",
-                 const char* note = nullptr, std::uint64_t faults = 0,
-                 std::uint64_t value = 0);
+                 const char* note = nullptr);
   ~Phase();
   Phase(const Phase&) = delete;
   Phase& operator=(const Phase&) = delete;
 
-  /// Sets the phase_end `faults` payload (the coverage it ends with).
-  void report(std::uint64_t faults) noexcept { faults_ = faults; }
-  /// Newly detected faults this phase accounts for: reported as above,
-  /// and added to the phase record and Counter::FaultsDetected.
-  void credit(std::uint64_t faults) noexcept {
-    faults_ = faults;
-    credited_ = faults;
-  }
+  /// Newly detected faults this phase accounts for: added to the phase
+  /// record and Counter::FaultsDetected.
+  void credit(std::uint64_t faults) noexcept { credited_ = faults; }
 
  private:
   Span span_;
   const char* name_;
   const char* previous_;
-  std::uint64_t faults_ = 0;
   std::uint64_t credited_ = 0;
   std::uint64_t start_ns_ = 0;
   CounterSnapshot entry_{};
+};
+
+/// Receives the note of each obs::Phase entered on the thread.  Must
+/// not throw.
+using ProgressHook = std::function<void(const char*)>;
+
+/// RAII thread-local progress scope: while it is live, the notes of the
+/// obs::Phase objects this thread enters go to `hook` (may be empty); an
+/// inner scope shadows the outer one.  expt::run_circuit installs one
+/// carrying RunnerOptions::progress and --verbose.
+class ProgressScope {
+ public:
+  explicit ProgressScope(ProgressHook hook) noexcept;
+  ~ProgressScope();
+  ProgressScope(const ProgressScope&) = delete;
+  ProgressScope& operator=(const ProgressScope&) = delete;
+
+ private:
+  friend class Phase;
+
+  ProgressHook hook_;
+  const ProgressScope* previous_;
 };
 
 // ---------------------------------------------------------------------

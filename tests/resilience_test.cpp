@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -42,10 +43,11 @@
 #include "tgen/random_seq.hpp"
 #include "util/cancel.hpp"
 #include "util/store.hpp"
-#include "util/event_bus.hpp"
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace_writer.hpp"
+
+#include "trace_spans.hpp"
 
 namespace scanc {
 namespace {
@@ -503,25 +505,25 @@ TEST(CancelSim, Phase4WindowCutKeepsValidSetTransition) {
 }
 
 // ---------------------------------------------------------------------
-// Phase events stay balanced on every exit path: a watcher (scanc-top)
-// must never see a job stuck mid-phase because the pipeline left early.
+// Phases stay balanced on every exit path: the pipeline leaving early
+// still closes every phase span it opened and restores the enclosing
+// phase.
 
-/// Every phase_begin in `events` is closed by a phase_end of the same
-/// phase, innermost first.
-void expect_balanced_phases(const std::vector<obs::Event>& events) {
-  std::vector<std::string> open;
-  for (const obs::Event& e : events) {
-    const std::string kind = obs::to_string(e.kind);
-    if (kind == "phase_begin") {
-      open.push_back(e.phase);
-    } else if (kind == "phase_end") {
-      ASSERT_FALSE(open.empty()) << "phase_end without a begin: " << e.phase;
-      EXPECT_EQ(open.back(), e.phase) << "phases must close innermost first";
-      open.pop_back();
-    }
+/// The spans of `path`: non-empty, well nested, and all inside the one
+/// "pipeline" span, so every phase the pipeline opened was closed.
+void expect_balanced_phases(const std::string& path) {
+  const std::vector<test::ParsedEvent> spans = test::parse_spans(path);
+  const auto pipeline = std::find_if(
+      spans.begin(), spans.end(),
+      [](const test::ParsedEvent& e) { return e.name == "pipeline"; });
+  ASSERT_NE(pipeline, spans.end()) << "the pipeline span was never closed";
+  EXPECT_GT(spans.size(), 1u) << "the pipeline opened phases before leaving";
+  test::expect_well_nested(spans);
+  for (const test::ParsedEvent& e : spans) {
+    if (e.tid != pipeline->tid) continue;
+    EXPECT_GE(e.ts, pipeline->ts) << e.name;
+    EXPECT_LE(e.ts + e.dur, pipeline->ts + pipeline->dur) << e.name;
   }
-  EXPECT_TRUE(open.empty()) << open.size() << " phase(s) never ended, "
-                            << "innermost " << open.back();
 }
 
 TEST(PhaseEvents, ThrowingQueryClosesEveryPhase) {
@@ -534,14 +536,15 @@ TEST(PhaseEvents, ThrowingQueryClosesEveryPhase) {
   sim::Sequence t0;
   t0.frames.assign(8, sim::Vector3(fx.circuit.num_inputs() - 1));
 
-  obs::reset_events();
-  const auto sub = obs::subscribe("", 1024);
+  const std::string path = testing::TempDir() + "scanc_throw_phases.json";
+  const char* const before = obs::current_phase();
+  ASSERT_TRUE(obs::open_trace(path));
   EXPECT_THROW((void)tcomp::run_pipeline(fx.fsim, t0, comb.tests),
                std::invalid_argument);
-  std::vector<obs::Event> events;
-  sub->poll(events, 0.1);
-  ASSERT_FALSE(events.empty()) << "the pipeline opened phases before the throw";
-  expect_balanced_phases(events);
+  obs::close_trace();
+  EXPECT_STREQ(obs::current_phase(), before);
+  expect_balanced_phases(path);
+  std::remove(path.c_str());
 }
 
 TEST(PhaseEvents, CancelMidPipelineClosesEveryPhase) {
@@ -556,19 +559,25 @@ TEST(PhaseEvents, CancelMidPipelineClosesEveryPhase) {
   tcomp::PipelineOptions popt;
   popt.cancel = util::CancelToken::make();
   // Cut the run deterministically as Phase 4 starts.
-  const obs::EventJobScope scope("", [&popt](const char* note) {
+  const obs::ProgressScope scope([&popt](const char* note) {
     if (std::string(note) == "phase 4 (combining)") popt.cancel.request_stop();
   });
-  obs::reset_events();
-  const auto sub = obs::subscribe("", 1024);
+  const std::string path = testing::TempDir() + "scanc_cancel_phases.json";
+  const char* const before = obs::current_phase();
+  ASSERT_TRUE(obs::open_trace(path));
   const tcomp::PipelineResult r =
       tcomp::run_pipeline(fx.fsim, t0, comb.tests, popt);
+  obs::close_trace();
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.stopped_at, tcomp::PipelinePhase::Combine);
-  std::vector<obs::Event> events;
-  sub->poll(events, 0.1);
-  ASSERT_FALSE(events.empty());
-  expect_balanced_phases(events);
+  EXPECT_STREQ(obs::current_phase(), before);
+  expect_balanced_phases(path);
+  const std::vector<test::ParsedEvent> spans = test::parse_spans(path);
+  EXPECT_TRUE(std::any_of(
+      spans.begin(), spans.end(),
+      [](const test::ParsedEvent& e) { return e.name == "phase4"; }))
+      << "the cancelled phase closed its span";
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -1037,61 +1046,6 @@ TEST(RunnerResilience, KillResumeMetricsAreCumulativeAcrossAttempts) {
   const obs::CounterSnapshot cumulative = obs::snapshot_counters();
   EXPECT_GE(cumulative[kFrames], uninterrupted[kFrames]);
   EXPECT_GE(cumulative[kQueries], uninterrupted[kQueries]);
-}
-
-TEST(ObsShutdown, DrainEventsReachTheLogBeforeSinksSeal) {
-  // The SIGTERM drain path (scanc-serve, compact_bench) publishes its
-  // final phase-end events and then calls obs::shutdown_sinks(), which
-  // must flush+close the event log before sealing the Chrome trace.
-  // Pin the contract: every event published up to the shutdown call is
-  // on disk afterwards, both sinks are sealed (the trace is a complete
-  // JSON document), and a straggler publish after shutdown cannot
-  // resurrect or corrupt either file.
-  ScratchDir dir("obs_shutdown");
-  const std::string trace_path = dir.path + "/trace.json";
-  const std::string log_path = dir.path + "/events.jsonl";
-  ASSERT_TRUE(obs::open_trace(trace_path));
-  ASSERT_TRUE(obs::open_event_log(log_path));
-  ASSERT_TRUE(obs::events_enabled());
-
-  {
-    const obs::Phase pipeline("pipeline");
-    obs::publish_event(obs::EventKind::Round, "phase1+2", 17, 0);
-  }
-  // The drain's last gasp — this is the event a wrong ordering loses.
-  obs::publish_event(obs::EventKind::JobState, "", 0, 0, "drain");
-
-  obs::shutdown_sinks();
-  EXPECT_FALSE(obs::events_enabled());
-  EXPECT_FALSE(obs::tracing_enabled());
-
-  // Every pre-shutdown event was flushed, in publish order.
-  std::ifstream log(log_path);
-  ASSERT_TRUE(log.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(log, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 4u);
-  EXPECT_NE(lines[0].find("\"kind\":\"phase_begin\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"kind\":\"round\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"kind\":\"phase_end\""), std::string::npos);
-  EXPECT_NE(lines[3].find("\"note\":\"drain\""), std::string::npos);
-
-  // The trace was sealed after the log: a complete JSON document.
-  std::ifstream trace(trace_path);
-  std::stringstream tbuf;
-  tbuf << trace.rdbuf();
-  const std::string tdoc = tbuf.str();
-  ASSERT_FALSE(tdoc.empty());
-  const auto last = tdoc.find_last_not_of(" \t\r\n");
-  ASSERT_NE(last, std::string::npos);
-  EXPECT_EQ(tdoc[last], '}') << "trace must be sealed, not truncated";
-
-  // Stragglers after shutdown are dropped, not appended.
-  obs::publish_event(obs::EventKind::Counters, "exec", 0, 1);
-  std::ifstream relog(log_path);
-  std::size_t count = 0;
-  for (std::string line; std::getline(relog, line);) ++count;
-  EXPECT_EQ(count, 4u);
 }
 
 }  // namespace

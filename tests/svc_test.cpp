@@ -12,12 +12,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -28,6 +24,7 @@
 #include "svc/json.hpp"
 #include "svc/wire.hpp"
 #include "util/cancel.hpp"
+#include "util/store.hpp"
 
 namespace scanc::svc {
 namespace {
@@ -345,6 +342,22 @@ TEST(SvcDaemon, HostileClientsCannotKillTheDaemon) {
     EXPECT_EQ(resp.find("kind")->as_string(), "protocol");
     EXPECT_TRUE(client.ping());
   }
+  {  // `watch` and `events`, verbs of older daemons, are unknown ops
+     // like any other: a typed protocol error, and the connection
+     // survives.
+    Client client;
+    client.connect(socket);
+    for (const char* req :
+         {R"({"op":"watch","id":"*"})", R"({"op":"events","id":"x"})"}) {
+      const Json resp = client.request(Json::parse(req));
+      EXPECT_FALSE(resp.find("ok")->as_bool()) << req;
+      EXPECT_EQ(resp.find("kind")->as_string(), "protocol") << req;
+      EXPECT_NE(resp.find("error")->as_string().find("unknown op"),
+                std::string::npos)
+          << req;
+      EXPECT_TRUE(client.ping()) << req;
+    }
+  }
   {  // Oversized length prefix: the daemon reports and closes.
     Client client;
     client.connect(socket);
@@ -575,252 +588,58 @@ TEST(SvcDaemon, SharedRegistryReusesCircuitsAcrossJobs) {
   EXPECT_GE(counters->find("registry_circuit_hits")->as_u64(), 1u);
 }
 
-// ---------------------------------------------------------------------
-// Live introspection: the watch stream and events replay.
-
-/// Reads stream frames until the end frame (or `max_frames`), recording
-/// event frames and dropped markers.
-struct StreamCapture {
-  std::vector<Json> events;
-  std::vector<std::uint64_t> dropped_markers;
-  Json end = Json::object();
-  bool ended = false;
-};
-
-StreamCapture read_stream(Client& client, std::size_t max_frames = 4096) {
-  StreamCapture cap;
-  for (std::size_t i = 0; i < max_frames; ++i) {
-    auto frame = client.next_frame(30.0);
-    if (!frame) break;
-    if (frame->find("end") != nullptr) {
-      cap.end = std::move(*frame);
-      cap.ended = true;
-      break;
-    }
-    if (const Json* d = frame->find("dropped")) {
-      cap.dropped_markers.push_back(d->as_u64());
-      continue;
-    }
-    const Json* ev = frame->find("event");
-    if (ev == nullptr) {
-      ADD_FAILURE() << "unexpected stream frame: " << frame->dump();
-      break;
-    }
-    cap.events.push_back(*ev);
-  }
-  return cap;
-}
-
-TEST(SvcWatch, LiveStreamIsOrderedAndGapFreeOrMarked) {
+// Snapshots written by older daemons also carry each job's retained
+// `events` ring and `events_dropped`.  The loader ignores those keys,
+// well-formed or not, and resumes every job.
+TEST(SvcDaemon, ResumesSnapshotsThatCarryEventRings) {
   TempDir dir;
   DaemonOptions opt = fast_options(dir);
-  opt.event_history = 4096;  // replay covers events before the attach
-  opt.watch_queue_capacity = 65536;  // no shedding: assert true gap-freedom
   const std::string socket = opt.socket_path;
+
+  Json result = Json::object();
+  result.set("circuit", Json::string("t-old-done"));
+  result.set("compacted_cycles", Json::integer(1234));
+  Json event = Json::object();
+  event.set("kind", Json::string("job_state"));
+  event.set("job", Json::string("old-done"));
+  event.set("phase", Json::string("svc"));
+  event.set("seq", Json::integer(1));
+  event.set("note", Json::string("done"));
+  Json events = Json::array();
+  events.push_back(std::move(event));
+
+  Json done = Json::object();
+  done.set("spec", gen_spec("old-done"));
+  done.set("state", Json::string("done"));
+  done.set("attempts", Json::integer(1));
+  done.set("result", result);
+  done.set("events", std::move(events));
+  done.set("events_dropped", Json::integer(0));
+  Json queued = Json::object();
+  queued.set("spec", gen_spec("old-queued"));
+  queued.set("state", Json::string("queued"));
+  queued.set("attempts", Json::integer(0));
+  queued.set("events", Json::string("not an event ring"));
+  queued.set("events_dropped", Json::string("many"));
+  Json jobs = Json::array();
+  jobs.push_back(std::move(done));
+  jobs.push_back(std::move(queued));
+  Json root = Json::object();
+  root.set("v", Json::integer(1));
+  root.set("jobs", std::move(jobs));
+  ASSERT_TRUE(util::store_write(opt.state_dir + "/resume.jobs", root.dump()));
+
   DaemonHarness harness(std::move(opt));
-
-  Client submitter;
-  submitter.connect(socket);
-  ASSERT_TRUE(
-      submitter.submit_raw(gen_spec("w1", 60, 80)).find("accepted")->as_bool());
-
-  Client watcher;
-  watcher.connect(socket);
-  const Json ack = watcher.watch_start("w1");
-  ASSERT_NE(ack.find("ok"), nullptr) << ack.dump();
-  ASSERT_TRUE(ack.find("ok")->as_bool()) << ack.dump();
-  EXPECT_EQ(ack.find("op")->as_string(), "watch");
-
-  StreamCapture cap = read_stream(watcher);
-  ASSERT_TRUE(cap.ended) << "stream must end when the job is terminal";
-  EXPECT_EQ(cap.end.find("state")->as_string(), "done");
-  ASSERT_FALSE(cap.events.empty());
-
-  // Sequence numbers are strictly increasing and gap-free unless an
-  // explicit dropped marker accounted for the hole (acceptance
-  // criterion).  With a huge history ring and a fast consumer there
-  // should be no marker at all, so the stream starts at seq 1.
-  ASSERT_TRUE(cap.dropped_markers.empty());
-  std::uint64_t expected = 1;
-  std::map<std::string, int> phase_depth;  // open begins per phase path
-  bool saw_phase_begin = false;
-  bool saw_phase_end = false;
-  bool saw_round = false;
-  bool saw_done_state = false;
-  for (const Json& ev : cap.events) {
-    EXPECT_EQ(ev.find("job")->as_string(), "w1");
-    EXPECT_EQ(ev.find("seq")->as_u64(), expected)
-        << "gap in the event sequence at " << ev.dump();
-    ++expected;
-    const std::string kind = ev.find("kind")->as_string();
-    const std::string phase = ev.find("phase")->as_string();
-    if (kind == "phase_begin") {
-      ++phase_depth[phase];
-      if (phase == "phase1+2") saw_phase_begin = true;
-    } else if (kind == "phase_end") {
-      // Every end closes a previously streamed begin of the same phase.
-      EXPECT_GT(phase_depth[phase], 0)
-          << "phase_end without a begin: " << ev.dump();
-      --phase_depth[phase];
-      if (phase == "phase1+2") saw_phase_end = true;
-    } else if (kind == "round") {
-      saw_round = true;
-      EXPECT_GT(phase_depth["phase1+2"], 0)
-          << "rounds happen inside an open phase1+2";
-    } else if (kind == "job_state" &&
-               ev.find("note")->as_string() == "done") {
-      saw_done_state = true;
-    }
-  }
-  EXPECT_TRUE(saw_phase_begin);
-  EXPECT_TRUE(saw_phase_end);
-  EXPECT_TRUE(saw_round);
-  EXPECT_TRUE(saw_done_state);
-
-  // The stream ended cleanly: the same connection serves requests again.
-  EXPECT_TRUE(watcher.ping());
-}
-
-TEST(SvcWatch, FinishedJobRepliesReplayWithDroppedMarker) {
-  TempDir dir;
-  DaemonOptions opt = fast_options(dir);
-  // A tiny ring guarantees overflow, so the replay must carry an
-  // explicit dropped marker — the deterministic shed path.
-  opt.event_history = 4;
-  const std::string socket = opt.socket_path;
-  DaemonHarness harness(std::move(opt));
-
   Client client;
   client.connect(socket);
-  ASSERT_TRUE(
-      client.submit_raw(gen_spec("old")).find("accepted")->as_bool());
-  ASSERT_EQ(wait_state(client, "old"), "done");
-
-  Client watcher;
-  watcher.connect(socket);
-  const Json ack = watcher.watch_start("old");
-  ASSERT_TRUE(ack.find("ok")->as_bool()) << ack.dump();
-  EXPECT_FALSE(ack.find("live")->as_bool());
-
-  StreamCapture cap = read_stream(watcher);
-  ASSERT_TRUE(cap.ended);
-  EXPECT_LE(cap.events.size(), 4u) << "replay is bounded by the ring";
-  ASSERT_FALSE(cap.dropped_markers.empty())
-      << "ring overflow must surface as a dropped marker";
-  EXPECT_GT(cap.dropped_markers.front(), 0u);
-  // Post-marker events are still ordered and contiguous.
-  for (std::size_t i = 1; i < cap.events.size(); ++i) {
-    EXPECT_EQ(cap.events[i].find("seq")->as_u64(),
-              cap.events[i - 1].find("seq")->as_u64() + 1);
-  }
-}
-
-TEST(SvcWatch, UnknownJobIsTypedErrorAndConnectionSurvives) {
-  TempDir dir;
-  DaemonOptions opt = fast_options(dir);
-  const std::string socket = opt.socket_path;
-  DaemonHarness harness(std::move(opt));
-
-  Client client;
-  client.connect(socket);
-  const Json resp = client.watch_start("no-such-job");
-  ASSERT_NE(resp.find("ok"), nullptr);
-  EXPECT_FALSE(resp.find("ok")->as_bool());
-  EXPECT_EQ(resp.find("kind")->as_string(), "not_found");
-  // The typed miss is a single response frame, not a dead stream.
-  EXPECT_TRUE(client.ping());
-}
-
-TEST(SvcWatch, VanishingSubscriberDoesNotStallTheJob) {
-  TempDir dir;
-  DaemonOptions opt = fast_options(dir);
-  const std::string socket = opt.socket_path;
-  DaemonHarness harness(std::move(opt));
-
-  Client submitter;
-  submitter.connect(socket);
-  ASSERT_TRUE(
-      submitter.submit_raw(gen_spec("v1", 60, 80)).find("accepted")->as_bool());
-
-  // Attach a watcher and vanish without reading a single stream frame.
-  {
-    Client watcher;
-    watcher.connect(socket);
-    (void)watcher.watch_start("v1");
-  }  // destructor closes the fd mid-stream
-
-  // The job still completes and the daemon still serves.
-  EXPECT_EQ(wait_state(submitter, "v1", 120.0), "done");
-  EXPECT_TRUE(submitter.ping());
-}
-
-TEST(SvcWatch, AllJobsStreamEndsOnDrain) {
-  TempDir dir;
-  DaemonOptions opt = fast_options(dir);
-  const std::string socket = opt.socket_path;
-  auto harness = std::make_unique<DaemonHarness>(std::move(opt));
-
-  Client submitter;
-  submitter.connect(socket);
-  ASSERT_TRUE(
-      submitter.submit_raw(gen_spec("d1")).find("accepted")->as_bool());
-  ASSERT_EQ(wait_state(submitter, "d1"), "done");
-
-  Client watcher;
-  watcher.connect(socket);
-  const Json ack = watcher.watch_start("*");
-  ASSERT_TRUE(ack.find("ok")->as_bool()) << ack.dump();
-
-  std::thread stopper([&] { harness->stop(); });
-  // The wildcard stream ends with a draining end frame, not a cut.
-  bool saw_drain_end = false;
-  for (int i = 0; i < 4096 && !saw_drain_end; ++i) {
-    std::optional<Json> frame;
-    try {
-      frame = watcher.next_frame(30.0);
-    } catch (const WireError&) {
-      break;  // acceptable: connection torn down by process exit timing
-    }
-    if (!frame) break;
-    if (frame->find("end") != nullptr) {
-      const Json* reason = frame->find("reason");
-      saw_drain_end =
-          reason != nullptr && reason->as_string() == "draining";
-    }
-  }
-  stopper.join();
-  EXPECT_TRUE(saw_drain_end);
-}
-
-TEST(SvcEvents, BoundedReplayVerbAndTypedMiss) {
-  TempDir dir;
-  DaemonOptions opt = fast_options(dir);
-  opt.event_history = 16;
-  const std::string socket = opt.socket_path;
-  DaemonHarness harness(std::move(opt));
-
-  Client client;
-  client.connect(socket);
-  ASSERT_TRUE(client.submit_raw(gen_spec("e1")).find("accepted")->as_bool());
-  ASSERT_EQ(wait_state(client, "e1"), "done");
-
-  const Json resp = client.events("e1");
-  ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-  EXPECT_EQ(resp.find("op")->as_string(), "events");
-  const Json* events = resp.find("events");
-  ASSERT_NE(events, nullptr);
-  EXPECT_FALSE(events->items().empty());
-  EXPECT_LE(events->items().size(), 16u);
-  // Every replayed event is schema-complete.
-  for (const Json& ev : events->items()) {
-    EXPECT_NE(ev.find("kind"), nullptr);
-    EXPECT_NE(ev.find("seq"), nullptr);
-    EXPECT_NE(ev.find("t_us"), nullptr);
-  }
-
-  const Json miss = client.events("never-submitted");
-  EXPECT_FALSE(miss.find("ok")->as_bool());
-  EXPECT_EQ(miss.find("kind")->as_string(), "not_found");
+  const Json old = client.status("old-done");
+  ASSERT_TRUE(old.find("ok")->as_bool());
+  const Json* job = old.find("job");
+  EXPECT_EQ(job->find("state")->as_string(), "done");
+  ASSERT_NE(job->find("result"), nullptr);
+  EXPECT_EQ(job->find("result")->dump(), result.dump());
+  EXPECT_TRUE(client.status("old-queued").find("ok")->as_bool());
+  EXPECT_EQ(wait_state(client, "old-queued"), "done");
 }
 
 }  // namespace

@@ -18,10 +18,11 @@
 #include <thread>
 #include <vector>
 
-#include "util/event_bus.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace_writer.hpp"
+
+#include "trace_spans.hpp"
 
 // ---------------------------------------------------------------------
 // Global allocation counter for the zero-allocation test.  Counts every
@@ -176,10 +177,7 @@ TEST(TelemetryPhases, RecordPhaseBumpsFaultsDetected) {
     obs::add(obs::Counter::QueriesRun, 2);
     phase.credit(4);
   }
-  {
-    obs::Phase coverage("coverage");
-    coverage.report(99);  // reported only: not a detection credit
-  }
+  { const obs::Phase coverage("coverage"); }  // no credit: no detections
   const std::vector<obs::PhaseRecord> records = obs::phase_records();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].name, "phase1+2");
@@ -237,14 +235,14 @@ TEST(TelemetryPhases, PhaseRestoresEnclosingPhase) {
 
 TEST(TelemetryPhases, PhaseNotesReachTheScopeHookOnEntryOnly) {
   std::vector<std::string> notes;
-  const obs::EventJobScope scope(
-      "job-p", [&notes](const char* note) { notes.emplace_back(note); });
+  const obs::ProgressScope scope(
+      [&notes](const char* note) { notes.emplace_back(note); });
   {
     const obs::Phase stage("stage", "stage", "stage note");
     const obs::Phase silent("silent");  // no note: the hook stays quiet
     {
       // An inner scope shadows the hook.
-      const obs::EventJobScope inner("job-p");
+      const obs::ProgressScope inner({});
       const obs::Phase hidden("hidden", "phase", "hidden note");
     }
     const obs::Phase step("step", "step", "step note");
@@ -252,68 +250,37 @@ TEST(TelemetryPhases, PhaseNotesReachTheScopeHookOnEntryOnly) {
   EXPECT_EQ(notes, (std::vector<std::string>{"stage note", "step note"}));
 }
 
-TEST(TelemetryPhases, PhaseEventsBalanceOnEveryExit) {
-  obs::reset_events();
-  const auto sub = obs::subscribe("", 64);
-  const auto throwing = [] {
-    obs::Phase phase("outer", "phase", nullptr, 7, 42);
-    const obs::Phase inner("inner");
-    phase.report(3);
-    throw std::runtime_error("query failed");
-  };
-  EXPECT_THROW(throwing(), std::runtime_error);
-  std::vector<obs::Event> got;
-  sub->poll(got, 0.5);
-  ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(got[0].kind, obs::EventKind::PhaseBegin);
-  EXPECT_EQ(got[0].phase, "outer");
-  EXPECT_EQ(got[0].faults, 7u);
-  EXPECT_EQ(got[0].value, 42u);
-  EXPECT_EQ(got[1].phase, "inner");
-  EXPECT_EQ(got[2].kind, obs::EventKind::PhaseEnd);
-  EXPECT_EQ(got[2].phase, "inner");
-  EXPECT_EQ(got[3].kind, obs::EventKind::PhaseEnd);
-  EXPECT_EQ(got[3].phase, "outer");
-  EXPECT_EQ(got[3].faults, 3u);
-}
-
 // ---------------------------------------------------------------------
 // Trace spans.
 
-struct ParsedEvent {
-  std::string name;
-  std::uint64_t ts = 0;
-  std::uint64_t dur = 0;
-  unsigned tid = 0;
-};
+using test::ParsedEvent;
+using test::parse_spans;
 
-// Parses the one-event-per-line complete events out of a trace file.
-std::vector<ParsedEvent> parse_spans(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::vector<ParsedEvent> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t name_at = line.find("\"name\":\"");
-    if (name_at == std::string::npos ||
-        line.find("\"ph\":\"X\"") == std::string::npos) {
-      continue;
-    }
-    ParsedEvent e;
-    const std::size_t name_start = name_at + 8;
-    e.name = line.substr(name_start, line.find('"', name_start) - name_start);
-    unsigned long long ts = 0;
-    unsigned long long dur = 0;
-    EXPECT_EQ(std::sscanf(line.c_str() + line.find("\"tid\":"),
-                          "\"tid\":%u,\"ts\":%llu,\"dur\":%llu", &e.tid, &ts,
-                          &dur),
-              3)
-        << line;
-    e.ts = ts;
-    e.dur = dur;
-    out.push_back(std::move(e));
-  }
-  return out;
+TEST(TelemetryPhases, PhaseEventsBalanceOnEveryExit) {
+  obs::reset();
+  const obs::Phase enclosing("enclosing");
+  const std::string path = testing::TempDir() + "scanc_phase_balance.json";
+  ASSERT_TRUE(obs::open_trace(path));
+  const auto throwing = [] {
+    obs::Phase phase("outer");
+    const obs::Phase inner("inner");
+    phase.credit(3);
+    throw std::runtime_error("query failed");
+  };
+  EXPECT_THROW(throwing(), std::runtime_error);
+  obs::close_trace();
+  EXPECT_STREQ(obs::current_phase(), "enclosing");
+  const std::vector<ParsedEvent> spans = parse_spans(path);
+  ASSERT_EQ(spans.size(), 2u) << "both phases closed their spans";
+  EXPECT_EQ(spans[0].name, "inner");
+  EXPECT_EQ(spans[1].name, "outer");
+  test::expect_well_nested(spans);
+  // Every exit folds the record too, credit included.
+  const std::vector<obs::PhaseRecord> records = obs::phase_records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].name, "outer");
+  EXPECT_EQ(records[1].faults_delta, 3u);
+  std::remove(path.c_str());
 }
 
 TEST(TelemetrySpans, NestedSpansContainedAndEndOrdered) {
@@ -365,23 +332,8 @@ TEST(TelemetrySpans, SpansFromPoolWorkersCarryDistinctTids) {
   const std::vector<ParsedEvent> spans = parse_spans(path);
   ASSERT_EQ(spans.size(), 32u);
   // Spans on the same thread never partially overlap (they are strictly
-  // sequential there), which is what keeps Perfetto's per-tid stacks
-  // well-formed.
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    for (std::size_t j = i + 1; j < spans.size(); ++j) {
-      if (spans[i].tid != spans[j].tid) continue;
-      const ParsedEvent& a = spans[i];
-      const ParsedEvent& b = spans[j];
-      const bool disjoint =
-          a.ts + a.dur <= b.ts || b.ts + b.dur <= a.ts;
-      const bool nested =
-          (a.ts >= b.ts && a.ts + a.dur <= b.ts + b.dur) ||
-          (b.ts >= a.ts && b.ts + b.dur <= a.ts + a.dur);
-      EXPECT_TRUE(disjoint || nested)
-          << a.name << "[" << a.ts << "," << a.ts + a.dur << ") vs "
-          << b.name << "[" << b.ts << "," << b.ts + b.dur << ")";
-    }
-  }
+  // sequential there).
+  test::expect_well_nested(spans);
   std::remove(path.c_str());
 }
 
@@ -390,14 +342,14 @@ TEST(TelemetrySpans, SpansFromPoolWorkersCarryDistinctTids) {
 
 TEST(TelemetryOverhead, DisabledSpansAndCountersAllocateNothing) {
   ASSERT_FALSE(obs::tracing_enabled());
-  ASSERT_FALSE(obs::events_enabled());
   obs::add(obs::Counter::FramesSimulated);  // warm this thread's block
+  { const obs::Phase warm("hot phase"); }   // create its phase record
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 10000; ++i) {
     obs::Span span("hot", "query");
+    const obs::Phase phase("hot phase");
     obs::add(obs::Counter::FramesSimulated, 2);
     obs::add(obs::Counter::FramesSkipped);
-    obs::publish_event(obs::EventKind::Round, "phase1+2", 7, 1);
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
@@ -462,181 +414,6 @@ TEST(TelemetryReports, HeartbeatPrintsProgressLines) {
   const std::size_t len = text.size();
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_EQ(sink.str().size(), len);
-}
-
-// ---------------------------------------------------------------------
-// Event bus (src/util/event_bus.hpp).
-
-TEST(EventBus, SubscriberSeesOrderedGapFreeSequences) {
-  obs::reset_events();
-  const auto sub = obs::subscribe("", 64);
-  ASSERT_TRUE(obs::events_enabled());
-  {
-    const obs::EventJobScope scope("job-a");
-    obs::publish_event(obs::EventKind::PhaseBegin, "phase1+2");
-    obs::publish_event(obs::EventKind::Round, "phase1+2", 10, 0);
-    obs::publish_event(obs::EventKind::Round, "phase1+2", 14, 1);
-    obs::publish_event(obs::EventKind::PhaseEnd, "phase1+2", 14, 3);
-  }
-  std::vector<obs::Event> got;
-  std::uint64_t dropped = 1;
-  sub->poll(got, 0.5, &dropped);
-  ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(dropped, 0u);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].job, "job-a");
-    EXPECT_EQ(got[i].seq, i + 1) << "per-job sequence must be gap-free";
-  }
-  EXPECT_EQ(got[0].kind, obs::EventKind::PhaseBegin);
-  EXPECT_EQ(got[3].kind, obs::EventKind::PhaseEnd);
-  EXPECT_EQ(got[2].faults, 14u);
-  // Timestamps share the trace-span epoch and are monotone.
-  EXPECT_LE(got[0].t_us, got[3].t_us);
-}
-
-TEST(EventBus, SlowConsumerIsShedWithDropCount) {
-  obs::reset_events();
-  const auto sub = obs::subscribe("", 2);
-  for (int i = 0; i < 5; ++i) {
-    obs::publish_event(obs::EventKind::Round, "phase1+2", i, i);
-  }
-  std::vector<obs::Event> got;
-  std::uint64_t dropped = 0;
-  sub->poll(got, 0.0, &dropped);
-  EXPECT_EQ(got.size(), 2u) << "queue is bounded at its capacity";
-  EXPECT_EQ(dropped, 3u) << "overflow is counted, not silent";
-  // The retained events are the oldest (drop-newest shedding), and the
-  // producer-side sequence still has no gaps before the cut.
-  EXPECT_EQ(got[0].seq, 1u);
-  EXPECT_EQ(got[1].seq, 2u);
-}
-
-TEST(EventBus, JobFilterAndScopeRouting) {
-  obs::reset_events();
-  const auto only_b = obs::subscribe("job-b", 16);
-  {
-    const obs::EventJobScope scope_a("job-a");
-    obs::publish_event(obs::EventKind::Round, "p", 1, 0);
-    {
-      const obs::EventJobScope scope_b("job-b");
-      obs::publish_event(obs::EventKind::Round, "p", 2, 0);
-    }
-    // Scope nesting restores the outer job.
-    obs::publish_event(obs::EventKind::Round, "p", 3, 1);
-  }
-  std::vector<obs::Event> got;
-  only_b->poll(got, 0.2, nullptr);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].job, "job-b");
-  EXPECT_EQ(got[0].faults, 2u);
-}
-
-TEST(EventBus, HistoryRingBoundsAndCountsOverflow) {
-  obs::reset_events();
-  obs::set_event_history(4);
-  ASSERT_TRUE(obs::events_enabled());
-  {
-    const obs::EventJobScope scope("job-h");
-    for (int i = 0; i < 7; ++i) {
-      obs::publish_event(obs::EventKind::Round, "p", i, i);
-    }
-  }
-  const obs::EventHistory h = obs::event_history("job-h");
-  EXPECT_EQ(h.events.size(), 4u);
-  EXPECT_EQ(h.dropped, 3u);
-  // The ring keeps the newest events; their sequence numbers expose the
-  // discarded prefix.
-  EXPECT_EQ(h.events.front().seq, 4u);
-  EXPECT_EQ(h.events.back().seq, 7u);
-  obs::set_event_history(0);
-  EXPECT_FALSE(obs::events_enabled());
-}
-
-TEST(EventBus, SeededHistoryContinuesSequenceGapFree) {
-  obs::reset_events();
-  obs::set_event_history(8);
-  std::vector<obs::Event> persisted(2);
-  persisted[0].kind = obs::EventKind::PhaseBegin;
-  persisted[0].job = "job-r";
-  persisted[0].seq = 5;
-  persisted[1].kind = obs::EventKind::PhaseEnd;
-  persisted[1].job = "job-r";
-  persisted[1].seq = 6;
-  obs::seed_event_history("job-r", persisted, 4);
-  {
-    const obs::EventJobScope scope("job-r");
-    obs::publish_event(obs::EventKind::JobState, "svc", 0, 0, "resumed");
-  }
-  const obs::EventHistory h = obs::event_history("job-r");
-  ASSERT_EQ(h.events.size(), 3u);
-  EXPECT_EQ(h.dropped, 4u);
-  EXPECT_EQ(h.events.back().seq, 7u)
-      << "post-resume events continue the persisted sequence";
-  obs::set_event_history(0);
-}
-
-TEST(EventBus, EventJsonIsOneSchemaStableObject) {
-  obs::Event e;
-  e.kind = obs::EventKind::JobState;
-  e.job = "j\"1";
-  e.phase = "svc";
-  e.note = "done";
-  e.seq = 9;
-  e.t_us = 1234;
-  e.faults = 2;
-  e.value = 3;
-  const std::string line = obs::event_json(e);
-  EXPECT_NE(line.find("\"kind\":\"job_state\""), std::string::npos);
-  EXPECT_NE(line.find("\"job\":\"j\\\"1\""), std::string::npos);
-  EXPECT_NE(line.find("\"seq\":9"), std::string::npos);
-  EXPECT_NE(line.find("\"t_us\":1234"), std::string::npos);
-  EXPECT_NE(line.find("\"faults\":2"), std::string::npos);
-  EXPECT_NE(line.find("\"value\":3"), std::string::npos);
-  EXPECT_NE(line.find("\"note\":\"done\""), std::string::npos);
-  EXPECT_EQ(obs::event_kind_from("job_state"), obs::EventKind::JobState);
-  EXPECT_EQ(obs::event_kind_from("nope"), obs::EventKind::kCount);
-}
-
-TEST(EventBus, JsonlLogSinkWritesAndRotates) {
-  obs::reset_events();
-  const std::string path = "event_log_test.jsonl";
-  ASSERT_TRUE(obs::open_event_log(path, 400));
-  ASSERT_TRUE(obs::events_enabled());
-  {
-    const obs::EventJobScope scope("job-l");
-    for (int i = 0; i < 20; ++i) {
-      obs::publish_event(obs::EventKind::Round, "phase1+2", i, i);
-    }
-  }
-  obs::close_event_log();
-  EXPECT_FALSE(obs::events_enabled());
-  std::ifstream current(path);
-  ASSERT_TRUE(current.good());
-  std::string all((std::istreambuf_iterator<char>(current)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_LE(all.size(), 400u + 200u) << "size cap bounds the live file";
-  EXPECT_NE(all.find("\"kind\":\"round\""), std::string::npos);
-  std::ifstream rotated(path + ".1");
-  EXPECT_TRUE(rotated.good()) << "overflow rotated to .1";
-  std::remove(path.c_str());
-  std::remove((path + ".1").c_str());
-}
-
-TEST(EventBus, ShutdownSinksClosesEventLogAndTrace) {
-  obs::reset_events();
-  ASSERT_TRUE(obs::open_event_log("shutdown_order_test.jsonl"));
-  ASSERT_TRUE(obs::open_trace("shutdown_order_test.trace.json"));
-  obs::publish_event(obs::EventKind::PhaseEnd, "phase4", 1, 2);
-  obs::shutdown_sinks();
-  EXPECT_FALSE(obs::events_enabled());
-  EXPECT_FALSE(obs::tracing_enabled());
-  std::ifstream log("shutdown_order_test.jsonl");
-  std::string all((std::istreambuf_iterator<char>(log)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("\"kind\":\"phase_end\""), std::string::npos)
-      << "events published before shutdown_sinks reach the log";
-  std::remove("shutdown_order_test.jsonl");
-  std::remove("shutdown_order_test.trace.json");
 }
 
 TEST(TelemetryReports, MetricsSnapshotsAreOrderable) {
